@@ -303,3 +303,45 @@ def test_exact_run_is_seed_stable_bytes(tmp_path):
     learner.save_circuit(circuit_a, pa)
     learner.save_circuit(circuit_b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_audit_trail_density_run_stages():
+    # a mixed input on the layered exact path reaches the density branches
+    phi = random_mps_vector(8, seed=23)
+    rho = 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(256) / 256.0
+    _, report = learner.learn(rho, 2, 2, 0.2, 0.01, audit=True)
+    trail = report.audit
+    assert trail.M == report.M > 0
+    np.testing.assert_allclose(trail.stepwise_state(0), rho, atol=1e-14)
+    for j in range(trail.M + 1):
+        stage = trail.stepwise_state(j)
+        expected = float(np.real(phi.conj() @ stage @ phi))
+        assert abs(trail.fidelity_against(phi, j) - expected) < 1e-10
+        assert abs(np.real(np.trace(stage)) - trail.success_mass(j)) < 1e-10
+    for j in range(1, trail.M + 1):
+        assert trail.monotonicity_margin(j) >= -1e-10
+    with pytest.raises(errors.BadParameter):
+        trail.stepwise_vector(0)
+
+
+def test_trivial_register_audit_trail():
+    psi = random_mps_vector(4, seed=24)
+    _, report = learner.learn(psi, 2, 2, 0.2, 0.01, audit=True)
+    trail = report.audit
+    assert trail.M == 0
+    assert abs(trail.success_mass(0) - 1.0) < 1e-12
+    np.testing.assert_array_equal(trail.stepwise_vector(0), psi)
+    assert abs(trail.fidelity_against(psi, 0) - 1.0) < 1e-12
+    with pytest.raises(errors.BadParameter):
+        trail.stepwise_state(1)
+    with pytest.raises(errors.BadParameter):
+        trail.monotonicity_margin(1)
+
+
+def test_module_stepwise_state_reads_the_audit():
+    psi = random_mps_vector(8, seed=25)
+    _, report = learner.learn(psi, 2, 2, 0.2, 0.01, audit=True)
+    for j in range(report.M + 1):
+        np.testing.assert_array_equal(
+            learner.stepwise_state(report, j), report.audit.stepwise_state(j)
+        )
