@@ -132,6 +132,3 @@ class StateBackend:
             keep = n - len(pos)
             self.state = tensor.reshape(self.d**keep, self.d**keep).copy()
         self.sites = [s for i, s in enumerate(self.sites) if i not in pos]
-
-    def dense_state(self) -> np.ndarray:
-        return self.state.copy()

@@ -33,11 +33,10 @@ from .errors import (
     NoConvergence,
     NonContiguous,
     OracleFailure,
-    PlanInfeasible,
     TooLarge,
     TooSmall,
 )
-from .learner import learn, save_circuit
+from .learner import CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, learn, save_circuit
 
 MANIFEST_FORMAT_NAME = "run-manifest"
 MANIFEST_FORMAT_VERSION = 1
@@ -51,7 +50,7 @@ _BAD_INPUT = (
     MalformedCircuit,
     DegenerateD,
 )
-_INFEASIBLE = (PlanInfeasible, TooSmall)
+_INFEASIBLE = (TooSmall,)
 _RESOURCE = (TooLarge, BackendTooLarge)
 _PROPERTY = (OracleFailure, NoConvergence)
 
@@ -108,7 +107,7 @@ def _write_manifest(out_dir: Path, command: str, resolved_config: dict, deviatio
             "config_sha256": digest,
             "formats": {
                 mps.MPS_FORMAT_NAME: mps.MPS_FORMAT_VERSION,
-                "disentangling-circuit": 1,
+                CIRCUIT_FORMAT_NAME: CIRCUIT_FORMAT_VERSION,
                 MANIFEST_FORMAT_NAME: MANIFEST_FORMAT_VERSION,
             },
             "deviations": deviations,

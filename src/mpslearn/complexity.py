@@ -119,16 +119,6 @@ def budget_closest_previous(
     return multiplier * n**9 * D**8 * math.log(n / delta) / epsilon**8
 
 
-def budget_closest_previous_alt(
-    n: int, d: int, D: int, epsilon: float, delta: float, multiplier: float = 1.0
-) -> float:
-    """Alternative accounting of the earlier competitive learner."""
-    _check_common(n, d, epsilon, delta)
-    if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
-    return multiplier * d**3 * n**10 * D**10 * math.log(n / delta) / epsilon**10
-
-
 def final_tomo_budget(
     d: int, p: int, epsilon: float, delta: float, n: int, multiplier: float = 1.0
 ) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -53,28 +52,6 @@ class Disentangler:
     selected: np.ndarray
 
 
-def idx(a: Sequence[int], j: int, d: int, y: int, p: int) -> int:
-    """1-based position of the basis vector that maps to ``|a> (x) |j>``.
-
-    ``a`` holds the ``y - p`` leading digits (each in ``0 .. d-1``) and ``j``
-    in ``1 .. d**p`` labels the trailing computational basis state.  The
-    returned index runs over ``1 .. d**y`` and is a bijection: it equals one
-    plus the big-endian value of the digit string ``(a, j - 1)``.
-    """
-    if p < 0 or y < p:
-        raise BadParameter(f"need 0 <= p <= y, got p={p}, y={y}")
-    if len(a) != y - p:
-        raise DimensionMismatch(f"expected {y - p} leading digits, got {len(a)}")
-    if any(not 0 <= digit < d for digit in a):
-        raise BadParameter(f"digits must be in 0..{d - 1}, got {tuple(a)}")
-    if not 1 <= j <= d**p:
-        raise BadParameter(f"j must be in 1..{d**p}, got {j}")
-    value = 0
-    for digit in a:
-        value = value * d + digit
-    return j + d**p * value
-
-
 def _qudit_count(dim: int, d: int) -> int:
     y = round(math.log(dim, d))
     if d**y != dim:
@@ -102,17 +79,13 @@ def _from_eigenbasis(
     )
 
 
-def build_rank_capped(
-    sigma_hat: np.ndarray, d: int, D_squared: int, p: int, seed: int = 0
-) -> Disentangler:
+def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> Disentangler:
     """Disentangler keeping the top ``D_squared`` eigenvectors on ``p`` qudits.
 
     The estimate must live on at least ``p`` qudits and satisfy
     ``D_squared <= d**p`` so the selected subspace fits into the kept sector.
-    The basis completion comes from the estimate's own eigenbasis, so the
-    ``seed`` argument is accepted for interface symmetry but has no effect.
+    The basis completion comes from the estimate's own eigenbasis.
     """
-    del seed
     dim = linalg.require_square(sigma_hat)
     y = _qudit_count(dim, d)
     if p < 0 or p > y:
@@ -126,7 +99,7 @@ def build_rank_capped(
     return _from_eigenbasis(sigma_hat, d, kept_qudits=p, selected_count=D_squared)
 
 
-def build_threshold(sigma_hat: np.ndarray, d: int, eta: float, seed: int = 0) -> Disentangler:
+def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
     """Disentangler keeping eigenvectors with eigenvalues above ``eta``.
 
     The estimate must be Hermitian with trace at most ``1 + 1e-9``; for a
@@ -134,7 +107,6 @@ def build_threshold(sigma_hat: np.ndarray, d: int, eta: float, seed: int = 0) ->
     ``1/eta``.  Eigenvalues within ``1e-12`` of ``eta`` count as below it.
     The kept width is ``t = ceil(log_d m)`` qudits (zero when ``m <= 1``).
     """
-    del seed
     if eta <= 0:
         raise BadParameter(f"eta must be positive, got {eta}")
     dim = linalg.require_square(sigma_hat)

@@ -22,10 +22,6 @@ class DimensionMismatch(ValueError):
     """Array shapes are inconsistent with the stated qudit dimensions."""
 
 
-class NonContiguousSupport(ValueError):
-    """An operator embedding was asked for a non-contiguous site range."""
-
-
 class NotOrthonormal(ValueError):
     """Input vectors fail the orthonormality check."""
 
@@ -68,10 +64,6 @@ class NegativeArgument(ValueError):
 
 class BadEpsilon(ValueError):
     """An accuracy parameter is outside (0, 1]."""
-
-
-class PlanInfeasible(ValueError):
-    """No valid layer schedule exists for the requested parameters."""
 
 
 class BackendTooLarge(ValueError):

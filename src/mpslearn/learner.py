@@ -14,8 +14,13 @@ when oracle errors stay within the per-call budget.  The ``closest`` variant
 makes no input assumption, keeps eigenvectors above a threshold, and competes
 with the best fidelity achievable by any bond-dimension-``D`` state.
 
-Registers whose chain is no longer than twice the block tail skip the tree
-and estimate the whole register directly (the trivial path).
+A register no longer than twice the block tail runs the same loop with zero
+layers (``plan`` is ``None``): the closing call then covers the whole register
+(the trivial path), and for a pure input under the exact oracle it reads the
+state directly instead of estimating it.  The learned circuit is walked in one
+place each way: backward to prepare the state (and the audit's stage
+operators), forward to disentangle a vector and, optionally, project out each
+layer's shed sites.
 """
 from __future__ import annotations
 
@@ -29,14 +34,8 @@ import numpy as np
 
 from . import linalg, mps, tomography
 from .backend import StateBackend, apply_unitary_density, apply_unitary_vector
-from .disentangler import Disentangler, build_rank_capped, build_threshold
-from .errors import (
-    AuditDisabled,
-    BadParameter,
-    DegenerateD,
-    MalformedCircuit,
-    TooLarge,
-)
+from .disentangler import build_rank_capped, build_threshold
+from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
 from .planner import (
     LayerPlan,
     PlannedBlock,
@@ -143,31 +142,20 @@ class LearnReport:
 class AuditTrail:
     """Stepwise snapshots of one learner run, for invariant checking.
 
-    ``snapshots[j]`` is a backend copy after layer ``j`` (``j = 0`` is the
-    input).  The trail can rebuild each stage as a sub-normalized operator on
-    the full original register, evaluate overlaps against witness states, and
-    bound how far each layer's projection can sink any witness's fidelity.
+    ``snapshots[j]`` is a backend copy after layer ``j`` of ``circuit``
+    (``j = 0`` is the input).  The trail can rebuild each stage as a
+    sub-normalized operator on the full original register, evaluate overlaps
+    against witness states, and bound how far each layer's projection can
+    sink any witness's fidelity.
     """
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        snapshots: list[StateBackend],
-        layer_supports: list[list[tuple[int, ...]]],
-        layer_matrices: list[list[np.ndarray]],
-        projected_by_layer: list[tuple[int, ...]],
-    ):
-        self.n = n
-        self.d = d
+    def __init__(self, circuit: CircuitDescription, snapshots: list[StateBackend]):
+        self.circuit = circuit
         self.snapshots = snapshots
-        self.layer_supports = layer_supports
-        self.layer_matrices = layer_matrices
-        self.projected_by_layer = projected_by_layer
 
     @property
     def M(self) -> int:
-        return len(self.layer_supports)
+        return self.circuit.num_layers
 
     def _check_layer(self, j: int) -> None:
         if not 0 <= j <= self.M:
@@ -177,82 +165,32 @@ class AuditTrail:
         self._check_layer(j)
         return self.snapshots[j].success_mass()
 
-    def _pad_vector(self, j: int) -> np.ndarray:
-        """Sub-normalized vector w_j with the inverse prefix applied (pure runs)."""
+    def stepwise_vector(self, j: int) -> np.ndarray:
+        """Stage ``j`` as a sub-normalized vector on the full register (pure runs)."""
+        self._check_layer(j)
         snap = self.snapshots[j]
         if not snap.pure:
             raise BadParameter("stepwise vectors exist only for pure-state runs")
-        tensor = np.zeros((self.d,) * self.n, dtype=complex)
-        index = [0] * self.n
-        for s in snap.sites:
-            index[s] = slice(None)
-        tensor[tuple(index)] = snap.state.reshape((self.d,) * snap.n)
-        vec = tensor.reshape(-1)
-        for layer in range(j, 0, -1):
-            for support, matrix in zip(
-                self.layer_supports[layer - 1], self.layer_matrices[layer - 1]
-            ):
-                axes = [s - 1 for s in support]
-                vec = apply_unitary_vector(vec, matrix.conj().T, axes, self.d)
-        return vec
-
-    def stepwise_vector(self, j: int) -> np.ndarray:
-        self._check_layer(j)
-        return self._pad_vector(j)
+        return _walk_backward(self.circuit, snap.state, snap.sites, j)
 
     def stepwise_state(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized operator on the full register."""
         self._check_layer(j)
-        dim = self.d**self.n
+        dim = self.circuit.d**self.circuit.n
         if dim > linalg.MAX_DENSITY_DIM:
             raise TooLarge(
                 f"dense stage operator of dimension {dim} exceeds cap "
                 f"{linalg.MAX_DENSITY_DIM}; use stepwise_vector for pure runs"
             )
         snap = self.snapshots[j]
-        if snap.pure:
-            w = self._pad_vector(j)
-            return np.outer(w, w.conj())
-        tensor = np.zeros((self.d,) * (2 * self.n), dtype=complex)
-        index = [0] * self.n
-        for s in snap.sites:
-            index[s] = slice(None)
-        tensor[tuple(index) * 2] = snap.state.reshape((self.d,) * (2 * snap.n))
-        rho = tensor.reshape(dim, dim)
-        for layer in range(j, 0, -1):
-            for support, matrix in zip(
-                self.layer_supports[layer - 1], self.layer_matrices[layer - 1]
-            ):
-                axes = [s - 1 for s in support]
-                rho = apply_unitary_density(rho, matrix.conj().T, axes, self.d)
-        return rho
-
-    def _forward_witness(self, phi: np.ndarray, j: int) -> np.ndarray:
-        """Witness pushed through layers 1..j and restricted to the kept sector."""
-        vec = np.asarray(phi, dtype=complex).reshape(-1)
-        if vec.size != self.d**self.n:
-            raise BadParameter(f"witness has dimension {vec.size}, expected {self.d ** self.n}")
-        dropped: list[int] = []
-        for layer in range(1, j + 1):
-            for support, matrix in zip(
-                self.layer_supports[layer - 1], self.layer_matrices[layer - 1]
-            ):
-                remaining = [s for s in range(self.n) if s not in dropped]
-                axes = [remaining.index(s - 1) for s in support]
-                vec = apply_unitary_vector(vec, matrix, axes, self.d)
-            remaining = [s for s in range(self.n) if s not in dropped]
-            cut = [remaining.index(s - 1) for s in self.projected_by_layer[layer - 1]]
-            tensor = vec.reshape((self.d,) * len(remaining))
-            index = tuple(0 if i in cut else slice(None) for i in range(len(remaining)))
-            vec = tensor[index].reshape(-1)
-            dropped.extend(s - 1 for s in self.projected_by_layer[layer - 1])
-        return vec
+        stage = _walk_backward(self.circuit, snap.state, snap.sites, j)
+        return np.outer(stage, stage.conj()) if snap.pure else stage
 
     def fidelity_against(self, phi: np.ndarray, j: int) -> float:
         """Overlap of stage ``j`` with a witness state, ``<phi| rho_j |phi>``."""
         self._check_layer(j)
         snap = self.snapshots[j]
-        chi = self._forward_witness(phi, j)
+        chi = residual_projection(self.circuit, phi, j)
         if snap.pure:
             return float(abs(np.vdot(snap.state, chi)) ** 2)
         return float(np.real(chi.conj() @ snap.state @ chi))
@@ -262,9 +200,7 @@ class AuditTrail:
         if not 1 <= j <= self.M:
             raise BadParameter(f"layer must be in 1..{self.M}, got {j}")
         if self.snapshots[0].pure:
-            u = self._pad_vector(j - 1)
-            w = self._pad_vector(j)
-            return _rank_two_min_eig(u, w)
+            return _rank_two_min_eig(self.stepwise_vector(j - 1), self.stepwise_vector(j))
         diff = self.stepwise_state(j - 1) - self.stepwise_state(j)
         return float(np.linalg.eigvalsh(diff)[0])
 
@@ -328,11 +264,6 @@ def _fidelity(candidate: np.ndarray, reference: np.ndarray) -> float:
     if reference.ndim == 1:
         return float(abs(np.vdot(reference, candidate)) ** 2)
     return float(np.real(candidate.conj() @ reference @ candidate))
-
-
-def _top_eigenvector(sigma: np.ndarray) -> np.ndarray:
-    _, vectors = linalg.hermitian_eig(sigma)
-    return vectors[:, 0].copy()
 
 
 def learn(
@@ -425,39 +356,40 @@ def learn(
                     "block-size equation is solvable"
                 )
         if n <= 2 * p:
-            return _learn_trivial(
-                backend, dense, d, D, effective_epsilon, epsilon, delta, p,
-                variant, mode, seed, theta, deviations, audit,
+            # No layer to run: the closing call estimates the whole register.
+            plan, eta = None, effective_epsilon / 4.0
+            deviations.append(
+                f"trivial-path: n = {n} <= 2p = {2 * p}, estimating the whole register directly"
             )
-        plan = plan_layers(n, d, p)
-        if variant == "exact":
-            eta = eta_exact(effective_epsilon, plan.M)
         else:
-            eta = eta_closest(effective_epsilon, p, D, n)
+            plan = plan_layers(n, d, p)
+            if variant == "exact":
+                eta = eta_exact(effective_epsilon, plan.M)
+            else:
+                eta = eta_closest(effective_epsilon, p, D, n)
 
-    # An oracle pinned to an explicit accuracy defines the per-block accuracy
-    # of the whole run; the derived budget only applies when the oracle tracks
-    # the learner (eta=None).
-    if isinstance(mode, tomography.BoundedNoiseMode) and mode.eta is not None:
-        eta = mode.eta
+    if plan is not None:
+        # An oracle pinned to an explicit accuracy defines the per-block
+        # accuracy of the whole run; the derived budget only applies when the
+        # oracle tracks the learner (eta=None).
+        if isinstance(mode, tomography.BoundedNoiseMode) and mode.eta is not None:
+            eta = mode.eta
+        if plan.s1_amended:
+            deviations.append(
+                "s1-amended: first-layer remainder divides evenly, last acted block "
+                "widened to a full 2p block"
+            )
 
-    if plan.s1_amended:
-        deviations.append(
-            "s1-amended: first-layer remainder divides evenly, last acted block "
-            "widened to a full 2p block"
-        )
-
+    M = plan.M if plan is not None else 0
     tau = effective_epsilon / 4.0
     mode_seed = getattr(mode, "seed", 0)
     seed_base = (seed, mode_seed)
     copies_used = 0
     per_layer: list[LayerStats] = []
     unitaries: list[CircuitUnitary] = []
-    layer_supports: list[list[tuple[int, ...]]] = []
-    layer_matrices: list[list[np.ndarray]] = []
     snapshots: list[StateBackend] = [backend.copy()] if audit else []
 
-    for j in range(1, plan.M + 1):
+    for j in range(1, M + 1):
         blocks = plan.blocks(j)
         built: list[tuple] = []
         stats: list[BlockStats] = []
@@ -471,14 +403,11 @@ def learn(
             error = linalg.trace_norm(outcome.estimate - sigma_true)
             if variant == "exact":
                 dz = build_rank_capped(outcome.estimate, d, D * D, p)
-                charge = tomography.budget_rank_constrained(
-                    outcome.success_mass, D, d, len(block.support), eta, delta / n
-                )
             else:
                 dz = build_threshold(outcome.estimate, d, eta)
-                charge = tomography.budget_general(
-                    outcome.success_mass, d, len(block.support), eta, delta / n
-                )
+            charge = _charge(
+                variant, outcome.success_mass, D, d, len(block.support), eta, delta / n
+            )
             copies_used += charge
             built.append((block, dz))
             stats.append(
@@ -511,22 +440,26 @@ def learn(
             CircuitUnitary(layer=j, index=b.index, support=b.support, matrix=dz.unitary.copy())
             for b, dz in built
         )
-        layer_supports.append([b.support for b, _ in built])
-        layer_matrices.append([dz.unitary.copy() for _, dz in built])
         if audit:
             snapshots.append(backend.copy())
 
-    final_sites = plan.final_carried
-    call_mode = _child_mode(mode, tau, seed_base, (plan.M + 1, 0))
-    positions = backend.positions([s - 1 for s in final_sites])
-    outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
-    if variant == "exact":
-        copies_used += tomography.budget_rank_constrained(
-            outcome.success_mass, D, d, p, tau, delta / n
-        )
+    tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
+    call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
+    if plan is None and backend.pure and isinstance(call_mode, tomography.ExactMode):
+        # The exact oracle on the whole pure register returns the state itself.
+        residual = linalg.fix_phase(backend.state / np.linalg.norm(backend.state))
+        mass = 1.0
     else:
-        copies_used += tomography.budget_general(outcome.success_mass, d, p, tau, delta / n)
-    residual = _top_eigenvector(outcome.estimate)
+        if d ** len(tail) > linalg.MAX_DENSITY_DIM:
+            raise TooLarge(
+                f"tomography of the {len(tail)}-site tail needs a dense operator of "
+                f"dimension {d ** len(tail)} > {linalg.MAX_DENSITY_DIM}"
+            )
+        positions = backend.positions([s - 1 for s in tail])
+        outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
+        residual = linalg.hermitian_eig(outcome.estimate)[1][:, 0].copy()
+        mass = outcome.success_mass
+    copies_used += _charge(variant, mass, D, d, len(tail), tau, delta / n)
 
     circuit = CircuitDescription(
         n=n,
@@ -535,13 +468,13 @@ def learn(
         plan=plan,
         unitaries=unitaries,
         projected_by_layer=tuple(
-            tuple(s for b in plan.blocks(j) for s in b.projected) for j in range(1, plan.M + 1)
+            tuple(s for b in plan.blocks(j) for s in b.projected) for j in range(1, M + 1)
         ),
-        residual_sites=final_sites,
+        residual_sites=tail,
         residual=residual,
         metadata=_metadata(
             variant, epsilon, effective_epsilon, delta, eta, tau, seed, mode, theta,
-            deviations, trivial=False,
+            deviations, trivial=plan is None,
         ),
     )
     report = LearnReport(
@@ -553,7 +486,7 @@ def learn(
         effective_epsilon=effective_epsilon,
         delta=delta,
         p=p,
-        M=plan.M,
+        M=M,
         eta=eta,
         tau=tau,
         seed=seed,
@@ -563,96 +496,18 @@ def learn(
         per_layer=per_layer,
         deviations=deviations,
         theta=theta,
-        audit=AuditTrail(
-            n, d, snapshots, layer_supports, layer_matrices,
-            [tuple(s for b in plan.blocks(j) for s in b.projected) for j in range(1, plan.M + 1)],
-        )
-        if audit
-        else None,
+        audit=AuditTrail(circuit, snapshots) if audit else None,
     )
     return circuit, report
 
 
-def _learn_trivial(
-    backend: StateBackend,
-    dense: np.ndarray,
-    d: int,
-    D: int,
-    effective_epsilon: float,
-    epsilon: float,
-    delta: float,
-    p: int,
-    variant: str,
-    mode: tomography.OracleMode,
-    seed: int,
-    theta: float | None,
-    deviations: list[str],
-    audit: bool,
-) -> tuple[CircuitDescription, LearnReport]:
-    """Whole-register estimate for chains no longer than twice the tail."""
-    n = backend.n
-    tau = effective_epsilon / 4.0
-    deviations = deviations + [
-        f"trivial-path: n = {n} <= 2p = {2 * p}, estimating the whole register directly"
-    ]
-    seed_base = (seed, getattr(mode, "seed", 0))
-    call_mode = _child_mode(mode, tau, seed_base, (1, 0))
-
-    if backend.pure and isinstance(call_mode, tomography.ExactMode):
-        residual = linalg.fix_phase(backend.state / np.linalg.norm(backend.state))
-        mass = 1.0
-    else:
-        if d**n > linalg.MAX_DENSITY_DIM:
-            raise TooLarge(
-                f"trivial path with a non-exact oracle needs a dense operator of "
-                f"dimension {d ** n} > {linalg.MAX_DENSITY_DIM}"
-            )
-        outcome = tomography.estimate_block(
-            backend.state, backend.dims, list(range(n)), call_mode
-        )
-        residual = _top_eigenvector(outcome.estimate)
-        mass = outcome.success_mass
+def _charge(
+    variant: str, mass: float, D: int, d: int, sites: int, eta: float, delta: float
+) -> int:
+    """Copies charged for one tomography call on ``sites`` qudits at accuracy ``eta``."""
     if variant == "exact":
-        copies = tomography.budget_rank_constrained(mass, D, d, n, tau, delta / n)
-    else:
-        copies = tomography.budget_general(mass, d, n, tau, delta / n)
-
-    circuit = CircuitDescription(
-        n=n,
-        d=d,
-        p=p,
-        plan=None,
-        unitaries=[],
-        projected_by_layer=(),
-        residual_sites=tuple(range(1, n + 1)),
-        residual=residual,
-        metadata=_metadata(
-            variant, epsilon, effective_epsilon, delta, tau, tau, seed, mode, theta,
-            deviations, trivial=True,
-        ),
-    )
-    report = LearnReport(
-        variant=variant,
-        n=n,
-        d=d,
-        D=D,
-        epsilon=epsilon,
-        effective_epsilon=effective_epsilon,
-        delta=delta,
-        p=p,
-        M=0,
-        eta=tau,
-        tau=tau,
-        seed=seed,
-        oracle=_oracle_name(mode),
-        final_fidelity=_fidelity(residual, dense),
-        copies_used=copies,
-        per_layer=[],
-        deviations=deviations,
-        theta=theta,
-        audit=AuditTrail(n, d, [backend.copy()], [], [], []) if audit else None,
-    )
-    return circuit, report
+        return tomography.budget_rank_constrained(mass, D, d, sites, eta, delta)
+    return tomography.budget_general(mass, d, sites, eta, delta)
 
 
 def _metadata(
@@ -689,36 +544,64 @@ def _metadata(
     }
 
 
-def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
-    """Dense unit vector prepared by the learned circuit."""
+def _walk_backward(
+    circuit: CircuitDescription, state: np.ndarray, sites: Sequence[int], j: int
+) -> np.ndarray:
+    """Undo layers ``j..1`` of the circuit on a state held on some sites.
+
+    ``state`` is a vector, or a density operator, on the 0-based ``sites`` in
+    ascending order; every other site of the register reads |0>.  The result
+    lives on the full register and has the same kind as ``state``.
+    """
     d, n = circuit.d, circuit.n
-    if d**n > linalg.MAX_VECTOR_DIM:
-        raise TooLarge(f"dense reconstruction of dimension {d ** n} exceeds the cap")
-    tensor = np.zeros((d,) * n, dtype=complex)
+    sides = state.ndim
+    tensor = np.zeros((d,) * (sides * n), dtype=complex)
     index = [0] * n
-    for s in circuit.residual_sites:
-        index[s - 1] = slice(None)
-    tensor[tuple(index)] = circuit.residual.reshape((d,) * len(circuit.residual_sites))
-    vec = tensor.reshape(-1)
-    for layer in range(circuit.num_layers, 0, -1):
+    for s in sites:
+        index[s] = slice(None)
+    tensor[tuple(index) * sides] = state.reshape((d,) * (sides * len(sites)))
+    out = tensor.reshape((d**n,) * sides)
+    apply = apply_unitary_vector if sides == 1 else apply_unitary_density
+    for layer in range(j, 0, -1):
         for u in circuit.layer_unitaries(layer):
-            axes = [s - 1 for s in u.support]
-            vec = apply_unitary_vector(vec, u.matrix.conj().T, axes, d)
-    return vec
+            out = apply(out, u.matrix.conj().T, [s - 1 for s in u.support], d)
+    return out
 
 
-def forward_transform(circuit: CircuitDescription, vector: np.ndarray) -> np.ndarray:
-    """Apply the learned circuit in the forward (disentangling) direction."""
+def _walk_forward(
+    circuit: CircuitDescription, vector: np.ndarray, j: int, project: bool
+) -> np.ndarray:
+    """Apply layers ``1..j`` of the circuit to a vector on the full register.
+
+    With ``project`` each layer's shed sites are then projected onto |0> and
+    dropped, so the result lives on the sites still held after layer ``j``.
+    """
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     if vec.size != circuit.d**circuit.n:
         raise BadParameter(
             f"vector has dimension {vec.size}, expected {circuit.d ** circuit.n}"
         )
-    for layer in range(1, circuit.num_layers + 1):
+    register = StateBackend(vec, circuit.d)
+    for layer in range(1, j + 1):
         for u in circuit.layer_unitaries(layer):
-            axes = [s - 1 for s in u.support]
-            vec = apply_unitary_vector(vec, u.matrix, axes, circuit.d)
-    return vec
+            register.apply_unitary(u.matrix, [s - 1 for s in u.support])
+        if project:
+            register.project_zero_and_drop([s - 1 for s in circuit.projected_by_layer[layer - 1]])
+    return register.state
+
+
+def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
+    """Dense unit vector prepared by the learned circuit."""
+    d, n = circuit.d, circuit.n
+    if d**n > linalg.MAX_VECTOR_DIM:
+        raise TooLarge(f"dense reconstruction of dimension {d ** n} exceeds the cap")
+    sites = [s - 1 for s in circuit.residual_sites]
+    return _walk_backward(circuit, circuit.residual, sites, circuit.num_layers)
+
+
+def forward_transform(circuit: CircuitDescription, vector: np.ndarray) -> np.ndarray:
+    """Apply the learned circuit in the forward (disentangling) direction."""
+    return _walk_forward(circuit, vector, circuit.num_layers, project=False)
 
 
 def stepwise_state(report: LearnReport, j: int) -> np.ndarray:
@@ -738,22 +621,7 @@ def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) ->
     """
     if not 0 <= j <= circuit.num_layers:
         raise BadParameter(f"layer must be in 0..{circuit.num_layers}, got {j}")
-    d, n = circuit.d, circuit.n
-    vec = np.asarray(phi, dtype=complex).reshape(-1)
-    if vec.size != d**n:
-        raise BadParameter(f"witness has dimension {vec.size}, expected {d ** n}")
-    dropped: list[int] = []
-    for layer in range(1, j + 1):
-        remaining = [s for s in range(n) if s not in dropped]
-        for u in circuit.layer_unitaries(layer):
-            axes = [remaining.index(s - 1) for s in u.support]
-            vec = apply_unitary_vector(vec, u.matrix, axes, d)
-        cut = [remaining.index(s - 1) for s in circuit.projected_by_layer[layer - 1]]
-        tensor = vec.reshape((d,) * len(remaining))
-        index = tuple(0 if i in cut else slice(None) for i in range(len(remaining)))
-        vec = tensor[index].reshape(-1)
-        dropped.extend(s - 1 for s in circuit.projected_by_layer[layer - 1])
-    return vec
+    return _walk_forward(circuit, phi, j, project=True)
 
 
 def _tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> list[np.ndarray]:
@@ -827,23 +695,6 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
     return mps.MatrixProductState(n=n, d=d, boundary="open", tensors=tensors)
 
 
-def _flatten(array: np.ndarray) -> list[float]:
-    out: list[float] = []
-    for z in np.asarray(array, dtype=complex).reshape(-1):
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return out
-
-
-def _unflatten(entries: Sequence[float], shape: tuple[int, ...]) -> np.ndarray:
-    chunk = np.asarray(entries, dtype=float)
-    # Assemble without arithmetic so signed zeros survive the round trip.
-    out = np.empty(chunk.size // 2, dtype=complex)
-    out.real = chunk[0::2]
-    out.imag = chunk[1::2]
-    return out.reshape(shape)
-
-
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
     """Write a versioned JSON description of the circuit.
 
@@ -884,26 +735,36 @@ def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
                 "layer": u.layer,
                 "index": u.index,
                 "support": list(u.support),
-                "entries": _flatten(u.matrix),
+                "entries": mps.complex_entries([u.matrix]),
             }
             for u in circuit.unitaries
         ],
         "projected_by_layer": [list(layer) for layer in circuit.projected_by_layer],
         "residual_sites": list(circuit.residual_sites),
-        "residual": _flatten(circuit.residual),
+        "residual": mps.complex_entries([circuit.residual]),
         "metadata": circuit.metadata,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _site_labels(labels, n: int, what: str) -> tuple[int, ...]:
+    sites = tuple(labels)
+    if not all(isinstance(s, int) and 1 <= s <= n for s in sites):
+        raise MalformedCircuit(f"{what} {list(sites)} not within the sites 1..{n}")
+    return sites
+
+
 def load_circuit(path: str | Path) -> CircuitDescription:
-    """Load and validate a circuit written by :func:`save_circuit`."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CIRCUIT_FORMAT_NAME:
-        raise MalformedCircuit(f"not a circuit file: format = {doc.get('format')!r}")
-    if doc.get("version") != CIRCUIT_FORMAT_VERSION:
-        raise MalformedCircuit(f"unsupported circuit format version {doc.get('version')!r}")
+    """Load and validate a circuit written by :func:`save_circuit`.
+
+    Every defect in the file raises :class:`MalformedCircuit`.
+    """
+    keys = ("n", "d", "p", "plan", "unitaries", "projected_by_layer", "residual_sites",
+            "residual", "metadata")
+    doc = mps.read_document(path, CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, keys, MalformedCircuit)
     n, d, p = doc["n"], doc["d"], doc["p"]
+    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 2):
+        raise MalformedCircuit(f"need integers n >= 1 and d >= 2, got n={n!r}, d={d!r}")
 
     plan = None
     if doc["plan"] is not None:
@@ -934,9 +795,9 @@ def load_circuit(path: str | Path) -> CircuitDescription:
 
     unitaries = []
     for u in doc["unitaries"]:
-        support = tuple(u["support"])
+        support = _site_labels(u["support"], n, "unitary support")
         dim = d ** len(support)
-        matrix = _unflatten(u["entries"], (dim, dim))
+        (matrix,) = mps.complex_arrays(u["entries"], [(dim, dim)], MalformedCircuit)
         defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
         if defect > 1e-8:
             raise MalformedCircuit(f"stored block unitary deviates from unitarity by {defect:.3e}")
@@ -944,8 +805,10 @@ def load_circuit(path: str | Path) -> CircuitDescription:
             CircuitUnitary(layer=u["layer"], index=u["index"], support=support, matrix=matrix)
         )
 
-    residual_sites = tuple(doc["residual_sites"])
-    residual = _unflatten(doc["residual"], (d ** len(residual_sites),))
+    residual_sites = _site_labels(doc["residual_sites"], n, "residual sites")
+    (residual,) = mps.complex_arrays(
+        doc["residual"], [(d ** len(residual_sites),)], MalformedCircuit
+    )
     return CircuitDescription(
         n=n,
         d=d,

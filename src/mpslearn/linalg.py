@@ -7,7 +7,6 @@ module.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Sequence
 
@@ -17,7 +16,6 @@ from .errors import (
     BadParameter,
     DimensionMismatch,
     NoConvergence,
-    NonContiguousSupport,
     NonHermitian,
     NonSquare,
     NotOrthonormal,
@@ -26,30 +24,8 @@ from .errors import (
 MAX_VECTOR_DIM = 2**16
 MAX_DENSITY_DIM = 2**10
 
+HERMITIAN_TOL = 1e-10
 _TIE_TOL = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances shared by the dense routines.
-
-    Each field must lie in ``[0, 1e-6]``; anything looser than ``1e-6`` is a
-    configuration mistake at desk scale.
-    """
-
-    hermitian_tol: float = 1e-10
-    norm_tol: float = 1e-10
-    rank_tol: float = 1e-10
-    psd_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("hermitian_tol", "norm_tol", "rank_tol", "psd_tol"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1e-6:
-                raise BadParameter(f"{name} must be in [0, 1e-6], got {value}")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def require_square(matrix: np.ndarray) -> int:
@@ -66,13 +42,19 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOLERANCES.hermitian_tol) -> np.ndarray:
-    """Validate hermiticity within ``tol`` and return the symmetrized matrix."""
+def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Validate hermiticity within ``tol`` and return the symmetrized matrix.
+
+    Non-finite entries are rejected too: a NaN defect compares false against
+    any tolerance.
+    """
     require_square(matrix)
-    defect = hermiticity_defect(matrix)
+    a = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(a).all():
+        raise NonHermitian("matrix has non-finite entries")
+    defect = hermiticity_defect(a)
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    a = np.asarray(matrix, dtype=complex)
     return (a + a.conj().T) / 2.0
 
 
@@ -100,17 +82,14 @@ def _lex_key(vector: np.ndarray) -> tuple:
     return tuple(rounded.tolist())
 
 
-def hermitian_eig(
-    matrix: np.ndarray, config: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Parameters
     ----------
     matrix : np.ndarray
-        Square Hermitian matrix (validated within ``config.hermitian_tol``).
-    config : ToleranceConfig
-        Tolerances used for validation.
+        Square Hermitian matrix with finite entries (validated within
+        ``HERMITIAN_TOL``).
 
     Returns
     -------
@@ -122,7 +101,7 @@ def hermitian_eig(
         phase-normalized so its largest-magnitude entry is positive real.
         This makes the decomposition deterministic for identical inputs.
     """
-    a = require_hermitian(matrix, config.hermitian_tol)
+    a = require_hermitian(matrix)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -205,24 +184,6 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
     return a.reshape(kept_dim, kept_dim)
 
 
-def embed_operator(op: np.ndarray, dims: Sequence[int], support: Sequence[int]) -> np.ndarray:
-    """Tensor an operator on a contiguous site range with identities elsewhere."""
-    dims = tuple(int(d) for d in dims)
-    support = sorted(int(s) for s in support)
-    n = len(dims)
-    if not support or support[0] < 0 or support[-1] >= n:
-        raise DimensionMismatch(f"support {support} outside register of {n} sites")
-    if support != list(range(support[0], support[-1] + 1)):
-        raise NonContiguousSupport(f"support must be contiguous, got {support}")
-    side = require_square(op)
-    block = math.prod(dims[s] for s in support)
-    if side != block:
-        raise DimensionMismatch(f"operator side {side} does not match block dimension {block}")
-    left = math.prod(dims[: support[0]]) if support[0] > 0 else 1
-    right = math.prod(dims[support[-1] + 1 :]) if support[-1] + 1 < n else 1
-    return np.kron(np.kron(np.eye(left), np.asarray(op, dtype=complex)), np.eye(right))
-
-
 def gram_schmidt_extend(partial: Sequence[np.ndarray], dim: int, seed: int = 0) -> np.ndarray:
     """Extend an orthonormal list to a full orthonormal basis.
 
@@ -280,13 +241,11 @@ def gram_schmidt_extend(partial: Sequence[np.ndarray], dim: int, seed: int = 0) 
     return np.stack(basis, axis=1)
 
 
-def numerical_rank(
-    matrix: np.ndarray, tol: float, config: ToleranceConfig = DEFAULT_TOLERANCES
-) -> int:
+def numerical_rank(matrix: np.ndarray, tol: float) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix exceeding ``tol``."""
     if tol < 0:
         raise BadParameter(f"rank tolerance must be non-negative, got {tol}")
-    a = require_hermitian(matrix, config.hermitian_tol)
+    a = require_hermitian(matrix)
     w = np.linalg.eigvalsh(a)
     return int(np.count_nonzero(w > tol))
 

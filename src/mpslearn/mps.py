@@ -300,14 +300,57 @@ def mps_parameter_count(n: int, d: int, D: int, boundary: str = "open") -> int:
     return sum(d * bonds[k] * bonds[k + 1] for k in range(n))
 
 
-def _flatten_entries(arrays: Sequence[np.ndarray]) -> list[float]:
-    out: list[float] = []
-    for a in arrays:
-        flat = np.asarray(a, dtype=complex).reshape(-1)
-        for z in flat:
-            out.append(float(z.real))
-            out.append(float(z.imag))
-    return out
+def read_document(
+    path: str | Path, name: str, version: int, keys: Sequence[str], error: type[Exception]
+) -> dict:
+    """Parse a versioned JSON document and check its format, version and keys.
+
+    Every defect raises ``error``, the caller's typed error, so a bad file
+    never surfaces as a ``KeyError`` or a JSON parser error.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != name:
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise error(f"not a {name} file: format = {found!r}")
+    if doc.get("version") != version:
+        raise error(f"unsupported {name} format version {doc.get('version')!r}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise error(f"{name} file lacks the keys {', '.join(missing)}")
+    return doc
+
+
+def complex_entries(arrays: Sequence[np.ndarray]) -> list[float]:
+    """The arrays' entries in order, as interleaved (real, imag) floats for JSON."""
+    flat = np.concatenate([np.asarray(a, dtype=complex).reshape(-1) for a in arrays])
+    return flat.view(np.float64).tolist()
+
+
+def complex_arrays(
+    entries, shapes: Sequence[Sequence[int]], error: type[Exception]
+) -> list[np.ndarray]:
+    """Inverse of :func:`complex_entries`: one array per shape.
+
+    Raises ``error`` unless the entries are numbers that exactly fill the
+    shapes.
+    """
+    try:
+        floats = np.asarray(entries, dtype=float)
+        shapes = [tuple(int(k) for k in shape) for shape in shapes]
+    except (TypeError, ValueError) as exc:
+        raise error(f"stored entries or shapes are malformed: {exc}") from None
+    sizes = [math.prod(shape) for shape in shapes]
+    if any(k < 0 for shape in shapes for k in shape) or floats.shape != (2 * sum(sizes),):
+        raise error(f"{floats.size} stored floats do not fill the shapes {shapes}")
+    # Assemble without arithmetic so signed zeros survive the round trip.
+    values = np.empty(sum(sizes), dtype=complex)
+    values.real = floats[0::2]
+    values.imag = floats[1::2]
+    bounds = np.cumsum([0] + sizes)
+    return [values[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
 def save_mps(mps: MatrixProductState, path: str | Path) -> None:
@@ -324,30 +367,17 @@ def save_mps(mps: MatrixProductState, path: str | Path) -> None:
         "d": mps.d,
         "boundary": mps.boundary,
         "shapes": [list(t.shape) for t in mps.tensors],
-        "entries": _flatten_entries(mps.tensors),
+        "entries": complex_entries(mps.tensors),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_mps(path: str | Path) -> MatrixProductState:
-    """Load a state written by :func:`save_mps`."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MPS_FORMAT_NAME:
-        raise InvalidSpec(f"not an MPS state file: format = {doc.get('format')!r}")
-    if doc.get("version") != MPS_FORMAT_VERSION:
-        raise InvalidSpec(f"unsupported MPS format version {doc.get('version')!r}")
-    entries = doc["entries"]
-    tensors = []
-    pos = 0
-    for shape in doc["shapes"]:
-        count = int(np.prod(shape))
-        chunk = np.asarray(entries[pos * 2 : (pos + count) * 2], dtype=float)
-        # Assemble without arithmetic so signed zeros survive the round trip.
-        tensor = np.empty(count, dtype=complex)
-        tensor.real = chunk[0::2]
-        tensor.imag = chunk[1::2]
-        tensors.append(tensor.reshape(shape))
-        pos += count
-    if pos * 2 != len(entries):
-        raise InvalidSpec("entry count does not match tensor shapes")
-    return MatrixProductState(n=doc["n"], d=doc["d"], boundary=doc["boundary"], tensors=tensors)
+    """Load a state written by :func:`save_mps`; a bad file raises ``InvalidSpec``."""
+    keys = ("n", "d", "boundary", "shapes", "entries")
+    doc = read_document(path, MPS_FORMAT_NAME, MPS_FORMAT_VERSION, keys, InvalidSpec)
+    tensors = complex_arrays(doc["entries"], doc["shapes"], InvalidSpec)
+    try:
+        return MatrixProductState(n=doc["n"], d=doc["d"], boundary=doc["boundary"], tensors=tensors)
+    except (DimensionMismatch, TypeError) as exc:
+        raise InvalidSpec(f"stored tensors do not form a chain: {exc}") from None

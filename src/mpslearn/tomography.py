@@ -306,12 +306,3 @@ def budget_general(
     """
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
     return _budget(mu * d ** (2 * r_minus_i) * math.log(1.0 / delta) / eta**2, multiplier)
-
-
-def simulate_postselect(m: int, mu: float, seed: int = 0) -> int:
-    """Draw the number of copies surviving a binomial post-selection."""
-    if m < 0:
-        raise BadParameter(f"m must be non-negative, got {m}")
-    if not 0.0 <= mu <= 1.0:
-        raise BadParameter(f"mu must be in [0, 1], got {mu}")
-    return int(np.random.default_rng(seed).binomial(m, mu))

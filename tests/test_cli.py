@@ -289,3 +289,15 @@ def test_budget_reruns_are_byte_identical(tmp_path):
     assert cli.main(["budget", "--config", config, "--out", str(out_b)]) == 0
     assert (out_a / "budget.csv").read_bytes() == (out_b / "budget.csv").read_bytes()
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+
+def test_learn_rejects_damaged_state_file(tmp_path, capsys):
+    gen_out = run_gen(tmp_path)
+    state = gen_out / "state.json"
+    text = state.read_text()
+    config = learn_config(tmp_path, gen_out)
+    for damaged in (text[: len(text) // 2], text.replace('"n":6,', "")):
+        state.write_text(damaged)
+        rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

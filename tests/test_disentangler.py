@@ -1,7 +1,5 @@
 """Disentangling-unitary construction tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -22,35 +20,6 @@ def perturb_trace_norm(sigma, eta, rng):
     delta -= np.trace(delta) / dim * np.eye(dim)
     delta *= eta / linalg.trace_norm(delta)
     return sigma + delta
-
-
-def test_idx_is_a_bijection():
-    for d in (2, 3, 4):
-        y = 1
-        while d**y <= 256:
-            for p in range(0, y + 1):
-                seen = set()
-                for a in itertools.product(range(d), repeat=y - p):
-                    for j in range(1, d**p + 1):
-                        seen.add(disentangler.idx(a, j, d, y, p))
-                assert seen == set(range(1, d**y + 1))
-            y += 1
-
-
-def test_idx_matches_big_endian_layout():
-    # |a> (x) |j-1> sits at big-endian position value(a) * d**p + (j - 1)
-    assert disentangler.idx((0, 0), 1, 2, 4, 2) == 1
-    assert disentangler.idx((0, 1), 1, 2, 4, 2) == 5
-    assert disentangler.idx((1, 0), 3, 2, 4, 2) == 11
-
-
-def test_idx_validation():
-    with pytest.raises(errors.DimensionMismatch):
-        disentangler.idx((0,), 1, 2, 4, 2)
-    with pytest.raises(errors.BadParameter):
-        disentangler.idx((0, 2), 1, 2, 4, 2)
-    with pytest.raises(errors.BadParameter):
-        disentangler.idx((0, 0), 5, 2, 4, 2)
 
 
 def test_rank_capped_unitarity_and_selection():
@@ -185,3 +154,9 @@ def test_construction_is_deterministic():
     b = disentangler.build_rank_capped(sigma.copy(), 2, 4, 2)
     np.testing.assert_array_equal(a.unitary, b.unitary)
     np.testing.assert_array_equal(a.selected, b.selected)
+
+
+def test_threshold_rejects_non_finite_estimate():
+    sigma = np.diag([0.5, 0.5, 0.0, np.nan]).astype(complex)
+    with pytest.raises(errors.NonHermitian):
+        disentangler.build_threshold(sigma, 2, 0.1)

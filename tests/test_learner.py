@@ -345,3 +345,41 @@ def test_module_stepwise_state_reads_the_audit():
         np.testing.assert_array_equal(
             learner.stepwise_state(report, j), report.audit.stepwise_state(j)
         )
+
+
+def _drop_n(doc):
+    del doc["n"]
+
+
+def _truncate_residual(doc):
+    doc["residual"].pop()
+
+
+def _shorten_support(doc):
+    doc["unitaries"][0]["support"].pop()
+
+
+def _support_past_register(doc):
+    doc["unitaries"][0]["support"][-1] = doc["n"] + 1
+
+
+def _residual_site_past_register(doc):
+    doc["residual_sites"][-1] = doc["n"] + 1
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_drop_n, _truncate_residual, _shorten_support, _support_past_register,
+     _residual_site_past_register],
+)
+def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
+    import json
+
+    circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
+    path = tmp_path / "circuit.json"
+    learner.save_circuit(circuit, path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(errors.MalformedCircuit):
+        learner.load_circuit(path)

@@ -106,15 +106,6 @@ def test_partial_trace_preserves_trace_and_rejects_bad_dims():
         linalg.partial_trace(rho, (3, 5), (0,))
 
 
-def test_embed_operator_acts_on_support_only():
-    rng = np.random.default_rng(19)
-    op = random_hermitian(2, rng)
-    dims = (2, 2, 2)
-    big = linalg.embed_operator(op, dims, (1,))
-    expected = np.kron(np.kron(np.eye(2), op), np.eye(2))
-    np.testing.assert_allclose(big, expected, atol=1e-14)
-
-
 def test_gram_schmidt_extend_completes_unitary():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -152,3 +143,13 @@ def test_project_psd_clips_negative_part():
     assert values.min() >= -1e-12
     already = random_density(6, rng)
     np.testing.assert_allclose(linalg.project_psd(already), already, atol=1e-12)
+
+
+def test_non_finite_matrices_are_rejected():
+    bad = np.array([[1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(errors.NonHermitian):
+        linalg.require_hermitian(bad)
+    with pytest.raises(errors.NonHermitian):
+        linalg.hermitian_eig(bad)
+    with pytest.raises(errors.NonHermitian):
+        linalg.hermitian_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -1,5 +1,7 @@
 """Matrix-product-state construction, expansion and reduction tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,37 @@ def test_spec_validation():
         mps.StateSpec(n=3, d=2, D=2, boundary="twisted")
     with pytest.raises(errors.InvalidSpec):
         mps.StateSpec(n=3, d=2, D=3, kind="ghz")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"n":5,', ""),
+        lambda text: text.replace('"entries":[', '"entries":[1.0,'),
+    ],
+    ids=["truncated", "missing-n", "extra-entry"],
+)
+def test_load_rejects_damaged_files(tmp_path, damage):
+    path = tmp_path / "state.json"
+    mps.save_mps(mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=12)), path)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(errors.InvalidSpec):
+        mps.load_mps(path)
+
+
+def test_complex_codec_matches_entrywise_reference():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    a[0, 0] = complex(-0.0, 0.0)
+    a[0, 1] = complex(5e-324, -0.0)
+    b = rng.standard_normal(3) + 0j
+    reference = []
+    for z in np.concatenate([a.reshape(-1), b]):
+        reference += [float(z.real), float(z.imag)]
+    entries = mps.complex_entries([a, b])
+    assert json.dumps(entries) == json.dumps(reference)
+    back_a, back_b = mps.complex_arrays(entries, [a.shape, b.shape], errors.InvalidSpec)
+    assert back_a.tobytes() == a.tobytes() and back_b.tobytes() == b.tobytes()
+    with pytest.raises(errors.InvalidSpec):
+        mps.complex_arrays(entries[:-1], [a.shape, b.shape], errors.InvalidSpec)

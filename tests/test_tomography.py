@@ -160,11 +160,3 @@ def test_budget_validation():
     with pytest.raises(errors.BadParameter):
         tomography.budget_rank_constrained(1.0, 0, 2, 2, 0.01, 1e-3)
 
-
-def test_simulate_postselect_is_binomial_like():
-    counts = [tomography.simulate_postselect(1000, 0.25, seed=s) for s in range(50)]
-    assert all(0 <= c <= 1000 for c in counts)
-    assert abs(np.mean(counts) - 250.0) < 15.0
-    assert tomography.simulate_postselect(0, 0.5) == 0
-    with pytest.raises(errors.BadParameter):
-        tomography.simulate_postselect(10, 1.5)
