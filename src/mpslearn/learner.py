@@ -48,7 +48,7 @@ from .planner import (
 )
 
 CIRCUIT_FORMAT_NAME = "disentangling-circuit"
-CIRCUIT_FORMAT_VERSION = 1
+CIRCUIT_FORMAT_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,8 +399,12 @@ def learn(
             call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
             positions = backend.positions([s - 1 for s in block.support])
             outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
-            sigma_true = mps.block_rdm(backend.state, backend.dims, positions)
-            error = linalg.trace_norm(outcome.estimate - sigma_true)
+            if isinstance(call_mode, tomography.ExactMode):
+                # The exact estimate is block_rdm of this very state.
+                error = 0.0
+            else:
+                sigma_true = mps.block_rdm(backend.state, backend.dims, positions)
+                error = linalg.trace_norm(outcome.estimate - sigma_true)
             if variant == "exact":
                 dz = build_rank_capped(outcome.estimate, d, D * D, p)
             else:
@@ -698,9 +702,9 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
     """Write a versioned JSON description of the circuit.
 
-    Floats use Python's shortest round-trip representation (at most 17
-    significant digits), so save/load round-trips exactly and repeated saves
-    are byte-identical.
+    Unitaries and the residual are stored bit for bit by
+    :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly and
+    repeated saves are byte-identical.
     """
     plan = circuit.plan
     doc = {
@@ -748,10 +752,56 @@ def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
 
 
 def _site_labels(labels, n: int, what: str) -> tuple[int, ...]:
+    if not isinstance(labels, list):
+        raise MalformedCircuit(f"{what} must be a list of sites, got {labels!r}")
     sites = tuple(labels)
     if not all(isinstance(s, int) and 1 <= s <= n for s in sites):
         raise MalformedCircuit(f"{what} {list(sites)} not within the sites 1..{n}")
     return sites
+
+
+def _fields(raw, keys: Sequence[str], what: str) -> list:
+    """The values of ``keys`` in a nested object of a circuit file."""
+    if not isinstance(raw, dict) or any(key not in raw for key in keys):
+        raise MalformedCircuit(f"{what} must be an object with the keys {', '.join(keys)}")
+    return [raw[key] for key in keys]
+
+
+def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
+    M, ell1, s1, k1, s1_amended, raw_layers = _fields(
+        raw, ("M", "ell1", "s1", "k1", "s1_amended", "layers"), "plan"
+    )
+    if not (isinstance(M, int) and M >= 1 and isinstance(raw_layers, list)):
+        raise MalformedCircuit(f"plan needs an integer M >= 1 and a list of layers, got M={M!r}")
+    if len(raw_layers) != M:
+        raise MalformedCircuit(f"plan lists {len(raw_layers)} layers, expected M = {M}")
+    layers = []
+    for layer_number, blocks in enumerate(raw_layers, start=1):
+        if not isinstance(blocks, list):
+            raise MalformedCircuit(f"plan layer {layer_number} is not a list of blocks")
+        built = []
+        for b in blocks:
+            index, support, projected, acted = _fields(
+                b, ("index", "support", "projected", "acted"), "plan block"
+            )
+            support = _site_labels(support, n, "plan block support")
+            projected = _site_labels(projected, n, "plan block projected sites")
+            if projected != support[: len(projected)]:
+                raise MalformedCircuit("projected sites must be the leading block sites")
+            built.append(
+                PlannedBlock(
+                    layer=layer_number,
+                    index=index,
+                    support=support,
+                    projected=projected,
+                    carried=support[len(projected) :],
+                    acted=acted,
+                )
+            )
+        layers.append(tuple(built))
+    return LayerPlan(
+        n=n, d=d, p=p, M=M, ell1=ell1, s1=s1, k1=k1, s1_amended=s1_amended, layers=tuple(layers)
+    )
 
 
 def load_circuit(path: str | Path) -> CircuitDescription:
@@ -766,45 +816,31 @@ def load_circuit(path: str | Path) -> CircuitDescription:
     if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 2):
         raise MalformedCircuit(f"need integers n >= 1 and d >= 2, got n={n!r}, d={d!r}")
 
-    plan = None
-    if doc["plan"] is not None:
-        raw = doc["plan"]
-        layers = []
-        for layer_number, blocks in enumerate(raw["layers"], start=1):
-            built = []
-            for b in blocks:
-                support = tuple(b["support"])
-                projected = tuple(b["projected"])
-                if projected != support[: len(projected)]:
-                    raise MalformedCircuit("projected sites must be the leading block sites")
-                built.append(
-                    PlannedBlock(
-                        layer=layer_number,
-                        index=b["index"],
-                        support=support,
-                        projected=projected,
-                        carried=support[len(projected) :],
-                        acted=b["acted"],
-                    )
-                )
-            layers.append(tuple(built))
-        plan = LayerPlan(
-            n=n, d=d, p=p, M=raw["M"], ell1=raw["ell1"], s1=raw["s1"], k1=raw["k1"],
-            s1_amended=raw["s1_amended"], layers=tuple(layers),
-        )
+    plan = None if doc["plan"] is None else _load_plan(doc["plan"], n, d, p)
+    M = plan.M if plan is not None else 0
 
+    if not isinstance(doc["unitaries"], list):
+        raise MalformedCircuit("unitaries must be a list")
     unitaries = []
     for u in doc["unitaries"]:
-        support = _site_labels(u["support"], n, "unitary support")
+        layer, index, support, entries = _fields(
+            u, ("layer", "index", "support", "entries"), "unitary"
+        )
+        if not (isinstance(layer, int) and 1 <= layer <= M):
+            raise MalformedCircuit(f"unitary layer {layer!r} not within the circuit's {M} layers")
+        if not isinstance(index, int):
+            raise MalformedCircuit(f"unitary index must be an integer, got {index!r}")
+        support = _site_labels(support, n, "unitary support")
         dim = d ** len(support)
-        (matrix,) = mps.complex_arrays(u["entries"], [(dim, dim)], MalformedCircuit)
+        (matrix,) = mps.complex_arrays(entries, [(dim, dim)], MalformedCircuit)
         defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
         if defect > 1e-8:
             raise MalformedCircuit(f"stored block unitary deviates from unitarity by {defect:.3e}")
-        unitaries.append(
-            CircuitUnitary(layer=u["layer"], index=u["index"], support=support, matrix=matrix)
-        )
+        unitaries.append(CircuitUnitary(layer=layer, index=index, support=support, matrix=matrix))
 
+    projected = doc["projected_by_layer"]
+    if not (isinstance(projected, list) and len(projected) == M):
+        raise MalformedCircuit(f"projected_by_layer must list the projected sites of {M} layers")
     residual_sites = _site_labels(doc["residual_sites"], n, "residual sites")
     (residual,) = mps.complex_arrays(
         doc["residual"], [(d ** len(residual_sites),)], MalformedCircuit
@@ -815,7 +851,9 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         p=p,
         plan=plan,
         unitaries=unitaries,
-        projected_by_layer=tuple(tuple(layer) for layer in doc["projected_by_layer"]),
+        projected_by_layer=tuple(
+            _site_labels(layer, n, "projected sites") for layer in projected
+        ),
         residual_sites=residual_sites,
         residual=residual,
         metadata=doc["metadata"],

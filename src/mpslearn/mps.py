@@ -11,6 +11,7 @@ digit of the flat index.  Site indices are 0-based everywhere in this module.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -23,7 +24,7 @@ from . import linalg
 from .errors import BadCut, DimensionMismatch, InvalidSpec, TooLarge
 
 MPS_FORMAT_NAME = "mps-state"
-MPS_FORMAT_VERSION = 1
+MPS_FORMAT_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -323,10 +324,15 @@ def read_document(
     return doc
 
 
-def complex_entries(arrays: Sequence[np.ndarray]) -> list[float]:
-    """The arrays' entries in order, as interleaved (real, imag) floats for JSON."""
-    flat = np.concatenate([np.asarray(a, dtype=complex).reshape(-1) for a in arrays])
-    return flat.view(np.float64).tolist()
+def complex_entries(arrays: Sequence[np.ndarray]) -> str:
+    """The arrays' entries in C order, as one base64 string for JSON.
+
+    The bytes are the entries as little-endian IEEE-754 complex128 (``"<c16"``),
+    encoded with the standard base64 alphabet and padding, so every bit of
+    every entry is kept, signed zeros included.
+    """
+    raw = b"".join(np.asarray(a, dtype="<c16").tobytes() for a in arrays)
+    return base64.b64encode(raw).decode("ascii")
 
 
 def complex_arrays(
@@ -334,21 +340,20 @@ def complex_arrays(
 ) -> list[np.ndarray]:
     """Inverse of :func:`complex_entries`: one array per shape.
 
-    Raises ``error`` unless the entries are numbers that exactly fill the
-    shapes.
+    Raises ``error`` unless the entries are valid base64 whose bytes exactly
+    fill the shapes with finite complex numbers.
     """
     try:
-        floats = np.asarray(entries, dtype=float)
+        raw = base64.b64decode(entries, validate=True)
         shapes = [tuple(int(k) for k in shape) for shape in shapes]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise error(f"stored entries or shapes are malformed: {exc}") from None
     sizes = [math.prod(shape) for shape in shapes]
-    if any(k < 0 for shape in shapes for k in shape) or floats.shape != (2 * sum(sizes),):
-        raise error(f"{floats.size} stored floats do not fill the shapes {shapes}")
-    # Assemble without arithmetic so signed zeros survive the round trip.
-    values = np.empty(sum(sizes), dtype=complex)
-    values.real = floats[0::2]
-    values.imag = floats[1::2]
+    if any(k < 0 for shape in shapes for k in shape) or len(raw) != 16 * sum(sizes):
+        raise error(f"{len(raw)} stored bytes do not fill the shapes {shapes} with complex128")
+    values = np.frombuffer(raw, dtype="<c16").astype(complex)
+    if not np.isfinite(values).all():
+        raise error("stored entries are not all finite")
     bounds = np.cumsum([0] + sizes)
     return [values[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
@@ -356,9 +361,9 @@ def complex_arrays(
 def save_mps(mps: MatrixProductState, path: str | Path) -> None:
     """Write a versioned JSON description of the state.
 
-    Floats are emitted with Python's shortest round-trip representation
-    (at most 17 significant digits), so save/load is an exact round trip and
-    repeated saves of the same state are byte-identical.
+    The tensor entries are stored bit for bit by :func:`complex_entries`, so
+    save/load is an exact round trip and repeated saves of the same state are
+    byte-identical.
     """
     doc = {
         "format": MPS_FORMAT_NAME,

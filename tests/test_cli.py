@@ -4,12 +4,13 @@ Each test drives ``cli.main`` in process with a temp directory, so exit
 codes, printed output, and the files written to ``--out`` are all checked
 without spawning subprocesses.
 """
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 
-from mpslearn import cli, mps
+from mpslearn import cli, learner, mps
 from mpslearn.learner import load_circuit
 
 
@@ -51,6 +52,11 @@ def test_gen_manifest_contents(tmp_path):
     assert len(doc["config_sha256"]) == 64
     assert int(doc["config_sha256"], 16) >= 0
     assert "timestamp" not in doc
+    assert doc["formats"] == {
+        mps.MPS_FORMAT_NAME: mps.MPS_FORMAT_VERSION,
+        learner.CIRCUIT_FORMAT_NAME: learner.CIRCUIT_FORMAT_VERSION,
+        "run-manifest": 1,
+    }
 
 
 def test_gen_seed_flag_overrides_config(tmp_path):
@@ -301,3 +307,17 @@ def test_learn_rejects_damaged_state_file(tmp_path, capsys):
         rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_learn_refuses_version_1_state_file(tmp_path, capsys):
+    # version 1 stored the entries as a JSON list of interleaved floats
+    gen_out = run_gen(tmp_path)
+    state = gen_out / "state.json"
+    doc = json.loads(state.read_text())
+    floats = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<f8")
+    doc.update(version=1, entries=floats.tolist())
+    state.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    rc = cli.main(["learn", "--config", learn_config(tmp_path, gen_out), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err

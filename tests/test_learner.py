@@ -1,5 +1,8 @@
 """End-to-end learner tests: both variants, audit invariants, serialization."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -273,8 +276,6 @@ def test_circuit_save_load_round_trip(tmp_path):
 
 
 def test_load_circuit_rejects_tampering(tmp_path):
-    import json
-
     psi = random_mps_vector(8, seed=21)
     circuit, _ = learner.learn(psi, 2, 2, 0.2, 0.01, seed=21)
     path = tmp_path / "circuit.json"
@@ -288,7 +289,9 @@ def test_load_circuit_rejects_tampering(tmp_path):
         learner.load_circuit(bad)
 
     doc = json.loads(path.read_text())
-    doc["unitaries"][0]["entries"][0] += 0.5
+    entries = _decode(doc["unitaries"][0]["entries"])
+    entries[0] += 0.5
+    doc["unitaries"][0]["entries"] = _encode(entries)
     bent = tmp_path / "bent.json"
     bent.write_text(json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
@@ -347,12 +350,26 @@ def test_module_stepwise_state_reads_the_audit():
         )
 
 
+def _decode(entries):
+    return np.frombuffer(base64.b64decode(entries), dtype="<c16").copy()
+
+
+def _encode(values):
+    return base64.b64encode(values.astype("<c16").tobytes()).decode("ascii")
+
+
 def _drop_n(doc):
     del doc["n"]
 
 
 def _truncate_residual(doc):
-    doc["residual"].pop()
+    doc["residual"] = _encode(_decode(doc["residual"])[:-1])
+
+
+def _nan_in_unitary(doc):
+    entries = _decode(doc["unitaries"][0]["entries"])
+    entries[0] = complex(np.nan, 0.0)
+    doc["unitaries"][0]["entries"] = _encode(entries)
 
 
 def _shorten_support(doc):
@@ -367,14 +384,44 @@ def _residual_site_past_register(doc):
     doc["residual_sites"][-1] = doc["n"] + 1
 
 
+def _unitary_layer_past_plan(doc):
+    doc["unitaries"][-1]["layer"] = doc["plan"]["M"] + 1
+
+
+def _unitary_on_trivial_path(doc):
+    # without a plan there are no layers, so no unitary has a layer to sit in
+    doc["plan"] = None
+    doc["projected_by_layer"] = []
+
+
+def _projected_site_past_register(doc):
+    doc["projected_by_layer"][0][0] = doc["n"] + 1
+
+
+def _projected_by_layer_too_short(doc):
+    doc["projected_by_layer"].pop()
+
+
+def _drop_unitary_layer(doc):
+    del doc["unitaries"][0]["layer"]
+
+
+def _drop_unitary_index(doc):
+    del doc["unitaries"][0]["index"]
+
+
+def _drop_plan_field(doc):
+    del doc["plan"]["layers"][0][0]["acted"]
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_drop_n, _truncate_residual, _shorten_support, _support_past_register,
-     _residual_site_past_register],
+    [_drop_n, _truncate_residual, _nan_in_unitary, _shorten_support, _support_past_register,
+     _residual_site_past_register, _unitary_layer_past_plan, _unitary_on_trivial_path,
+     _projected_site_past_register, _projected_by_layer_too_short, _drop_unitary_layer,
+     _drop_unitary_index, _drop_plan_field],
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
-    import json
-
     circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
     path = tmp_path / "circuit.json"
     learner.save_circuit(circuit, path)
@@ -382,4 +429,18 @@ def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
     tamper(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
+        learner.load_circuit(path)
+
+
+def test_load_circuit_refuses_version_1_files(tmp_path):
+    # version 1 stored each array as a JSON list of interleaved floats
+    circuit, _ = learner.learn(random_mps_vector(8, seed=27), 2, 2, 0.2, 0.01)
+    path = tmp_path / "circuit.json"
+    learner.save_circuit(circuit, path)
+    doc = json.loads(path.read_text())
+    for u in doc["unitaries"]:
+        u["entries"] = _decode(u["entries"]).view(np.float64).tolist()
+    doc.update(version=1, residual=_decode(doc["residual"]).view(np.float64).tolist())
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(errors.MalformedCircuit, match="version 1"):
         learner.load_circuit(path)

@@ -1,6 +1,9 @@
 """Matrix-product-state construction, expansion and reduction tests."""
 
+import base64
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -210,14 +213,23 @@ def test_spec_validation():
         mps.StateSpec(n=3, d=2, D=3, kind="ghz")
 
 
+def _edit_entries(text, edit):
+    """Apply ``edit`` to the stored entries, decoded as complex128, and re-encode."""
+    doc = json.loads(text)
+    values = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<c16")
+    doc["entries"] = base64.b64encode(edit(values).astype("<c16").tobytes()).decode("ascii")
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         lambda text: text[: len(text) // 2],
         lambda text: text.replace('"n":5,', ""),
-        lambda text: text.replace('"entries":[', '"entries":[1.0,'),
+        lambda text: _edit_entries(text, lambda v: np.append(v, 1.0)),
+        lambda text: _edit_entries(text, lambda v: np.append(complex(math.nan, 0.0), v[1:])),
     ],
-    ids=["truncated", "missing-n", "extra-entry"],
+    ids=["truncated", "missing-n", "extra-entry", "nan-entry"],
 )
 def test_load_rejects_damaged_files(tmp_path, damage):
     path = tmp_path / "state.json"
@@ -227,18 +239,34 @@ def test_load_rejects_damaged_files(tmp_path, damage):
         mps.load_mps(path)
 
 
+def test_load_refuses_version_1_files(tmp_path):
+    # version 1 stored the entries as a JSON list of interleaved floats
+    path = tmp_path / "state.json"
+    mps.save_mps(mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=13)), path)
+    doc = json.loads(path.read_text())
+    floats = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<f8")
+    doc.update(version=1, entries=floats.tolist())
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(errors.InvalidSpec, match="version 1"):
+        mps.load_mps(path)
+
+
 def test_complex_codec_matches_entrywise_reference():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     a[0, 0] = complex(-0.0, 0.0)
     a[0, 1] = complex(5e-324, -0.0)
     b = rng.standard_normal(3) + 0j
-    reference = []
-    for z in np.concatenate([a.reshape(-1), b]):
-        reference += [float(z.real), float(z.imag)]
-    entries = mps.complex_entries([a, b])
-    assert json.dumps(entries) == json.dumps(reference)
-    back_a, back_b = mps.complex_arrays(entries, [a.shape, b.shape], errors.InvalidSpec)
-    assert back_a.tobytes() == a.tobytes() and back_b.tobytes() == b.tobytes()
-    with pytest.raises(errors.InvalidSpec):
-        mps.complex_arrays(entries[:-1], [a.shape, b.shape], errors.InvalidSpec)
+    c = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))).astype(">c16")
+    reference = b"".join(
+        struct.pack("<dd", float(z.real), float(z.imag)) for x in (a, b, c) for z in x.reshape(-1)
+    )
+    entries = mps.complex_entries([a, b, c])
+    assert entries == base64.b64encode(reference).decode("ascii")
+    shapes = [a.shape, b.shape, c.shape]
+    for back, x in zip(mps.complex_arrays(entries, shapes, errors.InvalidSpec), (a, b, c)):
+        assert back.dtype == complex and back.tobytes() == x.astype(complex).tobytes()
+    short = base64.b64encode(reference[:-16]).decode("ascii")
+    for bad in (short, entries[:-4], "-" + entries[1:], [0.0, 1.0]):
+        with pytest.raises(errors.InvalidSpec):
+            mps.complex_arrays(bad, shapes, errors.InvalidSpec)
