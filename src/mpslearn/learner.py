@@ -73,7 +73,7 @@ class CircuitUnitary:
 class CircuitDescription:
     """Everything needed to rebuild the learned state.
 
-    The learned state is ``U_1^дagger ... U_M^dagger (|0...0> (x) residual)``
+    The learned state is ``U_1^dagger ... U_M^dagger (|0...0> (x) residual)``
     with the zeros on ``projected_by_layer`` sites and the residual on
     ``residual_sites``.  Site labels are 1-based to match the planner.
     """
@@ -461,7 +461,7 @@ def learn(
             )
         positions = backend.positions([s - 1 for s in tail])
         outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
-        residual = linalg.hermitian_eig(outcome.estimate)[1][:, 0].copy()
+        residual = linalg.top_eigenvector(outcome.estimate)
         mass = outcome.success_mass
     copies_used += _charge(variant, mass, D, d, len(tail), tau, delta / n)
 

@@ -36,12 +36,6 @@ def require_square(matrix: np.ndarray) -> int:
     return a.shape[0]
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance between ``matrix`` and its conjugate transpose."""
-    a = np.asarray(matrix)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
@@ -52,10 +46,11 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     a = np.asarray(matrix, dtype=complex)
     if not np.isfinite(a).all():
         raise NonHermitian("matrix has non-finite entries")
-    defect = hermiticity_defect(a)
+    h = a.conj().T
+    defect = float(np.max(np.abs(a - h))) if a.size else 0.0
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    return (a + a.conj().T) / 2.0
+    return (a + h) / 2.0
 
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -124,6 +119,48 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(v.shape[1]):
         v[:, i] = fix_phase(v[:, i])
     return w, v
+
+
+def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of a Hermitian matrix.
+
+    Validates like :func:`hermitian_eig` and raises the same typed errors,
+    but computes no eigenvectors with LAPACK: the largest eigenvalue
+    ``lam`` comes from ``eigvalsh`` and the vector from two steps of shifted
+    inverse iteration, solving ``(sigma I - A) x = b`` with
+    ``sigma = lam + 1e-10 * scale`` (``scale`` as in :func:`hermitian_eig`,
+    the largest eigenvalue magnitude but at least 1).  The shift makes
+    ``sigma I - A`` positive definite, so no solve is singular, and each step
+    damps every eigenvector at gap ``g`` below the top by
+    ``1e-10 * scale / (g + 1e-10 * scale)``.  The start vector ``b`` is a
+    fixed seeded complex Gaussian vector, so equal inputs give equal bits.
+    The result is phase-normalized like :func:`hermitian_eig`'s columns: its
+    largest-magnitude entry is positive real.
+
+    When the top eigenvalue is tied, the result is the normalized projection
+    of ``b`` onto the top eigenspace (eigenvalues within a few ``1e-10 *
+    scale`` of the top are weighted almost equally).  That vector is
+    deterministic and does not depend on which basis LAPACK picks for the
+    eigenspace; it is in general not :func:`hermitian_eig`'s column 0, which
+    is the lexicographically first vector of such a basis.
+    """
+    a = require_hermitian(matrix)
+    dim = a.shape[0]
+    if dim == 0:
+        raise BadParameter("an empty matrix has no eigenvector")
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    scale = max(1.0, float(np.max(np.abs(w))))
+    shifted = -a
+    shifted.flat[:: dim + 1] += w[-1] + 1e-10 * scale
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for _ in range(2):
+        x = np.linalg.solve(shifted, x)
+        x /= np.linalg.norm(x)
+    return fix_phase(x)
 
 
 def trace_norm(matrix: np.ndarray) -> float:

@@ -165,9 +165,8 @@ def _suite_eckart_young(seed: int) -> SuiteResult:
         )
     )
     tz = build_threshold(noisy, d, eta)
-    values_noisy, _ = linalg.hermitian_eig(noisy)
     m = tz.selected.shape[1]
-    below = values_noisy[m:]
+    below = values[m:]
     checks.append(
         CheckResult(
             name="threshold-discards-only-small-eigenvalues",

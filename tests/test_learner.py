@@ -9,6 +9,7 @@ import pytest
 from mpslearn import (
     errors,
     learner,
+    linalg,
     mps,
     planner,
     tomography,
@@ -233,6 +234,45 @@ def test_closest_layered_schedule_obeys_own_bounds():
         assert abs(stats.drop_bound - expected) < 1e-15
         assert abs(overlaps[j - 1] - overlaps[j]) <= stats.drop_bound + 1e-12
     assert report.final_fidelity >= 0.5
+
+
+def _depolarized_n6():
+    phi = random_mps_vector(6, seed=23)
+    return 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(64) / 64.0
+
+
+@pytest.mark.parametrize(
+    "make_input, kwargs, layered",
+    [
+        (_depolarized_n6, dict(variant="closest"), False),
+        (
+            lambda: random_mps_vector(10, seed=24),
+            dict(mode=tomography.BoundedNoiseMode(), seed=24),
+            True,
+        ),
+    ],
+    ids=["trivial-closest-density", "layered-bounded-noise"],
+)
+def test_closing_call_matches_full_eigensolve(monkeypatch, tmp_path, make_input, kwargs, layered):
+    # the residual from top_eigenvector against column 0 of hermitian_eig,
+    # the closing call it replaced: the same learning up to the low bits
+    state = make_input()
+    circuit, report = learner.learn(state, 2, 2, 0.2, 0.01, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "top_eigenvector", lambda a: linalg.hermitian_eig(a)[1][:, 0].copy())
+        old_circuit, old_report = learner.learn(state, 2, 2, 0.2, 0.01, **kwargs)
+    assert (report.M > 0) == layered
+    assert report.copies_used == old_report.copies_used
+    assert len(circuit.unitaries) == len(old_circuit.unitaries)
+    for u, old_u in zip(circuit.unitaries, old_circuit.unitaries):
+        assert u.matrix.tobytes() == old_u.matrix.tobytes()
+    assert abs(np.vdot(old_circuit.residual, circuit.residual)) ** 2 >= 1.0 - 1e-12
+    assert abs(report.final_fidelity - old_report.final_fidelity) <= 1e-12
+    rerun, _ = learner.learn(state, 2, 2, 0.2, 0.01, **kwargs)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    learner.save_circuit(circuit, pa)
+    learner.save_circuit(rerun, pb)
+    assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_theta_is_recorded_but_inert():

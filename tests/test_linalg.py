@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpslearn import errors, linalg
 
@@ -52,6 +53,88 @@ def test_hermitian_eig_rejects_bad_input():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(errors.NonHermitian):
         linalg.hermitian_eig(skew)
+
+
+def test_require_hermitian_matches_two_transpose_expression():
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 5, 16, 33):
+        h = random_hermitian(dim, rng)
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = h + 1e-12 * noise
+        old = (a + a.conj().T) / 2.0
+        new = linalg.require_hermitian(a)
+        assert new.tobytes() == old.tobytes()
+    real = rng.standard_normal((4, 4))
+    real = real + real.T
+    assert linalg.require_hermitian(real).tobytes() == ((real + real.T) / 2.0).astype(complex).tobytes()
+
+
+def _top_case(dim, kind, seed):
+    """A Hermitian test matrix of the given kind: random, tied-top or rank-1 plus floor."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_hermitian(dim, rng)
+    if kind == "tied-top":
+        q, _ = np.linalg.qr(random_hermitian(dim, rng))
+        values = np.sort(rng.uniform(-2.0, 1.0, dim))[::-1]
+        values[: min(dim, int(rng.integers(2, 4)))] = 1.5
+        return (q * values) @ q.conj().T
+    u = random_unit_vector(dim, rng)
+    return 0.8 * np.outer(u, u.conj()) + 0.2 * np.eye(dim) / dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 4, 16, 64]),
+    kind=st.sampled_from(["random", "tied-top", "rank1-floor"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_eigenvector_is_the_top_eigenvector(dim, kind, seed):
+    a = _top_case(dim, kind, seed)
+    v = linalg.top_eigenvector(a)
+    values, vectors = linalg.hermitian_eig(a)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    k = int(np.argmax(np.abs(v)))
+    assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
+    rayleigh = float(np.real(np.vdot(v, a @ v)))
+    assert values[0] - rayleigh <= 1e-10 * scale
+    assert np.linalg.norm(a @ v - rayleigh * v) <= 1e-9 * scale
+    if dim == 1 or values[0] - values[1] > 1e-6 * scale:
+        assert abs(np.vdot(vectors[:, 0], v)) ** 2 >= 1.0 - 1e-10
+    assert linalg.top_eigenvector(a.copy()).tobytes() == v.tobytes()
+
+
+def test_top_eigenvector_of_a_tied_top_projects_the_start_vector():
+    # the tied answer is a property of the eigenspace, not of the basis the
+    # eigensolver happens to return for it; rebuilding the matrix from another
+    # basis splits the tie by rounding (~1e-16 against the 1e-10 shift), which
+    # moves the answer by about 1e-6 in norm
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(random_hermitian(8, rng))
+    values = np.array([2.0, 2.0, 2.0, 0.5, 0.1, -0.3, -1.0, -1.5])
+    a = (q * values) @ q.conj().T
+    rotated = q.copy()
+    mix, _ = np.linalg.qr(random_hermitian(3, rng))
+    rotated[:, :3] = q[:, :3] @ mix
+    b = (rotated * values) @ rotated.conj().T
+    v = linalg.top_eigenvector(a)
+    top = q[:, :3]
+    assert np.linalg.norm(top @ (top.conj().T @ v) - v) <= 1e-12
+    assert abs(np.vdot(linalg.top_eigenvector(b), v)) ** 2 >= 1.0 - 1e-10
+
+
+def test_top_eigenvector_rejects_bad_input():
+    with pytest.raises(errors.NonSquare):
+        linalg.top_eigenvector(np.ones((2, 3)))
+    with pytest.raises(errors.NonHermitian):
+        linalg.top_eigenvector(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(errors.NonHermitian):
+        linalg.top_eigenvector(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(errors.NonHermitian):
+        linalg.top_eigenvector(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(errors.BadParameter):
+        linalg.top_eigenvector(np.zeros((0, 0)))
 
 
 def test_fix_phase_pins_leading_entry():
