@@ -22,10 +22,6 @@ class DimensionMismatch(ValueError):
     """Array shapes are inconsistent with the stated qudit dimensions."""
 
 
-class NotOrthonormal(ValueError):
-    """Input vectors fail the orthonormality check."""
-
-
 class InvalidSpec(ValueError):
     """A state specification is internally inconsistent."""
 

@@ -176,10 +176,10 @@ class AuditTrail:
     def stepwise_state(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized operator on the full register."""
         self._check_layer(j)
-        dim = self.circuit.d**self.circuit.n
-        if dim > linalg.MAX_DENSITY_DIM:
+        d, n = self.circuit.d, self.circuit.n
+        if d**n > linalg.MAX_DENSITY_DIM:
             raise TooLarge(
-                f"dense stage operator of dimension {dim} exceeds cap "
+                f"dense stage operator of dimension {d}**{n} exceeds cap "
                 f"{linalg.MAX_DENSITY_DIM}; use stepwise_vector for pure runs"
             )
         snap = self.snapshots[j]
@@ -583,7 +583,7 @@ def _walk_forward(
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     if vec.size != circuit.d**circuit.n:
         raise BadParameter(
-            f"vector has dimension {vec.size}, expected {circuit.d ** circuit.n}"
+            f"vector has dimension {vec.size}, expected {circuit.d}**{circuit.n}"
         )
     register = StateBackend(vec, circuit.d)
     for layer in range(1, j + 1):
@@ -598,7 +598,7 @@ def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
     """Dense unit vector prepared by the learned circuit."""
     d, n = circuit.d, circuit.n
     if d**n > linalg.MAX_VECTOR_DIM:
-        raise TooLarge(f"dense reconstruction of dimension {d ** n} exceeds the cap")
+        raise TooLarge(f"dense reconstruction of dimension {d}**{n} exceeds the cap")
     sites = [s - 1 for s in circuit.residual_sites]
     return _walk_backward(circuit, circuit.residual, sites, circuit.num_layers)
 
@@ -841,7 +841,13 @@ def load_circuit(path: str | Path) -> CircuitDescription:
     projected = doc["projected_by_layer"]
     if not (isinstance(projected, list) and len(projected) == M):
         raise MalformedCircuit(f"projected_by_layer must list the projected sites of {M} layers")
+    projected = tuple(_site_labels(layer, n, "projected sites") for layer in projected)
     residual_sites = _site_labels(doc["residual_sites"], n, "residual sites")
+    covered = [s for layer in projected for s in layer] + list(residual_sites)
+    if len(covered) != n or sorted(covered) != list(range(1, n + 1)):
+        raise MalformedCircuit(
+            f"projected and residual sites must cover the sites 1..{n} exactly once"
+        )
     (residual,) = mps.complex_arrays(
         doc["residual"], [(d ** len(residual_sites),)], MalformedCircuit
     )
@@ -851,9 +857,7 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         p=p,
         plan=plan,
         unitaries=unitaries,
-        projected_by_layer=tuple(
-            _site_labels(layer, n, "projected sites") for layer in projected
-        ),
+        projected_by_layer=projected,
         residual_sites=residual_sites,
         residual=residual,
         metadata=doc["metadata"],

@@ -18,14 +18,13 @@ from .errors import (
     NoConvergence,
     NonHermitian,
     NonSquare,
-    NotOrthonormal,
 )
 
 MAX_VECTOR_DIM = 2**16
 MAX_DENSITY_DIM = 2**10
 
 HERMITIAN_TOL = 1e-10
-_TIE_TOL = 1e-12
+_LANCZOS_STEPS = 64
 
 
 def require_square(matrix: np.ndarray) -> int:
@@ -62,21 +61,6 @@ def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v * (abs(v[k]) / v[k])
 
 
-def _lex_key(vector: np.ndarray) -> tuple:
-    """Sort key for eigenvector tie-breaking.
-
-    The vector is phase-normalized so its first entry above 1e-12 in magnitude
-    is positive real, then compared entrywise as rounded (re, im) pairs.
-    """
-    v = np.asarray(vector, dtype=complex)
-    nonzero = np.flatnonzero(np.abs(v) > 1e-12)
-    if nonzero.size:
-        k = nonzero[0]
-        v = v * (abs(v[k]) / v[k])
-    rounded = np.round(np.concatenate([v.real, v.imag]), 10)
-    return tuple(rounded.tolist())
-
-
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -90,11 +74,11 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -------
     tuple[np.ndarray, np.ndarray]
         ``(w, V)`` with eigenvalues ``w`` sorted in descending order and the
-        matching eigenvectors as the columns of ``V``.  Within clusters of
-        eigenvalues equal to ``1e-12`` (relative to the largest magnitude) the
-        vectors are ordered lexicographically, and every stored vector is
-        phase-normalized so its largest-magnitude entry is positive real.
-        This makes the decomposition deterministic for identical inputs.
+        matching eigenvectors as the columns of ``V``, each phase-normalized
+        so its largest-magnitude entry is positive real.  Vectors of tied
+        eigenvalues keep LAPACK's order (a stable sort on the eigenvalues
+        alone), so any orthonormal basis of a tied eigenspace may come back;
+        equal inputs still give equal bits.
     """
     a = require_hermitian(matrix)
     try:
@@ -104,61 +88,106 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    start = 0
-    while start < w.size:
-        stop = start + 1
-        while stop < w.size and abs(w[stop] - w[start]) <= _TIE_TOL * scale:
-            stop += 1
-        if stop - start > 1:
-            cluster = sorted(range(start, stop), key=lambda i: _lex_key(v[:, i]))
-            v[:, start:stop] = v[:, cluster]
-        start = stop
-
     for i in range(v.shape[1]):
         v[:, i] = fix_phase(v[:, i])
     return w, v
 
 
+def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Top Ritz vector of ``a`` from the Krylov space of ``b``, and the Ritz scale.
+
+    Lanczos with full reorthogonalization (two classical Gram-Schmidt passes
+    per step), stopped when the residual estimate ``beta * |s_last|`` of the
+    top Ritz pair is at most ``1e-13 * scale`` or after ``_LANCZOS_STEPS``
+    steps.  ``scale`` is the largest Ritz value magnitude, at least 1.
+    """
+    dim = a.shape[0]
+    basis = np.empty((min(_LANCZOS_STEPS, dim), dim), dtype=complex)
+    alphas: list[float] = []
+    betas: list[float] = []
+    q = b / np.linalg.norm(b)
+    for k in range(basis.shape[0]):
+        basis[k] = q
+        w = a @ q
+        alphas.append(float(np.real(np.vdot(q, w))))
+        kept = basis[: k + 1]
+        for _ in range(2):
+            w -= kept.T @ (kept.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        scale = max(1.0, float(np.max(np.abs(ritz))))
+        if beta * abs(s[-1, -1]) <= 1e-13 * scale:
+            break
+        betas.append(beta)
+        q = w / beta
+    v = s[:, -1] @ kept
+    return v / np.linalg.norm(v), scale
+
+
 def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of a Hermitian matrix.
 
-    Validates like :func:`hermitian_eig` and raises the same typed errors,
-    but computes no eigenvectors with LAPACK: the largest eigenvalue
-    ``lam`` comes from ``eigvalsh`` and the vector from two steps of shifted
-    inverse iteration, solving ``(sigma I - A) x = b`` with
-    ``sigma = lam + 1e-10 * scale`` (``scale`` as in :func:`hermitian_eig`,
-    the largest eigenvalue magnitude but at least 1).  The shift makes
-    ``sigma I - A`` positive definite, so no solve is singular, and each step
-    damps every eigenvector at gap ``g`` below the top by
-    ``1e-10 * scale / (g + 1e-10 * scale)``.  The start vector ``b`` is a
-    fixed seeded complex Gaussian vector, so equal inputs give equal bits.
-    The result is phase-normalized like :func:`hermitian_eig`'s columns: its
-    largest-magnitude entry is positive real.
+    Validates like :func:`hermitian_eig` and raises the same typed errors.
+    ``b`` is a fixed seeded complex Gaussian start vector, so equal inputs
+    give equal bits; the result is phase-normalized like
+    :func:`hermitian_eig`'s columns (largest-magnitude entry positive real).
 
-    When the top eigenvalue is tied, the result is the normalized projection
-    of ``b`` onto the top eigenspace (eigenvalues within a few ``1e-10 *
-    scale`` of the top are weighted almost equally).  That vector is
-    deterministic and does not depend on which basis LAPACK picks for the
-    eigenspace; it is in general not :func:`hermitian_eig`'s column 0, which
-    is the lexicographically first vector of such a basis.
+    Fast path: Lanczos from ``b`` (:func:`_lanczos_top`) gives a Ritz vector
+    ``v`` with Rayleigh quotient ``theta <= lam_max`` and an explicit
+    residual ``r = |A v - theta v|``, which must be at most
+    ``1e-12 * scale`` (``scale`` the largest Ritz magnitude, at least 1).
+    A successful Cholesky factorization of ``sigma I - A``, with
+    ``sigma = theta + r + 1e-10 * scale``, certifies ``lam_max <= sigma``, so
+    ``theta`` is within ``r + 1e-10 * scale`` of the top and (Davis-Kahan)
+    ``v`` is within angle ``r / gap`` of the top eigenspace.  ``sigma I - A``
+    is built in place in the symmetrized copy of the input.
+
+    Fallback, when the residual check or the factorization fails (Lanczos
+    reached its step cap, or ``b`` is nearly orthogonal to the top
+    eigenvector and Lanczos settled lower): ``lam_max = sigma -
+    lam_min(sigma I - A)`` from ``eigvalsh``, then two steps of inverse
+    iteration from ``b`` on ``sigma' I - A``, ``sigma' = lam_max + 1e-10 *
+    scale'`` (``scale'`` the largest eigenvalue magnitude, at least 1),
+    which damp each eigenvector at gap ``g`` below the top by
+    ``1e-10 * scale' / (g + 1e-10 * scale')`` per step.
+
+    A tied top gives, on either path, the normalized projection of ``b``
+    onto the top eigenspace: Lanczos sees only that projection, and inverse
+    iteration weights the tied vectors equally.  It does not depend on the
+    basis an eigensolver picks for the eigenspace, so it is in general not
+    :func:`hermitian_eig`'s column 0.  Eigenvalues within about
+    ``1e-10 * scale`` of the top count as near-tied: the result is a unit
+    vector mostly in their span, weighted differently by the two paths.
     """
     a = require_hermitian(matrix)
     dim = a.shape[0]
     if dim == 0:
         raise BadParameter("an empty matrix has no eigenvector")
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v, scale = _lanczos_top(a, b)
+    av = a @ v
+    theta = float(np.real(np.vdot(v, av)))
+    r = float(np.linalg.norm(av - theta * v))
+    sigma = theta + r + 1e-10 * scale
+    a *= -1.0
+    a.flat[:: dim + 1] += sigma
+    if r <= 1e-12 * scale:
+        try:
+            np.linalg.cholesky(a)
+            return fix_phase(v)
+        except np.linalg.LinAlgError:
+            pass
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    scale = max(1.0, float(np.max(np.abs(w))))
-    shifted = -a
-    shifted.flat[:: dim + 1] += w[-1] + 1e-10 * scale
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    top = sigma - w[0]
+    full_scale = max(1.0, abs(top), abs(sigma - w[-1]))
+    a.flat[:: dim + 1] += top + 1e-10 * full_scale - sigma
+    x = b
     for _ in range(2):
-        x = np.linalg.solve(shifted, x)
+        x = np.linalg.solve(a, x)
         x /= np.linalg.norm(x)
     return fix_phase(x)
 
@@ -219,63 +248,6 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
         a = np.trace(a, axis1=ax, axis2=ax + (n - offset))
     kept_dim = math.prod(dims[k] for k in keep) if keep else 1
     return a.reshape(kept_dim, kept_dim)
-
-
-def gram_schmidt_extend(partial: Sequence[np.ndarray], dim: int, seed: int = 0) -> np.ndarray:
-    """Extend an orthonormal list to a full orthonormal basis.
-
-    Candidate vectors are drawn from the canonical basis in index order;
-    candidates whose residual after projection has norm below ``1e-8`` are
-    skipped.  If the canonical basis is exhausted before the basis is full,
-    seeded random vectors fill the remainder.  The first ``len(partial)``
-    columns of the result equal the inputs exactly.
-
-    Returns
-    -------
-    np.ndarray
-        Matrix of shape ``(dim, dim)`` whose columns form an orthonormal basis.
-    """
-    vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in partial]
-    for v in vectors:
-        if v.shape[0] != dim:
-            raise DimensionMismatch(f"input vector has dimension {v.shape[0]}, expected {dim}")
-    if len(vectors) > dim:
-        raise DimensionMismatch(f"{len(vectors)} input vectors exceed dimension {dim}")
-    if vectors:
-        g = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
-        if np.max(np.abs(g - np.eye(len(vectors)))) > 1e-10:
-            raise NotOrthonormal("input vectors are not orthonormal within 1e-10")
-
-    basis = list(vectors)
-
-    def residual(candidate: np.ndarray) -> np.ndarray:
-        r = candidate.astype(complex)
-        for _ in range(2):  # re-orthogonalize once for numerical quality
-            for b in basis:
-                r = r - np.vdot(b, r) * b
-        return r
-
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        r = residual(np.eye(dim, dtype=complex)[:, i])
-        norm = np.linalg.norm(r)
-        if norm >= 1e-8:
-            basis.append(fix_phase(r / norm))
-
-    rng = np.random.default_rng(seed)
-    attempts = 0
-    while len(basis) < dim:
-        attempts += 1
-        if attempts > 100 * dim:  # pragma: no cover - would need adversarial input
-            raise NoConvergence("basis extension failed to find independent vectors")
-        candidate = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        r = residual(candidate)
-        norm = np.linalg.norm(r)
-        if norm >= 1e-8:
-            basis.append(fix_phase(r / norm))
-
-    return np.stack(basis, axis=1)
 
 
 def numerical_rank(matrix: np.ndarray, tol: float) -> int:

@@ -1,6 +1,7 @@
 """End-to-end learner tests: both variants, audit invariants, serialization."""
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -454,12 +455,17 @@ def _drop_plan_field(doc):
     del doc["plan"]["layers"][0][0]["acted"]
 
 
+def _huge_register(doc):
+    # d**n with n = 10**6 has too many digits for Python to format
+    doc["n"] = 10**6
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_drop_n, _truncate_residual, _nan_in_unitary, _shorten_support, _support_past_register,
      _residual_site_past_register, _unitary_layer_past_plan, _unitary_on_trivial_path,
      _projected_site_past_register, _projected_by_layer_too_short, _drop_unitary_layer,
-     _drop_unitary_index, _drop_plan_field],
+     _drop_unitary_index, _drop_plan_field, _huge_register],
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
     circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
@@ -470,6 +476,15 @@ def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
     path.write_text(json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(path)
+
+
+def test_reconstruct_state_of_a_huge_register_raises_too_large():
+    circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
+    huge = dataclasses.replace(circuit, n=10**6)
+    with pytest.raises(errors.TooLarge, match=r"2\*\*1000000"):
+        learner.reconstruct_state(huge)
+    with pytest.raises(errors.BadParameter, match=r"2\*\*1000000"):
+        learner.forward_transform(huge, np.ones(4, dtype=complex))
 
 
 def test_load_circuit_refuses_version_1_files(tmp_path):

@@ -85,7 +85,9 @@ def _top_case(dim, kind, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    dim=st.sampled_from([1, 2, 4, 16, 64]),
+    # dims above the Lanczos step cap: random Hermitian matrices of dim 130
+    # still certify, those of dim 200 run out of steps and fall back
+    dim=st.sampled_from([1, 2, 4, 16, 64, 130, 200]),
     kind=st.sampled_from(["random", "tied-top", "rank1-floor"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -103,6 +105,52 @@ def test_top_eigenvector_is_the_top_eigenvector(dim, kind, seed):
     if dim == 1 or values[0] - values[1] > 1e-6 * scale:
         assert abs(np.vdot(vectors[:, 0], v)) ** 2 >= 1.0 - 1e-10
     assert linalg.top_eigenvector(a.copy()).tobytes() == v.tobytes()
+
+
+def _missed_top(dim, seed):
+    """Top eigenvalue 1 whose eigenvector has a 1e-14 share of top_eigenvector's start vector.
+
+    The rest of the spectrum is 0 and -0.5, so the Krylov space of the start
+    vector is numerically two-dimensional and Lanczos settles on the 0.
+    """
+    start = np.random.default_rng(0)  # the fixed seeded start vector b
+    b = start.standard_normal(dim) + 1j * start.standard_normal(dim)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z[:, 0] = b
+    q, _ = np.linalg.qr(z)
+    z = np.column_stack([q[:, 1] + 1e-14 * q[:, 0], q[:, [0, *range(2, dim)]]])
+    q, _ = np.linalg.qr(z)
+    values = np.r_[1.0, np.zeros(dim // 2), np.full(dim - 1 - dim // 2, -0.5)]
+    return (q * values) @ q.conj().T, q[:, 0]
+
+
+def test_top_eigenvector_fast_path_needs_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(19)
+    phi = random_unit_vector(256, rng)
+    rho = 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(256) / 256
+
+    def refuse(*args):
+        raise AssertionError("the certified path must not need the fallback")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    v = linalg.top_eigenvector(rho)
+    assert abs(np.vdot(phi, v)) ** 2 >= 1.0 - 1e-12
+    assert np.max(np.abs(v)) == v[np.argmax(np.abs(v))].real
+
+
+def test_top_eigenvector_falls_back_when_the_certificate_fails(monkeypatch):
+    # dim above the Lanczos step cap; Lanczos returns a converged Ritz pair of
+    # the eigenvalue 0, the Cholesky certificate of sigma I - A then fails,
+    # and inverse iteration recovers the top from its 1e-14 share of b
+    a, top = _missed_top(96, seed=1)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    v = linalg.top_eigenvector(a)
+    assert len(calls) == 1
+    assert abs(np.vdot(top, v)) ** 2 >= 1.0 - 1e-10
 
 
 def test_top_eigenvector_of_a_tied_top_projects_the_start_vector():
@@ -187,25 +235,6 @@ def test_partial_trace_preserves_trace_and_rejects_bad_dims():
     assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
     with pytest.raises(errors.DimensionMismatch):
         linalg.partial_trace(rho, (3, 5), (0,))
-
-
-def test_gram_schmidt_extend_completes_unitary():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        dim = int(rng.integers(3, 12))
-        k = int(rng.integers(1, dim))
-        raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        q, _ = np.linalg.qr(raw)
-        cols = [q[:, i] for i in range(k)]
-        u = linalg.gram_schmidt_extend(cols, dim)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
-        np.testing.assert_allclose(u[:, :k], q[:, :k], atol=1e-12)
-
-
-def test_gram_schmidt_extend_rejects_dependent_input():
-    v = np.array([1.0, 0.0, 0.0], dtype=complex)
-    with pytest.raises(errors.NotOrthonormal):
-        linalg.gram_schmidt_extend([v, v], 3)
 
 
 def test_numerical_rank_detects_constructed_rank():
