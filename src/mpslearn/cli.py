@@ -73,7 +73,7 @@ def _load_config(path: str, schema: dict[str, tuple[tuple[type, ...], bool]]) ->
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InvalidSpec(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
         raise InvalidSpec(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InvalidSpec("config must be a JSON object with a flat key namespace")

@@ -25,6 +25,7 @@ MAX_DENSITY_DIM = 2**10
 
 HERMITIAN_TOL = 1e-10
 _LANCZOS_STEPS = 64
+_TILE = 64
 
 
 def require_square(matrix: np.ndarray) -> int:
@@ -38,18 +39,36 @@ def require_square(matrix: np.ndarray) -> int:
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
-    Non-finite entries are rejected too: a NaN defect compares false against
-    any tolerance.
+    The result is bit for bit ``(a + a^H) / 2``, and the defect is the largest
+    ``|a - a^H|`` entry.  Both are computed in 64 x 64 tiles (``_TILE``),
+    each pair of mirror tiles visited once, so that no dense temporary of
+    the full size is made.  Non-finite entries are rejected too,
+    also under ``tol=np.inf``.  Each makes the defect NaN or infinite, so the
+    entries are scanned for them only when the defect is not finite (a
+    difference of finite entries can also overflow).
     """
     require_square(matrix)
     a = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(a).all():
+    dim = a.shape[0]
+    out = np.empty((dim, dim), dtype=complex)
+    peaks = [0.0]
+    with np.errstate(invalid="ignore"):  # inf - inf in a tile is caught below
+        for i in range(0, dim, _TILE):
+            for j in range(i, dim, _TILE):
+                x, y = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
+                yh = y.conj().T
+                peaks.append(np.max(np.abs(x - yh)))
+                upper = out[i : i + _TILE, j : j + _TILE]
+                np.divide(np.add(x, yh, out=upper), 2.0, out=upper)
+                if j > i:  # not mirrored: conj(upper) can flip the sign of a zero
+                    lower = out[j : j + _TILE, i : i + _TILE]
+                    np.divide(np.add(y, x.conj().T, out=lower), 2.0, out=lower)
+    defect = float(np.max(peaks))  # NaN-propagating, unlike the builtin max
+    if not math.isfinite(defect) and not np.isfinite(a).all():
         raise NonHermitian("matrix has non-finite entries")
-    h = a.conj().T
-    defect = float(np.max(np.abs(a - h))) if a.size else 0.0
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    return (a + h) / 2.0
+    return out
 
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -136,13 +155,26 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     ``v`` with Rayleigh quotient ``theta <= lam_max`` and an explicit
     residual ``r = |A v - theta v|``, which must be at most
     ``1e-12 * scale`` (``scale`` the largest Ritz magnitude, at least 1).
-    A successful Cholesky factorization of ``sigma I - A``, with
-    ``sigma = theta + r + 1e-10 * scale``, certifies ``lam_max <= sigma``, so
-    ``theta`` is within ``r + 1e-10 * scale`` of the top and (Davis-Kahan)
-    ``v`` is within angle ``r / gap`` of the top eigenspace.  ``sigma I - A``
-    is built in place in the symmetrized copy of the input.
+    Then ``v`` is returned if one of two certificates holds, the first in
+    O(dim^2), the second in O(dim^3):
 
-    Fallback, when the residual check or the factorization fails (Lanczos
+    1. Frobenius gap bound: ``lo = theta - r - 1e-10 * scale > 0`` and
+       ``2 lo^2 > |A|_F^2 (1 + dim^2 2^-52)``, the factor covering the
+       rounding of ``|A|_F^2``.  Some eigenvalue ``lam_i`` lies within ``r``
+       of ``theta``, so ``lam_i > lo``; every other eigenvalue has
+       ``lam_j^2 <= |A|_F^2 - lam_i^2 < lo^2``.  So ``lam_i`` is the simple
+       top, above all others by the gap ``lam_i - sqrt(|A|_F^2 - lo^2)``.
+    2. A successful Cholesky factorization of ``sigma I - A``, with
+       ``sigma = theta + r + 1e-10 * scale``, certifies ``lam_max <= sigma``.
+       ``sigma I - A`` is built in place in the symmetrized copy of the
+       input.  This covers tied tops and tops that do not dominate ``A``.
+
+    Either way ``theta`` is within ``r + 1e-10 * scale`` of the top, and
+    (Davis-Kahan) ``v`` is within angle ``r / gap`` of the top eigenspace.
+    Where the first certificate holds, ``sigma I - A`` is positive definite,
+    so the second would return the same ``v``.
+
+    Fallback, when the residual check or both certificates fail (Lanczos
     reached its step cap, or ``b`` is nearly orthogonal to the top
     eigenvector and Lanczos settled lower): ``lam_max = sigma -
     lam_min(sigma I - A)`` from ``eigvalsh``, then two steps of inverse
@@ -169,6 +201,11 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     av = a @ v
     theta = float(np.real(np.vdot(v, av)))
     r = float(np.linalg.norm(av - theta * v))
+    lo = theta - r - 1e-10 * scale
+    if r <= 1e-12 * scale and lo > 0.0:
+        frobenius2 = float(np.real(np.vdot(a, a)))
+        if 2.0 * lo * lo > frobenius2 * (1.0 + dim * dim * 2.0**-52):
+            return fix_phase(v)
     sigma = theta + r + 1e-10 * scale
     a *= -1.0
     a.flat[:: dim + 1] += sigma

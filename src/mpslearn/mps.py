@@ -311,7 +311,7 @@ def read_document(
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
         raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != name:
         found = doc.get("format") if isinstance(doc, dict) else None
@@ -341,7 +341,8 @@ def complex_arrays(
     """Inverse of :func:`complex_entries`: one array per shape.
 
     Raises ``error`` unless the entries are valid base64 whose bytes exactly
-    fill the shapes with finite complex numbers.
+    fill the shapes with finite complex numbers.  The messages name no shape,
+    because a stored dimension can have more digits than Python will format.
     """
     try:
         raw = base64.b64decode(entries, validate=True)
@@ -350,12 +351,15 @@ def complex_arrays(
         raise error(f"stored entries or shapes are malformed: {exc}") from None
     sizes = [math.prod(shape) for shape in shapes]
     if any(k < 0 for shape in shapes for k in shape) or len(raw) != 16 * sum(sizes):
-        raise error(f"{len(raw)} stored bytes do not fill the shapes {shapes} with complex128")
+        raise error(f"{len(raw)} stored bytes do not fill the expected shapes with complex128")
     values = np.frombuffer(raw, dtype="<c16").astype(complex)
     if not np.isfinite(values).all():
         raise error("stored entries are not all finite")
     bounds = np.cumsum([0] + sizes)
-    return [values[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+    try:
+        return [values[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+    except ValueError as exc:  # an empty shape with a dimension numpy cannot index
+        raise error(f"expected shapes exceed numpy's limits: {exc}") from None
 
 
 def save_mps(mps: MatrixProductState, path: str | Path) -> None:

@@ -302,11 +302,19 @@ def test_learn_rejects_damaged_state_file(tmp_path, capsys):
     state = gen_out / "state.json"
     text = state.read_text()
     config = learn_config(tmp_path, gen_out)
-    for damaged in (text[: len(text) // 2], text.replace('"n":6,', "")):
+    huge = text.replace('"n":6,', '"n":' + "9" * 5000 + ",")
+    for damaged in (text[: len(text) // 2], text.replace('"n":6,', ""), huge):
         state.write_text(damaged)
         rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+    state.write_text(text)
+    huge_config = Path(config).read_text().replace('"seed": 5', '"seed": ' + "9" * 5000)
+    Path(config).write_text(huge_config)
+    rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_learn_refuses_version_1_state_file(tmp_path, capsys):

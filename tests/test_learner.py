@@ -460,20 +460,31 @@ def _huge_register(doc):
     doc["n"] = 10**6
 
 
+def _huge_residual(doc):
+    # a valid cover of 20000 sites: the residual's 2**20000 entries have too
+    # many digits for Python to format
+    n = 20000
+    doc.update(n=n, plan=None, unitaries=[], projected_by_layer=[], residual_sites=list(range(1, n + 1)))
+
+
+def _huge_json_integer(doc):
+    # more digits than Python's JSON parser converts to an int
+    return json.dumps(doc).replace('"n": 8', '"n": ' + "9" * 5000)
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_drop_n, _truncate_residual, _nan_in_unitary, _shorten_support, _support_past_register,
      _residual_site_past_register, _unitary_layer_past_plan, _unitary_on_trivial_path,
      _projected_site_past_register, _projected_by_layer_too_short, _drop_unitary_layer,
-     _drop_unitary_index, _drop_plan_field, _huge_register],
+     _drop_unitary_index, _drop_plan_field, _huge_register, _huge_residual, _huge_json_integer],
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
     circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
     path = tmp_path / "circuit.json"
     learner.save_circuit(circuit, path)
     doc = json.loads(path.read_text())
-    tamper(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(tamper(doc) or json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(path)
 

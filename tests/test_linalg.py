@@ -56,21 +56,45 @@ def test_hermitian_eig_rejects_bad_input():
 
 
 def test_require_hermitian_matches_two_transpose_expression():
+    # sides straddle the 64-wide tiles; signed zeros and a real input pin the
+    # sign of every zero, which a mirrored conj(upper tile) would flip
     rng = np.random.default_rng(13)
-    for dim in (1, 2, 5, 16, 33):
+    for dim in (1, 2, 5, 16, 33, 63, 64, 65, 130, 200):
         h = random_hermitian(dim, rng)
         noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = h + 1e-12 * noise
+        zeros = rng.random((dim, dim)) < 0.1
+        zeros |= zeros.T
+        a[zeros] = rng.choice([0.0, -0.0], zeros.sum()) + 1j * rng.choice([0.0, -0.0], zeros.sum())
         old = (a + a.conj().T) / 2.0
-        new = linalg.require_hermitian(a)
-        assert new.tobytes() == old.tobytes()
-    real = rng.standard_normal((4, 4))
-    real = real + real.T
-    assert linalg.require_hermitian(real).tobytes() == ((real + real.T) / 2.0).astype(complex).tobytes()
+        for tol in (linalg.HERMITIAN_TOL, np.inf):
+            assert linalg.require_hermitian(a, tol=tol).tobytes() == old.tobytes()
+        real = rng.standard_normal((dim, dim))
+        real = real + real.T
+        expected = ((real + real.T) / 2.0).astype(complex)
+        assert linalg.require_hermitian(real).tobytes() == expected.tobytes()
+        for i, j in {(0, 0), (dim - 1, dim - 1), (0, dim - 1), (dim - 1, 0), (dim // 2, dim // 3)}:
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+                b = a.copy()
+                b[i, j] = bad
+                for tol in (linalg.HERMITIAN_TOL, np.inf):
+                    with pytest.raises(errors.NonHermitian, match="non-finite"):
+                        linalg.require_hermitian(b, tol=tol)
+    skew = random_hermitian(130, rng)
+    skew[3, 100] += 1e-9
+    with pytest.raises(errors.NonHermitian, match="deviates"):
+        linalg.require_hermitian(skew)
+    assert linalg.require_hermitian(skew, tol=np.inf).tobytes() == ((skew + skew.conj().T) / 2.0).tobytes()
+    # finite entries whose difference overflows: an infinite defect, not a non-finite entry
+    big = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(errors.NonHermitian, match="deviates"):
+            linalg.require_hermitian(big)
+        assert linalg.require_hermitian(big, tol=np.inf).tobytes() == np.zeros((2, 2), complex).tobytes()
 
 
 def _top_case(dim, kind, seed):
-    """A Hermitian test matrix of the given kind: random, tied-top or rank-1 plus floor."""
+    """A Hermitian test matrix: random, tied-top, rank-1 plus floor or frobenius-edge."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         return random_hermitian(dim, rng)
@@ -79,6 +103,13 @@ def _top_case(dim, kind, seed):
         values = np.sort(rng.uniform(-2.0, 1.0, dim))[::-1]
         values[: min(dim, int(rng.integers(2, 4)))] = 1.5
         return (q * values) @ q.conj().T
+    if kind == "frobenius-edge":
+        # top eigenvalue 1 and the rest of the spectrum with a squared sum
+        # within 1e-3 of 1, so top^2 is about half the squared Frobenius norm
+        q, _ = np.linalg.qr(random_hermitian(dim, rng))
+        rest = rng.uniform(-1.0, 1.0, dim - 1)
+        rest *= np.sqrt(rng.uniform(0.999, 1.001)) / max(np.linalg.norm(rest), 1e-300)
+        return (q * np.r_[1.0, rest]) @ q.conj().T
     u = random_unit_vector(dim, rng)
     return 0.8 * np.outer(u, u.conj()) + 0.2 * np.eye(dim) / dim
 
@@ -88,7 +119,7 @@ def _top_case(dim, kind, seed):
     # dims above the Lanczos step cap: random Hermitian matrices of dim 130
     # still certify, those of dim 200 run out of steps and fall back
     dim=st.sampled_from([1, 2, 4, 16, 64, 130, 200]),
-    kind=st.sampled_from(["random", "tied-top", "rank1-floor"]),
+    kind=st.sampled_from(["random", "tied-top", "rank1-floor", "frobenius-edge"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_top_eigenvector_is_the_top_eigenvector(dim, kind, seed):
@@ -133,11 +164,32 @@ def test_top_eigenvector_fast_path_needs_no_eigensolver(monkeypatch):
     def refuse(*args):
         raise AssertionError("the certified path must not need the fallback")
 
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     v = linalg.top_eigenvector(rho)
     assert abs(np.vdot(phi, v)) ** 2 >= 1.0 - 1e-12
     assert np.max(np.abs(v)) == v[np.argmax(np.abs(v))].real
+
+
+def test_top_eigenvector_certifies_by_cholesky_when_the_top_is_not_dominant(monkeypatch):
+    # 2 * 0.4**2 < 0.4**2 + 0.35**2 + 0.25**2, so the Frobenius certificate
+    # fails; the Cholesky factorization of sigma I - A still certifies the top
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(random_hermitian(64, rng))
+    a = (q * np.r_[0.4, 0.35, 0.25, np.zeros(61)]) @ q.conj().T
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def refuse(*args):
+        raise AssertionError("the Cholesky certificate must not need the fallback")
+
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    v = linalg.top_eigenvector(a)
+    assert len(calls) == 1
+    assert abs(np.vdot(q[:, 0], v)) ** 2 >= 1.0 - 1e-12
 
 
 def test_top_eigenvector_falls_back_when_the_certificate_fails(monkeypatch):

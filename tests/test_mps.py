@@ -228,8 +228,12 @@ def _edit_entries(text, edit):
         lambda text: text.replace('"n":5,', ""),
         lambda text: _edit_entries(text, lambda v: np.append(v, 1.0)),
         lambda text: _edit_entries(text, lambda v: np.append(complex(math.nan, 0.0), v[1:])),
+        # more digits than Python's JSON parser converts to an int
+        lambda text: text.replace('"n":5,', '"n":' + "9" * 5000 + ","),
+        # no entries to store, but a dimension numpy cannot index
+        lambda text: json.dumps({**json.loads(text), "shapes": [[0, 10**30, 1]], "entries": ""}),
     ],
-    ids=["truncated", "missing-n", "extra-entry", "nan-entry"],
+    ids=["truncated", "missing-n", "extra-entry", "nan-entry", "huge-int", "huge-empty-shape"],
 )
 def test_load_rejects_damaged_files(tmp_path, damage):
     path = tmp_path / "state.json"
