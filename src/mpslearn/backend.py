@@ -86,10 +86,6 @@ class StateBackend:
     def n(self) -> int:
         return len(self.sites)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.d,) * self.n
-
     def copy(self) -> "StateBackend":
         return StateBackend(self.state, self.d, sites=list(self.sites))
 
@@ -106,7 +102,7 @@ class StateBackend:
         return float(np.real(np.trace(self.state)))
 
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
-        return mps.block_rdm(self.state, self.dims, self.positions(site_labels))
+        return mps.block_rdm(self.state, (self.d,) * self.n, self.positions(site_labels))
 
     def apply_unitary(self, u: np.ndarray, site_labels: Sequence[int]) -> None:
         pos = self.positions(site_labels)

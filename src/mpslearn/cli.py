@@ -31,7 +31,6 @@ from .errors import (
     InvalidSpec,
     MalformedCircuit,
     NoConvergence,
-    NonContiguous,
     OracleFailure,
     TooLarge,
     TooSmall,
@@ -46,7 +45,6 @@ _BAD_INPUT = (
     InvalidSpec,
     BadEpsilon,
     BadCut,
-    NonContiguous,
     MalformedCircuit,
     DegenerateD,
 )
@@ -73,6 +71,8 @@ def _load_config(path: str, schema: dict[str, tuple[tuple[type, ...], bool]]) ->
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InvalidSpec(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file without read permission
+        raise InvalidSpec(f"cannot read the config file {path}: {exc.strerror}")
     except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
         raise InvalidSpec(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -253,10 +253,7 @@ def _cmd_learn(args) -> int:
     for key in ("eta", "project_psd", "copies", "theta"):
         if key in config:
             resolved[key] = config[key]
-    state_path = Path(resolved["state"])
-    if not state_path.exists():
-        raise InvalidSpec(f"state file not found: {state_path}")
-    state = mps.load_mps(state_path)
+    state = mps.load_mps(resolved["state"])
     mode = _oracle_from_config(resolved)
     circuit, report = learn(
         state,

@@ -60,11 +60,9 @@ def _qudit_count(dim: int, d: int) -> int:
 
 
 def _from_eigenbasis(
-    sigma_hat: np.ndarray, d: int, kept_qudits: int, selected_count: int
+    vectors: np.ndarray, d: int, kept_qudits: int, selected_count: int
 ) -> Disentangler:
-    dim = sigma_hat.shape[0]
-    y = _qudit_count(dim, d)
-    _, vectors = linalg.hermitian_eig(sigma_hat)
+    """Disentangler from eigenvectors in descending eigenvalue order (columns)."""
     # Row r of the unitary is the conjugate of eigenvector r, so the r-th
     # eigenvector maps to computational basis state r.  The kept sector
     # (leading qudits zero) is then exactly the span of the top eigenvectors.
@@ -72,7 +70,7 @@ def _from_eigenbasis(
     return Disentangler(
         unitary=unitary,
         d=d,
-        y=y,
+        y=_qudit_count(vectors.shape[0], d),
         kept_qudits=kept_qudits,
         kept_dim=d**kept_qudits,
         selected=vectors[:, :selected_count].copy(),
@@ -96,7 +94,8 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
         raise RankCapExceedsDim(
             f"kept rank {D_squared} does not fit into kept dimension {d**p}"
         )
-    return _from_eigenbasis(sigma_hat, d, kept_qudits=p, selected_count=D_squared)
+    _, vectors = linalg.hermitian_eig(sigma_hat)
+    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared)
 
 
 def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
@@ -109,13 +108,13 @@ def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
     """
     if eta <= 0:
         raise BadParameter(f"eta must be positive, got {eta}")
-    dim = linalg.require_square(sigma_hat)
+    linalg.require_square(sigma_hat)
     trace = float(np.real(np.trace(sigma_hat)))
     if trace > 1.0 + 1e-9:
         raise BadParameter(f"trace must be at most 1 + 1e-9, got {trace}")
-    values = np.linalg.eigvalsh(linalg.require_hermitian(sigma_hat))
+    values, vectors = linalg.hermitian_eig(sigma_hat)
     m = int(np.count_nonzero(values - eta > 1e-12))
     t = 0
     while d**t < m:  # smallest t with d**t >= m, in integer arithmetic
         t += 1
-    return _from_eigenbasis(sigma_hat, d, kept_qudits=t, selected_count=m)
+    return _from_eigenbasis(vectors, d, kept_qudits=t, selected_count=m)

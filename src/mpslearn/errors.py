@@ -34,10 +34,6 @@ class BadCut(ValueError):
     """A bipartition cut index is out of range."""
 
 
-class NonContiguous(ValueError):
-    """A site block is required to be contiguous but is not."""
-
-
 class BlockOutOfRange(ValueError):
     """A site block refers to sites outside the register."""
 

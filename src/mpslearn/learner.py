@@ -230,23 +230,13 @@ def _spawn_seed(base: Sequence[int], key: Sequence[int]) -> int:
 
 
 def _child_mode(mode: tomography.OracleMode, eta_budget: float, base: Sequence[int], key: Sequence[int]):
+    """The mode of one oracle call: its own seed, and the budget for an unset eta."""
     if isinstance(mode, tomography.ExactMode):
         return mode
-    seed = _spawn_seed(base, key)
-    if isinstance(mode, tomography.BoundedNoiseMode):
-        eta = mode.eta if mode.eta is not None else eta_budget
-        return tomography.BoundedNoiseMode(eta=eta, seed=seed, project_psd=mode.project_psd)
-    if isinstance(mode, tomography.FiniteSampleMode):
-        return tomography.FiniteSampleMode(copies=mode.copies, seed=seed)
-    raise BadParameter(f"unknown oracle mode {mode!r}")
-
-
-def _oracle_name(mode: tomography.OracleMode) -> str:
-    return {
-        tomography.ExactMode: "exact",
-        tomography.BoundedNoiseMode: "bounded_noise",
-        tomography.FiniteSampleMode: "finite_sample",
-    }[type(mode)]
+    fill = {"seed": _spawn_seed(base, key)}
+    if isinstance(mode, tomography.BoundedNoiseMode) and mode.eta is None:
+        fill["eta"] = eta_budget
+    return dataclasses.replace(mode, **fill)
 
 
 def _as_dense_input(state, d: int) -> np.ndarray:
@@ -293,7 +283,8 @@ def learn(
     variant : str
         ``"exact"`` or ``"closest"``.
     mode : OracleMode
-        Tomography oracle; defaults to :class:`~mpslearn.tomography.ExactMode`.
+        Tomography oracle; defaults to :class:`~mpslearn.tomography.ExactMode`,
+        and any object but the three modes raises ``BadParameter``.
         A :class:`BoundedNoiseMode` with ``eta=None`` tracks the learner's own
         per-call budget.  Per-call seeds are derived from ``seed``, the mode
         seed, and the (layer, block) key, so results are order-independent.
@@ -321,6 +312,8 @@ def learn(
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
     mode = tomography.ExactMode() if mode is None else mode
+    if not isinstance(mode, tomography.OracleMode):
+        raise BadParameter(f"unknown oracle mode {mode!r}")
 
     dense = _as_dense_input(state, d)
     backend = StateBackend(dense, d)
@@ -397,14 +390,12 @@ def learn(
             if not block.acted:
                 continue
             call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
-            positions = backend.positions([s - 1 for s in block.support])
-            outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
+            sigma = backend.rdm([s - 1 for s in block.support])
+            outcome = tomography.estimate_block(sigma, d, call_mode)
             if isinstance(call_mode, tomography.ExactMode):
-                # The exact estimate is block_rdm of this very state.
-                error = 0.0
+                error = 0.0  # the exact estimate is the marginal itself
             else:
-                sigma_true = mps.block_rdm(backend.state, backend.dims, positions)
-                error = linalg.trace_norm(outcome.estimate - sigma_true)
+                error = linalg.trace_norm(outcome.estimate - sigma)
             if variant == "exact":
                 dz = build_rank_capped(outcome.estimate, d, D * D, p)
             else:
@@ -450,8 +441,8 @@ def learn(
     tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
     if plan is None and backend.pure and isinstance(call_mode, tomography.ExactMode):
-        # The exact oracle on the whole pure register returns the state itself.
-        residual = linalg.fix_phase(backend.state / np.linalg.norm(backend.state))
+        # The exact oracle on the whole pure register returns the input itself.
+        residual = linalg.fix_phase(dense / np.linalg.norm(dense))
         mass = 1.0
     else:
         if d ** len(tail) > linalg.MAX_DENSITY_DIM:
@@ -459,8 +450,7 @@ def learn(
                 f"tomography of the {len(tail)}-site tail needs a dense operator of "
                 f"dimension {d ** len(tail)} > {linalg.MAX_DENSITY_DIM}"
             )
-        positions = backend.positions([s - 1 for s in tail])
-        outcome = tomography.estimate_block(backend.state, backend.dims, positions, call_mode)
+        outcome = tomography.estimate_block(backend.rdm([s - 1 for s in tail]), d, call_mode)
         residual = linalg.top_eigenvector(outcome.estimate)
         mass = outcome.success_mass
     copies_used += _charge(variant, mass, D, d, len(tail), tau, delta / n)
@@ -494,7 +484,7 @@ def learn(
         eta=eta,
         tau=tau,
         seed=seed,
-        oracle=_oracle_name(mode),
+        oracle=mode.name,
         final_fidelity=_fidelity(reconstruct_state(circuit), dense),
         copies_used=copies_used,
         per_layer=per_layer,
@@ -527,11 +517,6 @@ def _metadata(
     deviations: list[str],
     trivial: bool,
 ) -> dict:
-    params: dict = {}
-    if isinstance(mode, tomography.BoundedNoiseMode):
-        params = {"eta": mode.eta, "seed": mode.seed, "project_psd": mode.project_psd}
-    elif isinstance(mode, tomography.FiniteSampleMode):
-        params = {"copies": mode.copies, "seed": mode.seed}
     return {
         "variant": variant,
         "epsilon": epsilon,
@@ -540,8 +525,8 @@ def _metadata(
         "eta": eta,
         "tau": tau,
         "seed": seed,
-        "oracle": _oracle_name(mode),
-        "oracle_params": params,
+        "oracle": mode.name,
+        "oracle_params": dataclasses.asdict(mode),
         "theta": theta,
         "deviations": list(deviations),
         "trivial_path": trivial,
@@ -775,6 +760,11 @@ def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
         raise MalformedCircuit(f"plan needs an integer M >= 1 and a list of layers, got M={M!r}")
     if len(raw_layers) != M:
         raise MalformedCircuit(f"plan lists {len(raw_layers)} layers, expected M = {M}")
+    if not (all(isinstance(x, int) for x in (ell1, s1, k1)) and isinstance(s1_amended, bool)):
+        raise MalformedCircuit(
+            f"plan needs integers ell1, s1, k1 and a flag s1_amended, got "
+            f"{ell1!r}, {s1!r}, {k1!r}, {s1_amended!r}"
+        )
     layers = []
     for layer_number, blocks in enumerate(raw_layers, start=1):
         if not isinstance(blocks, list):
@@ -784,6 +774,10 @@ def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
             index, support, projected, acted = _fields(
                 b, ("index", "support", "projected", "acted"), "plan block"
             )
+            if not (isinstance(index, int) and isinstance(acted, bool)):
+                raise MalformedCircuit(
+                    f"plan block needs an integer index and a flag acted, got {index!r}, {acted!r}"
+                )
             support = _site_labels(support, n, "plan block support")
             projected = _site_labels(projected, n, "plan block projected sites")
             if projected != support[: len(projected)]:
@@ -813,8 +807,10 @@ def load_circuit(path: str | Path) -> CircuitDescription:
             "residual", "metadata")
     doc = mps.read_document(path, CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, keys, MalformedCircuit)
     n, d, p = doc["n"], doc["d"], doc["p"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 2):
-        raise MalformedCircuit(f"need integers n >= 1 and d >= 2, got n={n!r}, d={d!r}")
+    if not (all(isinstance(x, int) for x in (n, d, p)) and n >= 1 and d >= 2 and p >= 1):
+        raise MalformedCircuit(
+            f"need integers n >= 1, d >= 2 and p >= 1, got n={n!r}, d={d!r}, p={p!r}"
+        )
 
     plan = None if doc["plan"] is None else _load_plan(doc["plan"], n, d, p)
     M = plan.M if plan is not None else 0

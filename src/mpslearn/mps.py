@@ -311,6 +311,10 @@ def read_document(
     """
     try:
         doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise error(f"{name} file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file without read permission
+        raise error(f"cannot read the {name} file {path}: {exc.strerror}") from None
     except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
         raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != name:

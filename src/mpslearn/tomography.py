@@ -1,19 +1,20 @@
 """Tomography oracles for block marginals, and copy-budget calculators.
 
-Three oracle modes produce an estimate of the reduced density matrix of a
-site block from the simulator's dense state:
+Three oracle modes turn the reduced density matrix of a site block (the
+block marginal, which the caller takes from its register) into an estimate:
 
 * ``ExactMode`` returns the marginal itself.
 * ``BoundedNoiseMode`` adds a seeded traceless Hermitian perturbation with a
   prescribed trace-norm, so the estimate error is exactly ``eta``.
 * ``FiniteSampleMode`` simulates measurement statistics: copies survive a
-  post-selection step with probability equal to the state's trace, survivors
+  post-selection step with probability equal to the marginal's trace, survivors
   are measured in an informationally complete product-basis family, and the
   estimate is a least-squares linear inversion of the observed frequencies.
 
 Budgets are charged analytically by the calculators below regardless of the
-oracle mode in use; estimates are sub-normalized exactly like the states they
-are taken from.
+oracle mode in use; estimates are sub-normalized exactly like the marginals
+they are taken from.  Each mode's ``name`` is the oracle's name in run
+metadata and reports.
 """
 from __future__ import annotations
 
@@ -21,17 +22,20 @@ import dataclasses
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
-from . import linalg, mps
-from .errors import BadParameter, BlockOutOfRange, NonContiguous, OracleFailure, TooLarge
+from . import linalg
+from .backend import infer_site_count
+from .errors import BadParameter, OracleFailure, TooLarge
 
 
 @dataclasses.dataclass(frozen=True)
 class ExactMode:
     """Return exact block marginals."""
+
+    name: ClassVar[str] = "exact"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,6 +48,7 @@ class BoundedNoiseMode:
     trace-norm error stays within ``eta``.
     """
 
+    name: ClassVar[str] = "bounded_noise"
     eta: float | None = None
     seed: int = 0
     project_psd: bool = False
@@ -57,6 +62,7 @@ class BoundedNoiseMode:
 class FiniteSampleMode:
     """Simulated measurements on ``copies`` copies of the state."""
 
+    name: ClassVar[str] = "finite_sample"
     copies: int
     seed: int = 0
 
@@ -76,64 +82,34 @@ class TomographyOutcome:
     ----------
     estimate : np.ndarray
         Hermitian estimate of the block marginal, sub-normalized like the
-        input state.
+        marginal.
     success_mass : float
         Trace of the true marginal (the post-selection success probability),
         clipped to [0, 1].
-    copies_used : int
-        Simulated copies consumed; zero for the analytic modes.  Budget
-        charging is the caller's responsibility.
-    mode : OracleMode
-        The mode that produced this outcome.
     """
 
     estimate: np.ndarray
     success_mass: float
-    copies_used: int
-    mode: OracleMode
 
 
-def _validate_block(dims: Sequence[int], block: Sequence[int]) -> list[int]:
-    n = len(dims)
-    block = sorted(int(b) for b in block)
-    if not block:
-        raise BadParameter("block must be non-empty")
-    if block[0] < 0 or block[-1] >= n:
-        raise BlockOutOfRange(f"block {block} outside register of {n} sites")
-    if block != list(range(block[0], block[-1] + 1)):
-        raise NonContiguous(f"block must be contiguous, got {block}")
-    return block
+def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) -> TomographyOutcome:
+    """Estimate a block marginal ``sigma`` on qudits of dimension ``d``.
 
-
-def estimate_block(
-    state: np.ndarray,
-    dims: Sequence[int],
-    block: Sequence[int],
-    mode: OracleMode = ExactMode(),
-) -> TomographyOutcome:
-    """Estimate the reduced density matrix of a contiguous site block.
-
-    ``state`` is a dense vector or density matrix on the full register and may
-    be sub-normalized.  The estimate carries the same normalization.  For
+    ``sigma`` is the reduced density matrix of the block, as a register's
+    ``rdm`` returns it, and may be sub-normalized; the estimate carries the
+    same normalization.  ``mode`` is one of the three modes above.  For
     ``BoundedNoiseMode`` the eta budget must be set (the learner substitutes
     its own schedule when ``eta`` is ``None``).
     """
-    dims = tuple(int(x) for x in dims)
-    block = _validate_block(dims, block)
-    sigma = mps.block_rdm(state, dims, block)
-    mass = float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0))
-
     if isinstance(mode, ExactMode):
-        return TomographyOutcome(sigma, mass, 0, mode)
-    if isinstance(mode, BoundedNoiseMode):
+        estimate = sigma
+    elif isinstance(mode, BoundedNoiseMode):
         if mode.eta is None:
             raise BadParameter("BoundedNoiseMode.eta is unset; supply a noise budget")
         estimate = _add_bounded_noise(sigma, mode.eta, mode.seed, mode.project_psd)
-        return TomographyOutcome(estimate, mass, 0, mode)
-    if isinstance(mode, FiniteSampleMode):
-        estimate = _finite_sample_estimate(sigma, dims, block, mode)
-        return TomographyOutcome(estimate, mass, mode.copies, mode)
-    raise BadParameter(f"unknown oracle mode {mode!r}")
+    else:
+        estimate = _finite_sample_estimate(sigma, d, mode)
+    return TomographyOutcome(estimate, float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0)))
 
 
 def _add_bounded_noise(sigma: np.ndarray, eta: float, seed: int, project_psd: bool) -> np.ndarray:
@@ -210,10 +186,7 @@ def _is_prime(d: int) -> bool:
     return all(d % k for k in range(2, int(math.isqrt(d)) + 1))
 
 
-def _finite_sample_estimate(
-    sigma: np.ndarray, dims: Sequence[int], block: Sequence[int], mode: FiniteSampleMode
-) -> np.ndarray:
-    block_dims = [dims[b] for b in block]
+def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -> np.ndarray:
     dim = sigma.shape[0]
     if dim > 16:
         # The least-squares design matrix scales as (settings * dim, dim**2);
@@ -228,7 +201,7 @@ def _finite_sample_estimate(
         return np.zeros_like(sigma)
     normalized = sigma / np.trace(sigma)
 
-    local = [_single_site_bases(d) for d in block_dims]
+    local = [_single_site_bases(d)] * infer_site_count(dim, d)
     settings = list(np.ndindex(*(len(b) for b in local)))
     base = survivors // len(settings)
     extra = survivors % len(settings)
@@ -240,7 +213,7 @@ def _finite_sample_estimate(
         if shots == 0:
             continue
         basis = local[0][choice[0]]
-        for q in range(1, len(block_dims)):
+        for q in range(1, len(local)):
             basis = np.kron(basis, local[q][choice[q]])
         probs = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, normalized, basis))
         probs = np.clip(probs, 0.0, None)

@@ -138,7 +138,7 @@ def _suite_eckart_young(seed: int) -> SuiteResult:
     block = [1, 2, 3, 4]
     sigma = mps.block_rdm(vec, dims, block)
     noisy = tomography.estimate_block(
-        vec, dims, block, tomography.BoundedNoiseMode(eta=eta, seed=seed + 1)
+        sigma, d, tomography.BoundedNoiseMode(eta=eta, seed=seed + 1)
     ).estimate
     dz = build_rank_capped(noisy, d, D * D, p)
     y = len(block)

@@ -315,6 +315,11 @@ def test_learn_rejects_damaged_state_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # a directory where the state file or the config file should be
+    for config in (learn_config(tmp_path, gen_out, state=str(gen_out)), str(gen_out)):
+        rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_learn_refuses_version_1_state_file(tmp_path, capsys):

@@ -299,6 +299,19 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 0, 0.2, 0.01)
     with pytest.raises(errors.BadParameter):
         learner.learn(psi * 2.0, 2, 2, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter, match="unknown oracle mode"):
+        learner.learn(psi, 2, 2, 0.2, 0.01, mode=object())
+
+
+def test_noisy_learn_takes_one_marginal_per_oracle_call(monkeypatch):
+    # the estimate error reuses the marginal handed to the oracle
+    calls = []
+    block_rdm = mps.block_rdm
+    monkeypatch.setattr(mps, "block_rdm", lambda *args: calls.append(1) or block_rdm(*args))
+    mode = tomography.BoundedNoiseMode(seed=28)
+    _, report = learner.learn(random_mps_vector(16, seed=28), 2, 2, 0.2, 0.01, mode=mode)
+    acted = sum(len(layer.blocks) for layer in report.per_layer)
+    assert (acted, len(calls)) == (7, 8)
 
 
 def test_circuit_save_load_round_trip(tmp_path):
@@ -455,6 +468,34 @@ def _drop_plan_field(doc):
     del doc["plan"]["layers"][0][0]["acted"]
 
 
+def _p_zero(doc):
+    doc["p"] = 0
+
+
+def _ell1_not_an_integer(doc):
+    doc["plan"]["ell1"] = 2.5
+
+
+def _s1_not_an_integer(doc):
+    doc["plan"]["s1"] = "1"
+
+
+def _k1_not_an_integer(doc):
+    doc["plan"]["k1"] = None
+
+
+def _s1_amended_not_a_flag(doc):
+    doc["plan"]["s1_amended"] = 1
+
+
+def _block_index_not_an_integer(doc):
+    doc["plan"]["layers"][0][0]["index"] = [1]
+
+
+def _block_acted_not_a_flag(doc):
+    doc["plan"]["layers"][0][0]["acted"] = "yes"
+
+
 def _huge_register(doc):
     # d**n with n = 10**6 has too many digits for Python to format
     doc["n"] = 10**6
@@ -477,14 +518,21 @@ def _huge_json_integer(doc):
     [_drop_n, _truncate_residual, _nan_in_unitary, _shorten_support, _support_past_register,
      _residual_site_past_register, _unitary_layer_past_plan, _unitary_on_trivial_path,
      _projected_site_past_register, _projected_by_layer_too_short, _drop_unitary_layer,
-     _drop_unitary_index, _drop_plan_field, _huge_register, _huge_residual, _huge_json_integer],
+     _drop_unitary_index, _drop_plan_field, _p_zero, _ell1_not_an_integer, _s1_not_an_integer,
+     _k1_not_an_integer, _s1_amended_not_a_flag, _block_index_not_an_integer,
+     _block_acted_not_a_flag, _huge_register, _huge_residual, _huge_json_integer, None],
+    ids=lambda tamper: "_directory" if tamper is None else tamper.__name__,
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
     circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
     path = tmp_path / "circuit.json"
     learner.save_circuit(circuit, path)
     doc = json.loads(path.read_text())
-    path.write_text(tamper(doc) or json.dumps(doc))
+    if tamper is None:  # a directory in place of the file
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(tamper(doc) or json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(path)
 

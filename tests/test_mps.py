@@ -232,13 +232,19 @@ def _edit_entries(text, edit):
         lambda text: text.replace('"n":5,', '"n":' + "9" * 5000 + ","),
         # no entries to store, but a dimension numpy cannot index
         lambda text: json.dumps({**json.loads(text), "shapes": [[0, 10**30, 1]], "entries": ""}),
+        None,  # a directory in place of the file
     ],
-    ids=["truncated", "missing-n", "extra-entry", "nan-entry", "huge-int", "huge-empty-shape"],
+    ids=["truncated", "missing-n", "extra-entry", "nan-entry", "huge-int", "huge-empty-shape",
+         "directory"],
 )
 def test_load_rejects_damaged_files(tmp_path, damage):
     path = tmp_path / "state.json"
     mps.save_mps(mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=12)), path)
-    path.write_text(damage(path.read_text()))
+    if damage is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(damage(path.read_text()))
     with pytest.raises(errors.InvalidSpec):
         mps.load_mps(path)
 

@@ -24,39 +24,32 @@ def rdm_by_amplitude_sums(psi, dims, block):
     return mat @ mat.conj().T
 
 
+def marginal(psi, n, d, block):
+    return mps.block_rdm(psi, (d,) * n, block)
+
+
 def test_exact_mode_returns_true_rdm():
     psi = random_pure(4, 2, 0)
-    dims = (2,) * 4
-    out = tomography.estimate_block(psi, dims, [1, 2], tomography.ExactMode())
+    out = tomography.estimate_block(marginal(psi, 4, 2, [1, 2]), 2, tomography.ExactMode())
     np.testing.assert_allclose(
-        out.estimate, rdm_by_amplitude_sums(psi, dims, [1, 2]), atol=1e-12
+        out.estimate, rdm_by_amplitude_sums(psi, (2,) * 4, [1, 2]), atol=1e-12
     )
     assert abs(out.success_mass - 1.0) < 1e-12
-    assert out.copies_used == 0
 
 
 def test_exact_mode_tracks_subnormalized_mass():
     psi = random_pure(3, 2, 1) * 0.5
-    out = tomography.estimate_block(psi, (2,) * 3, [0, 1], tomography.ExactMode())
+    out = tomography.estimate_block(marginal(psi, 3, 2, [0, 1]), 2, tomography.ExactMode())
     assert abs(out.success_mass - 0.25) < 1e-12
     assert abs(np.trace(out.estimate).real - 0.25) < 1e-12
 
 
-def test_block_must_be_contiguous_and_in_range():
-    psi = random_pure(4, 2, 2)
-    with pytest.raises(errors.NonContiguous):
-        tomography.estimate_block(psi, (2,) * 4, [0, 2])
-    with pytest.raises(errors.BlockOutOfRange):
-        tomography.estimate_block(psi, (2,) * 4, [3, 4])
-
-
 def test_bounded_noise_has_exact_trace_norm_budget():
     psi = random_pure(4, 2, 3)
-    dims = (2,) * 4
-    truth = rdm_by_amplitude_sums(psi, dims, [0, 1])
+    truth = rdm_by_amplitude_sums(psi, (2,) * 4, [0, 1])
     for eta in (1e-1, 1e-3, 1e-6):
         mode = tomography.BoundedNoiseMode(eta=eta, seed=7)
-        out = tomography.estimate_block(psi, dims, [0, 1], mode)
+        out = tomography.estimate_block(marginal(psi, 4, 2, [0, 1]), 2, mode)
         dist = linalg.trace_norm(out.estimate - truth)
         assert abs(dist - eta) < 1e-12 * max(1.0, eta)
         np.testing.assert_allclose(out.estimate, out.estimate.conj().T, atol=1e-12)
@@ -64,11 +57,10 @@ def test_bounded_noise_has_exact_trace_norm_budget():
 
 def test_bounded_noise_psd_projection_stays_within_budget():
     psi = random_pure(3, 2, 4)
-    dims = (2,) * 3
-    truth = rdm_by_amplitude_sums(psi, dims, [0, 1, 2])
+    truth = rdm_by_amplitude_sums(psi, (2,) * 3, [0, 1, 2])
     eta = 0.05
     mode = tomography.BoundedNoiseMode(eta=eta, seed=11, project_psd=True)
-    out = tomography.estimate_block(psi, dims, [0, 1, 2], mode)
+    out = tomography.estimate_block(marginal(psi, 3, 2, [0, 1, 2]), 2, mode)
     assert linalg.trace_norm(out.estimate - truth) <= eta + 1e-12
     assert np.linalg.eigvalsh(out.estimate).min() >= -1e-10
 
@@ -76,21 +68,14 @@ def test_bounded_noise_psd_projection_stays_within_budget():
 def test_bounded_noise_requires_budget():
     psi = random_pure(3, 2, 5)
     with pytest.raises(errors.BadParameter):
-        tomography.estimate_block(psi, (2,) * 3, [0], tomography.BoundedNoiseMode())
+        tomography.estimate_block(marginal(psi, 3, 2, [0]), 2, tomography.BoundedNoiseMode())
 
 
 def test_bounded_noise_is_seed_deterministic():
-    psi = random_pure(3, 2, 6)
-    dims = (2,) * 3
-    a = tomography.estimate_block(
-        psi, dims, [0, 1], tomography.BoundedNoiseMode(eta=0.01, seed=3)
-    )
-    b = tomography.estimate_block(
-        psi, dims, [0, 1], tomography.BoundedNoiseMode(eta=0.01, seed=3)
-    )
-    c = tomography.estimate_block(
-        psi, dims, [0, 1], tomography.BoundedNoiseMode(eta=0.01, seed=4)
-    )
+    sigma = marginal(random_pure(3, 2, 6), 3, 2, [0, 1])
+    a = tomography.estimate_block(sigma, 2, tomography.BoundedNoiseMode(eta=0.01, seed=3))
+    b = tomography.estimate_block(sigma, 2, tomography.BoundedNoiseMode(eta=0.01, seed=3))
+    c = tomography.estimate_block(sigma, 2, tomography.BoundedNoiseMode(eta=0.01, seed=4))
     np.testing.assert_array_equal(a.estimate, b.estimate)
     assert not np.array_equal(a.estimate, c.estimate)
 
@@ -99,13 +84,11 @@ def test_bounded_noise_is_seed_deterministic():
 def test_finite_sample_estimate_converges(d):
     state = mps.random_mps(mps.StateSpec(n=3, d=d, D=2, seed=17))
     psi = mps.expand(state)
-    dims = (d,) * 3
-    truth = rdm_by_amplitude_sums(psi, dims, [0, 1])
+    truth = rdm_by_amplitude_sums(psi, (d,) * 3, [0, 1])
     errors_seen = []
     for copies in (2_000, 20_000, 200_000):
         mode = tomography.FiniteSampleMode(copies=copies, seed=23)
-        out = tomography.estimate_block(psi, dims, [0, 1], mode)
-        assert out.copies_used == copies
+        out = tomography.estimate_block(marginal(psi, 3, d, [0, 1]), d, mode)
         # linear inversion output: Hermitian with the right trace, but small
         # negative eigenvalues are expected at finite sample size
         np.testing.assert_allclose(out.estimate, out.estimate.conj().T, atol=1e-12)
@@ -117,19 +100,16 @@ def test_finite_sample_estimate_converges(d):
 
 
 def test_finite_sample_is_seed_deterministic():
-    psi = random_pure(3, 2, 19)
-    dims = (2,) * 3
-    a = tomography.estimate_block(psi, dims, [0, 1], tomography.FiniteSampleMode(5000, seed=1))
-    b = tomography.estimate_block(psi, dims, [0, 1], tomography.FiniteSampleMode(5000, seed=1))
+    sigma = marginal(random_pure(3, 2, 19), 3, 2, [0, 1])
+    a = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(5000, seed=1))
+    b = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(5000, seed=1))
     np.testing.assert_array_equal(a.estimate, b.estimate)
 
 
 def test_finite_sample_respects_dimension_cap():
-    psi = random_pure(10, 2, 20)
+    sigma = marginal(random_pure(10, 2, 20), 10, 2, list(range(10)))
     with pytest.raises(errors.TooLarge):
-        tomography.estimate_block(
-            psi, (2,) * 10, list(range(10)), tomography.FiniteSampleMode(100, seed=0)
-        )
+        tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(100, seed=0))
 
 
 def test_budget_rank_constrained_formula():
