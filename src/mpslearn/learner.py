@@ -740,7 +740,7 @@ def _site_labels(labels, n: int, what: str) -> tuple[int, ...]:
     if not isinstance(labels, list):
         raise MalformedCircuit(f"{what} must be a list of sites, got {labels!r}")
     sites = tuple(labels)
-    if not all(isinstance(s, int) and 1 <= s <= n for s in sites):
+    if not all(mps.is_integer(s) and 1 <= s <= n for s in sites):
         raise MalformedCircuit(f"{what} {list(sites)} not within the sites 1..{n}")
     return sites
 
@@ -756,11 +756,11 @@ def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
     M, ell1, s1, k1, s1_amended, raw_layers = _fields(
         raw, ("M", "ell1", "s1", "k1", "s1_amended", "layers"), "plan"
     )
-    if not (isinstance(M, int) and M >= 1 and isinstance(raw_layers, list)):
+    if not (mps.is_integer(M) and M >= 1 and isinstance(raw_layers, list)):
         raise MalformedCircuit(f"plan needs an integer M >= 1 and a list of layers, got M={M!r}")
     if len(raw_layers) != M:
         raise MalformedCircuit(f"plan lists {len(raw_layers)} layers, expected M = {M}")
-    if not (all(isinstance(x, int) for x in (ell1, s1, k1)) and isinstance(s1_amended, bool)):
+    if not (all(mps.is_integer(x) for x in (ell1, s1, k1)) and isinstance(s1_amended, bool)):
         raise MalformedCircuit(
             f"plan needs integers ell1, s1, k1 and a flag s1_amended, got "
             f"{ell1!r}, {s1!r}, {k1!r}, {s1_amended!r}"
@@ -774,7 +774,7 @@ def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
             index, support, projected, acted = _fields(
                 b, ("index", "support", "projected", "acted"), "plan block"
             )
-            if not (isinstance(index, int) and isinstance(acted, bool)):
+            if not (mps.is_integer(index) and isinstance(acted, bool)):
                 raise MalformedCircuit(
                     f"plan block needs an integer index and a flag acted, got {index!r}, {acted!r}"
                 )
@@ -807,7 +807,7 @@ def load_circuit(path: str | Path) -> CircuitDescription:
             "residual", "metadata")
     doc = mps.read_document(path, CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, keys, MalformedCircuit)
     n, d, p = doc["n"], doc["d"], doc["p"]
-    if not (all(isinstance(x, int) for x in (n, d, p)) and n >= 1 and d >= 2 and p >= 1):
+    if not (all(mps.is_integer(x) for x in (n, d, p)) and n >= 1 and d >= 2 and p >= 1):
         raise MalformedCircuit(
             f"need integers n >= 1, d >= 2 and p >= 1, got n={n!r}, d={d!r}, p={p!r}"
         )
@@ -822,9 +822,9 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         layer, index, support, entries = _fields(
             u, ("layer", "index", "support", "entries"), "unitary"
         )
-        if not (isinstance(layer, int) and 1 <= layer <= M):
+        if not (mps.is_integer(layer) and 1 <= layer <= M):
             raise MalformedCircuit(f"unitary layer {layer!r} not within the circuit's {M} layers")
-        if not isinstance(index, int):
+        if not mps.is_integer(index):
             raise MalformedCircuit(f"unitary index must be an integer, got {index!r}")
         support = _site_labels(support, n, "unitary support")
         dim = d ** len(support)

@@ -105,11 +105,19 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for i in range(v.shape[1]):
-        v[:, i] = fix_phase(v[:, i])
-    return w, v
+    return w[order], _fix_phases(v[:, order])
+
+
+def _fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """:func:`fix_phase` on every column of ``v``, in place and bit for bit."""
+    if v.size == 0:  # argmax has no empty reduction
+        return v
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    fixed = np.abs(pivots) > tol
+    # scalar abs(p) / p, as fix_phase computes it: the array quotient
+    # np.abs(pivots) / pivots can differ in the last bit
+    v[:, fixed] *= np.array([abs(p) / p for p in pivots[fixed]], dtype=complex)
+    return v
 
 
 def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -227,6 +235,51 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(a, x)
         x /= np.linalg.norm(x)
     return fix_phase(x)
+
+
+def top_eigenpairs(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top ``m`` eigenpairs of a Hermitian matrix of rank at most about ``m``.
+
+    Validates like :func:`hermitian_eig` and raises the same typed errors.
+    Returns ``(theta, V)`` like :func:`hermitian_eig`'s ``(w, V)`` cut to
+    ``m`` columns, with the columns phase-normalized the same way, or
+    ``None`` when the pairs cannot be certified.  Equal inputs give equal
+    bits.
+
+    Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217,
+    2011): ``Q`` is the reduced QR factor of ``A Omega``, where ``Omega`` is a
+    fixed seeded ``dim x m`` complex Gaussian matrix, and ``V = Q W`` for the
+    eigenvectors ``W`` of ``Q^H A Q`` (symmetrized), in descending order of
+    the Ritz values ``theta``.  With ``scale = max(1, |theta_1|)`` the pairs
+    are accepted only if ``|A - V diag(theta) V^H|_F <= 1e-12 * scale`` and
+    ``theta_m >= -1e-12 * scale``.  By Weyl's inequality every eigenvalue
+    of ``A`` is then within ``1e-12 * scale`` of a Ritz value or of 0, so
+    ``span V`` is the top-``m`` eigenspace up to eigenvalues within about
+    ``2e-12 * scale`` of the cut, which count as tied.  Without the second
+    test a negative Ritz value would rank above discarded zeros.  A matrix
+    of higher rank fails the first test.
+    """
+    a = require_hermitian(matrix)
+    dim = a.shape[0]
+    if not 1 <= m <= dim:
+        raise BadParameter(f"need 1 <= m <= {dim}, got m={m}")
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    q, _ = np.linalg.qr(a @ omega)
+    b = q.conj().T @ (a @ q)
+    try:
+        theta, w = np.linalg.eigh((b + b.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    theta, v = theta[::-1], q @ w[:, ::-1]
+    scale = max(1.0, abs(float(theta[0])))
+    if theta[-1] < -1e-12 * scale:
+        return None
+    residual = (v * theta) @ v.conj().T
+    residual -= a
+    if np.sqrt(np.vdot(residual, residual).real) > 1e-12 * scale:
+        return None
+    return theta, _fix_phases(v)
 
 
 def trace_norm(matrix: np.ndarray) -> float:

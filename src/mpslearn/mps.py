@@ -301,6 +301,15 @@ def mps_parameter_count(n: int, d: int, D: int, boundary: str = "open") -> int:
     return sum(d * bonds[k] * bonds[k + 1] for k in range(n))
 
 
+def is_integer(value) -> bool:
+    """Whether a value is a Python or NumPy integer; ``True``/``False`` is not.
+
+    ``bool`` is a subclass of ``int``, so a plain ``isinstance`` check would
+    let a JSON ``true`` or ``false`` stand for 1 or 0.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def read_document(
     path: str | Path, name: str, version: int, keys: Sequence[str], error: type[Exception]
 ) -> dict:
@@ -350,9 +359,11 @@ def complex_arrays(
     """
     try:
         raw = base64.b64decode(entries, validate=True)
-        shapes = [tuple(int(k) for k in shape) for shape in shapes]
+        shapes = [tuple(shape) for shape in shapes]
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise error(f"stored entries or shapes are malformed: {exc}") from None
+    if not all(is_integer(k) for shape in shapes for k in shape):
+        raise error("stored shapes must be lists of integers")
     sizes = [math.prod(shape) for shape in shapes]
     if any(k < 0 for shape in shapes for k in shape) or len(raw) != 16 * sum(sizes):
         raise error(f"{len(raw)} stored bytes do not fill the expected shapes with complex128")
@@ -389,6 +400,8 @@ def load_mps(path: str | Path) -> MatrixProductState:
     """Load a state written by :func:`save_mps`; a bad file raises ``InvalidSpec``."""
     keys = ("n", "d", "boundary", "shapes", "entries")
     doc = read_document(path, MPS_FORMAT_NAME, MPS_FORMAT_VERSION, keys, InvalidSpec)
+    if not (is_integer(doc["n"]) and is_integer(doc["d"])):
+        raise InvalidSpec(f"need integers n and d, got n={doc['n']!r}, d={doc['d']!r}")
     tensors = complex_arrays(doc["entries"], doc["shapes"], InvalidSpec)
     try:
         return MatrixProductState(n=doc["n"], d=doc["d"], boundary=doc["boundary"], tensors=tensors)

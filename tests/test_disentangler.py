@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpslearn import disentangler, errors, linalg
 
@@ -160,3 +161,76 @@ def test_threshold_rejects_non_finite_estimate():
     sigma = np.diag([0.5, 0.5, 0.0, np.nan]).astype(complex)
     with pytest.raises(errors.NonHermitian):
         disentangler.build_threshold(sigma, 2, 0.1)
+
+
+def gapped_density(dim, rank, seed):
+    """Trace-one density matrix of the given rank, eigenvalues within a factor 2."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(a)
+    values = rng.uniform(0.5, 1.0, rank)
+    return (q[:, :rank] * (values / values.sum())) @ q[:, :rank].conj().T
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    y=st.integers(6, 8),  # sides 64 to 256, all at least LOW_RANK_MIN_SIDE
+    p_drop=st.integers(0, 4),
+    rank_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_capped_low_rank_path_keeps_the_estimate(y, p_drop, rank_frac, seed):
+    p = y - 1 - p_drop
+    m = 2**p
+    rank = max(1, round(rank_frac * m))
+    sigma = gapped_density(2**y, rank, seed)
+    assert linalg.top_eigenpairs(sigma, m) is not None  # the path under test
+    dz = disentangler.build_rank_capped(sigma, 2, rank, p)
+    u = dz.unitary
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2**y))) <= 1e-12
+    rotated = u @ sigma @ u.conj().T
+    assert float(np.real(np.trace(rotated[m:, m:]))) <= 1e-12
+    if rank == m:  # gapped: the kept sector is the top-m eigenspace
+        vectors = np.linalg.eigh(sigma)[1][:, -m:]
+        kept = u[:m].conj().T
+        assert np.linalg.norm(kept @ kept.conj().T - vectors @ vectors.conj().T) <= 1e-10
+    again = disentangler.build_rank_capped(sigma.copy(), 2, rank, p)
+    assert again.unitary.tobytes() == u.tobytes()
+    assert again.selected.tobytes() == dz.selected.tobytes()
+
+
+def test_rank_capped_needs_no_full_eigensolver(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def small_only(a):
+        if a.shape[0] >= 256:
+            raise AssertionError("a full 256 x 256 eigensolve is not needed")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_only)
+    sigma = gapped_density(256, 16, seed=8)
+    dz = disentangler.build_rank_capped(sigma, 2, 16, 4)
+    u = dz.unitary
+    assert np.max(np.abs(u.conj().T @ u - np.eye(256))) <= 1e-12
+    assert float(np.real(np.trace((u @ sigma @ u.conj().T)[16:, 16:]))) <= 1e-12
+    with pytest.raises(AssertionError, match="not needed"):
+        linalg.hermitian_eig(sigma)
+
+
+def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
+    rng = np.random.default_rng(9)
+    full_rank = perturb_trace_norm(gapped_density(64, 8, seed=10), 1e-3, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    negative = (q * np.r_[0.6, 0.5, -0.1, np.zeros(61)]) @ q.conj().T
+    for sigma in (full_rank, negative):
+        assert linalg.top_eigenpairs(sigma, 8) is None
+        dz = disentangler.build_rank_capped(sigma, 2, 4, 3)
+        assert dz.unitary.tobytes() == linalg.hermitian_eig(sigma)[1].conj().T.tobytes()
+
+    def refuse(*args):
+        raise AssertionError("blocks below LOW_RANK_MIN_SIDE take the full eigenbasis")
+
+    monkeypatch.setattr(linalg, "top_eigenpairs", refuse)
+    sigma = gapped_density(32, 4, seed=11)
+    dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
+    assert dz.unitary.tobytes() == linalg.hermitian_eig(sigma)[1].conj().T.tobytes()

@@ -496,6 +496,34 @@ def _block_acted_not_a_flag(doc):
     doc["plan"]["layers"][0][0]["acted"] = "yes"
 
 
+def _p_is_a_flag(doc):
+    doc["p"] = True
+
+
+def _s1_is_a_flag(doc):
+    doc["plan"]["s1"] = True
+
+
+def _block_index_is_a_flag(doc):
+    doc["plan"]["layers"][0][0]["index"] = False
+
+
+def _unitary_layer_is_a_flag(doc):
+    doc["unitaries"][0]["layer"] = True
+
+
+def _unitary_index_is_a_flag(doc):
+    doc["unitaries"][0]["index"] = True
+
+
+def _site_label_is_a_flag(doc):
+    # site 1 listed as true still covers the sites 1..n exactly once
+    sites = doc["residual_sites"] + [s for layer in doc["projected_by_layer"] for s in layer]
+    assert 1 in sites
+    for layer in [doc["residual_sites"], *doc["projected_by_layer"]]:
+        layer[:] = [True if s == 1 else s for s in layer]
+
+
 def _huge_register(doc):
     # d**n with n = 10**6 has too many digits for Python to format
     doc["n"] = 10**6
@@ -520,7 +548,8 @@ def _huge_json_integer(doc):
      _projected_site_past_register, _projected_by_layer_too_short, _drop_unitary_layer,
      _drop_unitary_index, _drop_plan_field, _p_zero, _ell1_not_an_integer, _s1_not_an_integer,
      _k1_not_an_integer, _s1_amended_not_a_flag, _block_index_not_an_integer,
-     _block_acted_not_a_flag, _huge_register, _huge_residual, _huge_json_integer, None],
+     _block_acted_not_a_flag, _p_is_a_flag, _s1_is_a_flag, _block_index_is_a_flag,
+     _unitary_layer_is_a_flag, _unitary_index_is_a_flag, _site_label_is_a_flag, _huge_register, _huge_residual, _huge_json_integer, None],
     ids=lambda tamper: "_directory" if tamper is None else tamper.__name__,
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):

@@ -221,6 +221,21 @@ def _edit_entries(text, edit):
     return json.dumps(doc)
 
 
+def _one_site(text, n, shape):
+    """The document as a one-site state |0> with the given ``n`` and tensor shape."""
+    entries = mps.complex_entries([np.array([1.0, 0.0])])
+    return json.dumps({**json.loads(text), "n": n, "shapes": [shape], "entries": entries})
+
+
+def test_one_site_document_loads(tmp_path):
+    # the undamaged counterpart of the bool-n, bool-shape and float-shape cases
+    path = tmp_path / "state.json"
+    mps.save_mps(mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=12)), path)
+    path.write_text(_one_site(path.read_text(), n=1, shape=[2, 1, 1]))
+    state = mps.load_mps(path)
+    assert state.n == 1 and state.tensors[0].shape == (2, 1, 1)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -233,9 +248,13 @@ def _edit_entries(text, edit):
         # no entries to store, but a dimension numpy cannot index
         lambda text: json.dumps({**json.loads(text), "shapes": [[0, 10**30, 1]], "entries": ""}),
         None,  # a directory in place of the file
+        # JSON true where an integer is expected, in a file that loads with 1
+        lambda text: _one_site(text, n=True, shape=[2, 1, 1]),
+        lambda text: _one_site(text, n=1, shape=[2, True, True]),
+        lambda text: _one_site(text, n=1, shape=[2.0, 1, 1]),
     ],
     ids=["truncated", "missing-n", "extra-entry", "nan-entry", "huge-int", "huge-empty-shape",
-         "directory"],
+         "directory", "bool-n", "bool-shape", "float-shape"],
 )
 def test_load_rejects_damaged_files(tmp_path, damage):
     path = tmp_path / "state.json"
