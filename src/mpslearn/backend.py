@@ -59,7 +59,13 @@ def apply_unitary_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], d
 
 
 class StateBackend:
-    """A register of ``d``-level sites holding a pure or mixed dense state."""
+    """A register of ``d``-level sites holding a pure or mixed dense state.
+
+    The learner reaches the register only through ``n``, ``pure``, ``copy``,
+    ``success_mass``, ``rdm``, ``apply_unitary``, ``project_zero_and_drop``
+    and ``fidelity``; a register of another representation (a matrix product
+    state, say) needs just these.
+    """
 
     def __init__(self, state: np.ndarray, d: int, sites: Sequence[int] | None = None):
         state = np.asarray(state, dtype=complex)
@@ -100,6 +106,21 @@ class StateBackend:
         if self.pure:
             return float(np.real(np.vdot(self.state, self.state)))
         return float(np.real(np.trace(self.state)))
+
+    def fidelity(self, vector: np.ndarray) -> float:
+        """``|<v|psi>|^2`` for a pure register, ``<v|rho|v>`` for a mixed one.
+
+        ``vector`` lives on the held sites in ascending order, so it needs
+        ``d**n`` entries for the current ``n``.
+        """
+        v = np.asarray(vector, dtype=complex)
+        if v.shape != (self.d**self.n,):
+            raise DimensionMismatch(
+                f"vector of shape {v.shape} on a register of {self.n} sites of dimension {self.d}"
+            )
+        if self.pure:
+            return float(abs(np.vdot(v, self.state)) ** 2)
+        return float(np.real(v.conj() @ self.state @ v))
 
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
         return mps.block_rdm(self.state, (self.d,) * self.n, self.positions(site_labels))

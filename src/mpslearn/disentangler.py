@@ -111,9 +111,10 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     m = d**p
     if D_squared > m:
         raise RankCapExceedsDim(f"kept rank {D_squared} does not fit into kept dimension {m}")
-    pairs = linalg.top_eigenpairs(sigma_hat, m) if dim >= LOW_RANK_MIN_SIDE else None
+    a = linalg.require_hermitian(sigma_hat)  # once, for both paths
+    pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
     if pairs is None:
-        _, vectors = linalg.hermitian_eig(sigma_hat)
+        _, vectors = linalg._eigh_descending(a)
     else:
         _, top = pairs
         q, _ = np.linalg.qr(top, mode="complete")

@@ -20,7 +20,8 @@ layers (``plan`` is ``None``): the closing call then covers the whole register
 state directly instead of estimating it.  The learned circuit is walked in one
 place each way: backward to prepare the state (and the audit's stage
 operators), forward to disentangle a vector and, optionally, project out each
-layer's shed sites.
+layer's shed sites.  The run's final fidelity needs neither walk: it is the
+closing register's overlap with the residual.
 """
 from __future__ import annotations
 
@@ -189,11 +190,7 @@ class AuditTrail:
     def fidelity_against(self, phi: np.ndarray, j: int) -> float:
         """Overlap of stage ``j`` with a witness state, ``<phi| rho_j |phi>``."""
         self._check_layer(j)
-        snap = self.snapshots[j]
-        chi = residual_projection(self.circuit, phi, j)
-        if snap.pure:
-            return float(abs(np.vdot(snap.state, chi)) ** 2)
-        return float(np.real(chi.conj() @ snap.state @ chi))
+        return self.snapshots[j].fidelity(residual_projection(self.circuit, phi, j))
 
     def monotonicity_margin(self, j: int) -> float:
         """Smallest eigenvalue of ``rho_{j-1} - rho_j`` (non-negative in theory)."""
@@ -250,12 +247,6 @@ def _as_dense_input(state, d: int) -> np.ndarray:
     return arr
 
 
-def _fidelity(candidate: np.ndarray, reference: np.ndarray) -> float:
-    if reference.ndim == 1:
-        return float(abs(np.vdot(reference, candidate)) ** 2)
-    return float(np.real(candidate.conj() @ reference @ candidate))
-
-
 def learn(
     state,
     d: int,
@@ -302,6 +293,13 @@ def learn(
     Returns
     -------
     tuple[CircuitDescription, LearnReport]
+        The report's ``final_fidelity`` is read off the closing register by
+        :meth:`StateBackend.fidelity`: ``|<r| Pi U psi>|^2``, or
+        ``<r| Pi U rho U^dagger Pi |r>``, for the residual ``r``, the layers'
+        unitaries ``U`` and the projections ``Pi``.  No later layer acts on a
+        dropped site, so this equals the overlap of the input with
+        :func:`reconstruct_state`'s output, ``|<0 (x) r| U psi>|^2``, without
+        forming that d**n vector.
     """
     if variant not in ("exact", "closest"):
         raise BadParameter(f"variant must be 'exact' or 'closest', got {variant!r}")
@@ -485,7 +483,7 @@ def learn(
         tau=tau,
         seed=seed,
         oracle=mode.name,
-        final_fidelity=_fidelity(reconstruct_state(circuit), dense),
+        final_fidelity=backend.fidelity(residual),
         copies_used=copies_used,
         per_layer=per_layer,
         deviations=deviations,

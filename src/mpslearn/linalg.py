@@ -99,7 +99,11 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alone), so any orthonormal basis of a tied eigenspace may come back;
         equal inputs still give equal bits.
     """
-    a = require_hermitian(matrix)
+    return _eigh_descending(require_hermitian(matrix))
+
+
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eig` on a matrix :func:`require_hermitian` returned."""
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -259,7 +263,11 @@ def top_eigenpairs(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] 
     test a negative Ritz value would rank above discarded zeros.  A matrix
     of higher rank fails the first test.
     """
-    a = require_hermitian(matrix)
+    return _top_eigenpairs(require_hermitian(matrix), m)
+
+
+def _top_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`top_eigenpairs` on a matrix :func:`require_hermitian` returned."""
     dim = a.shape[0]
     if not 1 <= m <= dim:
         raise BadParameter(f"need 1 <= m <= {dim}, got m={m}")

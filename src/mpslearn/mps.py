@@ -85,11 +85,35 @@ class MatrixProductState:
         return max(self.bond_dimensions)
 
     def normalize(self) -> "MatrixProductState":
-        """Scale the first tensor so the expanded vector has unit norm."""
-        norm = float(np.linalg.norm(expand(self)))
-        if norm == 0.0:
+        """Rescale the tensors so the state has unit norm, without expanding it.
+
+        The squared norm is contracted left to right through the transfer
+        matrices, so the cost is linear in ``n`` and no dense vector is
+        formed.  The environment is rescaled at each site by its largest
+        entry ``s_k``, and site ``k``'s tensor by ``sqrt(s_k)``, so every
+        prefix stays of order one; the closing trace ``c`` is then spread as
+        ``c**(1 / 2n)`` over all tensors.  No single factor overflows or
+        underflows, even where the norm itself would (n = 1024, say).
+        """
+        first = self.tensors[0].shape[1]
+        # env[a, a', b, b']: ket and bra chains from the outer bonds (a, a')
+        # to the current bonds (b, b'), starting from the identity.
+        env = np.eye(first * first, dtype=complex).reshape((first,) * 4)
+        scales = []
+        for t in self.tensors:
+            env = np.tensordot(env, t.conj(), axes=([3], [1]))  # (a, a', b, i, c')
+            env = np.tensordot(env, t, axes=([2, 3], [1, 0]))  # (a, a', c', c)
+            env = env.swapaxes(2, 3)
+            scale = float(np.max(np.abs(env)))
+            if not 0.0 < scale < math.inf:
+                raise InvalidSpec("cannot normalize the zero state or a non-finite one")
+            env /= scale
+            scales.append(scale)
+        closing = float(np.real(np.einsum("abab->", env)))
+        if not closing > 0.0:
             raise InvalidSpec("cannot normalize the zero state")
-        self.tensors[0] = self.tensors[0] / norm
+        spread = closing ** (0.5 / self.n)
+        self.tensors = [t / (math.sqrt(s) * spread) for t, s in zip(self.tensors, scales)]
         return self
 
 
@@ -202,19 +226,25 @@ def _w_mps(n: int, d: int, boundary: str) -> MatrixProductState:
 
 
 def expand(mps: MatrixProductState) -> np.ndarray:
-    """Contract the tensor train into a dense state vector of length d**n."""
+    """Contract the tensor train into a dense state vector of length d**n.
+
+    One matrix product per site: the carry ``(a, x, b)`` holds the chain's
+    matrix ``[a, b]`` for each prefix string ``x``, and the step is
+    ``(a x, b) @ (b, i c)``, which appends digit ``i`` as the least
+    significant one.
+    """
     total = mps.d**mps.n
     if total > linalg.MAX_VECTOR_DIM:
         raise TooLarge(f"dense expansion of dimension {total} exceeds cap {linalg.MAX_VECTOR_DIM}")
-    # Carry T[(i_1 .. i_k), a, b] = (A_1[i_1] ... A_k[i_k])[a, b].
-    carry = np.asarray(mps.tensors[0], dtype=complex).copy()
-    d0 = carry.shape[1]
-    for a in mps.tensors[1:]:
-        carry = np.einsum("xab,ibc->xiac", carry, a)
-        carry = carry.reshape(carry.shape[0] * mps.d, d0, a.shape[2])
+    first = np.asarray(mps.tensors[0], dtype=complex)
+    outer = first.shape[1]
+    carry = first.transpose(1, 0, 2)
+    for t in mps.tensors[1:]:
+        step = np.asarray(t, dtype=complex).transpose(1, 0, 2).reshape(t.shape[1], -1)
+        carry = (carry.reshape(-1, t.shape[1]) @ step).reshape(outer, -1, t.shape[2])
     if mps.boundary == "open":
-        return carry[:, 0, 0].copy()
-    return np.trace(carry, axis1=1, axis2=2).copy()
+        return carry[0, :, 0].copy()
+    return np.trace(carry, axis1=0, axis2=2).copy()
 
 
 def block_rdm(state: np.ndarray, dims: Sequence[int], block: Sequence[int]) -> np.ndarray:

@@ -112,3 +112,19 @@ def test_backend_size_caps():
         StateBackend(np.zeros(2**20), 2)
     with pytest.raises(errors.DimensionMismatch):
         StateBackend(np.zeros(12), 2)
+
+
+def test_backend_fidelity_reads_the_held_sites():
+    psi = random_state(4, 2, seed=40)
+    witness = random_state(2, 2, seed=41)
+    pure = StateBackend(psi, 2)
+    mixed = StateBackend(np.outer(psi, psi.conj()), 2)
+    for register in (pure, mixed):
+        register.project_zero_and_drop([0, 2])
+    held = psi.reshape(2, 2, 2, 2)[0, :, 0, :].reshape(-1)  # sites 1 and 3 survive
+    expected = abs(np.vdot(witness, held)) ** 2
+    assert abs(pure.fidelity(witness) - expected) <= 1e-15
+    assert abs(mixed.fidelity(witness) - expected) <= 1e-15
+    for register in (pure, mixed):
+        with pytest.raises(errors.DimensionMismatch):
+            register.fidelity(random_state(3, 2, seed=42))

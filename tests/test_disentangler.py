@@ -230,7 +230,26 @@ def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
     def refuse(*args):
         raise AssertionError("blocks below LOW_RANK_MIN_SIDE take the full eigenbasis")
 
-    monkeypatch.setattr(linalg, "top_eigenpairs", refuse)
+    monkeypatch.setattr(linalg, "_top_eigenpairs", refuse)
     sigma = gapped_density(32, 4, seed=11)
     dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
     assert dz.unitary.tobytes() == linalg.hermitian_eig(sigma)[1].conj().T.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sigma, p",
+    [
+        (gapped_density(256, 16, seed=12), 4),  # low-rank path
+        (perturb_trace_norm(gapped_density(64, 8, seed=13), 1e-3, np.random.default_rng(14)), 3),
+        (gapped_density(32, 4, seed=15), 2),  # below LOW_RANK_MIN_SIDE
+    ],
+    ids=["low-rank", "fallback", "small"],
+)
+def test_rank_capped_validates_its_estimate_once(monkeypatch, sigma, p):
+    calls = []
+    require_hermitian = linalg.require_hermitian
+    monkeypatch.setattr(
+        linalg, "require_hermitian", lambda *a, **k: calls.append(1) or require_hermitian(*a, **k)
+    )
+    disentangler.build_rank_capped(sigma, 2, 4, p)
+    assert len(calls) == 1

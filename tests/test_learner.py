@@ -276,6 +276,43 @@ def test_closing_call_matches_full_eigensolve(monkeypatch, tmp_path, make_input,
     assert pa.read_bytes() == pb.read_bytes()
 
 
+_ORACLES = {
+    "exact": lambda: tomography.ExactMode(),
+    "bounded-noise": lambda: tomography.BoundedNoiseMode(seed=31),
+    "finite-sample": lambda: tomography.FiniteSampleMode(copies=200_000, seed=31),
+}
+
+
+@pytest.mark.parametrize("path", ["trivial", "layered"])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+@pytest.mark.parametrize("variant", ["exact", "closest"])
+def test_final_fidelity_matches_the_dense_reconstruction(monkeypatch, variant, oracle, kind, path):
+    # the fidelity read off the closing register against the overlap of the
+    # input with the dense reconstruction, which learn no longer builds
+    n = 4 if path == "trivial" else 8  # the finite-sample oracle stops at 4 qubits
+    phi = random_mps_vector(n, seed=32 + n)
+    state = phi if kind == "pure" else 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(2**n) / 2**n
+    kwargs = dict(variant=variant, mode=_ORACLES[oracle](), seed=33)
+    if variant == "closest" and path == "layered":
+        plan = planner.plan_layers(n, 2, 2)
+        kwargs["schedule"] = learner.LearnSchedule(plan, planner.eta_closest(0.5, 2, 2, n))
+    reconstruct_state = learner.reconstruct_state
+
+    def refuse(circuit):
+        raise AssertionError("learn rebuilt the dense output state")
+
+    monkeypatch.setattr(learner, "reconstruct_state", refuse)
+    circuit, report = learner.learn(state, 2, 2, 0.5, 0.01, **kwargs)
+    assert (report.M > 0) == (path == "layered")
+    out = reconstruct_state(circuit)
+    if kind == "pure":
+        reference = abs(np.vdot(state, out)) ** 2
+    else:
+        reference = float(np.real(out.conj() @ state @ out))
+    assert abs(report.final_fidelity - reference) <= 1e-12
+
+
 def test_theta_is_recorded_but_inert():
     psi = random_mps_vector(8, seed=18)
     circuit_a, report_a = learner.learn(psi, 2, 2, 0.2, 0.01, theta=0.9)
@@ -564,6 +601,12 @@ def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
         path.write_text(tamper(doc) or json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(path)
+
+
+def test_learn_past_the_dense_cap_raises_too_large():
+    state = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, seed=34))
+    with pytest.raises(errors.TooLarge):
+        learner.learn(state, 2, 2, 0.2, 0.01)
 
 
 def test_reconstruct_state_of_a_huge_register_raises_too_large():

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpslearn import errors, linalg, mps
 
@@ -22,6 +23,40 @@ def expand_by_matrix_products(state):
             chain = chain @ state.tensors[k][digits[k]]
         out[flat] = np.trace(chain)
     return out
+
+
+def expand_by_einsum(state):
+    """Chain contraction by einsum, one site at a time (the earlier expand)."""
+    carry = np.asarray(state.tensors[0], dtype=complex).copy()
+    outer = carry.shape[1]
+    for a in state.tensors[1:]:
+        carry = np.einsum("xab,ibc->xiac", carry, a)
+        carry = carry.reshape(carry.shape[0] * state.d, outer, a.shape[2])
+    if state.boundary == "open":
+        return carry[:, 0, 0].copy()
+    return np.trace(carry, axis1=1, axis2=2).copy()
+
+
+def transfer_log_norm(state):
+    """Log of the norm by transfer matrices, renormalized at every site."""
+    outer = state.tensors[0].shape[1]
+    env = np.einsum("ab,ef->aebf", np.eye(outer), np.eye(outer))
+    log_norm2 = 0.0
+    for t in state.tensors:
+        env = np.einsum("aebf,ibc,ifg->aecg", env, t, t.conj())
+        peak = np.max(np.abs(env))
+        env, log_norm2 = env / peak, log_norm2 + math.log(peak)
+    return 0.5 * (log_norm2 + math.log(np.real(np.einsum("abab->", env))))
+
+
+def raw_chain(n, d, bonds, boundary, rng):
+    """Unnormalized complex Gaussian tensors on the given bonds."""
+    tensors = [
+        rng.standard_normal((d, bonds[k], bonds[k + 1]))
+        + 1j * rng.standard_normal((d, bonds[k], bonds[k + 1]))
+        for k in range(n)
+    ]
+    return mps.MatrixProductState(n=n, d=d, boundary=boundary, tensors=tensors)
 
 
 def rdm_by_amplitude_sums(psi, dims, block):
@@ -47,6 +82,72 @@ def test_expand_matches_matrix_product_oracle(boundary):
         np.testing.assert_allclose(
             mps.expand(state), expand_by_matrix_products(state), atol=1e-12
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.sampled_from([2, 3]),
+    D=st.integers(1, 3),
+    boundary=st.sampled_from(["open", "periodic"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expand_matches_the_entrywise_matrix_products(n, d, D, boundary, seed):
+    rng = np.random.default_rng(seed)
+    bonds = [int(b) for b in rng.integers(1, D + 1, size=n + 1)]
+    if boundary == "open":
+        bonds[0] = bonds[-1] = 1
+    else:
+        bonds[-1] = bonds[0]
+    state = raw_chain(n, d, bonds, boundary, rng)
+    reference = expand_by_matrix_products(state)
+    psi = mps.expand(state)
+    assert psi.shape == (d**n,) and psi.flags.c_contiguous
+    assert np.linalg.norm(psi - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_normalize_matches_the_normalized_expansion(boundary):
+    rng = np.random.default_rng(41)
+    for n in range(1, 13):
+        for d in (2, 3):
+            if d**n > linalg.MAX_VECTOR_DIM:
+                continue
+            if boundary == "open":
+                bonds = [min(3, d**k, d ** (n - k)) for k in range(n + 1)]
+            else:
+                bonds = [2] * (n + 1)
+            state = raw_chain(n, d, bonds, boundary, rng)
+            reference = expand_by_einsum(state)
+            reference /= np.linalg.norm(reference)
+            psi = mps.expand(state.normalize())
+            assert np.max(np.abs(psi - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [17, 1024])
+def test_random_mps_past_the_dense_cap_is_normalized(n):
+    for boundary in ("open", "periodic"):
+        state = mps.random_mps(mps.StateSpec(n=n, d=2, D=2, boundary=boundary, seed=n))
+        for t in state.tensors:
+            peak = np.max(np.abs(t))
+            assert np.isfinite(t).all() and 1e-3 < peak < 1e3  # the scale is spread
+        assert abs(transfer_log_norm(state)) <= 1e-12
+    with pytest.raises(errors.TooLarge):
+        mps.expand(state)
+
+
+def test_normalize_rejects_the_zero_state():
+    tensors = [np.ones((2, 1, 1), dtype=complex), np.zeros((2, 1, 1), dtype=complex)]
+    with pytest.raises(errors.InvalidSpec, match="zero state"):
+        mps.MatrixProductState(n=2, d=2, boundary="open", tensors=tensors).normalize()
+    # a one-site ring of nilpotent matrices: nonzero tensors, every amplitude
+    # trace(X) = 0, so only the closing trace finds the zero state
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    ring = mps.MatrixProductState(
+        n=1, d=2, boundary="periodic", tensors=[np.stack([nilpotent, nilpotent])]
+    )
+    with pytest.raises(errors.InvalidSpec, match="zero state"):
+        ring.normalize()
 
 
 def test_expand_is_big_endian():
