@@ -30,41 +30,42 @@ def infer_site_count(size: int, d: int) -> int:
     return n
 
 
+def contract_block(
+    tensor: np.ndarray, op: np.ndarray, inputs: Sequence[int], outputs: Sequence[int], d: int
+) -> np.ndarray:
+    """Contract a ``d**k x d**y`` operator into ``y`` axes of a tensor of size-``d`` axes.
+
+    ``op`` sums over the ``inputs`` axes; its ``k`` output axes land at the
+    ``outputs`` positions of the result, and the other axes keep their order.
+    """
+    k, y = len(outputs), len(inputs)
+    op = op.reshape((d,) * (k + y))
+    moved = np.tensordot(op, tensor, axes=(list(range(k, k + y)), list(inputs)))
+    return np.moveaxis(moved, list(range(k)), list(outputs))
+
+
 def apply_unitary_vector(psi: np.ndarray, u: np.ndarray, axes: Sequence[int], d: int) -> np.ndarray:
     """Apply a block unitary to the given tensor axes of a state vector."""
     n = infer_site_count(psi.size, d)
-    axes = list(axes)
-    y = len(axes)
-    tensor = psi.reshape((d,) * n)
-    op = u.reshape((d,) * (2 * y))
-    moved = np.tensordot(op, tensor, axes=(list(range(y, 2 * y)), axes))
-    return np.moveaxis(moved, list(range(y)), axes).reshape(-1)
+    return contract_block(psi.reshape((d,) * n), u, axes, axes, d).reshape(-1)
 
 
 def apply_unitary_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], d: int) -> np.ndarray:
     """Conjugate a density matrix by a block unitary on the given sites."""
     n = infer_site_count(rho.shape[0], d)
-    axes = list(axes)
-    y = len(axes)
-    tensor = rho.reshape((d,) * (2 * n))
-    op = u.reshape((d,) * (2 * y))
-    # Row side.
-    moved = np.tensordot(op, tensor, axes=(list(range(y, 2 * y)), axes))
-    tensor = np.moveaxis(moved, list(range(y)), axes)
-    # Column side with the conjugate.
-    col_axes = [n + a for a in axes]
-    moved = np.tensordot(op.conj(), tensor, axes=(list(range(y, 2 * y)), col_axes))
-    tensor = np.moveaxis(moved, list(range(y)), col_axes)
-    return tensor.reshape(d**n, d**n)
+    tensor = contract_block(rho.reshape((d,) * (2 * n)), u, axes, axes, d)
+    columns = [n + a for a in axes]  # the column side, with the conjugate
+    return contract_block(tensor, u.conj(), columns, columns, d).reshape(d**n, d**n)
 
 
 class StateBackend:
     """A register of ``d``-level sites holding a pure or mixed dense state.
 
     The learner reaches the register only through ``n``, ``pure``, ``copy``,
-    ``success_mass``, ``rdm``, ``apply_unitary``, ``project_zero_and_drop``
-    and ``fidelity``; a register of another representation (a matrix product
-    state, say) needs just these.
+    ``success_mass``, ``rdm``, ``compress`` and ``fidelity``; a register of
+    another representation (a matrix product state, say) needs just these.
+    ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
+    that ``compress`` fuses.
     """
 
     def __init__(self, state: np.ndarray, d: int, sites: Sequence[int] | None = None):
@@ -137,15 +138,33 @@ class StateBackend:
         if not site_labels:
             return
         pos = sorted(self.positions(site_labels))
-        n = self.n
-        if self.pure:
-            tensor = self.state.reshape((self.d,) * n)
-            index = tuple(0 if i in pos else slice(None) for i in range(n))
-            self.state = tensor[index].reshape(-1).copy()
-        else:
-            tensor = self.state.reshape((self.d,) * (2 * n))
-            index = tuple(0 if i in pos else slice(None) for i in range(n))
-            tensor = tensor[index + index]
-            keep = n - len(pos)
-            self.state = tensor.reshape(self.d**keep, self.d**keep).copy()
+        sides = 1 if self.pure else 2
+        index = tuple(0 if i in pos else slice(None) for i in range(self.n))
+        tensor = self.state.reshape((self.d,) * (sides * self.n))[index * sides]
         self.sites = [s for i, s in enumerate(self.sites) if i not in pos]
+        self.state = tensor.reshape((self.d**self.n,) * sides).copy()
+
+    def compress(
+        self, isometry: np.ndarray, site_labels: Sequence[int], dropped: Sequence[int]
+    ) -> None:
+        """Apply ``W^dagger`` to a block and drop its leading sites, in one contraction.
+
+        ``dropped`` are the block's leading ``y - k`` sites, ``W`` is ``d**y x
+        d**k``.  Equals :meth:`apply_unitary` of any ``U`` whose ``U^dagger``
+        leads with ``W``, then :meth:`project_zero_and_drop` of ``dropped``.
+        """
+        labels, gone = list(site_labels), list(dropped)
+        y, k = len(labels), len(labels) - len(gone)
+        if labels[: len(gone)] != gone or isometry.shape != (self.d**y, self.d**k):
+            raise DimensionMismatch(f"no {isometry.shape} isometry drops {gone} of {labels}")
+        pos = self.positions(labels)
+        sites = [s for s in self.sites if s not in gone]
+        carried = [sites.index(s) for s in labels[len(gone) :]]
+        sides, m = 1 if self.pure else 2, len(sites)
+        tensor = self.state.reshape((self.d,) * (sides * self.n))
+        tensor = contract_block(tensor, isometry.conj().T, pos, carried, self.d)
+        if not self.pure:  # the column side, with the conjugate
+            columns = ([m + i for i in pos], [m + i for i in carried])
+            tensor = contract_block(tensor, isometry.T, *columns, self.d)
+        self.state = tensor.reshape((self.d**m,) * sides)
+        self.sites = sites

@@ -119,16 +119,6 @@ def budget_closest_previous(
     return multiplier * n**9 * D**8 * math.log(n / delta) / epsilon**8
 
 
-def final_tomo_budget(
-    d: int, p: int, epsilon: float, delta: float, n: int, multiplier: float = 1.0
-) -> float:
-    """Copies for the closing tomography call on the surviving tail."""
-    if d < 2 or p < 1:
-        raise BadParameter("need d >= 2 and p >= 1")
-    _check_common(max(n, 2), d, epsilon, delta)
-    return multiplier * d ** (2 * p) * math.log(n / delta) / epsilon**2
-
-
 def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float:
     """Tree-stage total over the closing-call cost, ``n eps**2 d**(2p) / (p eta**2)``.
 

@@ -1,25 +1,22 @@
-"""Block disentangling unitaries built from estimated block marginals.
+"""Block disentanglers built from estimated block marginals.
 
-Both constructions rotate a chosen subspace of a ``y``-qudit block into the
-sector where the leading qudits read zero, so that projecting those qudits
-onto zero and discarding them keeps the chosen subspace intact:
+Both constructions compress a ``y``-qudit block onto its trailing qudits
+while keeping a chosen subspace intact:
 
 * :func:`build_rank_capped` keeps the top ``D**2`` eigenvectors of the
   estimate and compresses the block onto its last ``p`` qudits.
 * :func:`build_threshold` keeps every eigenvector whose eigenvalue clears a
   threshold ``eta`` and compresses onto the fewest qudits that can hold them.
 
-The unitary's rows are the conjugates of an orthonormal basis whose leading
-columns are eigenvectors in descending eigenvalue order, so the ``r``-th
-basis vector maps to the ``r``-th computational basis state and the kept
-sector of width ``d**t`` is the span of the top ``d**t`` eigenvectors, which
-is what the learner's projection analysis relies on.  :func:`build_threshold`
-takes the full eigenbasis.  :func:`build_rank_capped` needs only the top
-``d**p`` eigenvectors, the kept width: on blocks of side at least
-``LOW_RANK_MIN_SIDE`` it takes them from :func:`linalg.top_eigenpairs`, in
-O(side^2 d**p) work, and completes them by a Householder QR; when those pairs
-cannot be certified (an estimate of rank above ``d**p``), and on smaller
-blocks, it takes the full eigenbasis.
+Each is stored as its isometry ``W``, the top eigenvectors in descending
+eigenvalue order.  Any unitary ``U`` with ``U^dagger = [W, C]`` maps column
+``r`` of ``W`` to computational basis state ``r``, so the kept sector
+(leading qudits zero) is the span of ``W``, which is all the learner's
+projection analysis relies on; :func:`unitary_from_isometry` builds one such
+``U`` where a full unitary is asked for.  :func:`build_rank_capped` takes
+the top ``d**p`` eigenvectors from :func:`linalg.top_eigenpairs` on blocks of
+side at least ``LOW_RANK_MIN_SIDE``, in O(side^2 d**p) work, and from the
+full eigenbasis on smaller blocks or when the pairs cannot be certified.
 """
 from __future__ import annotations
 
@@ -32,21 +29,32 @@ from .backend import infer_site_count
 from .errors import BadParameter, RankCapExceedsDim
 
 # Smallest block side on which build_rank_capped tries top_eigenpairs.  One
-# BLAS thread on a 2-vCPU VM, rank-m qubit inputs, QR completion included,
+# BLAS thread on a 2-vCPU VM, rank-m qubit inputs, full unitaries completed,
 # against hermitian_eig: side 16 (m = 4) 91 us vs 54 us, side 32 (m = 4)
-# 103 us vs 105 us, side 64 (m = 8) 186 us vs 387 us, side 256 (m = 16)
-# 2.3 ms vs 12.5 ms.
+# 103 us vs 105 us, side 64 (m = 8) 186 us vs 387 us, side 256 2.3 vs 12.5 ms.
 LOW_RANK_MIN_SIDE = 64
+
+
+def unitary_from_isometry(isometry: np.ndarray) -> np.ndarray:
+    """A block unitary ``U`` whose ``U^dagger`` leads with ``isometry``, bit for bit.
+
+    The rest of ``U^dagger`` is the Householder completion, columns ``k:`` of
+    ``np.linalg.qr(isometry, mode="complete")``, so equal isometries give equal bits.
+    """
+    k = isometry.shape[1]
+    q, _ = np.linalg.qr(isometry, mode="complete")
+    return np.concatenate([isometry, q[:, k:]], axis=1).conj().T
 
 
 @dataclasses.dataclass(frozen=True)
 class Disentangler:
-    """A block unitary together with the subspace it protects.
+    """A block isometry together with the subspace it protects.
 
     Attributes
     ----------
-    unitary : np.ndarray
-        ``(d**y, d**y)`` unitary acting on the block.
+    isometry : np.ndarray
+        ``(d**y, k)``: orthonormal eigenvectors in descending eigenvalue
+        order, with ``k = kept_dim`` unless the builder was given a width.
     d, y : int
         Local dimension and number of block qudits.
     kept_qudits : int
@@ -58,24 +66,25 @@ class Disentangler:
         above-threshold eigenvectors).  May have zero columns.
     """
 
-    unitary: np.ndarray
+    isometry: np.ndarray
     d: int
     y: int
     kept_qudits: int
     kept_dim: int
     selected: np.ndarray
 
+    @property
+    def unitary(self) -> np.ndarray:
+        """``(d**y, d**y)`` block unitary, built from the isometry on each access."""
+        return unitary_from_isometry(self.isometry)
+
 
 def _from_eigenbasis(
-    vectors: np.ndarray, d: int, kept_qudits: int, selected_count: int
+    vectors: np.ndarray, d: int, kept_qudits: int, selected_count: int, width: int
 ) -> Disentangler:
-    """Disentangler from an orthonormal basis (columns) led by the selected vectors."""
-    # Row r of the unitary is the conjugate of basis vector r, so the r-th
-    # vector maps to computational basis state r.  The kept sector (leading
-    # qudits zero) is then exactly the span of the leading vectors.
-    unitary = vectors.conj().T
+    """Disentangler from orthonormal columns led by the selected vectors."""
     return Disentangler(
-        unitary=unitary,
+        isometry=vectors[:, :width].copy(),
         d=d,
         y=infer_site_count(vectors.shape[0], d),
         kept_qudits=kept_qudits,
@@ -90,17 +99,14 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     The estimate must live on at least ``p`` qudits and satisfy
     ``D_squared <= d**p`` so the selected subspace fits into the kept sector.
 
-    The kept sector is the span of the top ``m = d**p`` eigenvectors.  On a
-    side of at least ``LOW_RANK_MIN_SIDE`` they come from
-    :func:`linalg.top_eigenpairs`, and the basis is completed by the columns
-    ``m:`` of ``np.linalg.qr(V, mode="complete")`` (Householder QR; Golub &
-    Van Loan, *Matrix Computations*, section 5.2), which depend only on
-    ``V``, not on a basis an eigensolver picks for the discarded part.  When
-    the side is smaller, or the pairs are not certified (the estimate has
-    rank above ``m``), the basis is :func:`linalg.hermitian_eig`'s full
-    eigenbasis.  Either way eigenvalues tied across the cut may come back
-    in any orthonormal basis of their eigenspace, and equal inputs give
-    equal bits.
+    The isometry is the top ``m = d**p`` eigenvectors, which span the kept
+    sector.  On a side of at least ``LOW_RANK_MIN_SIDE`` they come from
+    :func:`linalg.top_eigenpairs`.  When the side is smaller, or the pairs
+    are not certified (the estimate has rank above ``m``), they are the
+    leading columns of :func:`linalg.hermitian_eig`'s full eigenbasis.
+    Either way eigenvalues tied across the cut may come back in any
+    orthonormal basis of their eigenspace, and equal inputs give equal
+    bits.
     """
     dim = linalg.require_square(sigma_hat)
     y = infer_site_count(dim, d)
@@ -113,22 +119,21 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
         raise RankCapExceedsDim(f"kept rank {D_squared} does not fit into kept dimension {m}")
     a = linalg.require_hermitian(sigma_hat)  # once, for both paths
     pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
-    if pairs is None:
-        _, vectors = linalg._eigh_descending(a)
-    else:
-        _, top = pairs
-        q, _ = np.linalg.qr(top, mode="complete")
-        vectors = np.concatenate([top, q[:, m:]], axis=1)
-    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared)
+    vectors = linalg._eigh_descending(a)[1] if pairs is None else pairs[1]
+    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
 
 
-def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
+def build_threshold(
+    sigma_hat: np.ndarray, d: int, eta: float, p: int | None = None
+) -> Disentangler:
     """Disentangler keeping eigenvectors with eigenvalues above ``eta``.
 
     The estimate must be Hermitian with trace at most ``1 + 1e-9``; for a
     density-matrix input the number of kept vectors ``m`` is then below
     ``1/eta``.  Eigenvalues within ``1e-12`` of ``eta`` count as below it.
     The kept width is ``t = ceil(log_d m)`` qudits (zero when ``m <= 1``).
+    The isometry holds the top ``d**p`` eigenvectors, ``d**t`` when ``p`` is
+    not given: a learner that keeps ``p`` qudits per block asks for ``p``.
     """
     if eta <= 0:
         raise BadParameter(f"eta must be positive, got {eta}")
@@ -141,4 +146,5 @@ def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
     t = 0
     while d**t < m:  # smallest t with d**t >= m, in integer arithmetic
         t += 1
-    return _from_eigenbasis(vectors, d, kept_qudits=t, selected_count=m)
+    width = d ** (t if p is None else p)
+    return _from_eigenbasis(vectors, d, kept_qudits=t, selected_count=m, width=width)

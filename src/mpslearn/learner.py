@@ -2,10 +2,11 @@
 
 The learner walks the halving schedule from :mod:`mpslearn.planner`.  At each
 layer it estimates every acted block's marginal through a tomography oracle,
-builds a disentangling unitary per block, applies the unitaries, projects the
-shed qudits onto zero, and discards them.  After the last layer a final
-tomography call on the surviving tail yields the residual state, and the
-output circuit is the inverse of everything that was applied.
+builds a disentangling isometry ``W`` per block, and compresses each block by
+``W^dagger``: its unitary, then the projection of the shed qudits onto zero.
+After the last layer a final tomography call on the surviving tail yields the
+residual state, and the output circuit (one isometry per block) is the
+inverse of everything that was applied.
 
 Two variants share the loop.  The ``exact`` variant assumes the input is a
 bond-dimension-``D`` matrix product state and keeps the top ``D**2``
@@ -34,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps, tomography
-from .backend import StateBackend, apply_unitary_density, apply_unitary_vector
-from .disentangler import build_rank_capped, build_threshold
+from .backend import StateBackend, contract_block, infer_site_count
+from .disentangler import build_rank_capped, build_threshold, unitary_from_isometry
 from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
 from .planner import (
     LayerPlan,
@@ -49,7 +50,7 @@ from .planner import (
 )
 
 CIRCUIT_FORMAT_NAME = "disentangling-circuit"
-CIRCUIT_FORMAT_VERSION = 2
+CIRCUIT_FORMAT_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +63,11 @@ class LearnSchedule:
 
 @dataclasses.dataclass(frozen=True)
 class CircuitUnitary:
-    """One block unitary of the learned circuit (support is 1-based)."""
+    """One block of the learned circuit (support is 1-based).
+
+    ``matrix`` is the block's isometry ``W``, ``d**y x d**p`` for ``y``
+    support sites: the first ``d**p`` columns of the block unitary's inverse.
+    """
 
     layer: int
     index: int
@@ -397,7 +402,7 @@ def learn(
             if variant == "exact":
                 dz = build_rank_capped(outcome.estimate, d, D * D, p)
             else:
-                dz = build_threshold(outcome.estimate, d, eta)
+                dz = build_threshold(outcome.estimate, d, eta, p)
             charge = _charge(
                 variant, outcome.success_mass, D, d, len(block.support), eta, delta / n
             )
@@ -414,9 +419,9 @@ def learn(
                 )
             )
         for block, dz in built:
-            backend.apply_unitary(dz.unitary, [s - 1 for s in block.support])
-        for block in blocks:
-            backend.project_zero_and_drop([s - 1 for s in block.projected])
+            backend.compress(
+                dz.isometry, [s - 1 for s in block.support], [s - 1 for s in block.projected]
+            )
         if variant == "exact":
             drop_bound = 2.0 * math.sqrt(2.0 * eta * 2 ** (plan.M - j))
         else:
@@ -430,7 +435,7 @@ def learn(
             )
         )
         unitaries.extend(
-            CircuitUnitary(layer=j, index=b.index, support=b.support, matrix=dz.unitary.copy())
+            CircuitUnitary(layer=j, index=b.index, support=b.support, matrix=dz.isometry)
             for b, dz in built
         )
         if audit:
@@ -531,6 +536,20 @@ def _metadata(
     }
 
 
+def _apply_isometry(tensor: np.ndarray, w: np.ndarray, axes: list[int], d: int) -> np.ndarray:
+    """Apply a ``d**y x d**k`` isometry on the ``y`` tensor ``axes`` of a block.
+
+    ``w`` maps the trailing ``k`` axes onto all ``y``; the leading ones are
+    read at index 0, where the block must read |0>.  There this equals any
+    unitary completion of ``w``, at a share ``d**(k - y)`` of its cost.
+    """
+    y, k = len(axes), infer_site_count(w.shape[1], d)
+    zeros = axes[: y - k]
+    index = tuple(0 if a in zeros else slice(None) for a in range(tensor.ndim))
+    carried = [a - sum(z < a for z in zeros) for a in axes[y - k :]]
+    return contract_block(tensor[index], w, carried, axes, d)
+
+
 def _walk_backward(
     circuit: CircuitDescription, state: np.ndarray, sites: Sequence[int], j: int
 ) -> np.ndarray:
@@ -547,12 +566,13 @@ def _walk_backward(
     for s in sites:
         index[s] = slice(None)
     tensor[tuple(index) * sides] = state.reshape((d,) * (sides * len(sites)))
-    out = tensor.reshape((d**n,) * sides)
-    apply = apply_unitary_vector if sides == 1 else apply_unitary_density
     for layer in range(j, 0, -1):
         for u in circuit.layer_unitaries(layer):
-            out = apply(out, u.matrix.conj().T, [s - 1 for s in u.support], d)
-    return out
+            axes = [s - 1 for s in u.support]
+            tensor = _apply_isometry(tensor, u.matrix, axes, d)
+            if sides == 2:  # the column side, with the conjugate
+                tensor = _apply_isometry(tensor, u.matrix.conj(), [n + a for a in axes], d)
+    return tensor.reshape((d**n,) * sides)
 
 
 def _walk_forward(
@@ -560,8 +580,9 @@ def _walk_forward(
 ) -> np.ndarray:
     """Apply layers ``1..j`` of the circuit to a vector on the full register.
 
-    With ``project`` each layer's shed sites are then projected onto |0> and
-    dropped, so the result lives on the sites still held after layer ``j``.
+    Each block applies its isometry's unitary completion, or with ``project``
+    compresses by the isometry, dropping the layer's shed sites: the result
+    then lives on the sites still held after layer ``j``.
     """
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     if vec.size != circuit.d**circuit.n:
@@ -571,9 +592,11 @@ def _walk_forward(
     register = StateBackend(vec, circuit.d)
     for layer in range(1, j + 1):
         for u in circuit.layer_unitaries(layer):
-            register.apply_unitary(u.matrix, [s - 1 for s in u.support])
-        if project:
-            register.project_zero_and_drop([s - 1 for s in circuit.projected_by_layer[layer - 1]])
+            support = [s - 1 for s in u.support]
+            if project:
+                register.compress(u.matrix, support, support[: len(support) - circuit.p])
+            else:
+                register.apply_unitary(unitary_from_isometry(u.matrix), support)
     return register.state
 
 
@@ -638,9 +661,10 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
     """Contract the learned circuit into an open-boundary tensor train.
 
     Starts from the product of zeros and the residual, then applies each block
-    unitary's inverse in reverse layer order by contracting the spanned window
-    and re-splitting it with un-truncated SVDs (values below ``cutoff``
-    relative to the largest are pruned as numerical zeros).
+    isometry in reverse layer order by contracting the spanned window and
+    re-splitting it with un-truncated SVDs (values below ``cutoff`` relative
+    to the largest are pruned as numerical zeros).  A window of more than
+    ``2**24`` entries raises ``TooLarge`` before it is built.
     """
     d, n = circuit.d, circuit.n
     zero = np.zeros((d, 1, 1), dtype=complex)
@@ -658,23 +682,17 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
         for u in circuit.layer_unitaries(layer):
             lo, hi = u.support[0] - 1, u.support[-1] - 1
             width = hi - lo + 1
-            # Contract the window into one tensor (D_l, d**width, D_r).
-            carry = tensors[lo]
-            block = carry.transpose(1, 0, 2)  # (D_l, d, D_r)
-            left = block.shape[0]
-            window = block.reshape(left, d, -1)
+            # Size every partial window before contracting into (D_l, d**width, D_r).
+            left = tensors[lo].shape[1]
+            if max(left * d ** (k + 1) * tensors[lo + k].shape[2] for k in range(width)) > 2**24:
+                raise TooLarge("window contraction exceeds the desk-scale cap")
+            window = tensors[lo].transpose(1, 0, 2)  # (D_l, d, D_r)
             for site in range(lo + 1, hi + 1):
                 t = tensors[site]
                 window = np.einsum("lxa,iab->lxib", window, t)
                 window = window.reshape(left, -1, t.shape[2])
-            if window.shape[1] * window.shape[0] * window.shape[2] > 2**24:
-                raise TooLarge("window contraction exceeds the desk-scale cap")
-            rel = [s - 1 - lo for s in u.support]
-            y = len(u.support)
-            op = u.matrix.conj().T.reshape((d,) * (2 * y))
             t3 = window.reshape((left,) + (d,) * width + (window.shape[2],))
-            moved = np.tensordot(op, t3, axes=(list(range(y, 2 * y)), [1 + r for r in rel]))
-            t3 = np.moveaxis(moved, list(range(y)), [1 + r for r in rel])
+            t3 = _apply_isometry(t3, u.matrix, [s - lo for s in u.support], d)
             window = t3.reshape(left, d**width, -1)
             for offset, tensor in enumerate(_tt_split(window, d, width, cutoff)):
                 tensors[lo + offset] = tensor
@@ -685,7 +703,7 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
     """Write a versioned JSON description of the circuit.
 
-    Unitaries and the residual are stored bit for bit by
+    Block isometries and the residual are stored bit for bit by
     :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly and
     repeated saves are byte-identical.
     """
@@ -825,17 +843,20 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         if not mps.is_integer(index):
             raise MalformedCircuit(f"unitary index must be an integer, got {index!r}")
         support = _site_labels(support, n, "unitary support")
-        dim = d ** len(support)
-        (matrix,) = mps.complex_arrays(entries, [(dim, dim)], MalformedCircuit)
-        defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
+        (matrix,) = mps.complex_arrays(entries, [(d ** len(support), d**p)], MalformedCircuit)
+        defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d**p))))
         if defect > 1e-8:
-            raise MalformedCircuit(f"stored block unitary deviates from unitarity by {defect:.3e}")
+            raise MalformedCircuit(f"stored block isometry is off orthonormal by {defect:.3e}")
         unitaries.append(CircuitUnitary(layer=layer, index=index, support=support, matrix=matrix))
 
     projected = doc["projected_by_layer"]
     if not (isinstance(projected, list) and len(projected) == M):
         raise MalformedCircuit(f"projected_by_layer must list the projected sites of {M} layers")
     projected = tuple(_site_labels(layer, n, "projected sites") for layer in projected)
+    for layer, shed in enumerate(projected, start=1):
+        leading = [s for u in unitaries if u.layer == layer for s in u.support[:-p]]
+        if sorted(leading) != sorted(shed):
+            raise MalformedCircuit(f"layer {layer} must project the leading sites of its blocks")
     residual_sites = _site_labels(doc["residual_sites"], n, "residual sites")
     covered = [s for layer in projected for s in layer] + list(residual_sites)
     if len(covered) != n or sorted(covered) != list(range(1, n + 1)):

@@ -296,13 +296,6 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)))
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a square matrix."""
-    require_square(matrix)
-    s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
-    return float(s[0]) if s.size else 0.0
-
-
 def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):

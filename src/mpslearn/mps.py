@@ -80,10 +80,6 @@ class MatrixProductState:
         """Right bond dimension after each site (the last closes the ring)."""
         return tuple(t.shape[2] for t in self.tensors)
 
-    @property
-    def max_bond_dimension(self) -> int:
-        return max(self.bond_dimensions)
-
     def normalize(self) -> "MatrixProductState":
         """Rescale the tensors so the state has unit norm, without expanding it.
 
@@ -313,22 +309,6 @@ def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None
     left = math.prod(dims[:cut])
     s = np.linalg.svd(vector.reshape(left, -1), compute_uv=False)
     return int(np.count_nonzero(s**2 > tol))
-
-
-def mps_parameter_count(n: int, d: int, D: int, boundary: str = "open") -> int:
-    """Number of stored tensor entries for a chain of these dimensions.
-
-    Periodic boundary stores ``n * d * D**2`` entries.  Open boundary caps
-    each bond at the maximal achievable rank, so short chains store fewer.
-    """
-    if n < 1 or d < 2 or D < 1:
-        raise InvalidSpec(f"need n >= 1, d >= 2, D >= 1, got n={n}, d={d}, D={D}")
-    if boundary == "periodic":
-        return n * d * D * D
-    if boundary != "open":
-        raise InvalidSpec(f"unknown boundary {boundary!r}")
-    bonds = _open_bond_profile(n, d, D)
-    return sum(d * bonds[k] * bonds[k + 1] for k in range(n))
 
 
 def is_integer(value) -> bool:

@@ -141,10 +141,8 @@ def _suite_eckart_young(seed: int) -> SuiteResult:
         sigma, d, tomography.BoundedNoiseMode(eta=eta, seed=seed + 1)
     ).estimate
     dz = build_rank_capped(noisy, d, D * D, p)
-    y = len(block)
-    rotated = dz.unitary @ noisy @ dz.unitary.conj().T
-    kept = d**p
-    kept_mass = float(np.real(np.trace(rotated[:kept, :kept])))
+    w, kept = dz.isometry, d**p
+    kept_mass = float(np.real(np.trace(w.conj().T @ noisy @ w)))
     values, _ = linalg.hermitian_eig(noisy)
     top = float(np.sum(values[:kept]))
     checks.append(
@@ -154,8 +152,7 @@ def _suite_eckart_young(seed: int) -> SuiteResult:
             detail=f"|{kept_mass:.12f} - {top:.12f}| = {abs(kept_mass - top):.2e}",
         )
     )
-    rotated_true = dz.unitary @ sigma @ dz.unitary.conj().T
-    kept_true = float(np.real(np.trace(rotated_true[:kept, :kept])))
+    kept_true = float(np.real(np.trace(w.conj().T @ sigma @ w)))
     mu = float(np.real(np.trace(sigma)))
     checks.append(
         CheckResult(

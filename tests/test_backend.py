@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mpslearn import errors
 from mpslearn.backend import StateBackend, apply_unitary_density, apply_unitary_vector
+from mpslearn.disentangler import unitary_from_isometry
 
 
 def random_state(n, d, seed):
@@ -128,3 +130,50 @@ def test_backend_fidelity_reads_the_held_sites():
     for register in (pure, mixed):
         with pytest.raises(errors.DimensionMismatch):
             register.fidelity(random_state(3, 2, seed=42))
+
+
+@st.composite
+def compress_cases(draw):
+    """(d, n, pure, block sites, dropped leading sites, seed), blocks of side <= 81."""
+    d = draw(st.sampled_from([2, 3]))
+    pure = draw(st.booleans())
+    n = draw(st.integers(1, 8 if pure or d == 2 else 6))  # a density operator of side <= 729
+    y = draw(st.integers(1, min(n, 6 if d == 2 else 4)))
+    support = tuple(sorted(draw(st.permutations(range(n)))[:y]))
+    return d, n, pure, support, draw(st.integers(0, y)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=compress_cases())
+@example(case=(2, 8, False, (2, 3, 6, 7), 2, 0))  # two separated halves, as in a later layer
+@example(case=(2, 16, True, (4, 5, 6, 7, 12, 13, 14, 15), 4, 1))  # n = 16, p = 4, layer 2
+def test_compress_matches_the_unitary_then_the_projection(case):
+    d, n, pure, support, dropped, seed = case
+    rng = np.random.default_rng(seed)
+    y, k = len(support), len(support) - dropped
+    g = rng.standard_normal((d**y, d**k)) + 1j * rng.standard_normal((d**y, d**k))
+    w, _ = np.linalg.qr(g)
+    u = unitary_from_isometry(w)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d**y))) <= 1e-12
+    assert u.conj().T[:, : d**k].tobytes() == w.tobytes()
+    psi = random_state(n, d, seed % 1000)
+    labels = [3 * s + 1 for s in support]  # labels are not positions
+    register = StateBackend(psi if pure else np.outer(psi, psi.conj()), d, sites=range(1, 3 * n, 3))
+    reference = register.copy()
+    register.compress(w, labels, labels[:dropped])
+    reference.apply_unitary(u, labels)
+    reference.project_zero_and_drop(labels[:dropped])
+    assert register.sites == reference.sites
+    assert register.state.shape == reference.state.shape
+    assert np.max(np.abs(register.state - reference.state)) <= 1e-12
+
+
+def test_compress_refuses_a_mismatched_isometry():
+    register = StateBackend(random_state(3, 2, seed=43), 2)
+    w = np.eye(4, 2, dtype=complex)
+    with pytest.raises(errors.DimensionMismatch):
+        register.compress(w, [0, 1], [1])  # drops a trailing site
+    with pytest.raises(errors.DimensionMismatch):
+        register.compress(w, [0, 1], [])  # keeps two sites, w maps onto one
+    with pytest.raises(errors.BlockOutOfRange):
+        register.compress(w, [0, 5], [0])

@@ -111,6 +111,18 @@ def test_threshold_single_selection_needs_no_qudits():
     assert dz.kept_qudits == 0
 
 
+def test_threshold_isometry_keeps_the_requested_width():
+    rng = np.random.default_rng(16)
+    sigma = random_low_rank_density(16, 16, rng)
+    vectors = linalg.hermitian_eig(sigma)[1]
+    default = disentangler.build_threshold(sigma, 2, 0.1)
+    assert default.isometry.shape == (16, default.kept_dim)
+    for p in range(5):
+        dz = disentangler.build_threshold(sigma, 2, 0.1, p)
+        assert dz.kept_qudits == default.kept_qudits
+        assert dz.isometry.tobytes() == vectors[:, : 2**p].tobytes()
+
+
 def test_threshold_kept_count_beats_inverse_eta():
     rng = np.random.default_rng(5)
     for trial in range(100):
@@ -130,7 +142,7 @@ def test_threshold_projection_operator_norm_bound():
             dz = disentangler.build_threshold(sigma_hat, 2, eta)
             pi = dz.selected @ dz.selected.conj().T
             rejected = (np.eye(16) - pi) @ sigma @ (np.eye(16) - pi)
-            assert linalg.operator_norm(rejected) <= 2 * eta + 1e-12
+            assert np.linalg.norm(rejected, 2) <= 2 * eta + 1e-12
 
 
 def test_threshold_validates_input():
@@ -200,16 +212,24 @@ def test_rank_capped_low_rank_path_keeps_the_estimate(y, p_drop, rank_frac, seed
 
 
 def test_rank_capped_needs_no_full_eigensolver(monkeypatch):
-    eigh = np.linalg.eigh
+    eigh, qr = np.linalg.eigh, np.linalg.qr
 
     def small_only(a):
         if a.shape[0] >= 256:
             raise AssertionError("a full 256 x 256 eigensolve is not needed")
         return eigh(a)
 
+    def reduced_only(a, mode="reduced"):
+        if mode == "complete":
+            raise AssertionError("the isometry needs no completion")
+        return qr(a, mode)
+
     monkeypatch.setattr(np.linalg, "eigh", small_only)
     sigma = gapped_density(256, 16, seed=8)
-    dz = disentangler.build_rank_capped(sigma, 2, 16, 4)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", reduced_only)
+        dz = disentangler.build_rank_capped(sigma, 2, 16, 4)
+    assert dz.isometry.shape == (256, 16)
     u = dz.unitary
     assert np.max(np.abs(u.conj().T @ u - np.eye(256))) <= 1e-12
     assert float(np.real(np.trace((u @ sigma @ u.conj().T)[16:, 16:]))) <= 1e-12
@@ -225,7 +245,7 @@ def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
     for sigma in (full_rank, negative):
         assert linalg.top_eigenpairs(sigma, 8) is None
         dz = disentangler.build_rank_capped(sigma, 2, 4, 3)
-        assert dz.unitary.tobytes() == linalg.hermitian_eig(sigma)[1].conj().T.tobytes()
+        assert dz.isometry.tobytes() == linalg.hermitian_eig(sigma)[1][:, :8].tobytes()
 
     def refuse(*args):
         raise AssertionError("blocks below LOW_RANK_MIN_SIDE take the full eigenbasis")
@@ -233,7 +253,7 @@ def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
     monkeypatch.setattr(linalg, "_top_eigenpairs", refuse)
     sigma = gapped_density(32, 4, seed=11)
     dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
-    assert dz.unitary.tobytes() == linalg.hermitian_eig(sigma)[1].conj().T.tobytes()
+    assert dz.isometry.tobytes() == linalg.hermitian_eig(sigma)[1][:, :4].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mpslearn import (
+    disentangler,
     errors,
     learner,
     linalg,
@@ -463,6 +464,27 @@ def _nan_in_unitary(doc):
     doc["unitaries"][0]["entries"] = _encode(entries)
 
 
+def _isometry(doc):
+    u = doc["unitaries"][0]
+    return _decode(u["entries"]).reshape(2 ** len(u["support"]), 2 ** doc["p"])
+
+
+def _isometry_of_the_wrong_width(doc):
+    doc["unitaries"][0]["entries"] = _encode(_isometry(doc)[:, :-1])
+
+
+def _isometry_with_a_repeated_column(doc):
+    w = _isometry(doc)
+    w[:, 1] = w[:, 0]
+    doc["unitaries"][0]["entries"] = _encode(w)
+
+
+def _projected_sites_swapped_between_layers(doc):
+    # still a cover of the sites, but no layer projects its blocks' leading sites
+    first, second = doc["projected_by_layer"][:2]
+    first[0], second[0] = second[0], first[0]
+
+
 def _shorten_support(doc):
     doc["unitaries"][0]["support"].pop()
 
@@ -586,7 +608,9 @@ def _huge_json_integer(doc):
      _drop_unitary_index, _drop_plan_field, _p_zero, _ell1_not_an_integer, _s1_not_an_integer,
      _k1_not_an_integer, _s1_amended_not_a_flag, _block_index_not_an_integer,
      _block_acted_not_a_flag, _p_is_a_flag, _s1_is_a_flag, _block_index_is_a_flag,
-     _unitary_layer_is_a_flag, _unitary_index_is_a_flag, _site_label_is_a_flag, _huge_register, _huge_residual, _huge_json_integer, None],
+     _unitary_layer_is_a_flag, _unitary_index_is_a_flag, _site_label_is_a_flag, _huge_register, _huge_residual, _huge_json_integer, None,
+     _isometry_of_the_wrong_width, _isometry_with_a_repeated_column,
+     _projected_sites_swapped_between_layers],
     ids=lambda tamper: "_directory" if tamper is None else tamper.__name__,
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
@@ -630,3 +654,36 @@ def test_load_circuit_refuses_version_1_files(tmp_path):
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     with pytest.raises(errors.MalformedCircuit, match="version 1"):
         learner.load_circuit(path)
+
+
+def test_load_circuit_refuses_version_2_files(tmp_path):
+    # version 2 stored each block's full d**y x d**y unitary
+    circuit, _ = learner.learn(random_mps_vector(8, seed=27), 2, 2, 0.2, 0.01)
+    path = tmp_path / "circuit.json"
+    learner.save_circuit(circuit, path)
+    doc = json.loads(path.read_text())
+    for raw, u in zip(doc["unitaries"], circuit.unitaries):
+        raw["entries"] = _encode(disentangler.unitary_from_isometry(u.matrix))
+    doc.update(version=2)
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(errors.MalformedCircuit, match="version 2"):
+        learner.load_circuit(path)
+
+
+def test_extract_mps_refuses_a_huge_window_before_contracting(monkeypatch):
+    circuit, _ = learner.learn(random_mps_vector(8, seed=26), 2, 2, 0.2, 0.01)
+    n = 26  # one block on sites 1 and 26, so its window spans 2**26 entries
+    wide = dataclasses.replace(
+        circuit,
+        n=n,
+        unitaries=[learner.CircuitUnitary(1, 1, (1, n), np.eye(4, 2, dtype=complex))],
+        residual_sites=(n,),
+        residual=np.array([1.0, 0.0], dtype=complex),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window was contracted before the size check")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    with pytest.raises(errors.TooLarge):
+        learner.extract_mps(wide)

@@ -350,13 +350,6 @@ def test_trace_norm_matches_singular_values():
         assert abs(linalg.trace_norm(a) - expected) < 1e-10
 
 
-def test_operator_norm_matches_top_singular_value():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    expected = np.linalg.svd(a, compute_uv=False)[0]
-    assert abs(linalg.operator_norm(a) - expected) < 1e-10
-
-
 def test_partial_trace_product_state():
     rng = np.random.default_rng(13)
     dims = (2, 3, 2)

@@ -277,14 +277,6 @@ def test_contiguous_block_rank_capped_by_bond_squared():
                     assert linalg.numerical_rank(rdm, tol=1e-10) <= D * D
 
 
-def test_mps_parameter_count():
-    assert mps.mps_parameter_count(4, 2, 1) == 4 * 2
-    open_profile = mps.mps_parameter_count(6, 2, 3, boundary="open")
-    periodic = mps.mps_parameter_count(6, 2, 3, boundary="periodic")
-    assert periodic == 6 * 2 * 9
-    assert open_profile < periodic
-
-
 def test_save_load_round_trip(tmp_path):
     state = mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=12))
     path = tmp_path / "state.json"
