@@ -1,16 +1,29 @@
-"""Dense register simulator used by the tree learner.
+"""Registers the tree learner runs on: a dense one and a tensor-train one.
 
-Tracks a multi-qudit state through block unitaries and zero-projections.
-Pure inputs stay vectors: conditioning a pure state on a projective outcome
-keeps it pure, merely sub-normalized.  Mixed inputs are density matrices and
-are capped at a much smaller register since they square the memory cost.
+Which register ``learn`` uses follows from its input:
 
-The register remembers which original chain sites it still holds, so callers
-address operations by original 0-based site label while the arrays shrink as
-sites are projected out.
+* an open-boundary :class:`~mpslearn.mps.MatrixProductState` without
+  ``audit`` goes to :class:`MPSBackend`, which keeps the site tensors and never
+  forms a ``d**n`` object, so these runs have no dense cap: only each block's
+  window (``d**y * D_l * D_r`` entries) and the closing tail are capped;
+* everything else goes to :class:`StateBackend`, the dense reference path:
+  vectors, density matrices, periodic states (expanded) and audited runs
+  (whose snapshots are dense).  Pure inputs stay vectors; mixed inputs are
+  density matrices, capped at a much smaller register since they square the
+  memory cost.
+
+What stays capped: mixed and periodic inputs, ``audit=True`` and
+``reconstruct_state`` (all dense), and on every path a block window or tail
+too wide to hold, such as the closest variant's 36-site blocks at n = 64 and
+epsilon = 0.2.
+
+Both registers remember which original chain sites they still hold, so
+callers address operations by original 0-based site label while the held
+state shrinks as sites are dropped.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -61,9 +74,9 @@ def apply_unitary_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], d
 class StateBackend:
     """A register of ``d``-level sites holding a pure or mixed dense state.
 
-    The learner reaches the register only through ``n``, ``pure``, ``copy``,
-    ``success_mass``, ``rdm``, ``compress`` and ``fidelity``; a register of
-    another representation (a matrix product state, say) needs just these.
+    The learner reaches the register only through ``n``, ``pure``,
+    ``success_mass``, ``rdm``, ``compress`` and ``fidelity`` (and ``copy`` for
+    the audit's snapshots); :class:`MPSBackend` implements the same members.
     ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
     that ``compress`` fuses.
     """
@@ -168,3 +181,151 @@ class StateBackend:
             tensor = contract_block(tensor, isometry.T, *columns, self.d)
         self.state = tensor.reshape((self.d**m,) * sides)
         self.sites = sites
+
+
+def tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> list[np.ndarray]:
+    """Split ``(D_l, d**count, D_r)`` into ``(D_l, d, D_r)`` site tensors by repeated SVD.
+
+    Singular values below ``cutoff`` relative to the largest are numerical
+    zeros and are pruned; no other truncation happens.
+    """
+    left, _, right = window.shape
+    tensors: list[np.ndarray] = []
+    carry = window.reshape(left, d**count * right)
+    bond = left
+    for k in range(count - 1):
+        matrix = carry.reshape(bond * d, d ** (count - 1 - k) * right)
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        keep = int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 1
+        keep = max(keep, 1)
+        tensors.append(u[:, :keep].reshape(bond, d, keep))
+        carry = s[:keep, None] * vh[:keep]
+        bond = keep
+    tensors.append(carry.reshape(bond, d, right))
+    return tensors
+
+
+def window_size(tensors: Sequence[np.ndarray]) -> int:
+    """Entries of the largest array :func:`contract_window` builds from these tensors."""
+    left, width, largest = tensors[0].shape[0], 1, 0
+    for t in tensors:
+        width *= t.shape[1]
+        largest = max(largest, left * width * t.shape[2])
+    return largest
+
+
+def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract consecutive ``(D_l, d, D_r)`` site tensors into one ``(D_l, d**w, D_r)``.
+
+    The window's middle index is big-endian: the first site is its most
+    significant digit.  Size it with :func:`window_size` first.
+    """
+    window = tensors[0]
+    for t in tensors[1:]:
+        window = np.einsum("lxa,aib->lxib", window, t).reshape(window.shape[0], -1, t.shape[2])
+    return window
+
+
+class MPSBackend:
+    """A pure register held as open-boundary site tensors, never as a d**n vector.
+
+    Each held site keeps a ``(D_l, d, D_r)`` tensor.  A block must be a run of
+    consecutive held sites, and its window, the block's tensors contracted
+    into ``(D_l, d**y, D_r)``, must have at most ``MAX_PURE_DIM`` entries; both
+    are checked before anything is built (``BlockOutOfRange``,
+    ``BackendTooLarge``).  The left and right transfer environments, the
+    Gram matrices of the held state on either side of each bond, are built in
+    one sweep each and kept until the next :meth:`compress`, so a layer's
+    marginals cost two sweeps however many blocks it has.
+    """
+
+    pure = True
+
+    def __init__(self, state: mps.MatrixProductState):
+        if state.boundary != "open":
+            raise DimensionMismatch("the tensor-train register needs an open-boundary state")
+        self.d = state.d
+        self.tensors = [
+            np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
+        ]
+        self.sites = list(range(state.n))
+        self._left: list[np.ndarray] | None = None
+        self._right: list[np.ndarray] | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.sites)
+
+    def _window(self, labels: list[int]) -> tuple[int, int]:
+        """Positions ``lo:hi`` of a block held as consecutive sites, in this order."""
+        lo = bisect.bisect_left(self.sites, labels[0]) if labels else 0
+        hi = lo + len(labels)
+        if not labels or self.sites[lo:hi] != labels:
+            raise BlockOutOfRange(f"sites {labels} are not a run of consecutive held sites")
+        entries = window_size(self.tensors[lo:hi])
+        if entries > MAX_PURE_DIM:
+            raise BackendTooLarge(
+                f"the window of sites {labels[0]}..{labels[-1]} needs {entries} entries "
+                f"> cap {MAX_PURE_DIM}"
+            )
+        return lo, hi
+
+    def _left_envs(self) -> list[np.ndarray]:
+        """``L[k][a', a]``: the Gram matrix of the first ``k`` held sites, ``k = 0..n``."""
+        if self._left is None:
+            envs = [np.ones((1, 1), dtype=complex)]
+            for t in self.tensors:
+                a = t.reshape(-1, t.shape[2])
+                envs.append(a.conj().T @ (envs[-1] @ t.reshape(t.shape[0], -1)).reshape(a.shape))
+            self._left = envs
+        return self._left
+
+    def _right_envs(self) -> list[np.ndarray]:
+        """``R[k][b, b']``: the Gram matrix of the held sites from ``k`` on, ``k = 0..n``."""
+        if self._right is None:
+            envs = [np.ones((1, 1), dtype=complex)]
+            for t in reversed(self.tensors):
+                a = t.reshape(t.shape[0], -1)
+                envs.append((t.reshape(-1, t.shape[2]) @ envs[-1]).reshape(a.shape) @ a.conj().T)
+            self._right = envs[::-1]
+        return self._right
+
+    def success_mass(self) -> float:
+        return float(np.real(self._left_envs()[-1][0, 0]))
+
+    def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
+        lo, hi = self._window(sorted(site_labels))
+        left, right = self._left_envs()[lo], self._right_envs()[hi]
+        window = contract_window(self.tensors[lo:hi])
+        dl, dim, dr = window.shape
+        framed = (left @ window.reshape(dl, -1)).reshape(-1, dr) @ right
+        rdm = np.tensordot(framed.reshape(dl, dim, dr), window.conj(), axes=([0, 2], [0, 2]))
+        return (rdm + rdm.conj().T) / 2.0
+
+    def compress(
+        self, isometry: np.ndarray, site_labels: Sequence[int], dropped: Sequence[int]
+    ) -> None:
+        """:meth:`StateBackend.compress` on the block's window, re-split by :func:`tt_split`."""
+        labels, gone = list(site_labels), list(dropped)
+        y, k = len(labels), len(labels) - len(gone)
+        if k < 1 or labels[: len(gone)] != gone or isometry.shape != (self.d**y, self.d**k):
+            raise DimensionMismatch(f"no {isometry.shape} isometry drops {gone} of {labels}")
+        lo, hi = self._window(labels)
+        kept = isometry.conj().T @ contract_window(self.tensors[lo:hi])
+        self.tensors[lo:hi] = tt_split(kept, self.d, k)
+        self.sites[lo:hi] = labels[len(gone) :]
+        self._left = self._right = None
+
+    def expand(self) -> np.ndarray:
+        """The held state as a dense vector on the held sites (capped by :func:`mps.expand`)."""
+        tensors = [t.transpose(1, 0, 2) for t in self.tensors]
+        return mps.expand(mps.MatrixProductState(self.n, self.d, "open", tensors))
+
+    def fidelity(self, vector: np.ndarray) -> float:
+        """``|<v|psi>|^2`` for ``v`` on the held sites in ascending order."""
+        v = np.asarray(vector, dtype=complex)
+        if v.shape != (self.d**self.n,):
+            raise DimensionMismatch(
+                f"vector of shape {v.shape} on a register of {self.n} sites of dimension {self.d}"
+            )
+        return float(abs(np.vdot(v, self.expand())) ** 2)

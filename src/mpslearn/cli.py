@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import complexity, mps, tomography, verify
 from .errors import (
     BackendTooLarge,
@@ -153,10 +151,7 @@ def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mps.save_mps(state, out_dir / "state.json")
-    vec = mps.expand(state)
-    dims = [resolved["d"]] * resolved["n"]
-    profile = [mps.schmidt_rank(vec, cut, dims=dims) for cut in range(1, resolved["n"])]
-    for cut, rank in enumerate(profile, start=1):
+    for cut, rank in enumerate(mps.schmidt_profile(state), start=1):
         print(f"cut {cut}: rank {rank}")
     _write_manifest(out_dir, "gen", resolved, [], ["state.json"])
     return 0

@@ -59,7 +59,7 @@ class BadEpsilon(ValueError):
 
 
 class BackendTooLarge(ValueError):
-    """The dense state backend cannot hold a register of this size."""
+    """A register cannot hold a state, or a block's window, of this size."""
 
 
 class OracleFailure(RuntimeError):

@@ -35,7 +35,15 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps, tomography
-from .backend import StateBackend, contract_block, infer_site_count
+from .backend import (
+    MPSBackend,
+    StateBackend,
+    contract_block,
+    contract_window,
+    infer_site_count,
+    tt_split,
+    window_size,
+)
 from .disentangler import build_rank_capped, build_threshold, unitary_from_isometry
 from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
 from .planner import (
@@ -241,15 +249,18 @@ def _child_mode(mode: tomography.OracleMode, eta_budget: float, base: Sequence[i
     return dataclasses.replace(mode, **fill)
 
 
-def _as_dense_input(state, d: int) -> np.ndarray:
+def _register(state, d: int, audit: bool) -> StateBackend | MPSBackend:
+    """The register ``learn`` runs on (see :mod:`mpslearn.backend` for the rule)."""
     if isinstance(state, mps.MatrixProductState):
         if state.d != d:
             raise BadParameter(f"state has d={state.d}, learner called with d={d}")
-        return mps.expand(state)
+        if state.boundary == "open" and not audit:
+            return MPSBackend(state)
+        state = mps.expand(state)
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise BadParameter(f"state must be a vector or density matrix, got ndim {arr.ndim}")
-    return arr
+    return StateBackend(arr, d)
 
 
 def learn(
@@ -271,7 +282,10 @@ def learn(
     Parameters
     ----------
     state : MatrixProductState or np.ndarray
-        The input state: an MPS, a unit vector, or a density matrix.
+        The input state: an MPS, a unit vector, or a density matrix.  An
+        open-boundary MPS without ``audit`` runs on its tensors
+        (:class:`~mpslearn.backend.MPSBackend`, no d**n cap); every other
+        input runs on the dense :class:`~mpslearn.backend.StateBackend`.
     d, D : int
         Local dimension and the bond-dimension parameter of the guarantee.
     epsilon, delta : float
@@ -299,7 +313,7 @@ def learn(
     -------
     tuple[CircuitDescription, LearnReport]
         The report's ``final_fidelity`` is read off the closing register by
-        :meth:`StateBackend.fidelity`: ``|<r| Pi U psi>|^2``, or
+        its ``fidelity``: ``|<r| Pi U psi>|^2``, or
         ``<r| Pi U rho U^dagger Pi |r>``, for the residual ``r``, the layers'
         unitaries ``U`` and the projections ``Pi``.  No later layer acts on a
         dropped site, so this equals the overlap of the input with
@@ -318,11 +332,10 @@ def learn(
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")
 
-    dense = _as_dense_input(state, d)
-    backend = StateBackend(dense, d)
+    backend = _register(state, d, audit)
     n = backend.n
     mass = backend.success_mass()
-    if abs(mass - 1.0) > 1e-9:
+    if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
         raise BadParameter(f"input state must be normalized, got mass {mass}")
 
     deviations: list[str] = []
@@ -444,8 +457,10 @@ def learn(
     tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
     if plan is None and backend.pure and isinstance(call_mode, tomography.ExactMode):
-        # The exact oracle on the whole pure register returns the input itself.
-        residual = linalg.fix_phase(dense / np.linalg.norm(dense))
+        # The exact oracle on the whole pure register returns the input itself,
+        # which has at most 2p sites here.
+        held = backend.state if isinstance(backend, StateBackend) else backend.expand()
+        residual = linalg.fix_phase(held / np.linalg.norm(held))
         mass = 1.0
     else:
         if d ** len(tail) > linalg.MAX_DENSITY_DIM:
@@ -634,69 +649,40 @@ def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) ->
     return _walk_forward(circuit, phi, j, project=True)
 
 
-def _tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> list[np.ndarray]:
-    """Split ``(D_l, d**count, D_r)`` into site tensors by repeated SVD.
-
-    Singular values below ``cutoff`` relative to the largest are numerical
-    zeros and are pruned; no other truncation happens.
-    """
-    left, _, right = window.shape
-    tensors: list[np.ndarray] = []
-    carry = window.reshape(left, d**count * right)
-    bond = left
-    for k in range(count - 1):
-        matrix = carry.reshape(bond * d, d ** (count - 1 - k) * right)
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        keep = int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 1
-        keep = max(keep, 1)
-        u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-        tensors.append(np.transpose(u.reshape(bond, d, keep), (1, 0, 2)))
-        carry = s[:, None] * vh
-        bond = keep
-    tensors.append(np.transpose(carry.reshape(bond, d, right), (1, 0, 2)))
-    return tensors
-
-
 def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.MatrixProductState:
     """Contract the learned circuit into an open-boundary tensor train.
 
     Starts from the product of zeros and the residual, then applies each block
     isometry in reverse layer order by contracting the spanned window and
-    re-splitting it with un-truncated SVDs (values below ``cutoff`` relative
-    to the largest are pruned as numerical zeros).  A window of more than
-    ``2**24`` entries raises ``TooLarge`` before it is built.
+    re-splitting it with :func:`~mpslearn.backend.tt_split`'s un-truncated
+    SVDs (values below ``cutoff`` relative to the largest are pruned as
+    numerical zeros).  A window of more than ``2**24`` entries raises
+    ``TooLarge`` before it is built.
     """
     d, n = circuit.d, circuit.n
-    zero = np.zeros((d, 1, 1), dtype=complex)
+    zero = np.zeros((1, d, 1), dtype=complex)
     zero[0, 0, 0] = 1.0
-    tensors: list[np.ndarray] = [zero.copy() for _ in range(n)]
+    tensors = [zero.copy() for _ in range(n)]  # (D_l, d, D_r) until the end
 
     sites = sorted(circuit.residual_sites)
     if sites != list(range(sites[0], sites[-1] + 1)):
         raise MalformedCircuit(f"residual sites must be contiguous, got {sites}")
     window = circuit.residual.reshape(1, -1, 1)
-    for offset, tensor in enumerate(_tt_split(window, d, len(sites), cutoff)):
-        tensors[sites[0] - 1 + offset] = tensor
+    tensors[sites[0] - 1 : sites[-1]] = tt_split(window, d, len(sites), cutoff)
 
     for layer in range(circuit.num_layers, 0, -1):
         for u in circuit.layer_unitaries(layer):
-            lo, hi = u.support[0] - 1, u.support[-1] - 1
-            width = hi - lo + 1
-            # Size every partial window before contracting into (D_l, d**width, D_r).
-            left = tensors[lo].shape[1]
-            if max(left * d ** (k + 1) * tensors[lo + k].shape[2] for k in range(width)) > 2**24:
+            lo, hi = u.support[0] - 1, u.support[-1]
+            if window_size(tensors[lo:hi]) > 2**24:
                 raise TooLarge("window contraction exceeds the desk-scale cap")
-            window = tensors[lo].transpose(1, 0, 2)  # (D_l, d, D_r)
-            for site in range(lo + 1, hi + 1):
-                t = tensors[site]
-                window = np.einsum("lxa,iab->lxib", window, t)
-                window = window.reshape(left, -1, t.shape[2])
-            t3 = window.reshape((left,) + (d,) * width + (window.shape[2],))
+            window = contract_window(tensors[lo:hi])
+            left, right = window.shape[0], window.shape[2]
+            t3 = window.reshape((left,) + (d,) * (hi - lo) + (right,))
             t3 = _apply_isometry(t3, u.matrix, [s - lo for s in u.support], d)
-            window = t3.reshape(left, d**width, -1)
-            for offset, tensor in enumerate(_tt_split(window, d, width, cutoff)):
-                tensors[lo + offset] = tensor
+            window = t3.reshape(left, -1, right)
+            tensors[lo:hi] = tt_split(window, d, hi - lo, cutoff)
 
+    tensors = [t.transpose(1, 0, 2) for t in tensors]
     return mps.MatrixProductState(n=n, d=d, boundary="open", tensors=tensors)
 
 
@@ -848,6 +834,12 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         if defect > 1e-8:
             raise MalformedCircuit(f"stored block isometry is off orthonormal by {defect:.3e}")
         unitaries.append(CircuitUnitary(layer=layer, index=index, support=support, matrix=matrix))
+    for j in range(1, M + 1):
+        acted = sorted(b.support for b in plan.blocks(j) if b.acted)
+        if sorted(u.support for u in unitaries if u.layer == j) != acted:
+            raise MalformedCircuit(
+                f"layer {j} must store one isometry on each acted plan block and no other"
+            )
 
     projected = doc["projected_by_layer"]
     if not (isinstance(projected, list) and len(projected) == M):

@@ -292,23 +292,54 @@ def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None
     of eigenvalues of the left block's reduced density matrix above ``tol``.
     """
     if isinstance(state, MatrixProductState):
-        dims = (state.d,) * state.n
-        vector = expand(state)
-    else:
-        if dims is None:
-            raise DimensionMismatch("dims is required when passing a dense vector")
-        dims = tuple(int(x) for x in dims)
-        vector = np.asarray(state, dtype=complex).reshape(-1)
-        if vector.shape[0] != math.prod(dims):
-            raise DimensionMismatch(
-                f"vector length {vector.shape[0]} does not match prod(dims) = {math.prod(dims)}"
-            )
+        if not 1 <= cut <= state.n - 1:
+            raise BadCut(f"cut must be in 1..{state.n - 1}, got {cut}")
+        return schmidt_profile(state, tol)[cut - 1]
+    if dims is None:
+        raise DimensionMismatch("dims is required when passing a dense vector")
+    dims = tuple(int(x) for x in dims)
+    vector = np.asarray(state, dtype=complex).reshape(-1)
+    if vector.shape[0] != math.prod(dims):
+        raise DimensionMismatch(
+            f"vector length {vector.shape[0]} does not match prod(dims) = {math.prod(dims)}"
+        )
     n = len(dims)
     if not 1 <= cut <= n - 1:
         raise BadCut(f"cut must be in 1..{n - 1}, got {cut}")
     left = math.prod(dims[:cut])
     s = np.linalg.svd(vector.reshape(left, -1), compute_uv=False)
     return int(np.count_nonzero(s**2 > tol))
+
+
+def schmidt_profile(state: MatrixProductState, tol: float = 1e-10) -> list[int]:
+    """The Schmidt rank at every cut ``1 .. n-1``, counted as :func:`schmidt_rank` does.
+
+    An open-boundary state is made left-canonical by a QR sweep; a
+    right-to-left SVD sweep then reads each cut's singular values off one bond
+    matrix, so no d**n vector is formed and any ``n`` works.  A periodic state
+    is expanded, under :func:`expand`'s cap.
+    """
+    n, d = state.n, state.d
+    if state.boundary == "periodic":
+        vector = expand(state)
+        return [schmidt_rank(vector, cut, tol, dims=(d,) * n) for cut in range(1, n)]
+    tensors = [np.transpose(t, (1, 0, 2)) for t in state.tensors]  # (D_l, d, D_r)
+    carry = np.ones((1, 1), dtype=complex)
+    for k, t in enumerate(tensors):
+        merged = (carry @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+        if k == n - 1:
+            tensors[k] = merged.reshape(-1, d, 1)
+        else:
+            q, carry = np.linalg.qr(merged)
+            tensors[k] = q.reshape(-1, d, q.shape[1])
+    ranks = []
+    carry = np.ones((1, 1), dtype=complex)
+    for t in tensors[:0:-1]:
+        merged = (t.reshape(-1, t.shape[2]) @ carry).reshape(t.shape[0], -1)
+        u, s, _ = np.linalg.svd(merged, full_matrices=False)
+        ranks.append(int(np.count_nonzero(s**2 > tol)))
+        carry = u * s
+    return ranks[::-1]
 
 
 def is_integer(value) -> bool:

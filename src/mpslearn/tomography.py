@@ -194,9 +194,11 @@ def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -
         raise TooLarge(
             f"finite-sample simulation is capped at block dimension 16, got {dim}"
         )
-    rng = np.random.default_rng(mode.seed)
+    # The survivors come from a stream of their own, so the measurement draws
+    # do not hinge on whether the mass rounds to 1 or to just below it.
+    survive, rng = (np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(2))
     mu = float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0))
-    survivors = int(rng.binomial(mode.copies, mu)) if mu < 1.0 else mode.copies
+    survivors = int(survive.binomial(mode.copies, mu))
     if survivors == 0:
         return np.zeros_like(sigma)
     normalized = sigma / np.trace(sigma)

@@ -17,8 +17,6 @@ from .disentangler import build_rank_capped, build_threshold
 from .errors import BadParameter
 from .learner import LearnSchedule, learn
 from .planner import (
-    SQRT2_GAP,
-    copy_scale_base,
     eta_closest,
     eta_exact,
     lambert_w,

@@ -1,11 +1,16 @@
-"""Dense register simulation tests."""
+"""Register tests: the dense register, and the tensor-train register against it."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpslearn import errors
-from mpslearn.backend import StateBackend, apply_unitary_density, apply_unitary_vector
+from mpslearn import errors, mps
+from mpslearn.backend import (
+    MPSBackend,
+    StateBackend,
+    apply_unitary_density,
+    apply_unitary_vector,
+)
 from mpslearn.disentangler import unitary_from_isometry
 
 
@@ -177,3 +182,69 @@ def test_compress_refuses_a_mismatched_isometry():
         register.compress(w, [0, 1], [])  # keeps two sites, w maps onto one
     with pytest.raises(errors.BlockOutOfRange):
         register.compress(w, [0, 5], [0])
+
+
+@st.composite
+def register_walks(draw):
+    """(d, n, D, seed, steps): compressions of runs of consecutive held sites."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8 if d == 2 else 6))
+    steps, held = [], n
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.integers(1, min(held, 4 if d == 2 else 3)))
+        lo = draw(st.integers(0, held - y))
+        dropped = draw(st.integers(0, y - 1))
+        steps.append((lo, y, dropped))
+        held -= dropped
+    return d, n, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=register_walks())
+@example(walk=(2, 8, 2, 0, [(0, 4, 2), (2, 4, 2), (0, 4, 2)]))  # an n = 8, p = 2 plan
+def test_the_tensor_train_register_matches_the_dense_register(walk):
+    d, n, D, seed, steps = walk
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    train, dense = MPSBackend(state), StateBackend(mps.expand(state), d)
+
+    def agree():
+        assert train.sites == dense.sites
+        assert abs(train.success_mass() - dense.success_mass()) <= 1e-12
+        for lo in range(train.n):
+            for hi in range(lo + 1, min(lo + 3, train.n) + 1):
+                block = train.sites[lo:hi]
+                assert np.max(np.abs(train.rdm(block) - dense.rdm(block))) <= 1e-12
+        assert np.max(np.abs(train.expand() - dense.state)) <= 1e-12
+        witness = random_state(train.n, d, seed % 997)
+        assert abs(train.fidelity(witness) - dense.fidelity(witness)) <= 1e-12
+
+    agree()
+    for lo, y, dropped in steps:
+        labels = train.sites[lo : lo + y]
+        g = rng.standard_normal((d**y, d ** (y - dropped)))
+        w, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
+        train.compress(w, labels, labels[:dropped])
+        dense.compress(w, labels, labels[:dropped])
+        agree()
+
+
+def test_the_tensor_train_register_refuses_gaps_and_wide_windows():
+    state = mps.random_mps(mps.StateSpec(n=6, d=2, D=2, seed=44))
+    register = MPSBackend(state)
+    w = np.eye(4, 2, dtype=complex)
+    register.compress(w, [2, 3], [2])
+    assert register.rdm([1, 3]).shape == (4, 4)  # consecutive once site 2 is gone
+    for block in ([0, 3], [2], [5, 6]):  # a gap, a dropped site, off the end
+        with pytest.raises(errors.BlockOutOfRange):
+            register.rdm(block)
+    with pytest.raises(errors.BlockOutOfRange):
+        register.compress(w, [4, 3], [4])  # held sites out of order
+    with pytest.raises(errors.DimensionMismatch):
+        register.compress(np.eye(4, 1, dtype=complex), [0, 1], [0, 1])  # keeps no site
+    wide = MPSBackend(mps.random_mps(mps.StateSpec(n=18, d=2, D=1, kind="product", seed=45)))
+    with pytest.raises(errors.BackendTooLarge):
+        wide.rdm(range(17))  # a window of 2**17 entries, over the cap of 2**16
+    ring = mps.random_mps(mps.StateSpec(n=4, d=2, D=2, boundary="periodic", seed=46))
+    with pytest.raises(errors.DimensionMismatch):
+        MPSBackend(ring)

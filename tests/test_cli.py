@@ -96,6 +96,21 @@ def learn_config(tmp_path: Path, state_dir: Path, **overrides) -> str:
     return write_config(tmp_path / "learn.json", doc)
 
 
+def test_gen_then_learn_at_n_64(tmp_path, capsys):
+    # past the dense cap of 2**16 amplitudes: the profile and the learner stay on the tensors
+    gen_out = run_gen(tmp_path, n=64)
+    ranks = [l for l in capsys.readouterr().out.splitlines() if l.startswith("cut")]
+    assert ranks == [f"cut {cut}: rank 2" for cut in range(1, 64)]
+    out = tmp_path / "learn"
+    assert cli.main(["learn", "--config", learn_config(tmp_path, gen_out), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["n"], report["M"]) == (64, 5)
+    assert report["final_fidelity"] > 1 - 1e-9
+    first = (out / "circuit.json").read_bytes()
+    assert cli.main(["learn", "--config", learn_config(tmp_path, gen_out), "--out", str(out)]) == 0
+    assert (out / "circuit.json").read_bytes() == first
+
+
 def test_learn_pipeline_outputs(tmp_path, capsys):
     gen_out = run_gen(tmp_path)
     config = learn_config(tmp_path, gen_out)

@@ -33,3 +33,29 @@ def test_every_traced_target_resolves():
             assert hasattr(target, attribute), path
             target = getattr(target, attribute)
         assert callable(target), path
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (``__future__`` imports aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names only to re-export them
+    package = Path(mpslearn.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mpslearn import (
     disentangler,
@@ -337,6 +338,8 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 0, 0.2, 0.01)
     with pytest.raises(errors.BadParameter):
         learner.learn(psi * 2.0, 2, 2, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter, match="mass nan"):
+        learner.learn(psi * np.nan, 2, 2, 0.2, 0.01)
     with pytest.raises(errors.BadParameter, match="unknown oracle mode"):
         learner.learn(psi, 2, 2, 0.2, 0.01, mode=object())
 
@@ -583,6 +586,11 @@ def _site_label_is_a_flag(doc):
         layer[:] = [True if s == 1 else s for s in layer]
 
 
+def _plan_block_without_its_isometry(doc):
+    # the isometries still act on (1, 2, 3, 4) and (5, 6, 7, 8)
+    doc["plan"]["layers"][0][0].update(support=[1, 2], projected=[1, 2], acted=False)
+
+
 def _huge_register(doc):
     # d**n with n = 10**6 has too many digits for Python to format
     doc["n"] = 10**6
@@ -610,7 +618,7 @@ def _huge_json_integer(doc):
      _block_acted_not_a_flag, _p_is_a_flag, _s1_is_a_flag, _block_index_is_a_flag,
      _unitary_layer_is_a_flag, _unitary_index_is_a_flag, _site_label_is_a_flag, _huge_register, _huge_residual, _huge_json_integer, None,
      _isometry_of_the_wrong_width, _isometry_with_a_repeated_column,
-     _projected_sites_swapped_between_layers],
+     _projected_sites_swapped_between_layers, _plan_block_without_its_isometry],
     ids=lambda tamper: "_directory" if tamper is None else tamper.__name__,
 )
 def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
@@ -627,10 +635,92 @@ def test_load_circuit_raises_malformed_circuit(tmp_path, tamper):
         learner.load_circuit(path)
 
 
-def test_learn_past_the_dense_cap_raises_too_large():
+def _learn_or_error(state, d, D, mode, seed):
+    try:
+        return learner.learn(state, d, D, 0.2, 0.01, mode=mode, seed=seed)[1]
+    except (errors.TooLarge, errors.BackendTooLarge) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(1, 12),
+    D=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    oracle=st.sampled_from(sorted(_ORACLES)),
+)
+@example(d=2, n=12, D=2, seed=1, oracle="exact")
+@example(d=2, n=12, D=2, seed=2, oracle="finite-sample")
+@example(d=2, n=12, D=3, seed=3, oracle="bounded-noise")
+@example(d=3, n=10, D=3, seed=4, oracle="exact")
+def test_the_tensor_train_register_learns_what_the_dense_register_learns(d, n, D, seed, oracle):
+    n = min(n, 10) if d == 3 else n  # the dense register holds at most 2**16 entries
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed))
+    mode = _ORACLES[oracle]()
+    if not isinstance(mode, tomography.ExactMode):
+        mode = dataclasses.replace(mode, seed=seed)
+    train = _learn_or_error(state, d, D, mode, seed)  # an open MPS: the tensor-train register
+    dense = _learn_or_error(mps.expand(state), d, D, mode, seed)
+    if isinstance(dense, type):  # blocks too wide for the finite-sample oracle
+        assert train is dense
+        return
+    assert (train.M, train.copies_used) == (dense.M, dense.copies_used)
+    assert abs(train.final_fidelity - dense.final_fidelity) <= 1e-10
+    for layer, reference in zip(train.per_layer, dense.per_layer, strict=True):
+        assert abs(layer.success_mass - reference.success_mass) <= 1e-10
+        for block, ref in zip(layer.blocks, reference.blocks, strict=True):
+            assert abs(block.success_mass - ref.success_mass) <= 1e-10
+            assert abs(block.estimate_error - ref.estimate_error) <= 1e-10
+
+
+def test_audited_learn_past_the_dense_cap_raises_too_large():
+    # audited and periodic runs stay on the dense register, capped at d**n <= 2**16
     state = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, seed=34))
     with pytest.raises(errors.TooLarge):
-        learner.learn(state, 2, 2, 0.2, 0.01)
+        learner.learn(state, 2, 2, 0.2, 0.01, audit=True)
+    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, boundary="periodic", seed=34))
+    with pytest.raises(errors.TooLarge):
+        learner.learn(ring, 2, 2, 0.2, 0.01)
+
+
+def test_exact_learn_of_an_open_mps_runs_far_past_the_dense_cap():
+    state = mps.random_mps(mps.StateSpec(n=64, d=2, D=2, seed=35))
+    circuit, report = learner.learn(state, 2, 2, 0.2, 0.01)
+    assert (report.n, report.M, len(circuit.residual_sites)) == (64, 5, 2)
+    assert report.final_fidelity >= 1.0 - 1e-9
+
+
+def test_bounded_noise_learn_of_an_open_mps_at_n_256_meets_epsilon():
+    state = mps.random_mps(mps.StateSpec(n=256, d=2, D=2, seed=36))
+    mode = tomography.BoundedNoiseMode(seed=36)
+    _, report = learner.learn(state, 2, 2, 0.2, 0.01, mode=mode, seed=36)
+    assert report.M == 7
+    assert all(b.estimate_error > 0.0 for layer in report.per_layer for b in layer.blocks)
+    assert report.final_fidelity >= 1.0 - 0.2
+
+
+def test_closest_learn_at_n_64_refuses_its_block_window_before_contracting(monkeypatch):
+    # blocks of 2p = 36 sites: a window of 2**36 * D_l * D_r entries
+    state = mps.random_mps(mps.StateSpec(n=64, d=2, D=2, seed=37))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was contracted before the size check")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np, "tensordot", refuse)
+    with pytest.raises(errors.BackendTooLarge, match="window"):
+        learner.learn(state, 2, 2, 0.2, 0.01, variant="closest")
+
+
+def test_a_block_not_contiguous_among_the_held_sites_raises_block_out_of_range():
+    state = mps.random_mps(mps.StateSpec(n=8, d=2, D=2, seed=38))
+    plan = planner.plan_layers(8, 2, 2)
+    first, *rest = plan.layers[0]
+    gapped = dataclasses.replace(first, support=(1, 2, 3, 5), projected=(1, 2), carried=(3, 5))
+    plan = dataclasses.replace(plan, layers=((gapped, *rest), *plan.layers[1:]))
+    with pytest.raises(errors.BlockOutOfRange, match="consecutive"):
+        learner.learn(state, 2, 2, 0.2, 0.01, schedule=learner.LearnSchedule(plan, 1e-3))
 
 
 def test_reconstruct_state_of_a_huge_register_raises_too_large():

@@ -254,6 +254,28 @@ def test_schmidt_rank_tracks_bond_profile():
         assert mps.schmidt_rank(psi, cut, dims=(2,) * 6) == expected
 
 
+@pytest.mark.parametrize(
+    "kind, D", [("random", 1), ("random", 2), ("random", 3), ("ghz", 2), ("product", 1), ("w-state", 2)]
+)
+def test_schmidt_profile_matches_the_dense_ranks(kind, D):
+    # open states by the SVD sweep, periodic ones expanded: the same ranks either way
+    for n in range(2, 13):
+        for boundary in ("open", "periodic"):
+            state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, boundary=boundary, kind=kind, seed=n))
+            psi = mps.expand(state)
+            dense = [mps.schmidt_rank(psi, cut, dims=(2,) * n) for cut in range(1, n)]
+            assert mps.schmidt_profile(state) == dense, (n, boundary)
+
+
+def test_schmidt_profile_of_an_open_state_runs_past_the_dense_cap():
+    state = mps.random_mps(mps.StateSpec(n=40, d=3, D=4, seed=47))
+    assert mps.schmidt_profile(state) == [min(4, 3**c, 3 ** (40 - c)) for c in range(1, 40)]
+    assert mps.schmidt_rank(state, 20) == 4
+    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, boundary="periodic", seed=47))
+    with pytest.raises(errors.TooLarge):
+        mps.schmidt_profile(ring)
+
+
 def test_periodic_schmidt_rank_bounded_by_bond_squared():
     state = mps.random_mps(mps.StateSpec(n=6, d=2, D=2, boundary="periodic", seed=8))
     psi = mps.expand(state)
