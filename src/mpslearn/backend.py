@@ -5,7 +5,10 @@ Which register ``learn`` uses follows from its input:
 * an open-boundary :class:`~mpslearn.mps.MatrixProductState` without
   ``audit`` goes to :class:`MPSBackend`, which keeps the site tensors and never
   forms a ``d**n`` object, so these runs have no dense cap: only each block's
-  window (``d**y * D_l * D_r`` entries) and the closing tail are capped;
+  window (``d**y * D_l * D_r`` entries) and the closing tail are capped.  Its
+  :meth:`MPSBackend.rdm_factor` gives a block marginal as ``F F^H`` for a thin
+  ``d**y x (D_l * D_r)`` factor ``F``; the exact variant under the exact
+  oracle builds its isometries from ``F`` and never forms the marginal;
 * everything else goes to :class:`StateBackend`, the dense reference path:
   vectors, density matrices, periodic states (expanded) and audited runs
   (whose snapshots are dense).  Pure inputs stay vectors; mixed inputs are
@@ -205,6 +208,15 @@ def tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> l
     return tensors
 
 
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """``G`` with ``G @ G^H == gram`` for a Gram matrix, from its eigendecomposition.
+
+    Eigenvalues that rounding left negative are clipped to zero.
+    """
+    w, v = np.linalg.eigh(gram)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 def window_size(tensors: Sequence[np.ndarray]) -> int:
     """Entries of the largest array :func:`contract_window` builds from these tensors."""
     left, width, largest = tensors[0].shape[0], 1, 0
@@ -301,6 +313,21 @@ class MPSBackend:
         framed = (left @ window.reshape(dl, -1)).reshape(-1, dr) @ right
         rdm = np.tensordot(framed.reshape(dl, dim, dr), window.conj(), axes=([0, 2], [0, 2]))
         return (rdm + rdm.conj().T) / 2.0
+
+    def rdm_factor(self, site_labels: Sequence[int]) -> np.ndarray:
+        """A thin ``F``, ``d**y x (D_l * D_r)``, with ``F @ F^H == rdm(site_labels)``.
+
+        ``F[x, (a, b)] = sum A[a, l] W[l, x, r] B[r, b]`` for the window ``W``,
+        where ``A^H A = L`` and ``B B^H = R`` factor the two environments
+        (:func:`_gram_root`).  The ``d**y x d**y`` marginal is never formed.
+        """
+        lo, hi = self._window(sorted(site_labels))
+        a = _gram_root(self._left_envs()[lo]).conj().T
+        b = _gram_root(self._right_envs()[hi])
+        window = contract_window(self.tensors[lo:hi])
+        dl, dim, dr = window.shape
+        framed = ((a @ window.reshape(dl, -1)).reshape(-1, dr) @ b).reshape(dl, dim, dr)
+        return framed.transpose(1, 0, 2).reshape(dim, dl * dr)
 
     def compress(
         self, isometry: np.ndarray, site_labels: Sequence[int], dropped: Sequence[int]

@@ -17,6 +17,11 @@ projection analysis relies on; :func:`unitary_from_isometry` builds one such
 the top ``d**p`` eigenvectors from :func:`linalg.top_eigenpairs` on blocks of
 side at least ``LOW_RANK_MIN_SIDE``, in O(side^2 d**p) work, and from the
 full eigenbasis on smaller blocks or when the pairs cannot be certified.
+:func:`build_rank_capped_from_factor` builds the same isometry from a thin
+factor ``F`` of the estimate, ``F F^H``, as ``F``'s top left singular vectors
+in O(side k^2) work for ``k`` columns.  The tensor-train register's exact
+marginals come as such factors; their Gram matrix is Hermitian and PSD by
+construction, so there is no hermiticity check and no certificate to pass.
 """
 from __future__ import annotations
 
@@ -109,6 +114,41 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     bits.
     """
     dim = linalg.require_square(sigma_hat)
+    m = _kept_dim(dim, d, D_squared, p)
+    a = linalg.require_hermitian(sigma_hat)  # once, for both paths
+    pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
+    vectors = linalg._eigh_descending(a)[1] if pairs is None else pairs[1]
+    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
+
+
+def build_rank_capped_from_factor(
+    factor: np.ndarray, d: int, D_squared: int, p: int
+) -> Disentangler:
+    """:func:`build_rank_capped` of ``sigma = F F^H``, given ``F`` and never forming ``sigma``.
+
+    The top eigenvectors of ``F F^H`` are the left singular vectors of ``F``,
+    so the isometry is the top ``m = d**p`` of them from a thin SVD, phases
+    fixed like :func:`linalg.hermitian_eig`'s columns.  ``sigma`` is
+    Hermitian and PSD by construction and the SVD is exact up to rounding,
+    so there is nothing to validate and nothing to certify.  When ``F`` has
+    ``k < m`` columns, its ``k`` vectors span ``sigma``'s range and a
+    reduced QR of ``[U, G]``, ``G`` a fixed seeded ``d**y x (m - k)``
+    complex Gaussian, finishes the basis.  Equal inputs give equal bits.
+    """
+    dim = factor.shape[0]
+    m = _kept_dim(dim, d, D_squared, p)
+    u = np.linalg.svd(factor, full_matrices=False)[0]
+    if u.shape[1] < m:
+        rng = np.random.default_rng(0)
+        shape = (dim, m - u.shape[1])
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = np.linalg.qr(np.concatenate([u, g], axis=1))[0]
+    vectors = linalg._fix_phases(u[:, :m])
+    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
+
+
+def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:
+    """The kept dimension ``d**p`` of a rank-capped build, after checking its arguments."""
     y = infer_site_count(dim, d)
     if p < 0 or p > y:
         raise BadParameter(f"need 0 <= p <= y = {y}, got p={p}")
@@ -117,10 +157,7 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     m = d**p
     if D_squared > m:
         raise RankCapExceedsDim(f"kept rank {D_squared} does not fit into kept dimension {m}")
-    a = linalg.require_hermitian(sigma_hat)  # once, for both paths
-    pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
-    vectors = linalg._eigh_descending(a)[1] if pairs is None else pairs[1]
-    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
+    return m
 
 
 def build_threshold(

@@ -15,10 +15,19 @@ when oracle errors stay within the per-call budget.  The ``closest`` variant
 makes no input assumption, keeps eigenvectors above a threshold, and competes
 with the best fidelity achievable by any bond-dimension-``D`` state.
 
+On the tensor-train register the exact variant under the exact oracle
+(a factored run) never forms a block marginal: each marginal is ``F F^H`` for
+the thin factor :meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns, of
+rank at most ``D_l * D_r``, and its isometry is built from ``F``'s top left
+singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
+That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
+and PSD by construction.  Every other run hands the oracle the dense marginal.
+
 A register no longer than twice the block tail runs the same loop with zero
 layers (``plan`` is ``None``): the closing call then covers the whole register
-(the trivial path), and for a pure input under the exact oracle it reads the
-state directly instead of estimating it.  The learned circuit is walked in one
+(the trivial path).  For a pure input under the exact oracle, on the trivial
+path or in a factored run, the closing call reads the held tail directly
+instead of estimating it.  The learned circuit is walked in one
 place each way: backward to prepare the state (and the audit's stage
 operators), forward to disentangle a vector and, optionally, project out each
 layer's shed sites.  The run's final fidelity needs neither walk: it is the
@@ -44,7 +53,12 @@ from .backend import (
     tt_split,
     window_size,
 )
-from .disentangler import build_rank_capped, build_threshold, unitary_from_isometry
+from .disentangler import (
+    build_rank_capped,
+    build_rank_capped_from_factor,
+    build_threshold,
+    unitary_from_isometry,
+)
 from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
 from .planner import (
     LayerPlan,
@@ -398,6 +412,13 @@ def learn(
     unitaries: list[CircuitUnitary] = []
     snapshots: list[StateBackend] = [backend.copy()] if audit else []
 
+    # The exact oracle returns a tensor train's marginal sigma = F F^H itself,
+    # and sigma's top eigenvectors are the left singular vectors of the thin F.
+    factored = (
+        variant == "exact"
+        and isinstance(mode, tomography.ExactMode)
+        and isinstance(backend, MPSBackend)
+    )
     for j in range(1, M + 1):
         blocks = plan.blocks(j)
         built: list[tuple] = []
@@ -405,20 +426,20 @@ def learn(
         for block in blocks:
             if not block.acted:
                 continue
-            call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
-            sigma = backend.rdm([s - 1 for s in block.support])
-            outcome = tomography.estimate_block(sigma, d, call_mode)
-            if isinstance(call_mode, tomography.ExactMode):
-                error = 0.0  # the exact estimate is the marginal itself
+            sites = [s - 1 for s in block.support]
+            if factored:
+                factor = backend.rdm_factor(sites)
+                dz = build_rank_capped_from_factor(factor, d, D * D, p)
+                mass, error = float(np.clip(np.linalg.norm(factor) ** 2, 0.0, 1.0)), 0.0
             else:
-                error = linalg.trace_norm(outcome.estimate - sigma)
-            if variant == "exact":
-                dz = build_rank_capped(outcome.estimate, d, D * D, p)
-            else:
-                dz = build_threshold(outcome.estimate, d, eta, p)
-            charge = _charge(
-                variant, outcome.success_mass, D, d, len(block.support), eta, delta / n
-            )
+                call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
+                outcome = tomography.estimate_block(backend.rdm(sites), d, call_mode)
+                mass, error = outcome.success_mass, outcome.error
+                if variant == "exact":
+                    dz = build_rank_capped(outcome.estimate, d, D * D, p)
+                else:
+                    dz = build_threshold(outcome.estimate, d, eta, p)
+            charge = _charge(variant, mass, D, d, len(block.support), eta, delta / n)
             copies_used += charge
             built.append((block, dz))
             stats.append(
@@ -426,7 +447,7 @@ def learn(
                     layer=j,
                     index=block.index,
                     support=block.support,
-                    success_mass=outcome.success_mass,
+                    success_mass=mass,
                     estimate_error=error,
                     copies_charged=charge,
                 )
@@ -456,12 +477,19 @@ def learn(
 
     tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
-    if plan is None and backend.pure and isinstance(call_mode, tomography.ExactMode):
-        # The exact oracle on the whole pure register returns the input itself,
-        # which has at most 2p sites here.
+    if (
+        (plan is None or factored)
+        and backend.pure
+        and isinstance(call_mode, tomography.ExactMode)
+        and backend.sites == [s - 1 for s in tail]
+    ):
+        # The exact oracle on a pure register that holds only the tail returns
+        # the held state itself: the whole input (at most 2p sites) on the
+        # trivial path, whose mass is 1, or the compressed tail of a factored run.
         held = backend.state if isinstance(backend, StateBackend) else backend.expand()
-        residual = linalg.fix_phase(held / np.linalg.norm(held))
-        mass = 1.0
+        norm = np.linalg.norm(held)
+        residual = linalg.fix_phase(held / norm)
+        mass = 1.0 if plan is None else float(np.clip(norm**2, 0.0, 1.0))
     else:
         if d ** len(tail) > linalg.MAX_DENSITY_DIM:
             raise TooLarge(

@@ -11,10 +11,11 @@ block marginal, which the caller takes from its register) into an estimate:
   are measured in an informationally complete product-basis family, and the
   estimate is a least-squares linear inversion of the observed frequencies.
 
-Budgets are charged analytically by the calculators below regardless of the
-oracle mode in use; estimates are sub-normalized exactly like the marginals
-they are taken from.  Each mode's ``name`` is the oracle's name in run
-metadata and reports.
+Each outcome carries its estimate's trace-norm error, taken from the oracle's
+own work.  Budgets are charged analytically by the calculators below
+regardless of the oracle mode in use; estimates are sub-normalized exactly
+like the marginals they are taken from.  Each mode's ``name`` is the oracle's
+name in run metadata and reports.
 """
 from __future__ import annotations
 
@@ -86,10 +87,16 @@ class TomographyOutcome:
     success_mass : float
         Trace of the true marginal (the post-selection success probability),
         clipped to [0, 1].
+    error : float
+        Trace-norm distance of the estimate from the marginal: 0 for
+        ``ExactMode``, the perturbation's trace norm for ``BoundedNoiseMode``
+        (from the SVD that scaled it, or the rescaled excess under
+        ``project_psd``), a trace norm of the difference for ``FiniteSampleMode``.
     """
 
     estimate: np.ndarray
     success_mass: float
+    error: float
 
 
 def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) -> TomographyOutcome:
@@ -102,19 +109,24 @@ def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) ->
     its own schedule when ``eta`` is ``None``).
     """
     if isinstance(mode, ExactMode):
-        estimate = sigma
+        estimate, error = sigma, 0.0
     elif isinstance(mode, BoundedNoiseMode):
         if mode.eta is None:
             raise BadParameter("BoundedNoiseMode.eta is unset; supply a noise budget")
-        estimate = _add_bounded_noise(sigma, mode.eta, mode.seed, mode.project_psd)
+        estimate, error = _add_bounded_noise(sigma, mode.eta, mode.seed, mode.project_psd)
     else:
         estimate = _finite_sample_estimate(sigma, d, mode)
-    return TomographyOutcome(estimate, float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0)))
+        error = linalg.trace_norm(estimate - sigma)
+    mass = float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0))
+    return TomographyOutcome(estimate, mass, error)
 
 
-def _add_bounded_noise(sigma: np.ndarray, eta: float, seed: int, project_psd: bool) -> np.ndarray:
+def _add_bounded_noise(
+    sigma: np.ndarray, eta: float, seed: int, project_psd: bool
+) -> tuple[np.ndarray, float]:
+    """The perturbed estimate and the trace norm of its perturbation."""
     if eta == 0.0:
-        return sigma.copy()
+        return sigma.copy(), 0.0
     dim = sigma.shape[0]
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -123,14 +135,17 @@ def _add_bounded_noise(sigma: np.ndarray, eta: float, seed: int, project_psd: bo
     norm = linalg.trace_norm(delta)
     if norm == 0.0:  # pragma: no cover - measure-zero draw
         raise OracleFailure("degenerate noise draw")
-    estimate = sigma + (eta / norm) * delta
+    scale = eta / norm
+    estimate, error = sigma + scale * delta, scale * norm
     if project_psd:
         shifted = linalg.project_psd(estimate) - sigma
-        excess = linalg.trace_norm(shifted)
-        if excess > eta:
-            shifted *= eta / excess
+        error = linalg.trace_norm(shifted)
+        if error > eta:
+            rescale = eta / error
+            shifted *= rescale
+            error *= rescale
         estimate = sigma + shifted
-    return estimate
+    return estimate, error
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ from mpslearn.backend import (
     apply_unitary_density,
     apply_unitary_vector,
 )
-from mpslearn.disentangler import unitary_from_isometry
+from mpslearn.disentangler import build_rank_capped_from_factor, unitary_from_isometry
 
 
 def random_state(n, d, seed):
@@ -185,10 +185,13 @@ def test_compress_refuses_a_mismatched_isometry():
 
 
 @st.composite
-def register_walks(draw):
-    """(d, n, D, seed, steps): compressions of runs of consecutive held sites."""
+def register_walks(draw, sizes=(8, 6)):
+    """(d, n, D, seed, steps): compressions of runs of consecutive held sites.
+
+    ``sizes`` caps the chain length for d = 2 and d = 3.
+    """
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 8 if d == 2 else 6))
+    n = draw(st.integers(1, sizes[0] if d == 2 else sizes[1]))
     steps, held = [], n
     for _ in range(draw(st.integers(0, 3))):
         y = draw(st.integers(1, min(held, 4 if d == 2 else 3)))
@@ -226,6 +229,41 @@ def test_the_tensor_train_register_matches_the_dense_register(walk):
         w, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
         train.compress(w, labels, labels[:dropped])
         dense.compress(w, labels, labels[:dropped])
+        agree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=register_walks(sizes=(12, 12)), widths=st.tuples(st.integers(1, 4), st.integers(0, 4)))
+@example(walk=(2, 8, 2, 0, []), widths=(4, 3))  # k = D_l * D_r <= 4 columns for d**p = 8
+@example(walk=(3, 12, 3, 1, [(0, 3, 2), (4, 3, 1)]), widths=(3, 2))
+def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
+    # the factor path against the register's dense marginal, on every block
+    d, n, D, seed, steps = walk
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    train = MPSBackend(state)
+
+    def agree():
+        y = min(widths[0], train.n, 4 if d == 2 else 3)
+        p = min(widths[1], y)
+        for lo in range(train.n - y + 1):
+            block = train.sites[lo : lo + y]
+            factor, sigma = train.rdm_factor(block), train.rdm(block)
+            assert np.max(np.abs(factor @ factor.conj().T - sigma)) <= 1e-12
+            assert abs(np.linalg.norm(factor) ** 2 - np.trace(sigma).real) <= 1e-12
+            w = build_rank_capped_from_factor(factor, d, 1, p).isometry
+            assert w.shape == (d**y, d**p)
+            assert np.max(np.abs(w.conj().T @ w - np.eye(d**p))) <= 1e-12
+            kept = np.trace(w.conj().T @ sigma @ w).real
+            top = np.sum(np.linalg.eigvalsh(sigma)[::-1][: d**p])
+            assert abs(kept - top) <= 1e-12 * max(1.0, np.linalg.norm(sigma))
+
+    agree()
+    for lo, y, dropped in steps:
+        labels = train.sites[lo : lo + y]
+        g = rng.standard_normal((d**y, d ** (y - dropped)))
+        w, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
+        train.compress(w, labels, labels[:dropped])
         agree()
 
 

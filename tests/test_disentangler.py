@@ -273,3 +273,34 @@ def test_rank_capped_validates_its_estimate_once(monkeypatch, sigma, p):
     )
     disentangler.build_rank_capped(sigma, 2, 4, p)
     assert len(calls) == 1
+
+
+def test_the_factor_builder_completes_a_rank_deficient_factor(monkeypatch):
+    # k = 2 columns for a kept dimension of 8: two singular vectors, six completed
+    rng = np.random.default_rng(16)
+    factor = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    qr = np.linalg.qr
+
+    def reduced_only(a, mode="reduced"):
+        if mode == "complete":
+            raise AssertionError("the completion needs no square QR")
+        return qr(a, mode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor's Gram matrix needs no hermiticity check")
+
+    monkeypatch.setattr(np.linalg, "qr", reduced_only)
+    monkeypatch.setattr(linalg, "require_hermitian", refuse)
+    dz = disentangler.build_rank_capped_from_factor(factor, 2, 4, 3)
+    w = dz.isometry
+    assert w.shape == (16, 8) and dz.selected.shape == (16, 4)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(8))) <= 1e-12
+    range_projector = w[:, :2] @ w[:, :2].conj().T
+    assert np.max(np.abs(range_projector @ factor - factor)) <= 1e-12
+    sigma = factor @ factor.conj().T
+    assert np.max(np.abs(w @ (w.conj().T @ sigma) - sigma)) <= 1e-12
+    again = disentangler.build_rank_capped_from_factor(factor.copy(), 2, 4, 3)
+    assert again.isometry.tobytes() == w.tobytes()
+    with pytest.raises(errors.RankCapExceedsDim):
+        disentangler.build_rank_capped_from_factor(factor, 2, 9, 3)
+

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mpslearn import (
+    backend,
+    complexity,
     disentangler,
     errors,
     learner,
@@ -345,14 +347,16 @@ def test_learn_validates_arguments():
 
 
 def test_noisy_learn_takes_one_marginal_per_oracle_call(monkeypatch):
-    # the estimate error reuses the marginal handed to the oracle
-    calls = []
-    block_rdm = mps.block_rdm
+    # one marginal per call, and the estimate error comes from the oracle's
+    # own trace norm of its noise, so each call takes one trace norm
+    calls, norms = [], []
+    block_rdm, trace_norm = mps.block_rdm, linalg.trace_norm
     monkeypatch.setattr(mps, "block_rdm", lambda *args: calls.append(1) or block_rdm(*args))
+    monkeypatch.setattr(linalg, "trace_norm", lambda a: norms.append(1) or trace_norm(a))
     mode = tomography.BoundedNoiseMode(seed=28)
     _, report = learner.learn(random_mps_vector(16, seed=28), 2, 2, 0.2, 0.01, mode=mode)
     acted = sum(len(layer.blocks) for layer in report.per_layer)
-    assert (acted, len(calls)) == (7, 8)
+    assert (acted, len(calls), len(norms)) == (7, 8, 8)
 
 
 def test_circuit_save_load_round_trip(tmp_path):
@@ -711,6 +715,39 @@ def test_closest_learn_at_n_64_refuses_its_block_window_before_contracting(monke
     monkeypatch.setattr(np, "tensordot", refuse)
     with pytest.raises(errors.BackendTooLarge, match="window"):
         learner.learn(state, 2, 2, 0.2, 0.01, variant="closest")
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n):
+    # each block's isometry comes from its marginal's thin factor, and the
+    # closing call reads the held tail: no d**y x d**y matrix, no eigensolver
+    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=4, seed=39))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact learn on the tensor train formed a block marginal")
+
+    monkeypatch.setattr(backend.MPSBackend, "rdm", refuse)
+    for name in ("require_hermitian", "_top_eigenpairs", "top_eigenvector"):
+        monkeypatch.setattr(linalg, name, refuse)
+    _, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=39)
+    assert report.M >= 2
+    assert report.final_fidelity >= 1.0 - 1e-9
+
+
+def test_the_charged_copies_grow_with_the_formula_slope():
+    # ROADMAP item 2: the measured copy slope over n = 64 ... 1024, next to
+    # budget_exact_ours's n**3 log(n / delta) over the same n
+    sizes = [64, 128, 256, 512, 1024]
+    charged = []
+    for n in sizes:
+        state = mps.random_mps(mps.StateSpec(n=n, d=2, D=2, seed=40))
+        _, report = learner.learn(state, 2, 2, 0.2, 0.01, seed=40)
+        assert report.final_fidelity >= 1.0 - 1e-9
+        charged.append(report.copies_used)
+    formula = [complexity.budget_exact_ours(n, 2, 2, 0.2, 0.01) for n in sizes]
+    slope = complexity.fit_loglog_slope(sizes, charged)
+    assert abs(slope - complexity.fit_loglog_slope(sizes, formula)) <= 0.1
+    assert slope < 4.0
 
 
 def test_a_block_not_contiguous_among_the_held_sites_raises_block_out_of_range():

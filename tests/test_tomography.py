@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mpslearn import errors, linalg, mps, tomography
 
@@ -110,6 +111,41 @@ def test_finite_sample_respects_dimension_cap():
     sigma = marginal(random_pure(10, 2, 20), 10, 2, list(range(10)))
     with pytest.raises(errors.TooLarge):
         tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(100, seed=0))
+
+
+@st.composite
+def oracle_calls(draw):
+    """(sigma, d, mode): a sub-normalized marginal of 1 to 3 sites and an oracle mode."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3 if d == 2 else 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    y = draw(st.integers(1, min(n, 2)))  # the finite-sample oracle stops at side 16
+    mass = draw(st.floats(0.0, 1.0))
+    sigma = mass * marginal(random_pure(n, d, seed), n, d, list(range(y)))
+    kind = draw(st.sampled_from(["exact", "bounded", "bounded-psd", "finite"]))
+    if kind == "exact":
+        return sigma, d, tomography.ExactMode()
+    if kind == "finite":
+        return sigma, d, tomography.FiniteSampleMode(draw(st.integers(1, 10**6)), seed=seed)
+    eta = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 3.0]))
+    return sigma, d, tomography.BoundedNoiseMode(eta, seed, project_psd=kind == "bounded-psd")
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=oracle_calls())
+@example(  # the projected estimate lands beyond eta and is pulled back to it
+    call=(
+        marginal(random_pure(3, 2, 6), 3, 2, [0, 1]),  # rank 2 of 4
+        2,
+        tomography.BoundedNoiseMode(1e-3, seed=6, project_psd=True),
+    )
+)
+def test_the_oracle_reports_the_trace_norm_error_of_its_estimate(call):
+    sigma, d, mode = call
+    outcome = tomography.estimate_block(sigma, d, mode)
+    assert abs(outcome.error - linalg.trace_norm(outcome.estimate - sigma)) <= 1e-12
+    if isinstance(mode, tomography.BoundedNoiseMode):
+        assert outcome.error <= mode.eta * (1.0 + 1e-12)
 
 
 def test_budget_rank_constrained_formula():
