@@ -14,7 +14,7 @@ eigenvalue order.  Any unitary ``U`` with ``U^dagger = [W, C]`` maps column
 (leading qudits zero) is the span of ``W``, which is all the learner's
 projection analysis relies on; :func:`unitary_from_isometry` builds one such
 ``U`` where a full unitary is asked for.  :func:`build_rank_capped` takes
-the top ``d**p`` eigenvectors from :func:`linalg.top_eigenpairs` on blocks of
+the top ``d**p`` eigenvectors from :func:`linalg._top_eigenpairs` on blocks of
 side at least ``LOW_RANK_MIN_SIDE``, in O(side^2 d**p) work, and from the
 full eigenbasis on smaller blocks or when the pairs cannot be certified.
 :func:`build_rank_capped_from_factor` builds the same isometry from a thin
@@ -33,7 +33,7 @@ from . import linalg
 from .backend import infer_site_count
 from .errors import BadParameter, RankCapExceedsDim
 
-# Smallest block side on which build_rank_capped tries top_eigenpairs.  One
+# Smallest block side on which build_rank_capped tries _top_eigenpairs.  One
 # BLAS thread on a 2-vCPU VM, rank-m qubit inputs, full unitaries completed,
 # against hermitian_eig: side 16 (m = 4) 91 us vs 54 us, side 32 (m = 4)
 # 103 us vs 105 us, side 64 (m = 8) 186 us vs 387 us, side 256 2.3 vs 12.5 ms.
@@ -78,11 +78,6 @@ class Disentangler:
     kept_dim: int
     selected: np.ndarray
 
-    @property
-    def unitary(self) -> np.ndarray:
-        """``(d**y, d**y)`` block unitary, built from the isometry on each access."""
-        return unitary_from_isometry(self.isometry)
-
 
 def _from_eigenbasis(
     vectors: np.ndarray, d: int, kept_qudits: int, selected_count: int, width: int
@@ -106,7 +101,7 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
 
     The isometry is the top ``m = d**p`` eigenvectors, which span the kept
     sector.  On a side of at least ``LOW_RANK_MIN_SIDE`` they come from
-    :func:`linalg.top_eigenpairs`.  When the side is smaller, or the pairs
+    :func:`linalg._top_eigenpairs`.  When the side is smaller, or the pairs
     are not certified (the estimate has rank above ``m``), they are the
     leading columns of :func:`linalg.hermitian_eig`'s full eigenbasis.
     Either way eigenvalues tied across the cut may come back in any

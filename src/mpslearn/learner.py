@@ -62,7 +62,6 @@ from .disentangler import (
 from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
 from .planner import (
     LayerPlan,
-    PlannedBlock,
     eta_closest,
     eta_exact,
     p_exact,
@@ -72,15 +71,24 @@ from .planner import (
 )
 
 CIRCUIT_FORMAT_NAME = "disentangling-circuit"
-CIRCUIT_FORMAT_VERSION = 3
+CIRCUIT_FORMAT_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True)
 class LearnSchedule:
-    """Explicit schedule override for :func:`learn` (power users and tests)."""
+    """Explicit block size and eta for :func:`learn` (power users and tests)."""
 
-    plan: LayerPlan
+    p: int
     eta: float
+
+
+def _plan(n: int, d: int, p: int) -> LayerPlan | None:
+    """The circuit's halving schedule, or ``None`` for the trivial path (``n <= 2p``).
+
+    The one place the geometry comes from: :func:`learn` and
+    :func:`load_circuit` both call it, so a circuit is fixed by ``(n, d, p)``.
+    """
+    return plan_layers(n, d, p) if n > 2 * p else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +111,8 @@ class CircuitDescription:
 
     The learned state is ``U_1^dagger ... U_M^dagger (|0...0> (x) residual)``
     with the zeros on ``projected_by_layer`` sites and the residual on
-    ``residual_sites``.  Site labels are 1-based to match the planner.
+    ``residual_sites``, both read off ``plan``.  Site labels are 1-based to
+    match the planner.
     """
 
     n: int
@@ -111,14 +120,21 @@ class CircuitDescription:
     p: int
     plan: LayerPlan | None
     unitaries: list[CircuitUnitary]
-    projected_by_layer: tuple[tuple[int, ...], ...]
-    residual_sites: tuple[int, ...]
     residual: np.ndarray
     metadata: dict
 
     @property
     def num_layers(self) -> int:
         return self.plan.M if self.plan is not None else 0
+
+    @property
+    def projected_by_layer(self) -> tuple[tuple[int, ...], ...]:
+        layers = self.plan.layers if self.plan is not None else ()
+        return tuple(tuple(s for b in layer for s in b.projected) for layer in layers)
+
+    @property
+    def residual_sites(self) -> tuple[int, ...]:
+        return self.plan.final_carried if self.plan is not None else tuple(range(1, self.n + 1))
 
     def layer_unitaries(self, layer: int) -> list[CircuitUnitary]:
         return [u for u in self.unitaries if u.layer == layer]
@@ -320,8 +336,8 @@ def learn(
         Promise parameter recorded in the metadata; it does not change the
         algorithm.
     schedule : LearnSchedule, optional
-        Explicit plan and eta override.  The default schedule is derived from
-        the variant's parameter solvers.
+        Explicit block size and eta override.  The default schedule is derived
+        from the variant's parameter solvers.
 
     Returns
     -------
@@ -356,12 +372,8 @@ def learn(
     effective_epsilon = epsilon
 
     if schedule is not None:
-        plan = schedule.plan
-        if plan.n != n or plan.d != d:
-            raise BadParameter("schedule plan does not match the input register")
-        p = plan.p
-        eta = schedule.eta
-        deviations.append("custom-schedule: plan and eta supplied by caller")
+        p, eta = schedule.p, schedule.eta
+        deviations.append("custom-schedule: p and eta supplied by caller")
     else:
         if variant == "exact":
             p = p_exact(d, D)
@@ -378,20 +390,20 @@ def learn(
                     f"epsilon-adjusted: {epsilon:g} -> {effective_epsilon:.12g} so the "
                     "block-size equation is solvable"
                 )
-        if n <= 2 * p:
-            # No layer to run: the closing call estimates the whole register.
-            plan, eta = None, effective_epsilon / 4.0
-            deviations.append(
-                f"trivial-path: n = {n} <= 2p = {2 * p}, estimating the whole register directly"
-            )
-        else:
-            plan = plan_layers(n, d, p)
+    plan = _plan(n, d, p)
+    if plan is None:
+        # No layer to run: the closing call estimates the whole register.
+        if schedule is None:
+            eta = effective_epsilon / 4.0
+        deviations.append(
+            f"trivial-path: n = {n} <= 2p = {2 * p}, estimating the whole register directly"
+        )
+    else:
+        if schedule is None:
             if variant == "exact":
                 eta = eta_exact(effective_epsilon, plan.M)
             else:
                 eta = eta_closest(effective_epsilon, p, D, n)
-
-    if plan is not None:
         # An oracle pinned to an explicit accuracy defines the per-block
         # accuracy of the whole run; the derived budget only applies when the
         # oracle tracks the learner (eta=None).
@@ -507,10 +519,6 @@ def learn(
         p=p,
         plan=plan,
         unitaries=unitaries,
-        projected_by_layer=tuple(
-            tuple(s for b in plan.blocks(j) for s in b.projected) for j in range(1, M + 1)
-        ),
-        residual_sites=tail,
         residual=residual,
         metadata=_metadata(
             variant, epsilon, effective_epsilon, delta, eta, tau, seed, mode, theta,
@@ -692,9 +700,7 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
     zero[0, 0, 0] = 1.0
     tensors = [zero.copy() for _ in range(n)]  # (D_l, d, D_r) until the end
 
-    sites = sorted(circuit.residual_sites)
-    if sites != list(range(sites[0], sites[-1] + 1)):
-        raise MalformedCircuit(f"residual sites must be contiguous, got {sites}")
+    sites = circuit.residual_sites  # the last p sites, or all n on the trivial path
     window = circuit.residual.reshape(1, -1, 1)
     tensors[sites[0] - 1 : sites[-1]] = tt_split(window, d, len(sites), cutoff)
 
@@ -717,183 +723,68 @@ def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.Matri
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
     """Write a versioned JSON description of the circuit.
 
-    Block isometries and the residual are stored bit for bit by
-    :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly and
-    repeated saves are byte-identical.
+    The file holds ``n``, ``d``, ``p``, the metadata, every block isometry in
+    plan order as one base64 string, and the residual; the geometry is
+    rebuilt from ``(n, d, p)`` on load.  The entries are stored bit for bit
+    by :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly
+    and repeated saves are byte-identical.
     """
-    plan = circuit.plan
     doc = {
         "format": CIRCUIT_FORMAT_NAME,
         "version": CIRCUIT_FORMAT_VERSION,
         "n": circuit.n,
         "d": circuit.d,
         "p": circuit.p,
-        "plan": None
-        if plan is None
-        else {
-            "M": plan.M,
-            "ell1": plan.ell1,
-            "s1": plan.s1,
-            "k1": plan.k1,
-            "s1_amended": plan.s1_amended,
-            "layers": [
-                [
-                    {
-                        "index": b.index,
-                        "support": list(b.support),
-                        "projected": list(b.projected),
-                        "acted": b.acted,
-                    }
-                    for b in layer
-                ]
-                for layer in plan.layers
-            ],
-        },
-        "unitaries": [
-            {
-                "layer": u.layer,
-                "index": u.index,
-                "support": list(u.support),
-                "entries": mps.complex_entries([u.matrix]),
-            }
-            for u in circuit.unitaries
-        ],
-        "projected_by_layer": [list(layer) for layer in circuit.projected_by_layer],
-        "residual_sites": list(circuit.residual_sites),
+        "isometries": mps.complex_entries([u.matrix for u in circuit.unitaries]),
         "residual": mps.complex_entries([circuit.residual]),
         "metadata": circuit.metadata,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _site_labels(labels, n: int, what: str) -> tuple[int, ...]:
-    if not isinstance(labels, list):
-        raise MalformedCircuit(f"{what} must be a list of sites, got {labels!r}")
-    sites = tuple(labels)
-    if not all(mps.is_integer(s) and 1 <= s <= n for s in sites):
-        raise MalformedCircuit(f"{what} {list(sites)} not within the sites 1..{n}")
-    return sites
-
-
-def _fields(raw, keys: Sequence[str], what: str) -> list:
-    """The values of ``keys`` in a nested object of a circuit file."""
-    if not isinstance(raw, dict) or any(key not in raw for key in keys):
-        raise MalformedCircuit(f"{what} must be an object with the keys {', '.join(keys)}")
-    return [raw[key] for key in keys]
-
-
-def _load_plan(raw, n: int, d: int, p: int) -> LayerPlan:
-    M, ell1, s1, k1, s1_amended, raw_layers = _fields(
-        raw, ("M", "ell1", "s1", "k1", "s1_amended", "layers"), "plan"
-    )
-    if not (mps.is_integer(M) and M >= 1 and isinstance(raw_layers, list)):
-        raise MalformedCircuit(f"plan needs an integer M >= 1 and a list of layers, got M={M!r}")
-    if len(raw_layers) != M:
-        raise MalformedCircuit(f"plan lists {len(raw_layers)} layers, expected M = {M}")
-    if not (all(mps.is_integer(x) for x in (ell1, s1, k1)) and isinstance(s1_amended, bool)):
-        raise MalformedCircuit(
-            f"plan needs integers ell1, s1, k1 and a flag s1_amended, got "
-            f"{ell1!r}, {s1!r}, {k1!r}, {s1_amended!r}"
-        )
-    layers = []
-    for layer_number, blocks in enumerate(raw_layers, start=1):
-        if not isinstance(blocks, list):
-            raise MalformedCircuit(f"plan layer {layer_number} is not a list of blocks")
-        built = []
-        for b in blocks:
-            index, support, projected, acted = _fields(
-                b, ("index", "support", "projected", "acted"), "plan block"
-            )
-            if not (mps.is_integer(index) and isinstance(acted, bool)):
-                raise MalformedCircuit(
-                    f"plan block needs an integer index and a flag acted, got {index!r}, {acted!r}"
-                )
-            support = _site_labels(support, n, "plan block support")
-            projected = _site_labels(projected, n, "plan block projected sites")
-            if projected != support[: len(projected)]:
-                raise MalformedCircuit("projected sites must be the leading block sites")
-            built.append(
-                PlannedBlock(
-                    layer=layer_number,
-                    index=index,
-                    support=support,
-                    projected=projected,
-                    carried=support[len(projected) :],
-                    acted=acted,
-                )
-            )
-        layers.append(tuple(built))
-    return LayerPlan(
-        n=n, d=d, p=p, M=M, ell1=ell1, s1=s1, k1=k1, s1_amended=s1_amended, layers=tuple(layers)
-    )
-
-
 def load_circuit(path: str | Path) -> CircuitDescription:
     """Load and validate a circuit written by :func:`save_circuit`.
 
-    Every defect in the file raises :class:`MalformedCircuit`.
+    The plan and every block's support are rebuilt from ``(n, d, p)``.  Every
+    defect in the file raises :class:`MalformedCircuit`.
     """
-    keys = ("n", "d", "p", "plan", "unitaries", "projected_by_layer", "residual_sites",
-            "residual", "metadata")
+    keys = ("n", "d", "p", "isometries", "residual", "metadata")
     doc = mps.read_document(path, CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, keys, MalformedCircuit)
     n, d, p = doc["n"], doc["d"], doc["p"]
     if not (all(mps.is_integer(x) for x in (n, d, p)) and n >= 1 and d >= 2 and p >= 1):
         raise MalformedCircuit(
             f"need integers n >= 1, d >= 2 and p >= 1, got n={n!r}, d={d!r}, p={p!r}"
         )
+    stored = (doc["isometries"], doc["residual"])
+    if not all(isinstance(entries, str) for entries in stored):
+        raise MalformedCircuit("isometries and residual must be base64 strings")
+    # Each site costs at least one stored entry (the residual holds d**p for
+    # its p sites, an acted block at least d**(2p+1) for its at most p shed
+    # sites), and the residual at least d: refuse a register its bytes cannot
+    # hold before planning it.  Base64 holds at most 3 bytes per 4 characters.
+    if 16 * max(n, d) > 3 * sum(len(entries) for entries in stored) // 4:
+        raise MalformedCircuit(f"the stored entries are too few for n={n}, d={d}")
 
-    plan = None if doc["plan"] is None else _load_plan(doc["plan"], n, d, p)
-    M = plan.M if plan is not None else 0
-
-    if not isinstance(doc["unitaries"], list):
-        raise MalformedCircuit("unitaries must be a list")
-    unitaries = []
-    for u in doc["unitaries"]:
-        layer, index, support, entries = _fields(
-            u, ("layer", "index", "support", "entries"), "unitary"
-        )
-        if not (mps.is_integer(layer) and 1 <= layer <= M):
-            raise MalformedCircuit(f"unitary layer {layer!r} not within the circuit's {M} layers")
-        if not mps.is_integer(index):
-            raise MalformedCircuit(f"unitary index must be an integer, got {index!r}")
-        support = _site_labels(support, n, "unitary support")
-        (matrix,) = mps.complex_arrays(entries, [(d ** len(support), d**p)], MalformedCircuit)
+    plan = _plan(n, d, p)
+    blocks = [b for layer in plan.layers for b in layer if b.acted] if plan is not None else []
+    shapes = [(d ** len(b.support), d**p) for b in blocks]
+    matrices = mps.complex_arrays(doc["isometries"], shapes, MalformedCircuit)
+    for matrix in matrices:
         defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d**p))))
         if defect > 1e-8:
             raise MalformedCircuit(f"stored block isometry is off orthonormal by {defect:.3e}")
-        unitaries.append(CircuitUnitary(layer=layer, index=index, support=support, matrix=matrix))
-    for j in range(1, M + 1):
-        acted = sorted(b.support for b in plan.blocks(j) if b.acted)
-        if sorted(u.support for u in unitaries if u.layer == j) != acted:
-            raise MalformedCircuit(
-                f"layer {j} must store one isometry on each acted plan block and no other"
-            )
-
-    projected = doc["projected_by_layer"]
-    if not (isinstance(projected, list) and len(projected) == M):
-        raise MalformedCircuit(f"projected_by_layer must list the projected sites of {M} layers")
-    projected = tuple(_site_labels(layer, n, "projected sites") for layer in projected)
-    for layer, shed in enumerate(projected, start=1):
-        leading = [s for u in unitaries if u.layer == layer for s in u.support[:-p]]
-        if sorted(leading) != sorted(shed):
-            raise MalformedCircuit(f"layer {layer} must project the leading sites of its blocks")
-    residual_sites = _site_labels(doc["residual_sites"], n, "residual sites")
-    covered = [s for layer in projected for s in layer] + list(residual_sites)
-    if len(covered) != n or sorted(covered) != list(range(1, n + 1)):
-        raise MalformedCircuit(
-            f"projected and residual sites must cover the sites 1..{n} exactly once"
-        )
     (residual,) = mps.complex_arrays(
-        doc["residual"], [(d ** len(residual_sites),)], MalformedCircuit
+        doc["residual"], [(d ** (n if plan is None else p),)], MalformedCircuit
     )
     return CircuitDescription(
         n=n,
         d=d,
         p=p,
         plan=plan,
-        unitaries=unitaries,
-        projected_by_layer=projected,
-        residual_sites=residual_sites,
+        unitaries=[
+            CircuitUnitary(layer=b.layer, index=b.index, support=b.support, matrix=matrix)
+            for b, matrix in zip(blocks, matrices)
+        ],
         residual=residual,
         metadata=doc["metadata"],
     )

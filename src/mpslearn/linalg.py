@@ -241,14 +241,13 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     return fix_phase(x)
 
 
-def top_eigenpairs(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _top_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Top ``m`` eigenpairs of a Hermitian matrix of rank at most about ``m``.
 
-    Validates like :func:`hermitian_eig` and raises the same typed errors.
-    Returns ``(theta, V)`` like :func:`hermitian_eig`'s ``(w, V)`` cut to
-    ``m`` columns, with the columns phase-normalized the same way, or
-    ``None`` when the pairs cannot be certified.  Equal inputs give equal
-    bits.
+    ``a`` is a matrix :func:`require_hermitian` returned.  Returns
+    ``(theta, V)`` like :func:`hermitian_eig`'s ``(w, V)`` cut to ``m``
+    columns, with the columns phase-normalized the same way, or ``None``
+    when the pairs cannot be certified.  Equal inputs give equal bits.
 
     Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217,
     2011): ``Q`` is the reduced QR factor of ``A Omega``, where ``Omega`` is a
@@ -263,11 +262,6 @@ def top_eigenpairs(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] 
     test a negative Ritz value would rank above discarded zeros.  A matrix
     of higher rank fails the first test.
     """
-    return _top_eigenpairs(require_hermitian(matrix), m)
-
-
-def _top_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`top_eigenpairs` on a matrix :func:`require_hermitian` returned."""
     dim = a.shape[0]
     if not 1 <= m <= dim:
         raise BadParameter(f"need 1 <= m <= {dim}, got m={m}")

@@ -75,11 +75,6 @@ class MatrixProductState:
         elif first.shape[1] != last.shape[2]:
             raise DimensionMismatch("periodic boundary requires matching outer bonds")
 
-    @property
-    def bond_dimensions(self) -> tuple[int, ...]:
-        """Right bond dimension after each site (the last closes the ring)."""
-        return tuple(t.shape[2] for t in self.tensors)
-
     def normalize(self) -> "MatrixProductState":
         """Rescale the tensors so the state has unit norm, without expanding it.
 

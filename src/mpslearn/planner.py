@@ -224,7 +224,16 @@ def copy_scale_base(n: int, D: int, epsilon: float) -> float:
         raise BadParameter(f"need n >= 1 and D >= 1, got n={n}, D={D}")
     if not 0.0 < epsilon <= 1.0:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
-    return 64.0 * n * D * D / (SQRT2_GAP * epsilon * epsilon)
+    try:
+        scale = 64.0 * n * D * D / (SQRT2_GAP * epsilon * epsilon)
+        if scale < math.inf:
+            return scale
+    except (OverflowError, ZeroDivisionError):  # D past a float, or eps**2 underflowing
+        pass
+    raise BadParameter(
+        f"the block-size scale 64 n D**2 / ((3 - 2 sqrt 2) eps**2) at n={n}, "
+        f"epsilon={epsilon} exceeds a float's range"
+    )
 
 
 def _satisfies_interval(p: int, d: int, B: float) -> bool:
@@ -247,9 +256,9 @@ def solve_p_from_scale(d: int, B: float) -> LambertSolution:
     """
     if d < 2:
         raise BadParameter(f"need d >= 2, got d={d}")
-    if not B > 0:
-        raise BadParameter(f"scale B must be positive, got {B}")
     log_d = math.log(d)
+    if not 0.0 < B * d * log_d < math.inf:
+        raise BadParameter(f"scale B must be positive and B d ln d finite, got B={B}")
     z = B * log_d
     a = lambert_w(z) / log_d
     b = lambert_w(B * d * log_d) / log_d

@@ -22,7 +22,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import ClassVar, Union
 
 import numpy as np
@@ -254,8 +255,22 @@ def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -
     return (survivors / mode.copies) * x
 
 
-def _budget(value: float, multiplier: float) -> int:
-    return int(math.ceil(value * multiplier))
+def _budget(
+    mu: float, factors: tuple[int, ...], eta: float, delta: float, multiplier: float
+) -> int:
+    """``ceil(mu * prod(factors) * ln(1/delta) / eta**2 * multiplier)``, left to right.
+
+    A count past a float's range (a huge factor, or ``eta**2`` underflowing
+    to zero) raises ``BadParameter``.
+    """
+    try:
+        value = reduce(operator.mul, factors, mu)
+        return int(math.ceil(value * math.log(1.0 / delta) / eta**2 * multiplier))
+    except (OverflowError, ZeroDivisionError):
+        raise BadParameter(
+            f"the copy budget at eta={eta} exceeds a float's range (D or the block too large, "
+            "or eta too small)"
+        ) from None
 
 
 def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> None:
@@ -282,7 +297,7 @@ def budget_rank_constrained(
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
-    return _budget(mu * D * D * d**r_minus_i * math.log(1.0 / delta) / eta**2, multiplier)
+    return _budget(mu, (D, D, d**r_minus_i), eta, delta, multiplier)
 
 
 def budget_general(
@@ -295,4 +310,4 @@ def budget_general(
     / eta**2)`` times ``multiplier``.
     """
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
-    return _budget(mu * d ** (2 * r_minus_i) * math.log(1.0 / delta) / eta**2, multiplier)
+    return _budget(mu, (d ** (2 * r_minus_i),), eta, delta, multiplier)

@@ -276,6 +276,8 @@ def test_the_tensor_train_register_refuses_gaps_and_wide_windows():
     for block in ([0, 3], [2], [5, 6]):  # a gap, a dropped site, off the end
         with pytest.raises(errors.BlockOutOfRange):
             register.rdm(block)
+        with pytest.raises(errors.BlockOutOfRange):
+            register.rdm_factor(block)
     with pytest.raises(errors.BlockOutOfRange):
         register.compress(w, [4, 3], [4])  # held sites out of order
     with pytest.raises(errors.DimensionMismatch):

@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mpslearn import cli, learner, mps
 from mpslearn.learner import load_circuit
@@ -335,6 +336,26 @@ def test_learn_rejects_damaged_state_file(tmp_path, capsys):
         rc = cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "d, overrides",
+    [
+        (2, {"D": 10**200}),  # D**2 overflows the exact variant's copy budget
+        (2, {"D": 10**400}),  # D is past a float
+        (2, {"D": 10**400, "variant": "closest"}),
+        (2, {"variant": "closest", "epsilon": 1e-200}),  # epsilon**2 underflows to zero
+        (3, {"variant": "closest", "epsilon": 1.2e-152}),  # a finite scale B, but not B d ln d
+    ],
+    ids=["D-1e200-exact", "D-1e400-exact", "D-1e400-closest", "epsilon-1e-200-closest",
+         "epsilon-1.2e-152-closest-d3"],
+)
+def test_learn_refuses_a_scale_past_a_float(tmp_path, capsys, d, overrides):
+    gen_out = run_gen(tmp_path, n=8, d=d)
+    config = learn_config(tmp_path, gen_out, **overrides)
+    assert cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_learn_refuses_version_1_state_file(tmp_path, capsys):

@@ -16,7 +16,7 @@ def test_every_export_resolves_once():
         assert getattr(mpslearn, name) is not None, name
 
 
-def test_every_traced_target_resolves():
+def _traced_targets() -> dict[str, str]:
     # read from the source, not imported: importing bench/run.py pins BLAS threads
     tree = ast.parse(BENCH_RUN.read_text())
     (targets,) = [
@@ -25,6 +25,11 @@ def test_every_traced_target_resolves():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "LAYER_TARGETS" for t in node.targets)
     ]
+    return targets
+
+
+def test_every_traced_target_resolves():
+    targets = _traced_targets()
     assert targets
     for path in targets.values():
         module, *attributes = path.split(".")
@@ -59,3 +64,44 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _read_names(paths) -> set[str]:
+    """Every name and attribute the sources read."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _definitions(tree):
+    """``(label, name)`` of each top-level function and class, and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_function_class_and_method_has_a_caller():
+    # a definition is dead unless the package or the benchmark reads it, the
+    # package exports it, or the benchmark traces it; tests do not count
+    package = Path(mpslearn.__file__).resolve().parent
+    bench = [path for path in BENCH_RUN.parent.glob("*.py") if not path.name.startswith("test_")]
+    read = _read_names([*package.glob("*.py"), *bench])
+    traced = {path.split(".")[-1] for path in _traced_targets().values()}
+    dead = [
+        f"{path.name}: {label}"
+        for path in sorted(package.glob("*.py"))
+        for label, name in _definitions(ast.parse(path.read_text()))
+        if not name.startswith("__")
+        and name not in read | traced
+        and name not in mpslearn.__all__
+    ]
+    assert dead == []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mpslearn import errors, planner
 
@@ -64,16 +65,34 @@ def test_golden_plan_layer_counts():
     assert len(plan.final_carried) == 2
 
 
+def check_plan(n, p):
+    plan = planner.plan_layers(n, 2, p)
+    final = check_partition(plan)
+    assert plan.total_projected == n - p
+    assert list(plan.final_carried) == final == list(range(n - p + 1, n + 1))
+    assert 2**plan.M * p >= n
+    assert plan.M == 1 or 2 ** (plan.M - 1) * p < n
+    # what load_circuit relies on: an acted block sheds its 1..p leading
+    # sites and carries p, so its isometry has d**(2p + f) >= f entries
+    for layer in plan.layers:
+        for block in layer:
+            assert block.acted == (block.f > 0)
+            assert block.f <= p and len(block.carried) == (p if block.acted else len(block.support))
+
+
 def test_plan_partition_and_total_shed_sweep():
     for p in range(1, 5):
         for n in range(p + 1, 65):
-            plan = planner.plan_layers(n, 2, p)
-            final = check_partition(plan)
-            assert plan.total_projected == n - p
-            assert list(plan.final_carried) == final
-            assert len(final) == p
-            assert 2**plan.M * p >= n
-            assert plan.M == 1 or 2 ** (plan.M - 1) * p < n
+            check_plan(n, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 8), n=st.integers(2, 2048))
+@example(p=1, n=2048)
+@example(p=8, n=2048)
+def test_plan_partition_and_total_shed_up_to_n_2048(p, n):
+    assume(n > p)
+    check_plan(n, p)
 
 
 def test_plan_blocks_halve_per_layer():
