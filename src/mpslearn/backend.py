@@ -22,7 +22,8 @@ epsilon = 0.2.
 
 Both registers remember which original chain sites they still hold, so
 callers address operations by original 0-based site label while the held
-state shrinks as sites are dropped.
+state shrinks as sites are dropped.  A learned circuit is walked forward by
+``compress`` and backward by its mirror, ``uncompress``, on either register.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from .errors import BackendTooLarge, BlockOutOfRange, DimensionMismatch
 
 MAX_PURE_DIM = linalg.MAX_VECTOR_DIM
 MAX_MIXED_DIM = linalg.MAX_DENSITY_DIM
+MAX_WALK_WINDOW = 2**24  # entries of a window that MPSBackend.uncompress grows
+SVD_CUTOFF = 1e-12  # singular values below this share of the largest are numerical zeros
 
 
 def infer_site_count(size: int, d: int) -> int:
@@ -79,7 +82,8 @@ class StateBackend:
 
     The learner reaches the register only through ``n``, ``pure``,
     ``success_mass``, ``rdm``, ``compress`` and ``fidelity`` (and ``copy`` for
-    the audit's snapshots); :class:`MPSBackend` implements the same members.
+    the audit's snapshots), and walks a circuit backward by ``uncompress``;
+    :class:`MPSBackend` implements the same members.
     ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
     that ``compress`` fuses.
     """
@@ -175,22 +179,45 @@ class StateBackend:
             raise DimensionMismatch(f"no {isometry.shape} isometry drops {gone} of {labels}")
         pos = self.positions(labels)
         sites = [s for s in self.sites if s not in gone]
-        carried = [sites.index(s) for s in labels[len(gone) :]]
+        self._contract(isometry.conj().T, pos, [sites.index(s) for s in labels[len(gone) :]], sites)
+
+    def uncompress(
+        self, isometry: np.ndarray, site_labels: Sequence[int], inserted: Sequence[int]
+    ) -> None:
+        """The mirror of :meth:`compress`: insert the block's leading sites at |0>, apply ``W``.
+
+        ``inserted`` join the held sites in ascending label order.  :meth:`compress`
+        then ``uncompress`` of a block applies its projector ``W W^dagger``.
+        """
+        labels, new = list(site_labels), list(inserted)
+        y, k = len(labels), len(labels) - len(new)
+        if labels[: len(new)] != new or isometry.shape != (self.d**y, self.d**k):
+            raise DimensionMismatch(f"no {isometry.shape} isometry inserts {new} into {labels}")
+        carried = self.positions(labels[len(new) :])
+        if set(new) & set(self.sites):
+            raise BlockOutOfRange(f"sites {new} are held already")
+        sites = list(self.sites)
+        for s in new:
+            bisect.insort(sites, s)
+        self._contract(isometry, carried, [sites.index(s) for s in labels], sites)
+
+    def _contract(self, op: np.ndarray, inputs: list[int], outputs: list[int], sites: list[int]):
+        """:func:`contract_block` of ``op``, and of its conjugate on a density's column side."""
         sides, m = 1 if self.pure else 2, len(sites)
         tensor = self.state.reshape((self.d,) * (sides * self.n))
-        tensor = contract_block(tensor, isometry.conj().T, pos, carried, self.d)
+        tensor = contract_block(tensor, op, inputs, outputs, self.d)
         if not self.pure:  # the column side, with the conjugate
-            columns = ([m + i for i in pos], [m + i for i in carried])
-            tensor = contract_block(tensor, isometry.T, *columns, self.d)
+            columns = ([m + i for i in inputs], [m + i for i in outputs])
+            tensor = contract_block(tensor, op.conj(), *columns, self.d)
         self.state = tensor.reshape((self.d**m,) * sides)
         self.sites = sites
 
 
-def tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> list[np.ndarray]:
+def tt_split(window: np.ndarray, d: int, count: int) -> list[np.ndarray]:
     """Split ``(D_l, d**count, D_r)`` into ``(D_l, d, D_r)`` site tensors by repeated SVD.
 
-    Singular values below ``cutoff`` relative to the largest are numerical
-    zeros and are pruned; no other truncation happens.
+    Singular values below ``SVD_CUTOFF`` relative to the largest are
+    numerical zeros and are pruned; no other truncation happens.
     """
     left, _, right = window.shape
     tensors: list[np.ndarray] = []
@@ -199,7 +226,7 @@ def tt_split(window: np.ndarray, d: int, count: int, cutoff: float = 1e-12) -> l
     for k in range(count - 1):
         matrix = carry.reshape(bond * d, d ** (count - 1 - k) * right)
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        keep = int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 1
+        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size and s[0] > 0 else 1
         keep = max(keep, 1)
         tensors.append(u[:, :keep].reshape(bond, d, keep))
         carry = s[:keep, None] * vh[:keep]
@@ -217,20 +244,11 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def window_size(tensors: Sequence[np.ndarray]) -> int:
-    """Entries of the largest array :func:`contract_window` builds from these tensors."""
-    left, width, largest = tensors[0].shape[0], 1, 0
-    for t in tensors:
-        width *= t.shape[1]
-        largest = max(largest, left * width * t.shape[2])
-    return largest
-
-
 def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
     """Contract consecutive ``(D_l, d, D_r)`` site tensors into one ``(D_l, d**w, D_r)``.
 
     The window's middle index is big-endian: the first site is its most
-    significant digit.  Size it with :func:`window_size` first.
+    significant digit.  :meth:`MPSBackend._window` sizes it first.
     """
     window = tensors[0]
     for t in tensors[1:]:
@@ -245,22 +263,25 @@ class MPSBackend:
     consecutive held sites, and its window, the block's tensors contracted
     into ``(D_l, d**y, D_r)``, must have at most ``MAX_PURE_DIM`` entries; both
     are checked before anything is built (``BlockOutOfRange``,
-    ``BackendTooLarge``).  The left and right transfer environments, the
-    Gram matrices of the held state on either side of each bond, are built in
-    one sweep each and kept until the next :meth:`compress`, so a layer's
-    marginals cost two sweeps however many blocks it has.
+    ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
+    at ``MAX_WALK_WINDOW`` entries.  The left and right transfer environments,
+    the Gram matrices of the held state on either side of each bond, are built
+    in one sweep each and kept until the next change of the register, so a
+    layer's marginals cost two sweeps however many blocks it has.
     """
 
     pure = True
 
-    def __init__(self, state: mps.MatrixProductState):
+    def __init__(self, state: mps.MatrixProductState, sites: Sequence[int] | None = None):
         if state.boundary != "open":
             raise DimensionMismatch("the tensor-train register needs an open-boundary state")
         self.d = state.d
         self.tensors = [
             np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
         ]
-        self.sites = list(range(state.n))
+        self.sites = list(range(state.n)) if sites is None else list(sites)
+        if len(self.sites) != state.n or self.sites != sorted(set(self.sites)):
+            raise DimensionMismatch(f"site labels {self.sites} for {state.n} sites, not ascending")
         self._left: list[np.ndarray] | None = None
         self._right: list[np.ndarray] | None = None
 
@@ -268,17 +289,30 @@ class MPSBackend:
     def n(self) -> int:
         return len(self.sites)
 
-    def _window(self, labels: list[int]) -> tuple[int, int]:
-        """Positions ``lo:hi`` of a block held as consecutive sites, in this order."""
+    @property
+    def state(self) -> mps.MatrixProductState:
+        """The held state as an open-boundary tensor train on the held sites."""
+        tensors = [t.transpose(1, 0, 2) for t in self.tensors]
+        return mps.MatrixProductState(self.n, self.d, "open", tensors)
+
+    def _window(self, labels: list[int], cap: int = MAX_PURE_DIM, grow: int = 0) -> tuple[int, int]:
+        """Positions ``lo:hi`` of a run of held sites.
+
+        Every array :func:`contract_window` builds from them, ``grow`` sites
+        wider, must fit in ``cap`` entries.
+        """
         lo = bisect.bisect_left(self.sites, labels[0]) if labels else 0
         hi = lo + len(labels)
         if not labels or self.sites[lo:hi] != labels:
             raise BlockOutOfRange(f"sites {labels} are not a run of consecutive held sites")
-        entries = window_size(self.tensors[lo:hi])
-        if entries > MAX_PURE_DIM:
+        width, entries = self.tensors[lo].shape[0] * self.d**grow, 0
+        for t in self.tensors[lo:hi]:
+            width *= self.d
+            entries = max(entries, width * t.shape[2])
+        if entries > cap:
             raise BackendTooLarge(
                 f"the window of sites {labels[0]}..{labels[-1]} needs {entries} entries "
-                f"> cap {MAX_PURE_DIM}"
+                f"> cap {cap}"
             )
         return lo, hi
 
@@ -343,10 +377,28 @@ class MPSBackend:
         self.sites[lo:hi] = labels[len(gone) :]
         self._left = self._right = None
 
+    def uncompress(
+        self, isometry: np.ndarray, site_labels: Sequence[int], inserted: Sequence[int]
+    ) -> None:
+        """:meth:`StateBackend.uncompress`, capping the grown window before anything is read."""
+        labels, new = list(site_labels), list(inserted)
+        y, k = len(labels), len(labels) - len(new)
+        if k < 1 or labels[: len(new)] != new:
+            raise DimensionMismatch(f"no isometry inserts {new} into {labels}")
+        lo, hi = self._window(labels[len(new) :], MAX_WALK_WINDOW, grow=len(new))
+        sites = self.sites[:lo] + labels + self.sites[hi:]
+        if any(a >= b for a, b in zip(sites, sites[1:])):
+            raise BlockOutOfRange(f"sites {new} do not fit before the held run")
+        if isometry.shape != (self.d**y, self.d**k):
+            raise DimensionMismatch(f"no {isometry.shape} isometry inserts {new} into {labels}")
+        grown = isometry @ contract_window(self.tensors[lo:hi])
+        self.tensors[lo:hi] = tt_split(grown, self.d, y)
+        self.sites = sites
+        self._left = self._right = None
+
     def expand(self) -> np.ndarray:
         """The held state as a dense vector on the held sites (capped by :func:`mps.expand`)."""
-        tensors = [t.transpose(1, 0, 2) for t in self.tensors]
-        return mps.expand(mps.MatrixProductState(self.n, self.d, "open", tensors))
+        return mps.expand(self.state)
 
     def fidelity(self, vector: np.ndarray) -> float:
         """``|<v|psi>|^2`` for ``v`` on the held sites in ascending order."""

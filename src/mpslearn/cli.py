@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import complexity, mps, tomography, verify
 from .errors import (
-    BackendTooLarge,
     BadCut,
     BadEpsilon,
     BadParameter,
@@ -47,7 +46,7 @@ _BAD_INPUT = (
     DegenerateD,
 )
 _INFEASIBLE = (TooSmall,)
-_RESOURCE = (TooLarge, BackendTooLarge)
+_RESOURCE = (TooLarge,)
 _PROPERTY = (OracleFailure, NoConvergence)
 
 
@@ -148,10 +147,11 @@ def _cmd_gen(args) -> int:
         kind=kind,
     )
     state = mps.random_mps(spec)
+    profile = mps.schmidt_profile(state)  # before any file: a periodic state may be too large
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mps.save_mps(state, out_dir / "state.json")
-    for cut, rank in enumerate(mps.schmidt_profile(state), start=1):
+    for cut, rank in enumerate(profile, start=1):
         print(f"cut {cut}: rank {rank}")
     _write_manifest(out_dir, "gen", resolved, [], ["state.json"])
     return 0

@@ -58,7 +58,7 @@ class BadEpsilon(ValueError):
     """An accuracy parameter is outside (0, 1]."""
 
 
-class BackendTooLarge(ValueError):
+class BackendTooLarge(TooLarge):
     """A register cannot hold a state, or a block's window, of this size."""
 
 

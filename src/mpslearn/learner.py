@@ -27,11 +27,11 @@ A register no longer than twice the block tail runs the same loop with zero
 layers (``plan`` is ``None``): the closing call then covers the whole register
 (the trivial path).  For a pure input under the exact oracle, on the trivial
 path or in a factored run, the closing call reads the held tail directly
-instead of estimating it.  The learned circuit is walked in one
-place each way: backward to prepare the state (and the audit's stage
-operators), forward to disentangle a vector and, optionally, project out each
-layer's shed sites.  The run's final fidelity needs neither walk: it is the
-closing register's overlap with the residual.
+instead of estimating it.  The learned circuit is walked through the
+registers' ``compress`` forward (to disentangle or project a vector) and their
+``uncompress`` backward (to prepare the state, densely or as a tensor train,
+and the audit's stages).  The run's final fidelity needs neither walk: it is
+the closing register's overlap with the residual.
 """
 from __future__ import annotations
 
@@ -44,15 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps, tomography
-from .backend import (
-    MPSBackend,
-    StateBackend,
-    contract_block,
-    contract_window,
-    infer_site_count,
-    tt_split,
-    window_size,
-)
+from .backend import MPSBackend, StateBackend, tt_split
 from .disentangler import (
     build_rank_capped,
     build_rank_capped_from_factor,
@@ -212,10 +204,9 @@ class AuditTrail:
     def stepwise_vector(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized vector on the full register (pure runs)."""
         self._check_layer(j)
-        snap = self.snapshots[j]
-        if not snap.pure:
+        if not self.snapshots[j].pure:
             raise BadParameter("stepwise vectors exist only for pure-state runs")
-        return _walk_backward(self.circuit, snap.state, snap.sites, j)
+        return _walk_backward(self.circuit, self.snapshots[j].copy(), j).state
 
     def stepwise_state(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized operator on the full register."""
@@ -226,9 +217,9 @@ class AuditTrail:
                 f"dense stage operator of dimension {d}**{n} exceeds cap "
                 f"{linalg.MAX_DENSITY_DIM}; use stepwise_vector for pure runs"
             )
-        snap = self.snapshots[j]
-        stage = _walk_backward(self.circuit, snap.state, snap.sites, j)
-        return np.outer(stage, stage.conj()) if snap.pure else stage
+        register = _walk_backward(self.circuit, self.snapshots[j].copy(), j)
+        stage = register.state
+        return np.outer(stage, stage.conj()) if register.pure else stage
 
     def fidelity_against(self, phi: np.ndarray, j: int) -> float:
         """Overlap of stage ``j`` with a witness state, ``<phi| rho_j |phi>``."""
@@ -587,43 +578,20 @@ def _metadata(
     }
 
 
-def _apply_isometry(tensor: np.ndarray, w: np.ndarray, axes: list[int], d: int) -> np.ndarray:
-    """Apply a ``d**y x d**k`` isometry on the ``y`` tensor ``axes`` of a block.
-
-    ``w`` maps the trailing ``k`` axes onto all ``y``; the leading ones are
-    read at index 0, where the block must read |0>.  There this equals any
-    unitary completion of ``w``, at a share ``d**(k - y)`` of its cost.
-    """
-    y, k = len(axes), infer_site_count(w.shape[1], d)
-    zeros = axes[: y - k]
-    index = tuple(0 if a in zeros else slice(None) for a in range(tensor.ndim))
-    carried = [a - sum(z < a for z in zeros) for a in axes[y - k :]]
-    return contract_block(tensor[index], w, carried, axes, d)
-
-
 def _walk_backward(
-    circuit: CircuitDescription, state: np.ndarray, sites: Sequence[int], j: int
-) -> np.ndarray:
-    """Undo layers ``j..1`` of the circuit on a state held on some sites.
+    circuit: CircuitDescription, register: StateBackend | MPSBackend, j: int
+) -> StateBackend | MPSBackend:
+    """Undo layers ``j..1`` of the circuit on a register, and return it.
 
-    ``state`` is a vector, or a density operator, on the 0-based ``sites`` in
-    ascending order; every other site of the register reads |0>.  The result
-    lives on the full register and has the same kind as ``state``.
+    The register holds the state after layer ``j``; each block inserts its
+    shed sites at |0> and maps its carried sites through its isometry
+    (``uncompress``), so the register ends on the full chain.
     """
-    d, n = circuit.d, circuit.n
-    sides = state.ndim
-    tensor = np.zeros((d,) * (sides * n), dtype=complex)
-    index = [0] * n
-    for s in sites:
-        index[s] = slice(None)
-    tensor[tuple(index) * sides] = state.reshape((d,) * (sides * len(sites)))
     for layer in range(j, 0, -1):
         for u in circuit.layer_unitaries(layer):
-            axes = [s - 1 for s in u.support]
-            tensor = _apply_isometry(tensor, u.matrix, axes, d)
-            if sides == 2:  # the column side, with the conjugate
-                tensor = _apply_isometry(tensor, u.matrix.conj(), [n + a for a in axes], d)
-    return tensor.reshape((d**n,) * sides)
+            support = [s - 1 for s in u.support]
+            register.uncompress(u.matrix, support, support[: len(support) - circuit.p])
+    return register
 
 
 def _walk_forward(
@@ -656,8 +624,8 @@ def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
     d, n = circuit.d, circuit.n
     if d**n > linalg.MAX_VECTOR_DIM:
         raise TooLarge(f"dense reconstruction of dimension {d}**{n} exceeds the cap")
-    sites = [s - 1 for s in circuit.residual_sites]
-    return _walk_backward(circuit, circuit.residual, sites, circuit.num_layers)
+    register = StateBackend(circuit.residual, d, sites=[s - 1 for s in circuit.residual_sites])
+    return _walk_backward(circuit, register, circuit.num_layers).state
 
 
 def forward_transform(circuit: CircuitDescription, vector: np.ndarray) -> np.ndarray:
@@ -685,39 +653,17 @@ def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) ->
     return _walk_forward(circuit, phi, j, project=True)
 
 
-def extract_mps(circuit: CircuitDescription, cutoff: float = 1e-12) -> mps.MatrixProductState:
+def extract_mps(circuit: CircuitDescription) -> mps.MatrixProductState:
     """Contract the learned circuit into an open-boundary tensor train.
 
-    Starts from the product of zeros and the residual, then applies each block
-    isometry in reverse layer order by contracting the spanned window and
-    re-splitting it with :func:`~mpslearn.backend.tt_split`'s un-truncated
-    SVDs (values below ``cutoff`` relative to the largest are pruned as
-    numerical zeros).  A window of more than ``2**24`` entries raises
-    ``TooLarge`` before it is built.
+    The residual, split by :func:`~mpslearn.backend.tt_split`'s un-truncated
+    SVDs, is walked backward on a tensor-train register.  A grown window of
+    more than ``2**24`` entries raises ``TooLarge`` before it is built.
     """
-    d, n = circuit.d, circuit.n
-    zero = np.zeros((1, d, 1), dtype=complex)
-    zero[0, 0, 0] = 1.0
-    tensors = [zero.copy() for _ in range(n)]  # (D_l, d, D_r) until the end
-
-    sites = circuit.residual_sites  # the last p sites, or all n on the trivial path
-    window = circuit.residual.reshape(1, -1, 1)
-    tensors[sites[0] - 1 : sites[-1]] = tt_split(window, d, len(sites), cutoff)
-
-    for layer in range(circuit.num_layers, 0, -1):
-        for u in circuit.layer_unitaries(layer):
-            lo, hi = u.support[0] - 1, u.support[-1]
-            if window_size(tensors[lo:hi]) > 2**24:
-                raise TooLarge("window contraction exceeds the desk-scale cap")
-            window = contract_window(tensors[lo:hi])
-            left, right = window.shape[0], window.shape[2]
-            t3 = window.reshape((left,) + (d,) * (hi - lo) + (right,))
-            t3 = _apply_isometry(t3, u.matrix, [s - lo for s in u.support], d)
-            window = t3.reshape(left, -1, right)
-            tensors[lo:hi] = tt_split(window, d, hi - lo, cutoff)
-
-    tensors = [t.transpose(1, 0, 2) for t in tensors]
-    return mps.MatrixProductState(n=n, d=d, boundary="open", tensors=tensors)
+    d, sites = circuit.d, [s - 1 for s in circuit.residual_sites]
+    train = tt_split(circuit.residual.reshape(1, -1, 1), d, len(sites))
+    residual = mps.MatrixProductState(len(sites), d, "open", [t.transpose(1, 0, 2) for t in train])
+    return _walk_backward(circuit, MPSBackend(residual, sites), circuit.num_layers).state
 
 
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:

@@ -73,11 +73,7 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is positive real."""
-    v = np.asarray(vector, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    if abs(v[k]) <= tol:
-        return v.copy()
-    return v * (abs(v[k]) / v[k])
+    return _fix_phases(np.array(vector, dtype=complex).reshape(-1, 1), tol)[:, 0]
 
 
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,14 +109,15 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """:func:`fix_phase` on every column of ``v``, in place and bit for bit."""
+    """Rotate each column of ``v`` in place, as :func:`fix_phase` rotates a vector."""
     if v.size == 0:  # argmax has no empty reduction
         return v
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     fixed = np.abs(pivots) > tol
-    # scalar abs(p) / p, as fix_phase computes it: the array quotient
-    # np.abs(pivots) / pivots can differ in the last bit
-    v[:, fixed] *= np.array([abs(p) / p for p in pivots[fixed]], dtype=complex)
+    # scalar quotients abs(p) / p, multiplied into the rows of v.T out of place:
+    # array quotients, in-place or row-broadcast products differ in the last bit
+    phases = np.array([abs(p) / p for p in pivots[fixed]], dtype=complex)
+    v.T[fixed] = v.T[fixed] * phases[:, None]
     return v
 
 

@@ -184,11 +184,39 @@ def test_compress_refuses_a_mismatched_isometry():
         register.compress(w, [0, 5], [0])
 
 
+def test_uncompress_refuses_what_no_compress_could_undo():
+    dense = StateBackend(random_state(3, 2, seed=47), 2, sites=[0, 2, 3])
+    train = MPSBackend(mps.random_mps(mps.StateSpec(n=3, d=2, D=2, seed=47)), sites=[0, 2, 3])
+    w = np.eye(4, 2, dtype=complex)
+    for register in (dense, train):
+        with pytest.raises(errors.DimensionMismatch):
+            register.uncompress(w, [1, 2], [2])  # inserts a trailing site
+        with pytest.raises(errors.DimensionMismatch):
+            register.uncompress(np.eye(8, 2, dtype=complex), [1, 2], [1])  # w maps from one site
+        with pytest.raises(errors.BlockOutOfRange):
+            register.uncompress(w, [0, 2], [0])  # site 0 is held already
+        with pytest.raises(errors.BlockOutOfRange):
+            register.uncompress(w, [1, 5], [1])  # site 5 is not held
+    with pytest.raises(errors.BlockOutOfRange):
+        train.uncompress(w, [4, 2], [4])  # a tensor train keeps its sites in order
+    with pytest.raises(errors.DimensionMismatch):
+        MPSBackend(mps.random_mps(mps.StateSpec(n=2, d=2, D=2, seed=48)), sites=[3, 1])
+    # a grown window of 2**25 entries, over the walk's cap of 2**24, before w is read
+    wide = MPSBackend(mps.random_mps(mps.StateSpec(n=1, d=2, D=1, kind="product", seed=49)), [24])
+    with pytest.raises(errors.BackendTooLarge, match="window"):
+        wide.uncompress(None, list(range(25)), list(range(24)))
+    dense.uncompress(w, [1, 2], [1])
+    assert dense.sites == [0, 1, 2, 3]
+
+
 @st.composite
 def register_walks(draw, sizes=(8, 6)):
     """(d, n, D, seed, steps): compressions of runs of consecutive held sites.
 
-    ``sizes`` caps the chain length for d = 2 and d = 3.
+    Each step is ``(lo, y, dropped, undo)``: compress the ``y`` held sites
+    from position ``lo`` on, dropping the leading ``dropped``, and with
+    ``undo`` uncompress the block again at once.  ``sizes`` caps the chain
+    length for d = 2 and d = 3.
     """
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, sizes[0] if d == 2 else sizes[1]))
@@ -197,45 +225,71 @@ def register_walks(draw, sizes=(8, 6)):
         y = draw(st.integers(1, min(held, 4 if d == 2 else 3)))
         lo = draw(st.integers(0, held - y))
         dropped = draw(st.integers(0, y - 1))
-        steps.append((lo, y, dropped))
-        held -= dropped
+        undo = draw(st.booleans())
+        steps.append((lo, y, dropped, undo))
+        held -= 0 if undo else dropped
     return d, n, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), steps
+
+
+def walk_isometry(rng, d, y, dropped):
+    g = rng.standard_normal((d**y, d ** (y - dropped)))
+    return np.linalg.qr(g + 1j * rng.standard_normal(g.shape))[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(walk=register_walks())
-@example(walk=(2, 8, 2, 0, [(0, 4, 2), (2, 4, 2), (0, 4, 2)]))  # an n = 8, p = 2 plan
+@example(walk=(2, 8, 2, 0, [(0, 4, 2, False), (2, 4, 2, False), (0, 4, 2, False)]))  # n = 8, p = 2
+@example(walk=(3, 6, 3, 1, [(1, 3, 2, True), (2, 3, 1, False), (0, 3, 2, True)]))
 def test_the_tensor_train_register_matches_the_dense_register(walk):
+    # compress forward, then uncompress back to the full chain; a mixed dense
+    # register walks along, and each undone step leaves the projector W W^H
     d, n, D, seed, steps = walk
     state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed % 1000))
     rng = np.random.default_rng(seed)
-    train, dense = MPSBackend(state), StateBackend(mps.expand(state), d)
+    psi = mps.expand(state)
+    train, dense = MPSBackend(state), StateBackend(psi, d)
+    mixed = StateBackend(np.outer(psi, psi.conj()), d)
 
     def agree():
-        assert train.sites == dense.sites
+        assert train.sites == dense.sites == mixed.sites
         assert abs(train.success_mass() - dense.success_mass()) <= 1e-12
         for lo in range(train.n):
             for hi in range(lo + 1, min(lo + 3, train.n) + 1):
                 block = train.sites[lo:hi]
                 assert np.max(np.abs(train.rdm(block) - dense.rdm(block))) <= 1e-12
         assert np.max(np.abs(train.expand() - dense.state)) <= 1e-12
+        assert np.max(np.abs(mixed.state - np.outer(dense.state, dense.state.conj()))) <= 1e-12
         witness = random_state(train.n, d, seed % 997)
         assert abs(train.fidelity(witness) - dense.fidelity(witness)) <= 1e-12
 
     agree()
-    for lo, y, dropped in steps:
+    walked = []
+    for lo, y, dropped, undo in steps:
         labels = train.sites[lo : lo + y]
-        g = rng.standard_normal((d**y, d ** (y - dropped)))
-        w, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
-        train.compress(w, labels, labels[:dropped])
-        dense.compress(w, labels, labels[:dropped])
+        w = walk_isometry(rng, d, y, dropped)
+        before = dense.state
+        for register in (train, dense, mixed):
+            register.compress(w, labels, labels[:dropped])
         agree()
+        if undo:
+            for register in (train, dense, mixed):
+                register.uncompress(w, labels, labels[:dropped])
+            agree()
+            projected = apply_unitary_vector(before, w @ w.conj().T, dense.positions(labels), d)
+            assert np.max(np.abs(dense.state - projected)) <= 1e-12
+        else:
+            walked.append((w, labels, labels[:dropped]))
+    for step in reversed(walked):
+        for register in (train, dense, mixed):
+            register.uncompress(*step)
+        agree()
+    assert train.sites == list(range(n))
 
 
 @settings(max_examples=60, deadline=None)
 @given(walk=register_walks(sizes=(12, 12)), widths=st.tuples(st.integers(1, 4), st.integers(0, 4)))
 @example(walk=(2, 8, 2, 0, []), widths=(4, 3))  # k = D_l * D_r <= 4 columns for d**p = 8
-@example(walk=(3, 12, 3, 1, [(0, 3, 2), (4, 3, 1)]), widths=(3, 2))
+@example(walk=(3, 12, 3, 1, [(0, 3, 2, False), (4, 3, 1, False)]), widths=(3, 2))
 def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
     # the factor path against the register's dense marginal, on every block
     d, n, D, seed, steps = walk
@@ -259,11 +313,12 @@ def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
             assert abs(kept - top) <= 1e-12 * max(1.0, np.linalg.norm(sigma))
 
     agree()
-    for lo, y, dropped in steps:
+    for lo, y, dropped, undo in steps:
         labels = train.sites[lo : lo + y]
-        g = rng.standard_normal((d**y, d ** (y - dropped)))
-        w, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
+        w = walk_isometry(rng, d, y, dropped)
         train.compress(w, labels, labels[:dropped])
+        if undo:
+            train.uncompress(w, labels, labels[:dropped])
         agree()
 
 

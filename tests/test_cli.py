@@ -239,6 +239,36 @@ def test_gen_rejects_nonpositive_register(tmp_path):
     assert cli.main(["gen", "--config", config, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_gen_past_a_resource_limit_writes_no_file(tmp_path, capsys):
+    # a periodic state's profile expands it: n = 17 is past the dense cap
+    doc = {"kind": "random", "n": 17, "d": 2, "D": 2, "boundary": "periodic"}
+    config = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "x"
+    assert cli.main(["gen", "--config", config, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "boundary, n, variant",
+    [("open", 64, "closest"), ("periodic", 17, "exact")],
+    ids=["closest-n64-window", "periodic-n17-dense"],
+)
+def test_learn_past_a_resource_limit_exits_4(tmp_path, capsys, boundary, n, variant):
+    # a block window the tensor train cannot hold (BackendTooLarge), and a
+    # periodic state the dense register cannot hold (TooLarge)
+    state_dir = tmp_path / "gen"
+    state_dir.mkdir()
+    spec = mps.StateSpec(n=n, d=2, D=2, boundary=boundary, seed=52)
+    mps.save_mps(mps.random_mps(spec), state_dir / "state.json")
+    config = learn_config(tmp_path, state_dir, variant=variant)
+    out = tmp_path / "learn"
+    assert cli.main(["learn", "--config", config, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_all_suites_pass(tmp_path, capsys):
     out = tmp_path / "verify"
     rc = cli.main(["verify", "--suite", "all", "--out", str(out)])

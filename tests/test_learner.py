@@ -173,18 +173,6 @@ def test_forward_transform_recovers_zero_sector():
     )
 
 
-def test_extract_mps_matches_reconstruction():
-    psi = random_mps_vector(8, seed=13)
-    circuit, report = learner.learn(psi, 2, 2, 0.2, 0.01)
-    extracted = learner.extract_mps(circuit)
-    dense = mps.expand(extracted)
-    fid = abs(np.vdot(dense, learner.reconstruct_state(circuit))) ** 2
-    assert fid >= 1.0 - 1e-8
-    cap = 2 ** (report.M + 1) * 2 ** (2 * (report.M + 1))
-    for t in extracted.tensors:
-        assert t.shape[1] <= cap and t.shape[2] <= cap
-
-
 def test_trivial_register_short_circuit():
     # n <= 2p has no layers to run; the whole register is one tomography call
     psi = random_mps_vector(4, seed=14)
@@ -571,6 +559,32 @@ def test_load_circuit_raises_malformed_circuit(monkeypatch, tmp_path, tamper):
         path.write_text(tamper(doc) or json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    D=st.integers(1, 3),
+    oracle=st.sampled_from(sorted(_ORACLES)),
+    seed=st.integers(0, 2**16),
+)
+@example(n=8, D=2, oracle="exact", seed=13)
+@example(n=12, D=3, oracle="bounded-noise", seed=14)
+@example(n=3, D=2, oracle="finite-sample", seed=15)  # the trivial path
+def test_extract_mps_matches_reconstruction(n, D, oracle, seed):
+    # the backward walk on the tensor train against the walk on the dense register
+    D = min(D, 2) if oracle == "finite-sample" else D  # its blocks stop at 4 qubits
+    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=seed))
+    mode = _ORACLES[oracle]()
+    if not isinstance(mode, tomography.ExactMode):
+        mode = dataclasses.replace(mode, seed=seed)
+    circuit, _ = learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=seed)
+    extracted = learner.extract_mps(circuit)
+    assert (extracted.n, extracted.boundary) == (n, "open")
+    for k, t in enumerate(extracted.tensors):  # no bond beyond the cut's dimension
+        assert t.shape[2] <= 2 ** min(k + 1, n - k - 1)
+    reconstructed = learner.reconstruct_state(circuit)
+    assert np.max(np.abs(mps.expand(extracted) - reconstructed)) <= 1e-12
 
 
 def _learn_or_error(state, d, D, mode, seed):
