@@ -1,29 +1,29 @@
 """Registers the tree learner runs on: a dense one and a tensor-train one.
 
-Which register ``learn`` uses follows from its input:
+Which register ``learn`` uses follows from its input alone:
 
-* an open-boundary :class:`~mpslearn.mps.MatrixProductState` without
-  ``audit`` goes to :class:`MPSBackend`, which keeps the site tensors and never
-  forms a ``d**n`` object, so these runs have no dense cap: only each block's
-  window (``d**y * D_l * D_r`` entries) and the closing tail are capped.  Its
+* an open-boundary :class:`~mpslearn.mps.MatrixProductState` goes to
+  :class:`MPSBackend`, which keeps the site tensors and never forms a
+  ``d**n`` object, so these runs have no dense cap: only each block's window
+  (``d**y * D_l * D_r`` entries) and the closing tail are capped.  Its
   :meth:`MPSBackend.rdm_factor` gives a block marginal as ``F F^H`` for a thin
   ``d**y x (D_l * D_r)`` factor ``F``; the exact variant under the exact
   oracle builds its isometries from ``F`` and never forms the marginal;
 * everything else goes to :class:`StateBackend`, the dense reference path:
-  vectors, density matrices, periodic states (expanded) and audited runs
-  (whose snapshots are dense).  Pure inputs stay vectors; mixed inputs are
-  density matrices, capped at a much smaller register since they square the
-  memory cost.
+  vectors, density matrices and periodic states (expanded).  Pure inputs stay
+  vectors; mixed inputs are density matrices, capped at a much smaller
+  register since they square the memory cost.
 
-What stays capped: mixed and periodic inputs, ``audit=True`` and
-``reconstruct_state`` (all dense), and on every path a block window or tail
-too wide to hold, such as the closest variant's 36-site blocks at n = 64 and
-epsilon = 0.2.
+What stays capped: mixed and periodic inputs, ``reconstruct_state`` and the
+audit's stage vectors and operators (all dense), and on every path a block
+window or tail too wide to hold, such as the closest variant's 36-site blocks
+at n = 64 and epsilon = 0.2.
 
 Both registers remember which original chain sites they still hold, so
 callers address operations by original 0-based site label while the held
 state shrinks as sites are dropped.  A learned circuit is walked forward by
-``compress`` and backward by its mirror, ``uncompress``, on either register.
+``compress`` and backward by its mirror, ``uncompress``, on either register,
+and a pure register's ``expand`` gives the held state as a dense vector.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps
-from .errors import BackendTooLarge, BlockOutOfRange, DimensionMismatch
+from .errors import BackendTooLarge, BadParameter, BlockOutOfRange, DimensionMismatch
 
 MAX_PURE_DIM = linalg.MAX_VECTOR_DIM
 MAX_MIXED_DIM = linalg.MAX_DENSITY_DIM
@@ -81,9 +81,9 @@ class StateBackend:
     """A register of ``d``-level sites holding a pure or mixed dense state.
 
     The learner reaches the register only through ``n``, ``pure``,
-    ``success_mass``, ``rdm``, ``compress`` and ``fidelity`` (and ``copy`` for
-    the audit's snapshots), and walks a circuit backward by ``uncompress``;
-    :class:`MPSBackend` implements the same members.
+    ``success_mass``, ``rdm``, ``compress``, ``expand`` and ``fidelity`` (and
+    ``copy`` for the audit's snapshots), and walks a circuit backward by
+    ``uncompress``; :class:`MPSBackend` implements the same members.
     ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
     that ``compress`` fuses.
     """
@@ -115,6 +115,12 @@ class StateBackend:
 
     def copy(self) -> "StateBackend":
         return StateBackend(self.state, self.d, sites=list(self.sites))
+
+    def expand(self) -> np.ndarray:
+        """The held pure state as a vector on the held sites; a mixed register has none."""
+        if not self.pure:
+            raise BadParameter("a mixed register holds no state vector")
+        return self.state
 
     def positions(self, site_labels: Sequence[int]) -> list[int]:
         """Current axis positions of the given original site labels."""
@@ -294,6 +300,10 @@ class MPSBackend:
         """The held state as an open-boundary tensor train on the held sites."""
         tensors = [t.transpose(1, 0, 2) for t in self.tensors]
         return mps.MatrixProductState(self.n, self.d, "open", tensors)
+
+    def copy(self) -> "MPSBackend":
+        """A register on the same tensors, which no operation writes in place."""
+        return MPSBackend(self.state, self.sites)
 
     def _window(self, labels: list[int], cap: int = MAX_PURE_DIM, grow: int = 0) -> tuple[int, int]:
         """Positions ``lo:hi`` of a run of held sites.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -168,7 +169,6 @@ _LEARN_SCHEMA = {
     "project_psd": ((bool,), False),
     "copies": ((int,), False),
     "seed": ((int,), False),
-    "audit": ((bool,), False),
     "theta": ((float, int), False),
 }
 
@@ -193,44 +193,9 @@ def _oracle_from_config(resolved: dict) -> tomography.OracleMode:
 
 
 def _report_doc(report) -> dict:
-    return {
-        "variant": report.variant,
-        "n": report.n,
-        "d": report.d,
-        "D": report.D,
-        "epsilon": report.epsilon,
-        "effective_epsilon": report.effective_epsilon,
-        "delta": report.delta,
-        "p": report.p,
-        "M": report.M,
-        "eta": report.eta,
-        "tau": report.tau,
-        "seed": report.seed,
-        "oracle": report.oracle,
-        "final_fidelity": report.final_fidelity,
-        "copies_used": report.copies_used,
-        "per_layer": [
-            {
-                "layer": layer.layer,
-                "success_mass": layer.success_mass,
-                "drop_bound": layer.drop_bound,
-                "blocks": [
-                    {
-                        "layer": b.layer,
-                        "index": b.index,
-                        "support": list(b.support),
-                        "success_mass": b.success_mass,
-                        "estimate_error": b.estimate_error,
-                        "copies_charged": b.copies_charged,
-                    }
-                    for b in layer.blocks
-                ],
-            }
-            for layer in report.per_layer
-        ],
-        "deviations": list(report.deviations),
-        "theta": report.theta,
-    }
+    doc = dataclasses.asdict(report)
+    del doc["audit"]  # the command line runs learn without audit
+    return doc
 
 
 def _cmd_learn(args) -> int:
@@ -243,7 +208,6 @@ def _cmd_learn(args) -> int:
         "variant": config.get("variant", "exact"),
         "oracle": _MODE_ALIASES[args.mode] if args.mode else config.get("oracle", "exact"),
         "seed": args.seed if args.seed is not None else config.get("seed", 0),
-        "audit": bool(args.audit or config.get("audit", False)),
     }
     for key in ("eta", "project_psd", "copies", "theta"):
         if key in config:
@@ -259,7 +223,6 @@ def _cmd_learn(args) -> int:
         variant=resolved["variant"],
         mode=mode,
         seed=resolved["seed"],
-        audit=resolved["audit"],
         theta=resolved.get("theta"),
     )
     out_dir = Path(args.out)
@@ -465,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="oracle override: exact, noise, or sample",
     )
-    learn_p.add_argument("--audit", action="store_true", help="record stepwise snapshots")
 
     verify_p = sub.add_parser("verify", help="run a property suite")
     verify_p.add_argument(

@@ -1,9 +1,10 @@
 """Copy-count formulas and scaling-law helpers.
 
 Each ``budget_*`` function returns the leading-order number of state copies a
-method consumes, with an explicit ``multiplier`` standing in for the
-unspecified constant (default 1).  Logarithms are natural.  The functions are
-meant for comparing growth rates, not for predicting laboratory shot counts.
+method consumes, with the unspecified constant set to 1.  Logarithms are
+natural.  Each product is carried in floats from its first factor on, which
+fixes its last digits at large ``n``.  The functions are meant for comparing
+growth rates, not for predicting laboratory shot counts.
 """
 from __future__ import annotations
 
@@ -31,9 +32,7 @@ def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
 
 
-def budget_exact_ours(
-    n: int, d: int, D: int, epsilon: float, delta: float, multiplier: float = 1.0
-) -> float:
+def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the tree learner under the bond-dimension promise.
 
     Scales as ``D**6 d**2 n**3 log(n/delta) / (log_d(D)**3 epsilon**4)``.
@@ -45,8 +44,7 @@ def budget_exact_ours(
         raise DegenerateD(f"the scaling formula needs D >= 2, got {D}")
     log_d_D = math.log(D) / math.log(d)
     return (
-        multiplier
-        * D**6
+        float(D**6)
         * d**2
         * n**3
         * math.log(n / delta)
@@ -54,19 +52,15 @@ def budget_exact_ours(
     )
 
 
-def budget_exact_previous(
-    n: int, D: int, epsilon: float, delta: float, multiplier: float = 1.0
-) -> float:
+def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier sweep-based learner under the same promise."""
     _check_common(n, 2, epsilon, delta)
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
-    return multiplier * n**5 * D**2 * math.log(n / delta) / epsilon**4
+    return float(n**5) * D**2 * math.log(n / delta) / epsilon**4
 
 
-def budget_closest_ours(
-    n: int, d: int, D: int, epsilon: float, delta: float, multiplier: float = 1.0
-) -> float:
+def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the competitive tree learner (no input promise).
 
     Scales as ``D**12 n**7 d**4 log(d)**7 log(n/delta) / (epsilon**12 L**7)``
@@ -81,8 +75,7 @@ def budget_closest_ours(
     if L <= 0:
         raise BadParameter("scale too small: log(log(d) * B) must be positive")
     return (
-        multiplier
-        * D**12
+        float(D**12)
         * n**7
         * d**4
         * math.log(d) ** 7
@@ -91,9 +84,7 @@ def budget_closest_ours(
     )
 
 
-def budget_closest_raw(
-    n: int, d: int, p: int, eta: float, delta: float, multiplier: float = 1.0
-) -> float:
+def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> float:
     """Competitive-variant total before eliminating the per-call accuracy.
 
     Scales as ``n d**4 log(n/delta) / (p eta**6)``; substituting the closed
@@ -106,17 +97,15 @@ def budget_closest_raw(
         raise BadParameter(f"eta must be in (0, 1), got {eta}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
-    return multiplier * n * d**4 * math.log(n / delta) / (p * eta**6)
+    return float(n) * d**4 * math.log(n / delta) / (p * eta**6)
 
 
-def budget_closest_previous(
-    n: int, D: int, epsilon: float, delta: float, multiplier: float = 1.0
-) -> float:
+def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier competitive learner."""
     _check_common(n, 2, epsilon, delta)
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
-    return multiplier * n**9 * D**8 * math.log(n / delta) / epsilon**8
+    return float(n**9) * D**8 * math.log(n / delta) / epsilon**8
 
 
 def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float:

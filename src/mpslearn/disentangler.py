@@ -58,38 +58,21 @@ class Disentangler:
     Attributes
     ----------
     isometry : np.ndarray
-        ``(d**y, k)``: orthonormal eigenvectors in descending eigenvalue
-        order, with ``k = kept_dim`` unless the builder was given a width.
-    d, y : int
-        Local dimension and number of block qudits.
-    kept_qudits : int
-        Number of trailing qudits that carry the protected subspace.
-    kept_dim : int
-        ``d**kept_qudits``.
+        ``(d**y, d**k)`` for a ``y``-qudit block that keeps ``k`` trailing
+        qudits: orthonormal eigenvectors in descending eigenvalue order.
     selected : np.ndarray
         Columns are the selected vectors (top ``D**2`` eigenvectors, or the
         above-threshold eigenvectors).  May have zero columns.
     """
 
     isometry: np.ndarray
-    d: int
-    y: int
-    kept_qudits: int
-    kept_dim: int
     selected: np.ndarray
 
 
-def _from_eigenbasis(
-    vectors: np.ndarray, d: int, kept_qudits: int, selected_count: int, width: int
-) -> Disentangler:
+def _from_eigenbasis(vectors: np.ndarray, selected_count: int, width: int) -> Disentangler:
     """Disentangler from orthonormal columns led by the selected vectors."""
     return Disentangler(
-        isometry=vectors[:, :width].copy(),
-        d=d,
-        y=infer_site_count(vectors.shape[0], d),
-        kept_qudits=kept_qudits,
-        kept_dim=d**kept_qudits,
-        selected=vectors[:, :selected_count].copy(),
+        isometry=vectors[:, :width].copy(), selected=vectors[:, :selected_count].copy()
     )
 
 
@@ -113,7 +96,7 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     a = linalg.require_hermitian(sigma_hat)  # once, for both paths
     pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
     vectors = linalg._eigh_descending(a)[1] if pairs is None else pairs[1]
-    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
+    return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
 
 
 def build_rank_capped_from_factor(
@@ -139,7 +122,7 @@ def build_rank_capped_from_factor(
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         u = np.linalg.qr(np.concatenate([u, g], axis=1))[0]
     vectors = linalg._fix_phases(u[:, :m])
-    return _from_eigenbasis(vectors, d, kept_qudits=p, selected_count=D_squared, width=m)
+    return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
 
 
 def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:
@@ -169,7 +152,7 @@ def build_threshold(
     """
     if eta <= 0:
         raise BadParameter(f"eta must be positive, got {eta}")
-    linalg.require_square(sigma_hat)
+    infer_site_count(linalg.require_square(sigma_hat), d)  # a side that is no power of d raises
     trace = float(np.real(np.trace(sigma_hat)))
     if trace > 1.0 + 1e-9:
         raise BadParameter(f"trace must be at most 1 + 1e-9, got {trace}")
@@ -179,4 +162,4 @@ def build_threshold(
     while d**t < m:  # smallest t with d**t >= m, in integer arithmetic
         t += 1
     width = d ** (t if p is None else p)
-    return _from_eigenbasis(vectors, d, kept_qudits=t, selected_count=m, width=width)
+    return _from_eigenbasis(vectors, selected_count=m, width=width)

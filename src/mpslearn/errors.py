@@ -70,9 +70,5 @@ class MalformedCircuit(ValueError):
     """A serialized circuit description failed validation."""
 
 
-class AuditDisabled(RuntimeError):
-    """A stepwise audit quantity was requested from a run without audit."""
-
-
 class DegenerateD(ValueError):
     """A cost formula was evaluated at a bond dimension below 2."""

@@ -32,6 +32,11 @@ registers' ``compress`` forward (to disentangle or project a vector) and their
 ``uncompress`` backward (to prepare the state, densely or as a tensor train,
 and the audit's stages).  The run's final fidelity needs neither walk: it is
 the closing register's overlap with the residual.
+
+The register follows the input alone (see :mod:`mpslearn.backend`), so
+``audit=True`` records a run without changing it: its snapshots are copies of
+the run's own register, dense or tensor train, and an audited run saves the
+same circuit and report as an unaudited one.
 """
 from __future__ import annotations
 
@@ -51,7 +56,7 @@ from .disentangler import (
     build_threshold,
     unitary_from_isometry,
 )
-from .errors import AuditDisabled, BadParameter, MalformedCircuit, TooLarge
+from .errors import BadParameter, MalformedCircuit, TooLarge
 from .planner import (
     LayerPlan,
     eta_closest,
@@ -178,14 +183,14 @@ class LearnReport:
 class AuditTrail:
     """Stepwise snapshots of one learner run, for invariant checking.
 
-    ``snapshots[j]`` is a backend copy after layer ``j`` of ``circuit``
-    (``j = 0`` is the input).  The trail can rebuild each stage as a
-    sub-normalized operator on the full original register, evaluate overlaps
-    against witness states, and bound how far each layer's projection can
-    sink any witness's fidelity.
+    ``snapshots[j]`` is a copy of the run's register after layer ``j`` of
+    ``circuit`` (``j = 0`` is the input).  The trail can rebuild each stage as
+    a sub-normalized vector or operator on the full original register (dense,
+    so capped), evaluate overlaps against witness states, and bound how far
+    each layer's projection can sink any witness's fidelity.
     """
 
-    def __init__(self, circuit: CircuitDescription, snapshots: list[StateBackend]):
+    def __init__(self, circuit: CircuitDescription, snapshots: list[StateBackend | MPSBackend]):
         self.circuit = circuit
         self.snapshots = snapshots
 
@@ -204,9 +209,7 @@ class AuditTrail:
     def stepwise_vector(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized vector on the full register (pure runs)."""
         self._check_layer(j)
-        if not self.snapshots[j].pure:
-            raise BadParameter("stepwise vectors exist only for pure-state runs")
-        return _walk_backward(self.circuit, self.snapshots[j].copy(), j).state
+        return _walk_backward(self.circuit, self.snapshots[j].copy(), j).expand()
 
     def stepwise_state(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized operator on the full register."""
@@ -218,8 +221,10 @@ class AuditTrail:
                 f"{linalg.MAX_DENSITY_DIM}; use stepwise_vector for pure runs"
             )
         register = _walk_backward(self.circuit, self.snapshots[j].copy(), j)
-        stage = register.state
-        return np.outer(stage, stage.conj()) if register.pure else stage
+        if not register.pure:
+            return register.state
+        stage = register.expand()
+        return np.outer(stage, stage.conj())
 
     def fidelity_against(self, phi: np.ndarray, j: int) -> float:
         """Overlap of stage ``j`` with a witness state, ``<phi| rho_j |phi>``."""
@@ -270,12 +275,12 @@ def _child_mode(mode: tomography.OracleMode, eta_budget: float, base: Sequence[i
     return dataclasses.replace(mode, **fill)
 
 
-def _register(state, d: int, audit: bool) -> StateBackend | MPSBackend:
-    """The register ``learn`` runs on (see :mod:`mpslearn.backend` for the rule)."""
+def _register(state, d: int) -> StateBackend | MPSBackend:
+    """The register ``learn`` runs on, from the input alone (see :mod:`mpslearn.backend`)."""
     if isinstance(state, mps.MatrixProductState):
         if state.d != d:
             raise BadParameter(f"state has d={state.d}, learner called with d={d}")
-        if state.boundary == "open" and not audit:
+        if state.boundary == "open":
             return MPSBackend(state)
         state = mps.expand(state)
     arr = np.asarray(state, dtype=complex)
@@ -304,7 +309,7 @@ def learn(
     ----------
     state : MatrixProductState or np.ndarray
         The input state: an MPS, a unit vector, or a density matrix.  An
-        open-boundary MPS without ``audit`` runs on its tensors
+        open-boundary MPS runs on its tensors
         (:class:`~mpslearn.backend.MPSBackend`, no d**n cap); every other
         input runs on the dense :class:`~mpslearn.backend.StateBackend`.
     d, D : int
@@ -322,7 +327,9 @@ def learn(
     seed : int
         Base seed for all derived randomness.
     audit : bool
-        Record stepwise snapshots on the report for invariant checking.
+        Record a copy of the register after each layer on the report
+        (:class:`AuditTrail`), for invariant checking.  The run, its circuit
+        and its other report fields are the same either way.
     theta : float, optional
         Promise parameter recorded in the metadata; it does not change the
         algorithm.
@@ -349,11 +356,15 @@ def learn(
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
+    if theta is not None and not math.isfinite(theta):
+        raise BadParameter(f"theta must be finite, got {theta}")
     mode = tomography.ExactMode() if mode is None else mode
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")
 
-    backend = _register(state, d, audit)
+    backend = _register(state, d)
     n = backend.n
     mass = backend.success_mass()
     if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
@@ -413,14 +424,15 @@ def learn(
     copies_used = 0
     per_layer: list[LayerStats] = []
     unitaries: list[CircuitUnitary] = []
-    snapshots: list[StateBackend] = [backend.copy()] if audit else []
+    snapshots = [backend.copy()] if audit else []
 
     # The exact oracle returns a tensor train's marginal sigma = F F^H itself,
-    # and sigma's top eigenvectors are the left singular vectors of the thin F.
+    # and sigma's top eigenvectors are the left singular vectors of the thin F;
+    # only the tensor-train register hands out such factors.
     factored = (
         variant == "exact"
         and isinstance(mode, tomography.ExactMode)
-        and isinstance(backend, MPSBackend)
+        and hasattr(backend, "rdm_factor")
     )
     for j in range(1, M + 1):
         blocks = plan.blocks(j)
@@ -480,16 +492,11 @@ def learn(
 
     tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
-    if (
-        (plan is None or factored)
-        and backend.pure
-        and isinstance(call_mode, tomography.ExactMode)
-        and backend.sites == [s - 1 for s in tail]
-    ):
-        # The exact oracle on a pure register that holds only the tail returns
-        # the held state itself: the whole input (at most 2p sites) on the
-        # trivial path, whose mass is 1, or the compressed tail of a factored run.
-        held = backend.state if isinstance(backend, StateBackend) else backend.expand()
+    if (plan is None or factored) and backend.pure and isinstance(call_mode, tomography.ExactMode):
+        # The exact oracle on a pure register, which then holds only the tail,
+        # returns the held state itself: the whole input (at most 2p sites) on
+        # the trivial path, whose mass is 1, or the compressed tail of a factored run.
+        held = backend.expand()
         norm = np.linalg.norm(held)
         residual = linalg.fix_phase(held / norm)
         mass = 1.0 if plan is None else float(np.clip(norm**2, 0.0, 1.0))
@@ -631,13 +638,6 @@ def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
 def forward_transform(circuit: CircuitDescription, vector: np.ndarray) -> np.ndarray:
     """Apply the learned circuit in the forward (disentangling) direction."""
     return _walk_forward(circuit, vector, circuit.num_layers, project=False)
-
-
-def stepwise_state(report: LearnReport, j: int) -> np.ndarray:
-    """Stage-``j`` operator from an audited run (see :class:`AuditTrail`)."""
-    if report.audit is None:
-        raise AuditDisabled("run learn(..., audit=True) to record stepwise states")
-    return report.audit.stepwise_state(j)
 
 
 def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) -> np.ndarray:

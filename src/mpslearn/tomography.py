@@ -56,8 +56,10 @@ class BoundedNoiseMode:
     project_psd: bool = False
 
     def __post_init__(self) -> None:
-        if self.eta is not None and self.eta < 0:
-            raise BadParameter(f"eta must be non-negative, got {self.eta}")
+        if self.eta is not None and not 0.0 <= self.eta < math.inf:  # NaN fails too
+            raise BadParameter(f"eta must be finite and non-negative, got {self.eta}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,8 +71,10 @@ class FiniteSampleMode:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.copies < 1:
-            raise BadParameter(f"copies must be >= 1, got {self.copies}")
+        if not 1 <= self.copies < 2**63:  # the survivors' binomial draw takes an int64
+            raise BadParameter(f"copies must be in 1 .. 2**63 - 1, got {self.copies}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be >= 0, got {self.seed}")
 
 
 OracleMode = Union[ExactMode, BoundedNoiseMode, FiniteSampleMode]
@@ -255,17 +259,15 @@ def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -
     return (survivors / mode.copies) * x
 
 
-def _budget(
-    mu: float, factors: tuple[int, ...], eta: float, delta: float, multiplier: float
-) -> int:
-    """``ceil(mu * prod(factors) * ln(1/delta) / eta**2 * multiplier)``, left to right.
+def _budget(mu: float, factors: tuple[int, ...], eta: float, delta: float) -> int:
+    """``ceil(mu * prod(factors) * ln(1/delta) / eta**2)``, left to right.
 
     A count past a float's range (a huge factor, or ``eta**2`` underflowing
     to zero) raises ``BadParameter``.
     """
     try:
         value = reduce(operator.mul, factors, mu)
-        return int(math.ceil(value * math.log(1.0 / delta) / eta**2 * multiplier))
+        return int(math.ceil(value * math.log(1.0 / delta) / eta**2))
     except (OverflowError, ZeroDivisionError):
         raise BadParameter(
             f"the copy budget at eta={eta} exceeds a float's range (D or the block too large, "
@@ -285,29 +287,27 @@ def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: 
 
 
 def budget_rank_constrained(
-    mu: float, D: int, d: int, r_minus_i: int, eta: float, delta: float, multiplier: float = 1.0
+    mu: float, D: int, d: int, r_minus_i: int, eta: float, delta: float
 ) -> int:
     """Copies sufficient for rank-constrained tomography after post-selection.
 
     The estimated block lives on ``r_minus_i`` qudits of dimension ``d``, has
     rank at most ``D**2``, and carries success mass ``mu``.  The returned
-    count is ``ceil(mu * D**2 * d**r_minus_i * ln(1/delta) / eta**2)`` times
-    ``multiplier``; the unit constant is a documented choice.
+    count is ``ceil(mu * D**2 * d**r_minus_i * ln(1/delta) / eta**2)``; the
+    unit constant is a documented choice.
     """
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {D}")
-    return _budget(mu, (D, D, d**r_minus_i), eta, delta, multiplier)
+    return _budget(mu, (D, D, d**r_minus_i), eta, delta)
 
 
-def budget_general(
-    mu: float, d: int, r_minus_i: int, eta: float, delta: float, multiplier: float = 1.0
-) -> int:
+def budget_general(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> int:
     """Copies sufficient for unconstrained tomography after post-selection.
 
     Same conventions as :func:`budget_rank_constrained` with the rank factor
     replaced by the full dimension: ``ceil(mu * d**(2 r_minus_i) * ln(1/delta)
-    / eta**2)`` times ``multiplier``.
+    / eta**2)``.
     """
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
-    return _budget(mu, (d ** (2 * r_minus_i),), eta, delta, multiplier)
+    return _budget(mu, (d ** (2 * r_minus_i),), eta, delta)

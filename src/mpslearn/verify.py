@@ -448,6 +448,8 @@ _SUITE_FUNCTIONS = {
 
 def run_suites(names: list[str], seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (or all of them for ``["all"]``) and collect results."""
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     if names == ["all"]:
         names = list(AVAILABLE_SUITES)
     results = []

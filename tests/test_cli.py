@@ -4,8 +4,10 @@ Each test drives ``cli.main`` in process with a temp directory, so exit
 codes, printed output, and the files written to ``--out`` are all checked
 without spawning subprocesses.
 """
+import argparse
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -188,14 +190,53 @@ def test_learn_missing_state_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_learn_audit_flag_is_recorded(tmp_path):
+def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
+    # the command line writes nothing from an audit, so it offers none
     gen_out = run_gen(tmp_path)
-    config = learn_config(tmp_path, gen_out)
-    out = tmp_path / "learn"
-    assert cli.main(["learn", "--config", config, "--audit", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "learn"
-    assert manifest["outputs"] == ["circuit.json", "report.json", "summary.csv"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["learn", "--config", learn_config(tmp_path, gen_out), "--audit",
+                  "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    config = learn_config(tmp_path, gen_out, audit=True)
+    assert cli.main(["learn", "--config", config, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: audit" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags",
+    [
+        ("learn", {"oracle": "bounded_noise", "eta": float("nan")}, []),
+        ("learn", {"oracle": "bounded_noise", "eta": float("inf")}, []),
+        ("learn", {"theta": float("nan")}, []),
+        ("learn", {"theta": float("inf")}, []),
+        ("learn", {"oracle": "finite_sample", "copies": 2**63}, []),
+        ("learn", {"oracle": "bounded_noise"}, ["--seed", "-1"]),
+        ("learn", {"oracle": "finite_sample", "copies": 1000, "seed": -1}, []),
+        ("learn", {"seed": -1}, []),
+        ("gen", {"seed": -1}, []),
+        ("verify", None, ["--suite", "rank", "--seed", "-1"]),
+    ],
+    ids=["eta-nan", "eta-infinity", "theta-nan", "theta-infinity", "copies-2**63",
+         "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact",
+         "gen-seed-negative", "verify-seed-negative"],
+)
+def test_a_bad_config_number_exits_2_without_a_traceback(tmp_path, capsys, command, overrides, flags):
+    # JSON's NaN and Infinity parse to floats; each value is refused by a typed error
+    argv = [command, *flags]
+    if command == "learn":
+        argv += ["--config", learn_config(tmp_path, run_gen(tmp_path), **overrides)]
+    elif command == "gen":
+        doc = {"kind": "random", "n": 6, "d": 2, "D": 2, **overrides}
+        argv += ["--config", write_config(tmp_path / "gen.json", doc)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -400,3 +441,24 @@ def test_learn_refuses_version_1_state_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_command_line_names_only_real_flags_and_keys():
+    # a README sentence must not outlive its flag or its config key
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start : text.index("\n## ", start)]
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for sub in commands.choices.values() for flag in sub._option_string_actions}
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert "--config" in flags and flags <= options, sorted(flags - options)
+    schemas = (cli._GEN_SCHEMA, cli._LEARN_SCHEMA, cli._BUDGET_SCHEMA)
+    configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    assert len(configs) == len(schemas)
+    for config in configs:  # matched to the one schema whose required keys it holds
+        (schema,) = [s for s in schemas if all(k in config for k, (_, req) in s.items() if req)]
+        assert set(config) <= set(schema), sorted(set(config) - set(schema))

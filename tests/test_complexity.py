@@ -136,11 +136,6 @@ def test_dominance_ratio_above_one_on_regime_grid():
         assert complexity.dominance_ratio(n, 2, sol.p_candidate, 0.2, eta_c) > 1.0
 
 
-def test_budget_multiplier_scales_linearly():
-    base = complexity.budget_exact_ours(16, 2, 2, 0.1, DELTA)
-    assert abs(complexity.budget_exact_ours(16, 2, 2, 0.1, DELTA, multiplier=3.0) - 3 * base) < 1e-6
-
-
 def test_budget_validation():
     with pytest.raises(errors.DegenerateD):
         complexity.budget_exact_ours(16, 2, 1, 0.1, DELTA)

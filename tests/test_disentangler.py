@@ -30,7 +30,7 @@ def test_rank_capped_unitarity_and_selection():
         dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
         u = disentangler.unitary_from_isometry(dz.isometry)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
-        assert dz.kept_qudits == 2 and dz.kept_dim == 4
+        assert dz.isometry.shape == (16, 4)
         assert dz.selected.shape == (16, 4)
         # selected columns span the top eigenspace of the estimate
         values, vectors = linalg.hermitian_eig(sigma)
@@ -42,8 +42,8 @@ def test_rank_capped_rotates_selection_into_kept_sector():
     sigma = random_low_rank_density(16, 3, rng)
     dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
     rotated = disentangler.unitary_from_isometry(dz.isometry) @ dz.selected
-    # kept sector = leading qudits read zero = first kept_dim coordinates
-    assert np.max(np.abs(rotated[dz.kept_dim :, :])) < 1e-10
+    # kept sector = leading qudits read zero = the first d**p coordinates
+    assert np.max(np.abs(rotated[dz.isometry.shape[1] :, :])) < 1e-10
 
 
 def test_kept_sector_contains_selected_subspace():
@@ -52,7 +52,8 @@ def test_kept_sector_contains_selected_subspace():
     dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
     pi_selected = dz.selected @ dz.selected.conj().T
     kept_rows = np.zeros((16, 16))
-    kept_rows[: dz.kept_dim, : dz.kept_dim] = np.eye(dz.kept_dim)
+    kept = dz.isometry.shape[1]
+    kept_rows[:kept, :kept] = np.eye(kept)
     u = disentangler.unitary_from_isometry(dz.isometry)
     pi_kept = u.conj().T @ kept_rows @ u
     np.testing.assert_allclose(pi_kept @ pi_selected, pi_selected, atol=1e-10)
@@ -83,10 +84,10 @@ def test_threshold_counts_strictly_above_eta():
     spectrum = np.diag([0.6, 0.3, 0.08, 0.02])
     low = disentangler.build_threshold(spectrum, 2, 0.05)
     assert low.selected.shape[1] == 3
-    assert low.kept_qudits == 2
+    assert low.isometry.shape == (4, 4)
     high = disentangler.build_threshold(spectrum, 2, 0.1)
     assert high.selected.shape[1] == 2
-    assert high.kept_qudits == 1
+    assert high.isometry.shape == (4, 2)
 
 
 def test_threshold_snaps_near_ties_downward():
@@ -94,13 +95,13 @@ def test_threshold_snaps_near_ties_downward():
     sigma = np.diag([0.9, 0.1 + 5e-13, 0.0, 0.0])
     dz = disentangler.build_threshold(sigma, 2, 0.1)
     assert dz.selected.shape[1] == 1
-    assert dz.kept_qudits == 0
+    assert dz.isometry.shape == (4, 1)
 
 
 def test_threshold_empty_selection_keeps_pipeline_total():
     dz = disentangler.build_threshold(np.eye(16) / 16.0, 2, 0.1)
     assert dz.selected.shape[1] == 0
-    assert dz.kept_qudits == 0 and dz.kept_dim == 1
+    assert dz.isometry.shape == (16, 1)
     u = disentangler.unitary_from_isometry(dz.isometry)
     assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
 
@@ -109,7 +110,7 @@ def test_threshold_single_selection_needs_no_qudits():
     sigma = np.diag([0.97, 0.01, 0.01, 0.01])
     dz = disentangler.build_threshold(sigma, 2, 0.5)
     assert dz.selected.shape[1] == 1
-    assert dz.kept_qudits == 0
+    assert dz.isometry.shape == (4, 1)
 
 
 def test_threshold_isometry_keeps_the_requested_width():
@@ -117,10 +118,11 @@ def test_threshold_isometry_keeps_the_requested_width():
     sigma = random_low_rank_density(16, 16, rng)
     vectors = linalg.hermitian_eig(sigma)[1]
     default = disentangler.build_threshold(sigma, 2, 0.1)
-    assert default.isometry.shape == (16, default.kept_dim)
+    m = default.selected.shape[1]
+    assert m >= 1 and default.isometry.shape == (16, 2 ** (m - 1).bit_length())
     for p in range(5):
         dz = disentangler.build_threshold(sigma, 2, 0.1, p)
-        assert dz.kept_qudits == default.kept_qudits
+        assert dz.selected.tobytes() == default.selected.tobytes()
         assert dz.isometry.tobytes() == vectors[:, : 2**p].tobytes()
 
 

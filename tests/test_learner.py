@@ -120,13 +120,6 @@ def test_stepwise_state_matches_vector_outer_product():
     )
 
 
-def test_stepwise_state_requires_audit():
-    psi = random_mps_vector(8, seed=8)
-    _, report = learner.learn(psi, 2, 2, 0.2, 0.01)
-    with pytest.raises(errors.AuditDisabled):
-        learner.stepwise_state(report, 1)
-
-
 def test_bounded_noise_run_respects_layer_bounds():
     psi = random_mps_vector(12, seed=9)
     mode = tomography.BoundedNoiseMode()  # learner supplies its own budget
@@ -447,15 +440,6 @@ def test_trivial_register_audit_trail():
         trail.monotonicity_margin(1)
 
 
-def test_module_stepwise_state_reads_the_audit():
-    psi = random_mps_vector(8, seed=25)
-    _, report = learner.learn(psi, 2, 2, 0.2, 0.01, audit=True)
-    for j in range(report.M + 1):
-        np.testing.assert_array_equal(
-            learner.stepwise_state(report, j), report.audit.stepwise_state(j)
-        )
-
-
 def _decode(entries):
     return np.frombuffer(base64.b64decode(entries), dtype="<c16").copy()
 
@@ -626,14 +610,101 @@ def test_the_tensor_train_register_learns_what_the_dense_register_learns(d, n, D
             assert abs(block.estimate_error - ref.estimate_error) <= 1e-10
 
 
-def test_audited_learn_past_the_dense_cap_raises_too_large():
-    # audited and periodic runs stay on the dense register, capped at d**n <= 2**16
-    state = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, seed=34))
+def test_audited_learn_of_an_open_mps_runs_past_the_dense_cap():
+    # the audit copies the tensor-train register; only its dense stages are capped
+    state = mps.random_mps(mps.StateSpec(n=64, d=2, D=2, seed=34))
+    _, report = learner.learn(state, 2, 2, 0.2, 0.01, audit=True)
+    trail = report.audit
+    assert (report.M, len(trail.snapshots)) == (5, 6)
+    assert abs(trail.success_mass(0) - 1.0) <= 1e-12
+    assert [trail.success_mass(j) for j in range(1, trail.M + 1)] == [
+        layer.success_mass for layer in report.per_layer
+    ]
     with pytest.raises(errors.TooLarge):
-        learner.learn(state, 2, 2, 0.2, 0.01, audit=True)
+        trail.stepwise_vector(report.M)
+    # a periodic input is expanded onto the dense register, capped at d**n <= 2**16
     ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, boundary="periodic", seed=34))
     with pytest.raises(errors.TooLarge):
-        learner.learn(ring, 2, 2, 0.2, 0.01)
+        learner.learn(ring, 2, 2, 0.2, 0.01, audit=True)
+
+
+def _audit_input(kind, n, D, seed):
+    """An open or periodic MPS, or the open one as a vector or a depolarized density."""
+    n = min(n, 10) if kind == "density" else n  # the dense register's 2**10 density cap
+    boundary = "periodic" if kind == "periodic" else "open"
+    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, boundary=boundary, seed=seed))
+    if kind in ("open", "periodic"):
+        return state
+    phi = mps.expand(state)
+    if kind == "vector":
+        return phi
+    return 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(2**n) / 2**n
+
+
+def _learn_and_save(path, state, D, mode, variant, seed, audit):
+    try:
+        circuit, report = learner.learn(
+            state, 2, D, 0.2, 0.01, variant=variant, mode=mode, seed=seed, audit=audit
+        )
+    except errors.TooLarge as exc:  # blocks too wide for the finite-sample oracle
+        return type(exc), None
+    learner.save_circuit(circuit, path)
+    return path.read_bytes(), report
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["open", "vector", "density", "periodic"]),
+    n=st.integers(1, 12),
+    D=st.integers(1, 3),
+    oracle=st.sampled_from(sorted(_ORACLES)),
+    variant=st.sampled_from(["exact", "closest"]),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="open", n=12, D=2, oracle="exact", variant="exact", seed=1)
+@example(kind="open", n=12, D=3, oracle="bounded-noise", variant="exact", seed=2)
+@example(kind="open", n=8, D=2, oracle="finite-sample", variant="exact", seed=3)
+@example(kind="density", n=8, D=2, oracle="bounded-noise", variant="exact", seed=4)
+@example(kind="vector", n=10, D=2, oracle="exact", variant="closest", seed=5)
+@example(kind="periodic", n=10, D=2, oracle="exact", variant="exact", seed=6)
+def test_audit_records_a_run_without_changing_it(
+    tmp_path_factory, kind, n, D, oracle, variant, seed
+):
+    state = _audit_input(kind, n, D, seed)
+    mode = _ORACLES[oracle]()
+    if not isinstance(mode, tomography.ExactMode):
+        mode = dataclasses.replace(mode, seed=seed)
+    folder = tmp_path_factory.mktemp("audit")
+    plain, plain_report = _learn_and_save(folder / "plain.json", state, D, mode, variant, seed, False)
+    audited, report = _learn_and_save(folder / "audited.json", state, D, mode, variant, seed, True)
+    assert audited == plain
+    if report is not None:
+        assert report.audit is not None and plain_report.audit is None
+        assert dataclasses.replace(report, audit=None) == plain_report
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(1, 12),
+    D=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(d=2, n=12, D=2, seed=1)
+@example(d=2, n=12, D=3, seed=2)
+@example(d=3, n=10, D=3, seed=3)
+def test_the_audits_of_both_registers_agree_on_every_stage(d, n, D, seed):
+    # an open MPS audited on the tensor train against its vector audited on the dense register
+    n = min(n, 10) if d == 3 else n  # the dense register holds at most 2**16 entries
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed))
+    _, train = learner.learn(state, d, D, 0.2, 0.01, seed=seed, audit=True)
+    _, dense = learner.learn(mps.expand(state), d, D, 0.2, 0.01, seed=seed, audit=True)
+    assert isinstance(train.audit.snapshots[0], backend.MPSBackend)
+    assert isinstance(dense.audit.snapshots[0], backend.StateBackend)
+    assert train.M == dense.M
+    for j in range(train.M + 1):
+        stage = train.audit.stepwise_vector(j)
+        assert np.max(np.abs(stage - dense.audit.stepwise_vector(j))) <= 1e-12
 
 
 def test_exact_learn_of_an_open_mps_runs_far_past_the_dense_cap():

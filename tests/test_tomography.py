@@ -152,8 +152,6 @@ def test_budget_rank_constrained_formula():
     mu, D, d, r, eta, delta = 0.7, 2, 2, 3, 0.01, 1e-3
     expected = math.ceil(mu * D**2 * d**r * math.log(1 / delta) / eta**2)
     assert tomography.budget_rank_constrained(mu, D, d, r, eta, delta) == expected
-    doubled = tomography.budget_rank_constrained(mu, D, d, r, eta, delta, multiplier=2.0)
-    assert doubled == math.ceil(2.0 * mu * D**2 * d**r * math.log(1 / delta) / eta**2)
 
 
 def test_budget_general_formula():
