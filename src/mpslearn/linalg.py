@@ -12,20 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DimensionMismatch,
-    NoConvergence,
-    NonHermitian,
-    NonSquare,
-)
+from .errors import BadParameter, DimensionMismatch, NoConvergence, NonHermitian, NonSquare
 
 MAX_VECTOR_DIM = 2**16
 MAX_DENSITY_DIM = 2**10
 
 HERMITIAN_TOL = 1e-10
 _LANCZOS_STEPS = 64
-_TILE = 64
+_CHUNK = 2**14
 
 
 def require_square(matrix: np.ndarray) -> int:
@@ -40,35 +34,37 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
     The result is bit for bit ``(a + a^H) / 2``, and the defect is the largest
-    ``|a - a^H|`` entry.  Both are computed in 64 x 64 tiles (``_TILE``),
-    each pair of mirror tiles visited once, so that no dense temporary of
-    the full size is made.  Non-finite entries are rejected too,
-    also under ``tol=np.inf``.  Each makes the defect NaN or infinite, so the
-    entries are scanned for them only when the defect is not finite (a
-    difference of finite entries can also overflow).
+    ``|a - a^H|`` entry, read in row chunks of about ``_CHUNK`` entries, each
+    mirror pair once, with no temporary of the full size.  Non-finite entries
+    are rejected too, also under ``tol=np.inf``.  Each makes the defect NaN
+    or infinite, so the entries are scanned for them only when the defect is
+    not finite (a difference of finite entries can also overflow).  A NaN or
+    negative ``tol`` is a ``BadParameter``.
     """
+    a = _hermitian_input(matrix, tol)
+    return (a + a.conj().T) / 2.0
+
+
+def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """``matrix`` as a complex array, after :func:`require_hermitian`'s read-only check."""
+    if not tol >= 0.0:  # NaN fails too
+        raise BadParameter(f"hermiticity tolerance must be non-negative, got {tol}")
     require_square(matrix)
     a = np.asarray(matrix, dtype=complex)
     dim = a.shape[0]
-    out = np.empty((dim, dim), dtype=complex)
+    step = max(1, _CHUNK // max(dim, 1))
     peaks = [0.0]
-    with np.errstate(invalid="ignore"):  # inf - inf in a tile is caught below
-        for i in range(0, dim, _TILE):
-            for j in range(i, dim, _TILE):
-                x, y = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
-                yh = y.conj().T
-                peaks.append(np.max(np.abs(x - yh)))
-                upper = out[i : i + _TILE, j : j + _TILE]
-                np.divide(np.add(x, yh, out=upper), 2.0, out=upper)
-                if j > i:  # not mirrored: conj(upper) can flip the sign of a zero
-                    lower = out[j : j + _TILE, i : i + _TILE]
-                    np.divide(np.add(y, x.conj().T, out=lower), 2.0, out=lower)
+    with np.errstate(invalid="ignore"):  # inf - inf in a chunk is caught below
+        for i in range(0, dim, step):
+            x, yh = a[i : i + step, i:], a[i:, i : i + step].T.conj()
+            peaks.append(np.max(np.abs(x - yh)))
     defect = float(np.max(peaks))  # NaN-propagating, unlike the builtin max
-    if not math.isfinite(defect) and not np.isfinite(a).all():
+    chunks = (a[i : i + step] for i in range(0, dim, step))
+    if not math.isfinite(defect) and not all(np.isfinite(c).all() for c in chunks):
         raise NonHermitian("matrix has non-finite entries")
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    return out
+    return a
 
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -121,8 +117,13 @@ def _fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+def _hermitian_part_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``H x`` for the Hermitian part ``H = (a + a^H) / 2``, without forming ``H``."""
+    return (a @ x + (x.conj() @ a).conj()) / 2.0
+
+
 def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top Ritz vector of ``a`` from the Krylov space of ``b``, and the Ritz scale.
+    """Top Ritz vector of ``a``'s Hermitian part in ``b``'s Krylov space, and the Ritz scale.
 
     Lanczos with full reorthogonalization (two classical Gram-Schmidt passes
     per step), stopped when the residual estimate ``beta * |s_last|`` of the
@@ -136,7 +137,7 @@ def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     q = b / np.linalg.norm(b)
     for k in range(basis.shape[0]):
         basis[k] = q
-        w = a @ q
+        w = _hermitian_part_times(a, q)
         alphas.append(float(np.real(np.vdot(q, w))))
         kept = basis[: k + 1]
         for _ in range(2):
@@ -155,39 +156,43 @@ def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of a Hermitian matrix.
 
-    Validates like :func:`hermitian_eig` and raises the same typed errors.
-    ``b`` is a fixed seeded complex Gaussian start vector, so equal inputs
-    give equal bits; the result is phase-normalized like
-    :func:`hermitian_eig`'s columns (largest-magnitude entry positive real).
+    Validates like :func:`hermitian_eig`, raises the same typed errors and,
+    like it, answers for the Hermitian part ``H = (A + A^H) / 2`` of the
+    input ``A``.  ``A`` is only read: ``H x`` is computed as
+    ``(A x + (x^H A)^H) / 2``, and a view that is not C-contiguous is read
+    from a contiguous copy, whose bits it gives.  ``b`` is a fixed seeded
+    complex Gaussian start vector, so equal inputs give equal bits; the
+    result is phase-normalized like :func:`hermitian_eig`'s columns.
 
     Fast path: Lanczos from ``b`` (:func:`_lanczos_top`) gives a Ritz vector
     ``v`` with Rayleigh quotient ``theta <= lam_max`` and an explicit
-    residual ``r = |A v - theta v|``, which must be at most
+    residual ``r = |H v - theta v|``, which must be at most
     ``1e-12 * scale`` (``scale`` the largest Ritz magnitude, at least 1).
     Then ``v`` is returned if one of two certificates holds, the first in
     O(dim^2), the second in O(dim^3):
 
     1. Frobenius gap bound: ``lo = theta - r - 1e-10 * scale > 0`` and
        ``2 lo^2 > |A|_F^2 (1 + dim^2 2^-52)``, the factor covering the
-       rounding of ``|A|_F^2``.  Some eigenvalue ``lam_i`` lies within ``r``
-       of ``theta``, so ``lam_i > lo``; every other eigenvalue has
-       ``lam_j^2 <= |A|_F^2 - lam_i^2 < lo^2``.  So ``lam_i`` is the simple
-       top, above all others by the gap ``lam_i - sqrt(|A|_F^2 - lo^2)``.
-    2. A successful Cholesky factorization of ``sigma I - A``, with
+       rounding of ``|A|_F^2``.  ``|H|_F <= |A|_F``, as ``A = H + K`` with
+       ``K`` anti-Hermitian and ``|A|_F^2 = |H|_F^2 + |K|_F^2``.  Some
+       eigenvalue ``lam_i`` of ``H`` lies within ``r`` of ``theta``, so
+       ``lam_i > lo``, and every other has ``lam_j^2 <= |A|_F^2 - lam_i^2 <
+       lo^2``: ``lam_i`` is the simple top, by a gap of at least ``lam_i - lo``.
+    2. A successful Cholesky factorization of ``sigma I - H``, with
        ``sigma = theta + r + 1e-10 * scale``, certifies ``lam_max <= sigma``.
-       ``sigma I - A`` is built in place in the symmetrized copy of the
-       input.  This covers tied tops and tops that do not dominate ``A``.
+       It covers tied tops and tops that do not dominate ``H``, and is the
+       first dense matrix made here, in a fresh array.
 
     Either way ``theta`` is within ``r + 1e-10 * scale`` of the top, and
     (Davis-Kahan) ``v`` is within angle ``r / gap`` of the top eigenspace.
-    Where the first certificate holds, ``sigma I - A`` is positive definite,
+    Where the first certificate holds, ``sigma I - H`` is positive definite,
     so the second would return the same ``v``.
 
     Fallback, when the residual check or both certificates fail (Lanczos
     reached its step cap, or ``b`` is nearly orthogonal to the top
     eigenvector and Lanczos settled lower): ``lam_max = sigma -
-    lam_min(sigma I - A)`` from ``eigvalsh``, then two steps of inverse
-    iteration from ``b`` on ``sigma' I - A``, ``sigma' = lam_max + 1e-10 *
+    lam_min(sigma I - H)`` from ``eigvalsh``, then two steps of inverse
+    iteration from ``b`` on ``sigma' I - H``, ``sigma' = lam_max + 1e-10 *
     scale'`` (``scale'`` the largest eigenvalue magnitude, at least 1),
     which damp each eigenvector at gap ``g`` below the top by
     ``1e-10 * scale' / (g + 1e-10 * scale')`` per step.
@@ -200,40 +205,41 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     ``1e-10 * scale`` of the top count as near-tied: the result is a unit
     vector mostly in their span, weighted differently by the two paths.
     """
-    a = require_hermitian(matrix)
+    a = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
     dim = a.shape[0]
     if dim == 0:
         raise BadParameter("an empty matrix has no eigenvector")
     rng = np.random.default_rng(0)
     b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v, scale = _lanczos_top(a, b)
-    av = a @ v
-    theta = float(np.real(np.vdot(v, av)))
-    r = float(np.linalg.norm(av - theta * v))
+    hv = _hermitian_part_times(a, v)
+    theta = float(np.real(np.vdot(v, hv)))
+    r = float(np.linalg.norm(hv - theta * v))
     lo = theta - r - 1e-10 * scale
     if r <= 1e-12 * scale and lo > 0.0:
         frobenius2 = float(np.real(np.vdot(a, a)))
         if 2.0 * lo * lo > frobenius2 * (1.0 + dim * dim * 2.0**-52):
             return fix_phase(v)
     sigma = theta + r + 1e-10 * scale
-    a *= -1.0
-    a.flat[:: dim + 1] += sigma
+    h = a + a.conj().T  # -(a + a^H) / 2, then sigma on the diagonal
+    h /= -2.0
+    h.flat[:: dim + 1] += sigma
     if r <= 1e-12 * scale:
         try:
-            np.linalg.cholesky(a)
+            np.linalg.cholesky(h)
             return fix_phase(v)
         except np.linalg.LinAlgError:
             pass
     try:
-        w = np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     top = sigma - w[0]
     full_scale = max(1.0, abs(top), abs(sigma - w[-1]))
-    a.flat[:: dim + 1] += top + 1e-10 * full_scale - sigma
+    h.flat[:: dim + 1] += top + 1e-10 * full_scale - sigma
     x = b
     for _ in range(2):
-        x = np.linalg.solve(a, x)
+        x = np.linalg.solve(h, x)
         x /= np.linalg.norm(x)
     return fix_phase(x)
 
@@ -287,17 +293,6 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)))
 
 
-def _check_dims(matrix: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise BadParameter(f"site dimensions must be >= 1, got {dims}")
-    total = math.prod(dims)
-    side = require_square(matrix)
-    if side != total:
-        raise DimensionMismatch(f"matrix side {side} does not match prod(dims) = {total}")
-    return dims
-
-
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of an operator onto the kept sites.
 
@@ -315,7 +310,12 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
     np.ndarray
         The reduced operator on the kept sites.  The trace is preserved.
     """
-    dims = _check_dims(matrix, dims)
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise BadParameter(f"site dimensions must be >= 1, got {dims}")
+    side = require_square(matrix)
+    if side != math.prod(dims):
+        raise DimensionMismatch(f"matrix side {side} does not match prod(dims) = {math.prod(dims)}")
     n = len(dims)
     keep = sorted(int(k) for k in keep)
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -334,7 +334,7 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
 
 def numerical_rank(matrix: np.ndarray, tol: float) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix exceeding ``tol``."""
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise BadParameter(f"rank tolerance must be non-negative, got {tol}")
     a = require_hermitian(matrix)
     w = np.linalg.eigvalsh(a)

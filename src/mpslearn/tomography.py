@@ -42,7 +42,7 @@ class ExactMode:
 
 @dataclasses.dataclass(frozen=True)
 class BoundedNoiseMode:
-    """Adversarial-style noise of exact trace-norm ``eta``.
+    """Adversarial-style noise of exact trace-norm ``eta``, at most 2.
 
     ``eta = None`` asks the caller (the learner) to substitute its own
     per-call error budget.  With ``project_psd`` set, the perturbed estimate
@@ -56,8 +56,8 @@ class BoundedNoiseMode:
     project_psd: bool = False
 
     def __post_init__(self) -> None:
-        if self.eta is not None and not 0.0 <= self.eta < math.inf:  # NaN fails too
-            raise BadParameter(f"eta must be finite and non-negative, got {self.eta}")
+        if self.eta is not None and not 0.0 <= self.eta <= 2.0:  # NaN fails too
+            raise BadParameter(f"eta must be in [0, 2], the largest trace distance, got {self.eta}")
         if self.seed < 0:
             raise BadParameter(f"seed must be >= 0, got {self.seed}")
 

@@ -209,6 +209,7 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
     [
         ("learn", {"oracle": "bounded_noise", "eta": float("nan")}, []),
         ("learn", {"oracle": "bounded_noise", "eta": float("inf")}, []),
+        ("learn", {"oracle": "bounded_noise", "eta": 2.5}, []),
         ("learn", {"theta": float("nan")}, []),
         ("learn", {"theta": float("inf")}, []),
         ("learn", {"oracle": "finite_sample", "copies": 2**63}, []),
@@ -218,7 +219,7 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
         ("gen", {"seed": -1}, []),
         ("verify", None, ["--suite", "rank", "--seed", "-1"]),
     ],
-    ids=["eta-nan", "eta-infinity", "theta-nan", "theta-infinity", "copies-2**63",
+    ids=["eta-nan", "eta-infinity", "eta-above-2", "theta-nan", "theta-infinity", "copies-2**63",
          "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact",
          "gen-seed-negative", "verify-seed-negative"],
 )

@@ -1,5 +1,7 @@
 """Dense linear-algebra helper tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,18 +123,27 @@ def _top_case(dim, kind, seed):
     dim=st.sampled_from([1, 2, 4, 16, 64, 130, 200]),
     kind=st.sampled_from(["random", "tied-top", "rank1-floor", "frobenius-edge"]),
     seed=st.integers(0, 2**32 - 1),
+    skew=st.booleans(),
 )
-def test_top_eigenvector_is_the_top_eigenvector(dim, kind, seed):
+def test_top_eigenvector_is_the_top_eigenvector(dim, kind, seed, skew):
     a = _top_case(dim, kind, seed)
+    if skew:
+        # H + E with E anti-Hermitian, |a - a^H| = 2|E| still within
+        # HERMITIAN_TOL: the answer is the top of the Hermitian part H
+        rng = np.random.default_rng(seed + 1)
+        e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        e -= e.conj().T
+        a = a + 0.4 * linalg.HERMITIAN_TOL * e / np.max(np.abs(e))
     v = linalg.top_eigenvector(a)
-    values, vectors = linalg.hermitian_eig(a)
+    h = linalg.require_hermitian(a)
+    values, vectors = linalg.hermitian_eig(h)
     scale = max(1.0, float(np.max(np.abs(values))))
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     k = int(np.argmax(np.abs(v)))
     assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
-    rayleigh = float(np.real(np.vdot(v, a @ v)))
+    rayleigh = float(np.real(np.vdot(v, h @ v)))
     assert values[0] - rayleigh <= 1e-10 * scale
-    assert np.linalg.norm(a @ v - rayleigh * v) <= 1e-9 * scale
+    assert np.linalg.norm(h @ v - rayleigh * v) <= 1e-9 * scale
     if dim == 1 or values[0] - values[1] > 1e-6 * scale:
         assert abs(np.vdot(vectors[:, 0], v)) ** 2 >= 1.0 - 1e-10
     assert linalg.top_eigenvector(a.copy()).tobytes() == v.tobytes()
@@ -167,6 +178,7 @@ def test_top_eigenvector_fast_path_needs_no_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "require_hermitian", refuse)
     v = linalg.top_eigenvector(rho)
     assert abs(np.vdot(phi, v)) ** 2 >= 1.0 - 1e-12
     assert np.max(np.abs(v)) == v[np.argmax(np.abs(v))].real
@@ -222,6 +234,46 @@ def test_top_eigenvector_of_a_tied_top_projects_the_start_vector():
     top = q[:, :3]
     assert np.linalg.norm(top @ (top.conj().T @ v) - v) <= 1e-12
     assert abs(np.vdot(linalg.top_eigenvector(b), v)) ** 2 >= 1.0 - 1e-10
+
+
+def test_top_eigenvector_makes_no_dense_copy():
+    # the check, Lanczos and the Frobenius certificate of a 16 MiB input
+    # stay below a quarter of it: no symmetrized copy, no full-size temporary
+    a = _top_case(1024, "rank1-floor", 31)
+    tracemalloc.start()
+    try:
+        linalg.top_eigenvector(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
+
+
+def test_top_eigenvector_never_writes_its_argument(monkeypatch):
+    # one input per path: the Frobenius certificate, the Cholesky certificate
+    # and the eigvalsh fallback; a view of any layout gives the bits of its
+    # contiguous copy
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(random_hermitian(64, rng))
+    cases = {
+        (): _top_case(64, "rank1-floor", 29),
+        ("cholesky",): (q * np.r_[0.4, 0.35, 0.25, np.zeros(61)]) @ q.conj().T,
+        ("eigvalsh",): _missed_top(96, seed=1)[0],
+    }
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        wrapped = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, f=wrapped, k=name: calls.append(k) or f(m))
+    for path, a in cases.items():
+        assert a.dtype == np.complex128 and a.flags.c_contiguous
+        before = a.copy()
+        calls.clear()
+        linalg.top_eigenvector(a)
+        assert tuple(calls[-1:]) == path
+        assert a.tobytes() == before.tobytes()
+        for view in (a.T, np.asfortranarray(a), a[::-1, ::-1]):
+            contiguous = np.ascontiguousarray(view)
+            assert linalg.top_eigenvector(view).tobytes() == linalg.top_eigenvector(contiguous).tobytes()
 
 
 def test_top_eigenvector_rejects_bad_input():
@@ -386,6 +438,18 @@ def test_numerical_rank_detects_constructed_rank():
         rho = random_density(dim, rng, rank=rank)
         noise = random_hermitian(dim, rng) * 1e-14
         assert linalg.numerical_rank(rho + noise, tol=1e-10) == rank
+
+
+def test_tolerances_must_be_non_negative_numbers():
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for tol in (np.nan, -1.0):
+        for m in (np.eye(4), skew):
+            with pytest.raises(errors.BadParameter):
+                linalg.require_hermitian(m, tol=tol)
+        with pytest.raises(errors.BadParameter):
+            linalg.numerical_rank(np.eye(4), tol)
+    assert linalg.require_hermitian(skew, tol=np.inf).tobytes() == np.zeros((2, 2), complex).tobytes()
+    assert linalg.numerical_rank(np.eye(4), np.inf) == 0
 
 
 def test_project_psd_clips_negative_part():

@@ -127,7 +127,7 @@ def oracle_calls(draw):
         return sigma, d, tomography.ExactMode()
     if kind == "finite":
         return sigma, d, tomography.FiniteSampleMode(draw(st.integers(1, 10**6)), seed=seed)
-    eta = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 3.0]))
+    eta = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 2.0]))
     return sigma, d, tomography.BoundedNoiseMode(eta, seed, project_psd=kind == "bounded-psd")
 
 
