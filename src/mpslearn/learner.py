@@ -73,10 +73,16 @@ CIRCUIT_FORMAT_VERSION = 4
 
 @dataclasses.dataclass(frozen=True)
 class LearnSchedule:
-    """Explicit block size and eta for :func:`learn` (power users and tests)."""
+    """Explicit block size (an integer p >= 1) and eta (in (0, 2]) for :func:`learn`."""
 
     p: int
     eta: float
+
+    def __post_init__(self) -> None:
+        if not (mps.is_integer(self.p) and self.p >= 1):
+            raise BadParameter(f"p must be an integer >= 1, got {self.p!r}")
+        if not 0.0 < self.eta <= 2.0:  # NaN fails too
+            raise BadParameter(f"eta must be in (0, 2], the largest trace distance, got {self.eta}")
 
 
 def _plan(n: int, d: int, p: int) -> LayerPlan | None:

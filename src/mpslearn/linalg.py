@@ -33,7 +33,8 @@ def require_square(matrix: np.ndarray) -> int:
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
-    The result is bit for bit ``(a + a^H) / 2``, and the defect is the largest
+    The result is bit for bit ``(a + a^H) / 2``, written into its one
+    C-contiguous output array, and the defect is the largest
     ``|a - a^H|`` entry, read in row chunks of about ``_CHUNK`` entries, each
     mirror pair once, with no temporary of the full size.  Non-finite entries
     are rejected too, also under ``tol=np.inf``.  Each makes the defect NaN
@@ -42,7 +43,10 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     negative ``tol`` is a ``BadParameter``.
     """
     a = _hermitian_input(matrix, tol)
-    return (a + a.conj().T) / 2.0
+    h = np.conjugate(a.T, out=np.empty_like(a, order="C"))  # the one full-size allocation
+    h += a
+    h /= 2.0
+    return h
 
 
 def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:

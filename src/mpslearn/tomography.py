@@ -9,7 +9,10 @@ block marginal, which the caller takes from its register) into an estimate:
 * ``FiniteSampleMode`` simulates measurement statistics: copies survive a
   post-selection step with probability equal to the marginal's trace, survivors
   are measured in an informationally complete product-basis family, and the
-  estimate is a least-squares linear inversion of the observed frequencies.
+  estimate is the least-squares linear inversion of the observed frequencies.
+  The family is a Kronecker power of one site's design, so the inversion is
+  that design's pseudo-inverse applied along each site's axis (Guta, Kahn,
+  Kueng & Tropp 2020, J. Phys. A 53, 204001).
 
 Each outcome carries its estimate's trace-norm error, taken from the oracle's
 own work.  Budgets are charged analytically by the calculators below
@@ -28,8 +31,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from . import linalg
-from .backend import infer_site_count
+from . import linalg, mps
+from .backend import MAX_WALK_WINDOW, infer_site_count
 from .errors import BadParameter, OracleFailure, TooLarge
 
 
@@ -64,13 +67,24 @@ class BoundedNoiseMode:
 
 @dataclasses.dataclass(frozen=True)
 class FiniteSampleMode:
-    """Simulated measurements on ``copies`` copies of the state."""
+    """Simulated measurements on ``copies`` copies of the state.
+
+    The survivors are split as evenly as they go over the settings (one basis
+    per site), and each setting draws a multinomial of its outcomes.  A
+    setting without shots (fewer survivors than settings) reads as the
+    maximally mixed state would, with uniform outcomes, so the per-site
+    inversion stays the least-squares solution.  A frequency table (settings
+    x outcomes) past ``backend.MAX_WALK_WINDOW`` entries raises ``TooLarge``
+    before any draw: at d = 2, a block of 10 qubits or more.
+    """
 
     name: ClassVar[str] = "finite_sample"
     copies: int
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not mps.is_integer(self.copies):
+            raise BadParameter(f"copies must be an integer, got {self.copies!r}")
         if not 1 <= self.copies < 2**63:  # the survivors' binomial draw takes an int64
             raise BadParameter(f"copies must be in 1 .. 2**63 - 1, got {self.copies}")
         if self.seed < 0:
@@ -161,7 +175,7 @@ def _single_site_bases(d: int) -> tuple[np.ndarray, ...]:
     ``d`` Fourier-type bases.  A composite site is factored into virtual
     prime-dimensional subsystems and the family is every tensor product of
     the factors' bases; the product family is informationally complete and
-    keeps the least-squares design well-conditioned (a Haar-random family of
+    keeps the linear-inversion design well-conditioned (a Haar-random family of
     the same size can be singular to within a factor of a few hundred).
     """
     if d == 2:
@@ -170,49 +184,31 @@ def _single_site_bases(d: int) -> tuple[np.ndarray, ...]:
         x = np.array([[s, s], [s, -s]], dtype=complex)
         y = np.array([[s, s], [1j * s, -1j * s]], dtype=complex)
         return (z, x, y)
-    if _is_prime(d):
+    factors = _prime_factors(d)
+    if factors == [d]:
         omega = np.exp(2j * np.pi / d)
-        bases = [np.eye(d, dtype=complex)]
-        for k in range(d):
-            b = np.empty((d, d), dtype=complex)
-            for j in range(d):
-                for m in range(d):
-                    b[m, j] = omega ** ((k * m * m + j * m) % d) / math.sqrt(d)
-            bases.append(b)
-        return tuple(bases)
-    products = []
-    for combo in itertools.product(*(_single_site_bases(p) for p in _prime_factors(d))):
-        b = combo[0]
-        for m in combo[1:]:
-            b = np.kron(b, m)
-        products.append(b)
-    return tuple(products)
+        m, j = np.ogrid[:d, :d]
+        fourier = [omega ** ((k * m * m + j * m) % d) / math.sqrt(d) for k in range(d)]
+        return (np.eye(d, dtype=complex), *fourier)
+    return tuple(
+        reduce(np.kron, combo) for combo in itertools.product(*map(_single_site_bases, factors))
+    )
 
 
 def _prime_factors(d: int) -> list[int]:
-    factors = []
-    k = 2
-    while d > 1:
-        while d % k == 0:
-            factors.append(k)
-            d //= k
-        k += 1
-    return factors
-
-
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    return all(d % k for k in range(2, int(math.isqrt(d)) + 1))
+    k = next((k for k in range(2, d + 1) if d % k == 0), None)
+    return [] if k is None else [k, *_prime_factors(d // k)]
 
 
 def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -> np.ndarray:
+    """Draw ``mode``'s measurements of ``sigma`` and invert them (see :class:`FiniteSampleMode`)."""
     dim = sigma.shape[0]
-    if dim > 16:
-        # The least-squares design matrix scales as (settings * dim, dim**2);
-        # larger blocks should use the analytic oracle modes.
+    sites = infer_site_count(dim, d)
+    settings = len(_single_site_bases(d)) ** sites
+    if settings * dim > MAX_WALK_WINDOW:
         raise TooLarge(
-            f"finite-sample simulation is capped at block dimension 16, got {dim}"
+            f"finite-sample simulation of {settings} settings x {dim} outcomes exceeds the "
+            f"cap of {MAX_WALK_WINDOW} frequency-table entries"
         )
     # The survivors come from a stream of their own, so the measurement draws
     # do not hinge on whether the mass rounds to 1 or to just below it.
@@ -221,42 +217,42 @@ def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -
     survivors = int(survive.binomial(mode.copies, mu))
     if survivors == 0:
         return np.zeros_like(sigma)
-    normalized = sigma / np.trace(sigma)
-
-    local = [_single_site_bases(d)] * infer_site_count(dim, d)
-    settings = list(np.ndindex(*(len(b) for b in local)))
-    base = survivors // len(settings)
-    extra = survivors % len(settings)
-
-    rows = []
-    freqs = []
-    for s_index, choice in enumerate(settings):
-        shots = base + (1 if s_index < extra else 0)
-        if shots == 0:
-            continue
-        basis = local[0][choice[0]]
-        for q in range(1, len(local)):
-            basis = np.kron(basis, local[q][choice[q]])
-        probs = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, normalized, basis))
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        for outcome in range(dim):
-            v = basis[:, outcome]
-            # <v|X|v> = sum_jk conj(v_j) v_k X_jk, row-major against X.reshape(-1)
-            rows.append(np.outer(v.conj(), v).reshape(-1))
-            freqs.append(counts[outcome] / shots)
-
-    a = np.asarray(rows)
-    b = np.asarray(freqs, dtype=float)
-    # Solve min ||A vec(X) - b|| over complex X, then make X Hermitian.
-    stacked = np.concatenate([np.concatenate([a.real, -a.imag], axis=1),
-                              np.concatenate([a.imag, a.real], axis=1)])
-    target = np.concatenate([b, np.zeros_like(b)])
-    solution, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    x = (solution[: dim * dim] + 1j * solution[dim * dim :]).reshape(dim, dim)
+    rows, inverse = _design(d)
+    probs = np.clip(np.real(_per_site(rows, sigma / np.trace(sigma), sites, d)), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    shots = np.full(settings, survivors // settings)
+    shots[: survivors % settings] += 1
+    counts = rng.multinomial(shots, probs)  # a setting without shots draws nothing
+    freqs = np.divide(
+        counts, shots[:, None], out=np.full(counts.shape, 1.0 / dim), where=shots[:, None] > 0
+    )
+    x = _per_site(inverse, freqs, sites, d)
     x = (x + x.conj().T) / 2.0
     return (survivors / mode.copies) * x
+
+
+@lru_cache(maxsize=32)
+def _design(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One site's design ``rows``, a row <v|.|v> per (basis, outcome), and its pseudo-inverse."""
+    vectors = np.concatenate(_single_site_bases(d), axis=1).T
+    rows = np.einsum("bj,bk->bjk", vectors.conj(), vectors).reshape(len(vectors), d * d)
+    return rows, np.linalg.pinv(rows)
+
+
+def _per_site(matrix: np.ndarray, table: np.ndarray, sites: int, d: int) -> np.ndarray:
+    """Apply the Kronecker power of one site's ``matrix`` to a table, without forming it.
+
+    ``table`` is indexed by ``(a_1..a_sites, b_1..b_sites)``, site ``q``'s
+    axis is ``(a_q, b_q)``, and each ``b_q`` has length ``d``: a marginal's
+    (row, column) qudits, or a frequency table's (basis, outcome) choices.
+    """
+    rows_in, rows_out = matrix.shape[1] // d, matrix.shape[0] // d
+    pair = [axis for q in range(sites) for axis in (q, sites + q)]
+    t = table.reshape((rows_in,) * sites + (d,) * sites).transpose(pair)
+    for _ in range(sites):  # each pass maps the leading site and moves it last
+        t = (matrix @ t.reshape(matrix.shape[1], -1)).T
+    t = t.reshape((rows_out, d) * sites).transpose(np.argsort(pair))
+    return t.reshape(rows_out**sites, d**sites)
 
 
 def _budget(mu: float, factors: tuple[int, ...], eta: float, delta: float) -> int:

@@ -47,17 +47,6 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-AVAILABLE_SUITES = (
-    "rank",
-    "eckart-young",
-    "monotonicity",
-    "layer-bounds",
-    "lambert",
-    "plan",
-    "dominance",
-)
-
-
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -444,6 +433,7 @@ _SUITE_FUNCTIONS = {
     "plan": _suite_plan,
     "dominance": _suite_dominance,
 }
+AVAILABLE_SUITES = tuple(_SUITE_FUNCTIONS)
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[SuiteResult]:

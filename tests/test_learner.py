@@ -275,7 +275,7 @@ _ORACLES = {
 def test_final_fidelity_matches_the_dense_reconstruction(monkeypatch, variant, oracle, kind, path):
     # the fidelity read off the closing register against the overlap of the
     # input with the dense reconstruction, which learn no longer builds
-    n = 4 if path == "trivial" else 8  # the finite-sample oracle stops at 4 qubits
+    n = 4 if path == "trivial" else 8  # p = 2: n <= 2p takes the trivial path
     phi = random_mps_vector(n, seed=32 + n)
     state = phi if kind == "pure" else 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(2**n) / 2**n
     kwargs = dict(variant=variant, mode=_ORACLES[oracle](), seed=33)
@@ -324,6 +324,24 @@ def test_learn_validates_arguments():
         learner.learn(psi * np.nan, 2, 2, 0.2, 0.01)
     with pytest.raises(errors.BadParameter, match="unknown oracle mode"):
         learner.learn(psi, 2, 2, 0.2, 0.01, mode=object())
+
+
+@pytest.mark.parametrize(
+    "p, eta",
+    [(2.5, 0.1), (0, 0.1), (True, 0.1), (2, float("nan")), (2, float("inf")), (2, 0.0), (2, 2.5)],
+    ids=["p-float", "p-zero", "p-bool", "eta-nan", "eta-infinity", "eta-zero", "eta-above-2"],
+)
+def test_a_schedule_takes_an_integer_p_and_an_eta_in_0_to_2(p, eta):
+    with pytest.raises(errors.BadParameter):
+        learner.LearnSchedule(p=p, eta=eta)
+
+
+def test_finite_sample_learns_blocks_of_eight_qubits():
+    # D = 4 gives p = 4, so every block estimate is a 256 x 256 marginal
+    state = mps.random_mps(mps.StateSpec(n=12, d=2, D=4, seed=3))
+    mode = tomography.FiniteSampleMode(copies=10**8, seed=1)
+    _, report = learner.learn(state, 2, 4, 0.2, 0.01, mode=mode)
+    assert report.M > 0 and report.final_fidelity >= 0.99
 
 
 def test_noisy_learn_takes_one_marginal_per_oracle_call(monkeypatch):
@@ -557,7 +575,6 @@ def test_load_circuit_raises_malformed_circuit(monkeypatch, tmp_path, tamper):
 @example(n=3, D=2, oracle="finite-sample", seed=15)  # the trivial path
 def test_extract_mps_matches_reconstruction(n, D, oracle, seed):
     # the backward walk on the tensor train against the walk on the dense register
-    D = min(D, 2) if oracle == "finite-sample" else D  # its blocks stop at 4 qubits
     state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=seed))
     mode = _ORACLES[oracle]()
     if not isinstance(mode, tomography.ExactMode):
@@ -569,13 +586,6 @@ def test_extract_mps_matches_reconstruction(n, D, oracle, seed):
         assert t.shape[2] <= 2 ** min(k + 1, n - k - 1)
     reconstructed = learner.reconstruct_state(circuit)
     assert np.max(np.abs(mps.expand(extracted) - reconstructed)) <= 1e-12
-
-
-def _learn_or_error(state, d, D, mode, seed):
-    try:
-        return learner.learn(state, d, D, 0.2, 0.01, mode=mode, seed=seed)[1]
-    except (errors.TooLarge, errors.BackendTooLarge) as exc:
-        return type(exc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,17 +600,15 @@ def _learn_or_error(state, d, D, mode, seed):
 @example(d=2, n=12, D=2, seed=2, oracle="finite-sample")
 @example(d=2, n=12, D=3, seed=3, oracle="bounded-noise")
 @example(d=3, n=10, D=3, seed=4, oracle="exact")
+@example(d=3, n=8, D=2, seed=5, oracle="finite-sample")  # blocks of 81 x 81
 def test_the_tensor_train_register_learns_what_the_dense_register_learns(d, n, D, seed, oracle):
     n = min(n, 10) if d == 3 else n  # the dense register holds at most 2**16 entries
     state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed))
     mode = _ORACLES[oracle]()
     if not isinstance(mode, tomography.ExactMode):
         mode = dataclasses.replace(mode, seed=seed)
-    train = _learn_or_error(state, d, D, mode, seed)  # an open MPS: the tensor-train register
-    dense = _learn_or_error(mps.expand(state), d, D, mode, seed)
-    if isinstance(dense, type):  # blocks too wide for the finite-sample oracle
-        assert train is dense
-        return
+    _, train = learner.learn(state, d, D, 0.2, 0.01, mode=mode, seed=seed)  # the tensor train
+    _, dense = learner.learn(mps.expand(state), d, D, 0.2, 0.01, mode=mode, seed=seed)
     assert (train.M, train.copies_used) == (dense.M, dense.copies_used)
     assert abs(train.final_fidelity - dense.final_fidelity) <= 1e-10
     for layer, reference in zip(train.per_layer, dense.per_layer, strict=True):

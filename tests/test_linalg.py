@@ -58,8 +58,9 @@ def test_hermitian_eig_rejects_bad_input():
 
 
 def test_require_hermitian_matches_two_transpose_expression():
-    # sides straddle the 64-wide tiles; signed zeros and a real input pin the
-    # sign of every zero, which a mirrored conj(upper tile) would flip
+    # signed zeros and a real input pin the sign of every zero, which a
+    # mirrored conj(upper triangle) would flip; a Fortran-ordered input gives
+    # the same bytes, and every result is C-contiguous
     rng = np.random.default_rng(13)
     for dim in (1, 2, 5, 16, 33, 63, 64, 65, 130, 200):
         h = random_hermitian(dim, rng)
@@ -70,7 +71,9 @@ def test_require_hermitian_matches_two_transpose_expression():
         a[zeros] = rng.choice([0.0, -0.0], zeros.sum()) + 1j * rng.choice([0.0, -0.0], zeros.sum())
         old = (a + a.conj().T) / 2.0
         for tol in (linalg.HERMITIAN_TOL, np.inf):
-            assert linalg.require_hermitian(a, tol=tol).tobytes() == old.tobytes()
+            for given in (a, np.asfortranarray(a)):
+                out = linalg.require_hermitian(given, tol=tol)
+                assert out.flags.c_contiguous and out.tobytes() == old.tobytes()
         real = rng.standard_normal((dim, dim))
         real = real + real.T
         expected = ((real + real.T) / 2.0).astype(complex)

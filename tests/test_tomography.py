@@ -1,5 +1,7 @@
 """Tomography oracle and copy-budget tests."""
 
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +102,13 @@ def test_finite_sample_estimate_converges(d):
     assert errors_seen[2] < 0.02 * d * d
 
 
+@pytest.mark.parametrize("copies", [2.5, True, np.float64(1000.0)])
+def test_finite_sample_copies_must_be_an_integer(copies):
+    # a float or a bool would be truncated by the survivors' binomial draw
+    with pytest.raises(errors.BadParameter, match="integer"):
+        tomography.FiniteSampleMode(copies)
+
+
 def test_finite_sample_is_seed_deterministic():
     sigma = marginal(random_pure(3, 2, 19), 3, 2, [0, 1])
     a = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(5000, seed=1))
@@ -113,13 +122,78 @@ def test_finite_sample_respects_dimension_cap():
         tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(100, seed=0))
 
 
+def test_finite_sample_estimate_is_pinned():
+    # the draws and the inversion at a fixed seed; rounding keeps the pin off the last bits
+    sigma = marginal(random_pure(3, 2, 19), 3, 2, [0, 1])
+    out = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(5000, seed=1))
+    digest = hashlib.sha256((np.round(out.estimate, 10) + 0.0).tobytes()).hexdigest()
+    assert digest == "ba1efa03e20665b7f1dd9dd30eecee62020b09c616d05d5253a28432a561f6f8"
+
+
+def test_an_eight_qubit_block_converges_with_copies():
+    psi = mps.expand(mps.random_mps(mps.StateSpec(n=8, d=2, D=2, seed=41)))
+    sigma = np.outer(psi, psi.conj())
+    errors_seen = []
+    for copies in (10**4, 10**6):
+        out = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(copies, seed=5))
+        np.testing.assert_allclose(out.estimate, out.estimate.conj().T, atol=1e-12)
+        assert abs(np.trace(out.estimate).real - 1.0) < 1e-9
+        errors_seen.append(out.error)
+    # two decades of copies should buy about a decade of accuracy
+    assert errors_seen[1] < errors_seen[0] / 5.0
+
+
+def test_a_setting_without_shots_reads_as_uniform_outcomes():
+    # one survivor for 9 settings of |00>: it lands in (Z, Z) with outcome 00, and the
+    # other 8 settings read 1/4 per outcome, so each single-site Z is seen once in 3
+    sigma = np.zeros((4, 4), dtype=complex)
+    sigma[0, 0] = 1.0
+    out = tomography.estimate_block(sigma, 2, tomography.FiniteSampleMode(1, seed=0))
+    z, one = np.diag([1.0, -1.0]), np.eye(2)
+    expected = (np.kron(one, one) + np.kron(z, one) / 3 + np.kron(one, z) / 3 + np.kron(z, z)) / 4
+    assert np.max(np.abs(out.estimate - expected)) <= 1e-12
+
+
+def stacked_least_squares(freqs, d, sites):
+    """The design of every setting's Kronecker basis, and its stacked real least-squares solve."""
+    bases = tomography._single_site_bases(d)
+    rows = []
+    for choice in np.ndindex(*(len(bases),) * sites):
+        basis = functools.reduce(np.kron, (bases[c] for c in choice))
+        rows.extend(np.outer(v.conj(), v).reshape(-1) for v in basis.T)
+    a = np.asarray(rows)
+    b = freqs.reshape(-1)
+    stacked = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    solution = np.linalg.lstsq(stacked, np.concatenate([b, np.zeros_like(b)]), rcond=None)[0]
+    half = a.shape[1]
+    dim = d**sites
+    return a, (solution[:half] + 1j * solution[half:]).reshape(dim, dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), sites=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(d=4, sites=2, seed=0)
+def test_the_per_site_inversion_is_the_stacked_least_squares_solve(d, sites, seed):
+    sites = min(sites, 3 if d == 2 else 2)
+    rng = np.random.default_rng(seed)
+    rows, inverse = tomography._design(d)
+    freqs = rng.random((len(tomography._single_site_bases(d)) ** sites, d**sites))
+    freqs /= freqs.sum(axis=1, keepdims=True)
+    design, reference = stacked_least_squares(freqs, d, sites)
+    assert np.max(np.abs(tomography._per_site(inverse, freqs, sites, d) - reference)) <= 1e-12
+    # the same design maps a state to every setting's outcome probabilities
+    rho = marginal(random_pure(sites + 1, d, seed), sites + 1, d, list(range(sites)))
+    probs = tomography._per_site(rows, rho, sites, d)
+    assert np.max(np.abs(probs.reshape(-1) - design @ rho.reshape(-1))) <= 1e-12
+
+
 @st.composite
 def oracle_calls(draw):
-    """(sigma, d, mode): a sub-normalized marginal of 1 to 3 sites and an oracle mode."""
+    """(sigma, d, mode): a sub-normalized marginal of 1 to 4 sites and an oracle mode."""
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 3 if d == 2 else 2))
+    n = draw(st.integers(1, 4 if d == 2 else 3))
     seed = draw(st.integers(0, 2**32 - 1))
-    y = draw(st.integers(1, min(n, 2)))  # the finite-sample oracle stops at side 16
+    y = draw(st.integers(1, n))
     mass = draw(st.floats(0.0, 1.0))
     sigma = mass * marginal(random_pure(n, d, seed), n, d, list(range(y)))
     kind = draw(st.sampled_from(["exact", "bounded", "bounded-psd", "finite"]))
