@@ -23,9 +23,9 @@ singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
 That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
 and PSD by construction.  Every other run hands the oracle the dense marginal.
 
-A register no longer than twice the block tail runs the same loop with zero
-layers (``plan`` is ``None``): the closing call then covers the whole register
-(the trivial path).  For a pure input under the exact oracle, on the trivial
+A register no longer than twice the block tail runs the same loop on a plan
+with zero layers: the closing call then covers the whole register (the
+trivial path).  For a pure input under the exact oracle, on the trivial
 path or in a factored run, the closing call reads the held tail directly
 instead of estimating it.  The learned circuit is walked through the
 registers' ``compress`` forward (to disentangle or project a vector) and their
@@ -85,13 +85,15 @@ class LearnSchedule:
             raise BadParameter(f"eta must be in (0, 2], the largest trace distance, got {self.eta}")
 
 
-def _plan(n: int, d: int, p: int) -> LayerPlan | None:
-    """The circuit's halving schedule, or ``None`` for the trivial path (``n <= 2p``).
+def _plan(n: int, d: int, p: int) -> LayerPlan:
+    """The circuit's halving schedule, with no layers on the trivial path (``n <= 2p``).
 
     The one place the geometry comes from: :func:`learn` and
     :func:`load_circuit` both call it, so a circuit is fixed by ``(n, d, p)``.
     """
-    return plan_layers(n, d, p) if n > 2 * p else None
+    if n > 2 * p:
+        return plan_layers(n, d, p)
+    return LayerPlan(n, d, p, M=0, ell1=0, s1=0, k1=0, s1_amended=False, layers=())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,30 +116,29 @@ class CircuitDescription:
 
     The learned state is ``U_1^dagger ... U_M^dagger (|0...0> (x) residual)``
     with the zeros on ``projected_by_layer`` sites and the residual on
-    ``residual_sites``, both read off ``plan``.  Site labels are 1-based to
-    match the planner.
+    ``residual_sites``, both read off ``plan`` (with no layers on the trivial
+    path).  Site labels are 1-based to match the planner.
     """
 
     n: int
     d: int
     p: int
-    plan: LayerPlan | None
+    plan: LayerPlan
     unitaries: list[CircuitUnitary]
     residual: np.ndarray
     metadata: dict
 
     @property
     def num_layers(self) -> int:
-        return self.plan.M if self.plan is not None else 0
+        return self.plan.M
 
     @property
     def projected_by_layer(self) -> tuple[tuple[int, ...], ...]:
-        layers = self.plan.layers if self.plan is not None else ()
-        return tuple(tuple(s for b in layer for s in b.projected) for layer in layers)
+        return tuple(tuple(s for b in layer for s in b.projected) for layer in self.plan.layers)
 
     @property
     def residual_sites(self) -> tuple[int, ...]:
-        return self.plan.final_carried if self.plan is not None else tuple(range(1, self.n + 1))
+        return self.plan.final_carried
 
     def layer_unitaries(self, layer: int) -> list[CircuitUnitary]:
         return [u for u in self.unitaries if u.layer == layer]
@@ -360,10 +361,10 @@ def learn(
         raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
-    if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
-    if seed < 0:
-        raise BadParameter(f"seed must be >= 0, got {seed}")
+    if not (all(mps.is_integer(x) for x in (d, D, seed)) and D >= 1 and seed >= 0):
+        raise BadParameter(
+            f"need integers d, D >= 1 and seed >= 0, got d={d!r}, D={D!r}, seed={seed!r}"
+        )
     if theta is not None and not math.isfinite(theta):
         raise BadParameter(f"theta must be finite, got {theta}")
     mode = tomography.ExactMode() if mode is None else mode
@@ -399,7 +400,8 @@ def learn(
                     "block-size equation is solvable"
                 )
     plan = _plan(n, d, p)
-    if plan is None:
+    M, tail = plan.M, plan.final_carried
+    if M == 0:
         # No layer to run: the closing call estimates the whole register.
         if schedule is None:
             eta = effective_epsilon / 4.0
@@ -409,7 +411,7 @@ def learn(
     else:
         if schedule is None:
             if variant == "exact":
-                eta = eta_exact(effective_epsilon, plan.M)
+                eta = eta_exact(effective_epsilon, M)
             else:
                 eta = eta_closest(effective_epsilon, p, D, n)
         # An oracle pinned to an explicit accuracy defines the per-block
@@ -423,7 +425,6 @@ def learn(
                 "widened to a full 2p block"
             )
 
-    M = plan.M if plan is not None else 0
     tau = effective_epsilon / 4.0
     mode_seed = getattr(mode, "seed", 0)
     seed_base = (seed, mode_seed)
@@ -478,9 +479,9 @@ def learn(
                 dz.isometry, [s - 1 for s in block.support], [s - 1 for s in block.projected]
             )
         if variant == "exact":
-            drop_bound = 2.0 * math.sqrt(2.0 * eta * 2 ** (plan.M - j))
+            drop_bound = 2.0 * math.sqrt(2.0 * eta * 2 ** (M - j))
         else:
-            drop_bound = 2.0 * math.sqrt(2.0 * eta * D * D * 2 ** (plan.M - j))
+            drop_bound = 2.0 * math.sqrt(2.0 * eta * D * D * 2 ** (M - j))
         per_layer.append(
             LayerStats(
                 layer=j,
@@ -496,16 +497,15 @@ def learn(
         if audit:
             snapshots.append(backend.copy())
 
-    tail = plan.final_carried if plan is not None else tuple(range(1, n + 1))
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
-    if (plan is None or factored) and backend.pure and isinstance(call_mode, tomography.ExactMode):
+    if (M == 0 or factored) and backend.pure and isinstance(call_mode, tomography.ExactMode):
         # The exact oracle on a pure register, which then holds only the tail,
         # returns the held state itself: the whole input (at most 2p sites) on
         # the trivial path, whose mass is 1, or the compressed tail of a factored run.
         held = backend.expand()
         norm = np.linalg.norm(held)
         residual = linalg.fix_phase(held / norm)
-        mass = 1.0 if plan is None else float(np.clip(norm**2, 0.0, 1.0))
+        mass = 1.0 if M == 0 else float(np.clip(norm**2, 0.0, 1.0))
     else:
         if d ** len(tail) > linalg.MAX_DENSITY_DIM:
             raise TooLarge(
@@ -517,18 +517,6 @@ def learn(
         mass = outcome.success_mass
     copies_used += _charge(variant, mass, D, d, len(tail), tau, delta / n)
 
-    circuit = CircuitDescription(
-        n=n,
-        d=d,
-        p=p,
-        plan=plan,
-        unitaries=unitaries,
-        residual=residual,
-        metadata=_metadata(
-            variant, epsilon, effective_epsilon, delta, eta, tau, seed, mode, theta,
-            deviations, trivial=plan is None,
-        ),
-    )
     report = LearnReport(
         variant=variant,
         n=n,
@@ -548,8 +536,18 @@ def learn(
         per_layer=per_layer,
         deviations=deviations,
         theta=theta,
-        audit=AuditTrail(circuit, snapshots) if audit else None,
     )
+    # The circuit's metadata is read off the report, plus the oracle's parameters.
+    keys = "variant epsilon effective_epsilon delta eta tau seed oracle theta".split()
+    metadata = {key: getattr(report, key) for key in keys}
+    metadata.update(
+        oracle_params=dataclasses.asdict(mode), deviations=list(deviations), trivial_path=M == 0
+    )
+    circuit = CircuitDescription(
+        n=n, d=d, p=p, plan=plan, unitaries=unitaries, residual=residual, metadata=metadata
+    )
+    if audit:
+        report.audit = AuditTrail(circuit, snapshots)
     return circuit, report
 
 
@@ -560,35 +558,6 @@ def _charge(
     if variant == "exact":
         return tomography.budget_rank_constrained(mass, D, d, sites, eta, delta)
     return tomography.budget_general(mass, d, sites, eta, delta)
-
-
-def _metadata(
-    variant: str,
-    epsilon: float,
-    effective_epsilon: float,
-    delta: float,
-    eta: float,
-    tau: float,
-    seed: int,
-    mode: tomography.OracleMode,
-    theta: float | None,
-    deviations: list[str],
-    trivial: bool,
-) -> dict:
-    return {
-        "variant": variant,
-        "epsilon": epsilon,
-        "effective_epsilon": effective_epsilon,
-        "delta": delta,
-        "eta": eta,
-        "tau": tau,
-        "seed": seed,
-        "oracle": mode.name,
-        "oracle_params": dataclasses.asdict(mode),
-        "theta": theta,
-        "deviations": list(deviations),
-        "trivial_path": trivial,
-    }
 
 
 def _walk_backward(
@@ -718,7 +687,7 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         raise MalformedCircuit(f"the stored entries are too few for n={n}, d={d}")
 
     plan = _plan(n, d, p)
-    blocks = [b for layer in plan.layers for b in layer if b.acted] if plan is not None else []
+    blocks = [b for layer in plan.layers for b in layer if b.acted]
     shapes = [(d ** len(b.support), d**p) for b in blocks]
     matrices = mps.complex_arrays(doc["isometries"], shapes, MalformedCircuit)
     for matrix in matrices:
@@ -726,17 +695,12 @@ def load_circuit(path: str | Path) -> CircuitDescription:
         if defect > 1e-8:
             raise MalformedCircuit(f"stored block isometry is off orthonormal by {defect:.3e}")
     (residual,) = mps.complex_arrays(
-        doc["residual"], [(d ** (n if plan is None else p),)], MalformedCircuit
+        doc["residual"], [(d ** len(plan.final_carried),)], MalformedCircuit
     )
+    unitaries = [
+        CircuitUnitary(layer=b.layer, index=b.index, support=b.support, matrix=matrix)
+        for b, matrix in zip(blocks, matrices)
+    ]
     return CircuitDescription(
-        n=n,
-        d=d,
-        p=p,
-        plan=plan,
-        unitaries=[
-            CircuitUnitary(layer=b.layer, index=b.index, support=b.support, matrix=matrix)
-            for b, matrix in zip(blocks, matrices)
-        ],
-        residual=residual,
-        metadata=doc["metadata"],
+        n=n, d=d, p=p, plan=plan, unitaries=unitaries, residual=residual, metadata=doc["metadata"]
     )

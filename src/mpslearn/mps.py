@@ -120,8 +120,9 @@ class StateSpec:
     kind: str = "random"
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 2 or self.D < 1 or self.seed < 0:
-            raise InvalidSpec(f"need n >= 1, d >= 2, D >= 1 and seed >= 0, got {self}")
+        integers = all(is_integer(x) for x in (self.n, self.d, self.D, self.seed))
+        if not (integers and self.n >= 1 and self.d >= 2 and self.D >= 1 and self.seed >= 0):
+            raise InvalidSpec(f"need integers n >= 1, d >= 2, D >= 1 and seed >= 0, got {self}")
         if self.boundary not in ("open", "periodic"):
             raise InvalidSpec(f"unknown boundary {self.boundary!r}")
         if self.kind not in ("random", "ghz", "product", "w-state"):

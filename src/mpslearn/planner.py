@@ -60,7 +60,7 @@ class PlannedBlock:
 
 @dataclasses.dataclass(frozen=True)
 class LayerPlan:
-    """Complete schedule for one run of the tree learner."""
+    """Complete schedule for one run of the tree learner (no layers, ``M = 0``, if n <= 2p)."""
 
     n: int
     d: int
@@ -77,7 +77,7 @@ class LayerPlan:
 
     @property
     def final_carried(self) -> tuple[int, ...]:
-        return self.layers[-1][-1].carried
+        return self.layers[-1][-1].carried if self.layers else tuple(range(1, self.n + 1))
 
     @property
     def total_projected(self) -> int:

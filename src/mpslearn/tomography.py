@@ -61,8 +61,8 @@ class BoundedNoiseMode:
     def __post_init__(self) -> None:
         if self.eta is not None and not 0.0 <= self.eta <= 2.0:  # NaN fails too
             raise BadParameter(f"eta must be in [0, 2], the largest trace distance, got {self.eta}")
-        if self.seed < 0:
-            raise BadParameter(f"seed must be >= 0, got {self.seed}")
+        if not (mps.is_integer(self.seed) and self.seed >= 0):
+            raise BadParameter(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,8 +87,8 @@ class FiniteSampleMode:
             raise BadParameter(f"copies must be an integer, got {self.copies!r}")
         if not 1 <= self.copies < 2**63:  # the survivors' binomial draw takes an int64
             raise BadParameter(f"copies must be in 1 .. 2**63 - 1, got {self.copies}")
-        if self.seed < 0:
-            raise BadParameter(f"seed must be >= 0, got {self.seed}")
+        if not (mps.is_integer(self.seed) and self.seed >= 0):
+            raise BadParameter(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 OracleMode = Union[ExactMode, BoundedNoiseMode, FiniteSampleMode]
@@ -276,8 +276,8 @@ def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: 
         raise BadParameter(f"mu must be in [0, 1], got {mu}")
     if d < 2 or r_minus_i < 0:
         raise BadParameter(f"need d >= 2 and r_minus_i >= 0, got d={d}, r_minus_i={r_minus_i}")
-    if eta <= 0:
-        raise BadParameter(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:  # NaN fails too
+        raise BadParameter(f"eta must be positive and finite, got {eta}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
 

@@ -438,8 +438,8 @@ AVAILABLE_SUITES = tuple(_SUITE_FUNCTIONS)
 
 def run_suites(names: list[str], seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (or all of them for ``["all"]``) and collect results."""
-    if seed < 0:
-        raise BadParameter(f"seed must be >= 0, got {seed}")
+    if not (mps.is_integer(seed) and seed >= 0):
+        raise BadParameter(f"seed must be an integer >= 0, got {seed!r}")
     if names == ["all"]:
         names = list(AVAILABLE_SUITES)
     results = []

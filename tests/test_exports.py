@@ -7,6 +7,7 @@ from pathlib import Path
 import mpslearn
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+PACKAGE = Path(mpslearn.__file__).resolve().parent
 
 
 def test_every_export_resolves_once():
@@ -57,23 +58,23 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports names only to re-export them
-    package = Path(mpslearn.__file__).resolve().parent
     unused = {
         path.name: names
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
 
 
-def _read_names(paths) -> set[str]:
-    """Every name and attribute the sources read."""
+def _read_names() -> set[str]:
+    """Every name and attribute the package and the benchmark read (its tests aside)."""
+    bench = [path for path in BENCH_RUN.parent.glob("*.py") if not path.name.startswith("test_")]
     names = set()
-    for path in paths:
+    for path in [*PACKAGE.glob("*.py"), *bench]:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
@@ -92,16 +93,36 @@ def _definitions(tree):
 def test_every_function_class_and_method_has_a_caller():
     # a definition is dead unless the package or the benchmark reads it, the
     # package exports it, or the benchmark traces it; tests do not count
-    package = Path(mpslearn.__file__).resolve().parent
-    bench = [path for path in BENCH_RUN.parent.glob("*.py") if not path.name.startswith("test_")]
-    read = _read_names([*package.glob("*.py"), *bench])
+    read = _read_names()
     traced = {path.split(".")[-1] for path in _traced_targets().values()}
     dead = [
         f"{path.name}: {label}"
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for label, name in _definitions(ast.parse(path.read_text()))
         if not name.startswith("__")
         and name not in read | traced
         and name not in mpslearn.__all__
+    ]
+    assert dead == []
+
+
+def _constants(tree):
+    """Each name a module binds by a top-level assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (t.id for t in ast.walk(target) if isinstance(t, ast.Name))
+
+
+def test_every_module_constant_has_a_reader():
+    # a module-level constant is dead unless the package or the benchmark
+    # reads it (its own assignment is no read), or the package exports it
+    read = _read_names()
+    dead = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _constants(ast.parse(path.read_text()))
+        if not name.startswith("__") and name not in read and name not in mpslearn.__all__
     ]
     assert dead == []

@@ -18,6 +18,7 @@ from mpslearn import (
     mps,
     planner,
     tomography,
+    verify,
 )
 
 
@@ -173,6 +174,10 @@ def test_trivial_register_short_circuit():
     assert report.M == 0
     assert any("trivial" in note for note in report.deviations)
     assert circuit.num_layers == 0
+    # the trivial path is the zero-layer plan, and its tail is the whole chain
+    assert circuit.plan.M == 0
+    assert circuit.plan.layers == ()
+    assert circuit.plan.final_carried == tuple(range(1, 4 + 1))
     assert report.final_fidelity >= 1.0 - 1e-9
     fid = abs(np.vdot(learner.reconstruct_state(circuit), psi)) ** 2
     assert fid >= 1.0 - 1e-9
@@ -324,6 +329,17 @@ def test_learn_validates_arguments():
         learner.learn(psi * np.nan, 2, 2, 0.2, 0.01)
     with pytest.raises(errors.BadParameter, match="unknown oracle mode"):
         learner.learn(psi, 2, 2, 0.2, 0.01, mode=object())
+    # d, D and seed are integers; a bool is not one
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2.0, 2, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, 2.5, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, True, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, 2, 0.2, 0.01, seed=1.5)
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, 2, 0.2, 0.01, seed=True)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +350,28 @@ def test_learn_validates_arguments():
 def test_a_schedule_takes_an_integer_p_and_an_eta_in_0_to_2(p, eta):
     with pytest.raises(errors.BadParameter):
         learner.LearnSchedule(p=p, eta=eta)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: tomography.BoundedNoiseMode(seed=1.5), errors.BadParameter),
+        (lambda: tomography.BoundedNoiseMode(seed=True), errors.BadParameter),
+        (lambda: tomography.FiniteSampleMode(copies=100, seed=1.5), errors.BadParameter),
+        (lambda: verify.run_suites(["plan"], seed=1.5), errors.BadParameter),
+        (lambda: mps.StateSpec(n=4.0, d=2, D=2), errors.InvalidSpec),
+        (lambda: mps.StateSpec(n=4, d=2.0, D=2), errors.InvalidSpec),
+        (lambda: mps.StateSpec(n=4, d=2, D=True), errors.InvalidSpec),
+        (lambda: mps.StateSpec(n=4, d=2, D=2, seed=1.5), errors.InvalidSpec),
+    ],
+    ids=[
+        "noise-seed-float", "noise-seed-bool", "sample-seed-float", "suite-seed-float",
+        "spec-n-float", "spec-d-float", "spec-D-bool", "spec-seed-float",
+    ],
+)
+def test_integer_parameters_refuse_floats_and_bools(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_finite_sample_learns_blocks_of_eight_qubits():
@@ -413,6 +451,25 @@ def test_load_circuit_rejects_tampering(tmp_path):
     bent.write_text(json.dumps(doc))
     with pytest.raises(errors.MalformedCircuit):
         learner.load_circuit(bent)
+
+
+@pytest.mark.parametrize("n", [4, 10], ids=["trivial", "layered"])
+def test_circuit_metadata_is_read_off_the_report(tmp_path, n):
+    mode = tomography.BoundedNoiseMode(eta=0.01, seed=3)
+    psi = random_mps_vector(n, seed=31)
+    circuit, report = learner.learn(psi, 2, 2, 0.2, 0.01, mode=mode, theta=0.5)
+    assert (report.M == 0) == (n == 4)
+    keys = ["variant", "epsilon", "effective_epsilon", "delta", "eta", "tau", "seed", "oracle", "theta"]
+    expected = {key: getattr(report, key) for key in keys}
+    expected.update(
+        oracle_params=dataclasses.asdict(mode),
+        deviations=report.deviations,
+        trivial_path=report.M == 0,
+    )
+    assert circuit.metadata == expected
+    path = tmp_path / "circuit.json"
+    learner.save_circuit(circuit, path)
+    assert learner.load_circuit(path).metadata == expected
 
 
 def test_exact_run_is_seed_stable_bytes(tmp_path):

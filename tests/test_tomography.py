@@ -247,4 +247,9 @@ def test_budget_validation():
         tomography.budget_general(1.0, 2, 2, 0.01, 1.5)
     with pytest.raises(errors.BadParameter):
         tomography.budget_rank_constrained(1.0, 0, 2, 2, 0.01, 1e-3)
+    for eta in (float("nan"), float("inf")):
+        with pytest.raises(errors.BadParameter):
+            tomography.budget_general(1.0, 2, 2, eta, 1e-3)
+        with pytest.raises(errors.BadParameter):
+            tomography.budget_rank_constrained(1.0, 2, 2, 2, eta, 1e-3)
 
