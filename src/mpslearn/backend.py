@@ -19,6 +19,9 @@ audit's stage vectors and operators (all dense), and on every path a block
 window or tail too wide to hold, such as the closest variant's 36-site blocks
 at n = 64 and epsilon = 0.2.
 
+No register writes a held array in place; every operation assigns new
+arrays.  So the dense register holds its input as given, with no copy.
+
 Both registers remember which original chain sites they still hold, so
 callers address operations by original 0-based site label while the held
 state shrinks as sites are dropped.  A learned circuit is walked forward by
@@ -86,6 +89,11 @@ class StateBackend:
     ``uncompress``; :class:`MPSBackend` implements the same members.
     ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
     that ``compress`` fuses.
+
+    It holds the array it is given, with no copy, and no operation writes
+    ``state`` in place (each assigns a new array), so a density input is read
+    where it lies and never changed.  :meth:`copy` is a real copy, so a
+    snapshot keeps its bytes whatever the caller later writes to its array.
     """
 
     def __init__(self, state: np.ndarray, d: int, sites: Sequence[int] | None = None):
@@ -104,7 +112,7 @@ class StateBackend:
         else:
             raise DimensionMismatch(f"state must be a vector or matrix, got ndim {state.ndim}")
         n = infer_site_count(size, self.d)
-        self.state = state.copy()
+        self.state = state
         self.sites = list(range(n)) if sites is None else list(sites)
         if len(self.sites) != n:
             raise DimensionMismatch(f"{len(self.sites)} site labels for {n} sites")
@@ -114,7 +122,7 @@ class StateBackend:
         return len(self.sites)
 
     def copy(self) -> "StateBackend":
-        return StateBackend(self.state, self.d, sites=list(self.sites))
+        return StateBackend(self.state.copy(), self.d, sites=list(self.sites))
 
     def expand(self) -> np.ndarray:
         """The held pure state as a vector on the held sites; a mixed register has none."""

@@ -81,7 +81,7 @@ class LearnSchedule:
     def __post_init__(self) -> None:
         if not (mps.is_integer(self.p) and self.p >= 1):
             raise BadParameter(f"p must be an integer >= 1, got {self.p!r}")
-        if not 0.0 < self.eta <= 2.0:  # NaN fails too
+        if not (mps.is_real(self.eta) and 0.0 < self.eta <= 2.0):  # NaN fails too
             raise BadParameter(f"eta must be in (0, 2], the largest trace distance, got {self.eta}")
 
 
@@ -357,7 +357,7 @@ def learn(
     """
     if variant not in ("exact", "closest"):
         raise BadParameter(f"variant must be 'exact' or 'closest', got {variant!r}")
-    if not 0.0 < epsilon <= 1.0:
+    if not (mps.is_real(epsilon) and 0.0 < epsilon <= 1.0):
         raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
@@ -365,7 +365,7 @@ def learn(
         raise BadParameter(
             f"need integers d, D >= 1 and seed >= 0, got d={d!r}, D={D!r}, seed={seed!r}"
         )
-    if theta is not None and not math.isfinite(theta):
+    if theta is not None and not (mps.is_real(theta) and math.isfinite(theta)):
         raise BadParameter(f"theta must be finite, got {theta}")
     mode = tomography.ExactMode() if mode is None else mode
     if not isinstance(mode, tomography.OracleMode):
@@ -585,7 +585,7 @@ def _walk_forward(
     compresses by the isometry, dropping the layer's shed sites: the result
     then lives on the sites still held after layer ``j``.
     """
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
+    vec = np.array(vector, dtype=complex).reshape(-1)  # a copy: the register holds it as given
     if vec.size != circuit.d**circuit.n:
         raise BadParameter(
             f"vector has dimension {vec.size}, expected {circuit.d}**{circuit.n}"
@@ -606,7 +606,8 @@ def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
     d, n = circuit.d, circuit.n
     if d**n > linalg.MAX_VECTOR_DIM:
         raise TooLarge(f"dense reconstruction of dimension {d}**{n} exceeds the cap")
-    register = StateBackend(circuit.residual, d, sites=[s - 1 for s in circuit.residual_sites])
+    sites = [s - 1 for s in circuit.residual_sites]
+    register = StateBackend(circuit.residual.copy(), d, sites)  # returned as held if no layer
     return _walk_backward(circuit, register, circuit.num_layers).state
 
 

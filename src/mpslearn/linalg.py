@@ -42,33 +42,35 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     not finite (a difference of finite entries can also overflow).  A NaN or
     negative ``tol`` is a ``BadParameter``.
     """
-    a = _hermitian_input(matrix, tol)
+    a, _ = _hermitian_input(matrix, tol)
     h = np.conjugate(a.T, out=np.empty_like(a, order="C"))  # the one full-size allocation
     h += a
     h /= 2.0
     return h
 
 
-def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """``matrix`` as a complex array, after :func:`require_hermitian`'s read-only check."""
+def _hermitian_input(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """``matrix`` as a complex array and ``|A|_F^2``, after :func:`require_hermitian`'s check."""
     if not tol >= 0.0:  # NaN fails too
         raise BadParameter(f"hermiticity tolerance must be non-negative, got {tol}")
     require_square(matrix)
     a = np.asarray(matrix, dtype=complex)
     dim = a.shape[0]
     step = max(1, _CHUNK // max(dim, 1))
-    peaks = [0.0]
+    peaks, frobenius2 = [0.0], 0.0
     with np.errstate(invalid="ignore"):  # inf - inf in a chunk is caught below
         for i in range(0, dim, step):
-            x, yh = a[i : i + step, i:], a[i:, i : i + step].T.conj()
+            rows = a[i : i + step]
+            x, yh = rows[:, i:], a[i:, i : i + step].T.conj()
             peaks.append(np.max(np.abs(x - yh)))
+            frobenius2 += float(np.vdot(rows, rows).real)
     defect = float(np.max(peaks))  # NaN-propagating, unlike the builtin max
     chunks = (a[i : i + step] for i in range(0, dim, step))
     if not math.isfinite(defect) and not all(np.isfinite(c).all() for c in chunks):
         raise NonHermitian("matrix has non-finite entries")
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    return a
+    return a, frobenius2
 
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -126,22 +128,27 @@ def _hermitian_part_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x + (x.conj() @ a).conj()) / 2.0
 
 
-def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top Ritz vector of ``a``'s Hermitian part in ``b``'s Krylov space, and the Ritz scale.
+def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Top Ritz vector ``v`` of ``a``'s Hermitian part ``H`` in ``b``'s Krylov space, and ``H v``.
 
     Lanczos with full reorthogonalization (two classical Gram-Schmidt passes
     per step), stopped when the residual estimate ``beta * |s_last|`` of the
     top Ritz pair is at most ``1e-13 * scale`` or after ``_LANCZOS_STEPS``
-    steps.  ``scale`` is the largest Ritz value magnitude, at least 1.
+    steps.  Also returns ``scale``, the largest Ritz value magnitude, at
+    least 1.  Each step keeps its product ``H q_k`` as computed, before
+    reorthogonalization, so ``H v`` is the same combination of the products
+    as ``v`` is of the ``q_k``, and needs no further read of ``a``.
     """
     dim = a.shape[0]
     basis = np.empty((min(_LANCZOS_STEPS, dim), dim), dtype=complex)
+    products = np.empty_like(basis)
     alphas: list[float] = []
     betas: list[float] = []
     q = b / np.linalg.norm(b)
     for k in range(basis.shape[0]):
         basis[k] = q
         w = _hermitian_part_times(a, q)
+        products[k] = w
         alphas.append(float(np.real(np.vdot(q, w))))
         kept = basis[: k + 1]
         for _ in range(2):
@@ -154,7 +161,8 @@ def _lanczos_top(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         betas.append(beta)
         q = w / beta
     v = s[:, -1] @ kept
-    return v / np.linalg.norm(v), scale
+    norm = np.linalg.norm(v)
+    return v / norm, (s[:, -1] @ products[: k + 1]) / norm, scale
 
 
 def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
@@ -169,19 +177,21 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     result is phase-normalized like :func:`hermitian_eig`'s columns.
 
     Fast path: Lanczos from ``b`` (:func:`_lanczos_top`) gives a Ritz vector
-    ``v`` with Rayleigh quotient ``theta <= lam_max`` and an explicit
-    residual ``r = |H v - theta v|``, which must be at most
+    ``v`` and ``H v``, from the products its steps kept (an explicit ``H v``
+    differs by rounding only), with Rayleigh quotient ``theta <= lam_max``
+    and residual ``r = |H v - theta v|``, which must be at most
     ``1e-12 * scale`` (``scale`` the largest Ritz magnitude, at least 1).
     Then ``v`` is returned if one of two certificates holds, the first in
     O(dim^2), the second in O(dim^3):
 
     1. Frobenius gap bound: ``lo = theta - r - 1e-10 * scale > 0`` and
        ``2 lo^2 > |A|_F^2 (1 + dim^2 2^-52)``, the factor covering the
-       rounding of ``|A|_F^2``.  ``|H|_F <= |A|_F``, as ``A = H + K`` with
-       ``K`` anti-Hermitian and ``|A|_F^2 = |H|_F^2 + |K|_F^2``.  Some
-       eigenvalue ``lam_i`` of ``H`` lies within ``r`` of ``theta``, so
-       ``lam_i > lo``, and every other has ``lam_j^2 <= |A|_F^2 - lam_i^2 <
-       lo^2``: ``lam_i`` is the simple top, by a gap of at least ``lam_i - lo``.
+       rounding of ``|A|_F^2``, summed in the validation's row chunks.
+       ``|H|_F <= |A|_F``, as ``A = H + K`` with ``K`` anti-Hermitian and
+       ``|A|_F^2 = |H|_F^2 + |K|_F^2``.  Some eigenvalue ``lam_i`` of ``H``
+       lies within ``r`` of ``theta``, so ``lam_i > lo``, and every other has
+       ``lam_j^2 <= |A|_F^2 - lam_i^2 < lo^2``: ``lam_i`` is the simple top,
+       by a gap of at least ``lam_i - lo``.
     2. A successful Cholesky factorization of ``sigma I - H``, with
        ``sigma = theta + r + 1e-10 * scale``, certifies ``lam_max <= sigma``.
        It covers tied tops and tops that do not dominate ``H``, and is the
@@ -209,26 +219,25 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     ``1e-10 * scale`` of the top count as near-tied: the result is a unit
     vector mostly in their span, weighted differently by the two paths.
     """
-    a = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
+    a, frobenius2 = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
     dim = a.shape[0]
     if dim == 0:
         raise BadParameter("an empty matrix has no eigenvector")
     rng = np.random.default_rng(0)
     b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v, scale = _lanczos_top(a, b)
-    hv = _hermitian_part_times(a, v)
+    v, hv, scale = _lanczos_top(a, b)
     theta = float(np.real(np.vdot(v, hv)))
     r = float(np.linalg.norm(hv - theta * v))
     lo = theta - r - 1e-10 * scale
-    if r <= 1e-12 * scale and lo > 0.0:
-        frobenius2 = float(np.real(np.vdot(a, a)))
-        if 2.0 * lo * lo > frobenius2 * (1.0 + dim * dim * 2.0**-52):
-            return fix_phase(v)
+    converged = r <= 1e-12 * scale
+    if converged and lo > 0.0 and 2.0 * lo * lo > frobenius2 * (1.0 + dim * dim * 2.0**-52):
+        return fix_phase(v)
     sigma = theta + r + 1e-10 * scale
-    h = a + a.conj().T  # -(a + a^H) / 2, then sigma on the diagonal
+    h = np.conjugate(a.T, out=np.empty_like(a))  # -(a + a^H) / 2, then sigma on the diagonal
+    h += a
     h /= -2.0
     h.flat[:: dim + 1] += sigma
-    if r <= 1e-12 * scale:
+    if converged:
         try:
             np.linalg.cholesky(h)
             return fix_phase(v)

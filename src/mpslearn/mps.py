@@ -347,6 +347,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether a value is a Python or NumPy real number; ``True``/``False`` is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def read_document(
     path: str | Path, name: str, version: int, keys: Sequence[str], error: type[Exception]
 ) -> dict:

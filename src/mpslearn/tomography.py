@@ -59,7 +59,7 @@ class BoundedNoiseMode:
     project_psd: bool = False
 
     def __post_init__(self) -> None:
-        if self.eta is not None and not 0.0 <= self.eta <= 2.0:  # NaN fails too
+        if self.eta is not None and not (mps.is_real(self.eta) and 0.0 <= self.eta <= 2.0):
             raise BadParameter(f"eta must be in [0, 2], the largest trace distance, got {self.eta}")
         if not (mps.is_integer(self.seed) and self.seed >= 0):
             raise BadParameter(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -62,6 +62,26 @@ def test_apply_unitary_density_consistent_with_vector():
     )
 
 
+@pytest.mark.parametrize("pure", [True, False], ids=["vector", "density"])
+def test_the_dense_register_holds_its_input_and_never_writes_it(pure):
+    # no copy on entry, so every operation must assign a new array; copy()
+    # is the one real copy
+    psi = random_state(3, 2, 51)
+    state = psi if pure else np.outer(psi, psi.conj())
+    before = state.copy()
+    register = StateBackend(state, 2)
+    assert register.state is state
+    snapshot = register.copy()
+    assert not np.shares_memory(snapshot.state, state)
+    register.apply_unitary(random_unitary(4, 52), [0, 1])
+    register.compress(random_unitary(4, 53)[:, :2], [1, 2], [1])
+    register.uncompress(random_unitary(4, 54)[:, :2], [1, 2], [1])
+    register.project_zero_and_drop([0])
+    assert state.tobytes() == before.tobytes()
+    state[...] = 0.0
+    assert snapshot.state.tobytes() == before.tobytes()
+
+
 def test_backend_projection_keeps_subnormalized_rest():
     backend = StateBackend(random_state(4, 2, 5), 2)
     backend.apply_unitary(random_unitary(4, 6), [0, 1])

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,12 +341,23 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 2, 0.2, 0.01, seed=1.5)
     with pytest.raises(errors.BadParameter):
         learner.learn(psi, 2, 2, 0.2, 0.01, seed=True)
+    # 0 < True <= 1 and math.isfinite(False) hold, so a range check alone passes a bool
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, 2, True, 0.01)
+    with pytest.raises(errors.BadParameter):
+        learner.learn(psi, 2, 2, 0.2, 0.01, theta=False)
 
 
 @pytest.mark.parametrize(
     "p, eta",
-    [(2.5, 0.1), (0, 0.1), (True, 0.1), (2, float("nan")), (2, float("inf")), (2, 0.0), (2, 2.5)],
-    ids=["p-float", "p-zero", "p-bool", "eta-nan", "eta-infinity", "eta-zero", "eta-above-2"],
+    [
+        (2.5, 0.1), (0, 0.1), (True, 0.1), (2, float("nan")), (2, float("inf")), (2, 0.0),
+        (2, 2.5), (2, True),
+    ],
+    ids=[
+        "p-float", "p-zero", "p-bool", "eta-nan", "eta-infinity", "eta-zero", "eta-above-2",
+        "eta-bool",
+    ],
 )
 def test_a_schedule_takes_an_integer_p_and_an_eta_in_0_to_2(p, eta):
     with pytest.raises(errors.BadParameter):
@@ -704,6 +716,61 @@ def _audit_input(kind, n, D, seed):
     if kind == "vector":
         return phi
     return 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(2**n) / 2**n
+
+
+@pytest.mark.parametrize(
+    "kind, n, variant",
+    [
+        ("vector", 4, "exact"),
+        ("vector", 8, "exact"),
+        ("density", 4, "closest"),
+        ("density", 6, "exact"),
+        ("periodic", 4, "closest"),
+        ("periodic", 8, "exact"),
+    ],
+)
+def test_learn_reads_its_input_in_place_and_hands_back_no_alias(kind, n, variant):
+    # the dense register holds its input as given, with no copy: learn must
+    # leave the input's bytes alone, and no result, with layers or without,
+    # may be a view of the input, of a witness or of the circuit's residual
+    state = _audit_input(kind, n, 2, seed=40 + n)
+    inputs = list(state.tensors) if kind == "periodic" else [state]
+    before = [a.copy() for a in inputs]
+    circuit, report = learner.learn(state, 2, 2, 0.2, 0.01, variant=variant, audit=True)
+    assert (circuit.num_layers == 0) == (n == 4)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
+    phi = random_mps_vector(n, seed=50 + n)
+    trail = report.audit
+    results = [
+        learner.reconstruct_state(circuit),
+        learner.residual_projection(circuit, phi, 0),
+        learner.forward_transform(circuit, phi),
+        trail.stepwise_state(0),
+    ]
+    if kind != "density":
+        results.append(trail.stepwise_vector(0))
+    for result in results:
+        assert not any(np.shares_memory(result, a) for a in [*inputs, phi, circuit.residual])
+    # the audit's input snapshot is a copy, whatever the caller writes later
+    stage = trail.stepwise_state(0)
+    for a in inputs:
+        a[...] = 0.0
+    assert trail.stepwise_state(0).tobytes() == stage.tobytes()
+
+
+def test_a_density_learn_reads_its_input_in_place():
+    # the n = 10 closing call: no register copy of the 16 MiB input, no
+    # symmetrized copy and no full-size temporary
+    phi = random_mps_vector(10, seed=41)
+    rho = 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(1024) / 1024
+    tracemalloc.start()
+    try:
+        _, report = learner.learn(rho, 2, 2, 0.2, 0.01, variant="closest")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.M == 0
+    assert peak < rho.nbytes / 4
 
 
 def _learn_and_save(path, state, D, mode, variant, seed, audit):

@@ -220,6 +220,26 @@ def test_top_eigenvector_falls_back_when_the_certificate_fails(monkeypatch):
     assert abs(np.vdot(top, v)) ** 2 >= 1.0 - 1e-10
 
 
+def test_top_eigenvector_fallback_makes_one_dense_matrix(monkeypatch):
+    # Lanczos runs out of steps on a random dim-512 matrix, so the fallback
+    # goes straight to eigvalsh; sigma I - H is written into one fresh array,
+    # with no full-size temporaries of a + a^H
+    a = _top_case(512, "random", 3)
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        wrapped = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, f=wrapped, k=name: calls.append(k) or f(m))
+    tracemalloc.start()
+    try:
+        v = linalg.top_eigenvector(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == ["eigvalsh"]
+    assert abs(np.vdot(np.linalg.eigh(a)[1][:, -1], v)) ** 2 >= 1.0 - 1e-10
+    assert peak < 1.25 * a.nbytes
+
+
 def test_top_eigenvector_of_a_tied_top_projects_the_start_vector():
     # the tied answer is a property of the eigenspace, not of the basis the
     # eigensolver happens to return for it; rebuilding the matrix from another
@@ -250,6 +270,33 @@ def test_top_eigenvector_makes_no_dense_copy():
     finally:
         tracemalloc.stop()
     assert peak < a.nbytes / 4
+
+
+def test_top_eigenvector_reads_the_input_once_per_lanczos_step(monkeypatch):
+    # a rank-one-plus-floor input has a two-dimensional Krylov space: two
+    # Lanczos steps, and the Ritz residual is taken from their kept products
+    a = _top_case(1024, "rank1-floor", 31)
+    calls = []
+    times = linalg._hermitian_part_times
+    monkeypatch.setattr(linalg, "_hermitian_part_times", lambda m, x: calls.append(1) or times(m, x))
+    linalg.top_eigenvector(a)
+    assert len(calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 4, 16, 64, 130, 200]),
+    kind=st.sampled_from(["random", "tied-top", "rank1-floor", "frobenius-edge"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lanczos_kept_products_are_the_explicit_product(dim, kind, seed):
+    # the certificates rest on H v combined from the products Lanczos kept;
+    # it must be what an explicit H-apply of the returned v gives
+    a = _top_case(dim, kind, seed)
+    start = np.random.default_rng(0)
+    b = start.standard_normal(dim) + 1j * start.standard_normal(dim)
+    v, hv, scale = linalg._lanczos_top(a, b)
+    assert np.linalg.norm(hv - linalg._hermitian_part_times(a, v)) <= 1e-13 * scale
 
 
 def test_top_eigenvector_never_writes_its_argument(monkeypatch):

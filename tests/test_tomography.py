@@ -238,6 +238,13 @@ def test_budget_general_formula():
     )
 
 
+@pytest.mark.parametrize("eta", [True, np.True_, float("nan"), -0.1, 2.5])
+def test_bounded_noise_eta_is_a_number_in_0_to_2(eta):
+    # 0 <= True <= 2 holds, so a range check alone passes a bool
+    with pytest.raises(errors.BadParameter):
+        tomography.BoundedNoiseMode(eta=eta)
+
+
 def test_budget_validation():
     with pytest.raises(errors.BadParameter):
         tomography.budget_general(1.5, 2, 2, 0.01, 1e-3)
