@@ -9,7 +9,7 @@ Which register ``learn`` uses follows from its input alone:
   :meth:`MPSBackend.rdm_factor` gives a block marginal as ``F F^H`` for a thin
   ``d**y x (D_l * D_r)`` factor ``F``; the exact variant under the exact
   oracle builds its isometries from ``F`` and never forms the marginal;
-* everything else goes to :class:`StateBackend`, the dense reference path:
+* everything else goes to :class:`StateBackend`, the dense register:
   vectors, density matrices and periodic states (expanded).  Pure inputs stay
   vectors; mixed inputs are density matrices, capped at a much smaller
   register since they square the memory cost.
@@ -22,11 +22,12 @@ at n = 64 and epsilon = 0.2.
 No register writes a held array in place; every operation assigns new
 arrays.  So the dense register holds its input as given, with no copy.
 
-Both registers remember which original chain sites they still hold, so
-callers address operations by original 0-based site label while the held
-state shrinks as sites are dropped.  A learned circuit is walked forward by
-``compress`` and backward by its mirror, ``uncompress``, on either register,
-and a pure register's ``expand`` gives the held state as a dense vector.
+Both registers remember which chain sites they still hold (``0..n-1``, or
+the labels given, such as the planner's ``1..n``), so callers address
+operations by label while the held state shrinks.  A circuit is walked
+forward by ``compress`` and backward by its mirror, ``uncompress``.  The dense
+register contracts only in :meth:`StateBackend._contract`, the tensor train
+only in :func:`mpslearn.mps.contract_window`.
 """
 from __future__ import annotations
 
@@ -72,14 +73,6 @@ def apply_unitary_vector(psi: np.ndarray, u: np.ndarray, axes: Sequence[int], d:
     return contract_block(psi.reshape((d,) * n), u, axes, axes, d).reshape(-1)
 
 
-def apply_unitary_density(rho: np.ndarray, u: np.ndarray, axes: Sequence[int], d: int) -> np.ndarray:
-    """Conjugate a density matrix by a block unitary on the given sites."""
-    n = infer_site_count(rho.shape[0], d)
-    tensor = contract_block(rho.reshape((d,) * (2 * n)), u, axes, axes, d)
-    columns = [n + a for a in axes]  # the column side, with the conjugate
-    return contract_block(tensor, u.conj(), columns, columns, d).reshape(d**n, d**n)
-
-
 class StateBackend:
     """A register of ``d``-level sites holding a pure or mixed dense state.
 
@@ -87,8 +80,9 @@ class StateBackend:
     ``success_mass``, ``rdm``, ``compress``, ``expand`` and ``fidelity`` (and
     ``copy`` for the audit's snapshots), and walks a circuit backward by
     ``uncompress``; :class:`MPSBackend` implements the same members.
-    ``apply_unitary`` and ``project_zero_and_drop`` are the reference path
-    that ``compress`` fuses.
+    ``apply_unitary``, ``compress`` and ``uncompress`` all go through the one
+    :meth:`_contract`.  ``project_zero_and_drop`` is the projection that
+    ``compress`` fuses with a block's unitary, kept as its test reference.
 
     It holds the array it is given, with no copy, and no operation writes
     ``state`` in place (each assigns a new array), so a density input is read
@@ -162,10 +156,7 @@ class StateBackend:
 
     def apply_unitary(self, u: np.ndarray, site_labels: Sequence[int]) -> None:
         pos = self.positions(site_labels)
-        if self.pure:
-            self.state = apply_unitary_vector(self.state, u, pos, self.d)
-        else:
-            self.state = apply_unitary_density(self.state, u, pos, self.d)
+        self._contract(u, pos, pos, self.sites)
 
     def project_zero_and_drop(self, site_labels: Sequence[int]) -> None:
         """Project the sites onto |0>, discard them, keep the sub-normalized rest."""
@@ -258,18 +249,6 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract consecutive ``(D_l, d, D_r)`` site tensors into one ``(D_l, d**w, D_r)``.
-
-    The window's middle index is big-endian: the first site is its most
-    significant digit.  :meth:`MPSBackend._window` sizes it first.
-    """
-    window = tensors[0]
-    for t in tensors[1:]:
-        window = np.einsum("lxa,aib->lxib", window, t).reshape(window.shape[0], -1, t.shape[2])
-    return window
-
-
 class MPSBackend:
     """A pure register held as open-boundary site tensors, never as a d**n vector.
 
@@ -316,8 +295,8 @@ class MPSBackend:
     def _window(self, labels: list[int], cap: int = MAX_PURE_DIM, grow: int = 0) -> tuple[int, int]:
         """Positions ``lo:hi`` of a run of held sites.
 
-        Every array :func:`contract_window` builds from them, ``grow`` sites
-        wider, must fit in ``cap`` entries.
+        Every carry :func:`mpslearn.mps.contract_window` builds from their
+        tensors, ``grow`` sites wider, must fit in ``cap`` entries.
         """
         lo = bisect.bisect_left(self.sites, labels[0]) if labels else 0
         hi = lo + len(labels)
@@ -360,7 +339,7 @@ class MPSBackend:
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
         lo, hi = self._window(sorted(site_labels))
         left, right = self._left_envs()[lo], self._right_envs()[hi]
-        window = contract_window(self.tensors[lo:hi])
+        window = mps.contract_window(self.tensors[lo:hi])
         dl, dim, dr = window.shape
         framed = (left @ window.reshape(dl, -1)).reshape(-1, dr) @ right
         rdm = np.tensordot(framed.reshape(dl, dim, dr), window.conj(), axes=([0, 2], [0, 2]))
@@ -376,7 +355,7 @@ class MPSBackend:
         lo, hi = self._window(sorted(site_labels))
         a = _gram_root(self._left_envs()[lo]).conj().T
         b = _gram_root(self._right_envs()[hi])
-        window = contract_window(self.tensors[lo:hi])
+        window = mps.contract_window(self.tensors[lo:hi])
         dl, dim, dr = window.shape
         framed = ((a @ window.reshape(dl, -1)).reshape(-1, dr) @ b).reshape(dl, dim, dr)
         return framed.transpose(1, 0, 2).reshape(dim, dl * dr)
@@ -390,7 +369,7 @@ class MPSBackend:
         if k < 1 or labels[: len(gone)] != gone or isometry.shape != (self.d**y, self.d**k):
             raise DimensionMismatch(f"no {isometry.shape} isometry drops {gone} of {labels}")
         lo, hi = self._window(labels)
-        kept = isometry.conj().T @ contract_window(self.tensors[lo:hi])
+        kept = isometry.conj().T @ mps.contract_window(self.tensors[lo:hi])
         self.tensors[lo:hi] = tt_split(kept, self.d, k)
         self.sites[lo:hi] = labels[len(gone) :]
         self._left = self._right = None
@@ -409,7 +388,7 @@ class MPSBackend:
             raise BlockOutOfRange(f"sites {new} do not fit before the held run")
         if isometry.shape != (self.d**y, self.d**k):
             raise DimensionMismatch(f"no {isometry.shape} isometry inserts {new} into {labels}")
-        grown = isometry @ contract_window(self.tensors[lo:hi])
+        grown = isometry @ mps.contract_window(self.tensors[lo:hi])
         self.tensors[lo:hi] = tt_split(grown, self.d, y)
         self.sites = sites
         self._left = self._right = None

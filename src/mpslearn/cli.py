@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import hashlib
 import io
-import json
 import math
 import sys
 from pathlib import Path
@@ -51,28 +50,13 @@ _RESOURCE = (TooLarge,)
 _PROPERTY = (OracleFailure, NoConvergence)
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(_canonical_json(doc) + "\n")
-
-
 def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
 def _load_config(path: str, schema: dict[str, tuple[tuple[type, ...], bool]]) -> dict:
     """Load a flat JSON config, rejecting unknown keys and bad types."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InvalidSpec(f"config file not found: {path}")
-    except OSError as exc:  # a directory, or a file without read permission
-        raise InvalidSpec(f"cannot read the config file {path}: {exc.strerror}")
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
-        raise InvalidSpec(f"config is not valid JSON: {exc}")
+    raw = mps.read_json(path, "config", InvalidSpec)
     if not isinstance(raw, dict):
         raise InvalidSpec("config must be a JSON object with a flat key namespace")
     unknown = sorted(set(raw) - set(schema))
@@ -84,19 +68,19 @@ def _load_config(path: str, schema: dict[str, tuple[tuple[type, ...], bool]]) ->
                 raise InvalidSpec(f"missing required config key: {key}")
             continue
         value = raw[key]
-        if bool in types and isinstance(value, bool):
-            continue
         if isinstance(value, bool) and bool not in types:
             raise InvalidSpec(f"config key {key} has wrong type bool")
         if not isinstance(value, types):
             names = "/".join(t.__name__ for t in types)
             raise InvalidSpec(f"config key {key} must be {names}, got {type(value).__name__}")
+        if float in types and abs(value) > sys.float_info.max:  # float() refuses such an integer
+            raise InvalidSpec(f"config key {key} is outside a float's range")
     return raw
 
 
 def _write_manifest(out_dir: Path, command: str, resolved_config: dict, deviations: list[str], outputs: list[str]) -> None:
-    digest = hashlib.sha256(_canonical_json(resolved_config).encode()).hexdigest()
-    _write_json(
+    digest = hashlib.sha256(mps.canonical_json(resolved_config).encode()).hexdigest()
+    mps.write_json(
         out_dir / "manifest.json",
         {
             "format": MANIFEST_FORMAT_NAME,
@@ -228,7 +212,7 @@ def _cmd_learn(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_circuit(circuit, out_dir / "circuit.json")
-    _write_json(out_dir / "report.json", _report_doc(report))
+    mps.write_json(out_dir / "report.json", _report_doc(report))
     _append_summary_row(out_dir / "summary.csv", report)
     _write_manifest(
         out_dir,
@@ -292,7 +276,7 @@ def _cmd_verify(args) -> int:
             }
             for s in results
         ]
-        _write_json(out_dir / "verify.json", doc)
+        mps.write_json(out_dir / "verify.json", doc)
         _write_manifest(
             out_dir, "verify", {"suite": args.suite, "seed": seed}, [], ["verify.json"]
         )

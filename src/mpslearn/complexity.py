@@ -8,6 +8,7 @@ growth rates, not for predicting laboratory shot counts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -21,6 +22,19 @@ ETA_SUBSTITUTION_CONSTANT = (64.0 / SQRT2_GAP) ** 6
 closed form in the copy-count total for the competitive variant."""
 
 
+def _in_float_range(formula):
+    """``formula``, raising ``BadParameter`` where an integer argument overflows a float."""
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            return formula(*args, **kwargs)
+        except OverflowError:
+            raise BadParameter(f"{formula.__name__}: an argument exceeds a float's range") from None
+
+    return checked
+
+
 def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
     if n < 2:
         raise BadParameter(f"n must be >= 2, got {n}")
@@ -32,6 +46,7 @@ def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
 
 
+@_in_float_range
 def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the tree learner under the bond-dimension promise.
 
@@ -52,6 +67,7 @@ def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> f
     )
 
 
+@_in_float_range
 def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier sweep-based learner under the same promise."""
     _check_common(n, 2, epsilon, delta)
@@ -60,6 +76,7 @@ def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float
     return float(n**5) * D**2 * math.log(n / delta) / epsilon**4
 
 
+@_in_float_range
 def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the competitive tree learner (no input promise).
 
@@ -84,6 +101,7 @@ def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) ->
     )
 
 
+@_in_float_range
 def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> float:
     """Competitive-variant total before eliminating the per-call accuracy.
 
@@ -100,6 +118,7 @@ def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> floa
     return float(n) * d**4 * math.log(n / delta) / (p * eta**6)
 
 
+@_in_float_range
 def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier competitive learner."""
     _check_common(n, 2, epsilon, delta)

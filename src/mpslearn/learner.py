@@ -41,8 +41,8 @@ same circuit and report as an unaudited one.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -283,17 +283,19 @@ def _child_mode(mode: tomography.OracleMode, eta_budget: float, base: Sequence[i
 
 
 def _register(state, d: int) -> StateBackend | MPSBackend:
-    """The register ``learn`` runs on, from the input alone (see :mod:`mpslearn.backend`)."""
+    """The register ``learn`` runs on, from the input alone, on the plan's labels ``1..n``."""
     if isinstance(state, mps.MatrixProductState):
         if state.d != d:
             raise BadParameter(f"state has d={state.d}, learner called with d={d}")
         if state.boundary == "open":
-            return MPSBackend(state)
+            return MPSBackend(state, range(1, state.n + 1))
         state = mps.expand(state)
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise BadParameter(f"state must be a vector or density matrix, got ndim {arr.ndim}")
-    return StateBackend(arr, d)
+    register = StateBackend(arr, d)  # n is known once the register has checked the array
+    register.sites = list(range(1, register.n + 1))
+    return register
 
 
 def learn(
@@ -359,14 +361,14 @@ def learn(
         raise BadParameter(f"variant must be 'exact' or 'closest', got {variant!r}")
     if not (mps.is_real(epsilon) and 0.0 < epsilon <= 1.0):
         raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise BadParameter(f"delta must be in (0, 1), got {delta}")
+    if not (mps.is_real(delta) and 0.0 < delta < 1.0):
+        raise BadParameter(f"delta must be in (0, 1), got {delta!r}")
     if not (all(mps.is_integer(x) for x in (d, D, seed)) and D >= 1 and seed >= 0):
         raise BadParameter(
             f"need integers d, D >= 1 and seed >= 0, got d={d!r}, D={D!r}, seed={seed!r}"
         )
-    if theta is not None and not (mps.is_real(theta) and math.isfinite(theta)):
-        raise BadParameter(f"theta must be finite, got {theta}")
+    if theta is not None and not (mps.is_real(theta) and abs(theta) <= sys.float_info.max):
+        raise BadParameter(f"theta must be a finite float, got {theta!r}")
     mode = tomography.ExactMode() if mode is None else mode
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")
@@ -448,14 +450,13 @@ def learn(
         for block in blocks:
             if not block.acted:
                 continue
-            sites = [s - 1 for s in block.support]
             if factored:
-                factor = backend.rdm_factor(sites)
+                factor = backend.rdm_factor(block.support)
                 dz = build_rank_capped_from_factor(factor, d, D * D, p)
                 mass, error = float(np.clip(np.linalg.norm(factor) ** 2, 0.0, 1.0)), 0.0
             else:
                 call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
-                outcome = tomography.estimate_block(backend.rdm(sites), d, call_mode)
+                outcome = tomography.estimate_block(backend.rdm(block.support), d, call_mode)
                 mass, error = outcome.success_mass, outcome.error
                 if variant == "exact":
                     dz = build_rank_capped(outcome.estimate, d, D * D, p)
@@ -475,9 +476,7 @@ def learn(
                 )
             )
         for block, dz in built:
-            backend.compress(
-                dz.isometry, [s - 1 for s in block.support], [s - 1 for s in block.projected]
-            )
+            backend.compress(dz.isometry, block.support, block.projected)
         if variant == "exact":
             drop_bound = 2.0 * math.sqrt(2.0 * eta * 2 ** (M - j))
         else:
@@ -512,7 +511,7 @@ def learn(
                 f"tomography of the {len(tail)}-site tail needs a dense operator of "
                 f"dimension {d ** len(tail)} > {linalg.MAX_DENSITY_DIM}"
             )
-        outcome = tomography.estimate_block(backend.rdm([s - 1 for s in tail]), d, call_mode)
+        outcome = tomography.estimate_block(backend.rdm(tail), d, call_mode)
         residual = linalg.top_eigenvector(outcome.estimate)
         mass = outcome.success_mass
     copies_used += _charge(variant, mass, D, d, len(tail), tau, delta / n)
@@ -571,8 +570,7 @@ def _walk_backward(
     """
     for layer in range(j, 0, -1):
         for u in circuit.layer_unitaries(layer):
-            support = [s - 1 for s in u.support]
-            register.uncompress(u.matrix, support, support[: len(support) - circuit.p])
+            register.uncompress(u.matrix, u.support, u.support[: len(u.support) - circuit.p])
     return register
 
 
@@ -590,23 +588,21 @@ def _walk_forward(
         raise BadParameter(
             f"vector has dimension {vec.size}, expected {circuit.d}**{circuit.n}"
         )
-    register = StateBackend(vec, circuit.d)
+    register = StateBackend(vec, circuit.d, range(1, circuit.n + 1))
     for layer in range(1, j + 1):
         for u in circuit.layer_unitaries(layer):
-            support = [s - 1 for s in u.support]
             if project:
-                register.compress(u.matrix, support, support[: len(support) - circuit.p])
+                register.compress(u.matrix, u.support, u.support[: len(u.support) - circuit.p])
             else:
-                register.apply_unitary(unitary_from_isometry(u.matrix), support)
+                register.apply_unitary(unitary_from_isometry(u.matrix), u.support)
     return register.state
 
 
 def reconstruct_state(circuit: CircuitDescription) -> np.ndarray:
     """Dense unit vector prepared by the learned circuit."""
-    d, n = circuit.d, circuit.n
+    d, n, sites = circuit.d, circuit.n, circuit.residual_sites
     if d**n > linalg.MAX_VECTOR_DIM:
         raise TooLarge(f"dense reconstruction of dimension {d}**{n} exceeds the cap")
-    sites = [s - 1 for s in circuit.residual_sites]
     register = StateBackend(circuit.residual.copy(), d, sites)  # returned as held if no layer
     return _walk_backward(circuit, register, circuit.num_layers).state
 
@@ -636,7 +632,7 @@ def extract_mps(circuit: CircuitDescription) -> mps.MatrixProductState:
     SVDs, is walked backward on a tensor-train register.  A grown window of
     more than ``2**24`` entries raises ``TooLarge`` before it is built.
     """
-    d, sites = circuit.d, [s - 1 for s in circuit.residual_sites]
+    d, sites = circuit.d, circuit.residual_sites
     train = tt_split(circuit.residual.reshape(1, -1, 1), d, len(sites))
     residual = mps.MatrixProductState(len(sites), d, "open", [t.transpose(1, 0, 2) for t in train])
     return _walk_backward(circuit, MPSBackend(residual, sites), circuit.num_layers).state
@@ -661,7 +657,7 @@ def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
         "residual": mps.complex_entries([circuit.residual]),
         "metadata": circuit.metadata,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    mps.write_json(path, doc)
 
 
 def load_circuit(path: str | Path) -> CircuitDescription:

@@ -217,23 +217,29 @@ def _w_mps(n: int, d: int, boundary: str) -> MatrixProductState:
     return MatrixProductState(n=n, d=d, boundary=boundary, tensors=tensors)
 
 
+def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract consecutive ``(D_l, d, D_r)`` site tensors into one ``(D_l, d**w, D_r)``.
+
+    One matrix product per site, ``(l x, a) @ (a, i b)``, appends digit ``i``
+    as the least significant one: the first site is the most significant digit.
+    """
+    window = tensors[0]
+    for t in tensors[1:]:
+        step = t.reshape(t.shape[0], -1)
+        window = (window.reshape(-1, t.shape[0]) @ step).reshape(window.shape[0], -1, t.shape[2])
+    return window
+
+
 def expand(mps: MatrixProductState) -> np.ndarray:
     """Contract the tensor train into a dense state vector of length d**n.
 
-    One matrix product per site: the carry ``(a, x, b)`` holds the chain's
-    matrix ``[a, b]`` for each prefix string ``x``, and the step is
-    ``(a x, b) @ (b, i c)``, which appends digit ``i`` as the least
-    significant one.
+    :func:`contract_window` of the whole chain, closed by the outer bonds:
+    their ``[0, :, 0]`` entry on an open chain, their trace on a ring.
     """
     total = mps.d**mps.n
     if total > linalg.MAX_VECTOR_DIM:
         raise TooLarge(f"dense expansion of dimension {total} exceeds cap {linalg.MAX_VECTOR_DIM}")
-    first = np.asarray(mps.tensors[0], dtype=complex)
-    outer = first.shape[1]
-    carry = first.transpose(1, 0, 2)
-    for t in mps.tensors[1:]:
-        step = np.asarray(t, dtype=complex).transpose(1, 0, 2).reshape(t.shape[1], -1)
-        carry = (carry.reshape(-1, t.shape[1]) @ step).reshape(outer, -1, t.shape[2])
+    carry = contract_window([np.asarray(t, dtype=complex).transpose(1, 0, 2) for t in mps.tensors])
     if mps.boundary == "open":
         return carry[0, :, 0].copy()
     return np.trace(carry, axis1=0, axis2=2).copy()
@@ -352,6 +358,28 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def canonical_json(doc) -> str:
+    """``doc`` as JSON with sorted keys and no spaces, so equal documents give equal text."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as :func:`canonical_json` and a newline: the one writer of every JSON file."""
+    Path(path).write_text(canonical_json(doc) + "\n")
+
+
+def read_json(path: str | Path, name: str, error: type[Exception]):
+    """Parse the JSON file at ``path``; failing to read or parse it raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise error(f"{name} file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file without read permission
+        raise error(f"cannot read the {name} file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
 def read_document(
     path: str | Path, name: str, version: int, keys: Sequence[str], error: type[Exception]
 ) -> dict:
@@ -360,14 +388,7 @@ def read_document(
     Every defect raises ``error``, the caller's typed error, so a bad file
     never surfaces as a ``KeyError`` or a JSON parser error.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise error(f"{name} file not found: {path}") from None
-    except OSError as exc:  # a directory, or a file without read permission
-        raise error(f"cannot read the {name} file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of over 4300 digits
-        raise error(f"{path} is not valid JSON: {exc}") from None
+    doc = read_json(path, name, error)
     if not isinstance(doc, dict) or doc.get("format") != name:
         found = doc.get("format") if isinstance(doc, dict) else None
         raise error(f"not a {name} file: format = {found!r}")
@@ -435,7 +456,7 @@ def save_mps(mps: MatrixProductState, path: str | Path) -> None:
         "shapes": [list(t.shape) for t in mps.tensors],
         "entries": complex_entries(mps.tensors),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(path, doc)
 
 
 def load_mps(path: str | Path) -> MatrixProductState:

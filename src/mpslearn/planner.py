@@ -9,7 +9,7 @@ of each, until a single ``p``-qudit tail remains.
 
 Qudit labels in this module are 1-based: ``k1`` is the label of the last
 qudit touched by a first-layer unitary, matching the schedule arithmetic.
-Dense-array code elsewhere subtracts 1 to get axis positions.
+The learner's registers carry these labels as they are.
 
 The closest-state variant needs the block size ``p`` to satisfy the
 self-consistency condition ``p * d**(p-1) < B <= p * d**p`` with

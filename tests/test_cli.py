@@ -218,10 +218,18 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
         ("learn", {"seed": -1}, []),
         ("gen", {"seed": -1}, []),
         ("verify", None, ["--suite", "rank", "--seed", "-1"]),
+        # integers past a float's range
+        ("learn", {"epsilon": 10**400}, []),
+        ("learn", {"delta": 10**400}, []),
+        ("learn", {"theta": 10**400}, []),
+        ("budget", {"delta": 10**400}, []),
+        ("budget", {"D": 10**400}, []),
+        ("budget", {"n_values": [8, 10**400]}, []),
     ],
     ids=["eta-nan", "eta-infinity", "eta-above-2", "theta-nan", "theta-infinity", "copies-2**63",
          "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact",
-         "gen-seed-negative", "verify-seed-negative"],
+         "gen-seed-negative", "verify-seed-negative", "epsilon-10**400", "delta-10**400",
+         "theta-10**400", "budget-delta-10**400", "budget-D-10**400", "budget-n-10**400"],
 )
 def test_a_bad_config_number_exits_2_without_a_traceback(tmp_path, capsys, command, overrides, flags):
     # JSON's NaN and Infinity parse to floats; each value is refused by a typed error
@@ -231,6 +239,9 @@ def test_a_bad_config_number_exits_2_without_a_traceback(tmp_path, capsys, comma
     elif command == "gen":
         doc = {"kind": "random", "n": 6, "d": 2, "D": 2, **overrides}
         argv += ["--config", write_config(tmp_path / "gen.json", doc)]
+    elif command == "budget":
+        doc = {"n_values": [8, 16], "epsilon_values": [0.2], "d": 2, "D": 2, "delta": 0.01}
+        argv += ["--config", write_config(tmp_path / "budget.json", {**doc, **overrides})]
     if command != "verify":
         argv += ["--out", str(tmp_path / "x")]
     capsys.readouterr()

@@ -145,3 +145,16 @@ def test_budget_validation():
         complexity.budget_closest_raw(16, 2, 3, 1.5, DELTA)
     with pytest.raises(errors.BadParameter):
         complexity.dominance_ratio(16, 2, 0, 0.1, 0.01)
+    # an integer past a float's range is refused, not raised as OverflowError
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_exact_ours(16, 2, 10**400, 0.1, DELTA)
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_exact_ours(10**400, 2, 2, 0.1, DELTA)
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_exact_previous(16, 10**400, 0.1, DELTA)
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_closest_ours(16, 10**400, 2, 0.1, DELTA)
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_closest_previous(10**400, 2, 0.1, DELTA)
+    with pytest.raises(errors.BadParameter):
+        complexity.budget_closest_raw(10**400, 2, 3, 0.1, DELTA)

@@ -346,6 +346,11 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 2, True, 0.01)
     with pytest.raises(errors.BadParameter):
         learner.learn(psi, 2, 2, 0.2, 0.01, theta=False)
+    # delta is a real number; theta must fit in a float
+    with pytest.raises(errors.BadParameter, match="delta"):
+        learner.learn(psi, 2, 2, 0.2, "0.01")
+    with pytest.raises(errors.BadParameter, match="theta"):
+        learner.learn(psi, 2, 2, 0.2, 0.01, theta=10**400)
 
 
 @pytest.mark.parametrize(
@@ -839,6 +844,20 @@ def test_the_audits_of_both_registers_agree_on_every_stage(d, n, D, seed):
         assert np.max(np.abs(stage - dense.audit.stepwise_vector(j))) <= 1e-12
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["tensor-train", "dense"])
+def test_audit_snapshots_hold_the_plans_site_labels(dense):
+    # both registers run on the planner's 1-based labels, as the circuit names its sites
+    state = mps.random_mps(mps.StateSpec(n=12, d=2, D=2, seed=41))
+    source = mps.expand(state) if dense else state
+    circuit, report = learner.learn(source, 2, 2, 0.2, 0.01, audit=True)
+    snapshots, plan = report.audit.snapshots, circuit.plan
+    assert plan.M == 3 and snapshots[0].sites == list(range(1, 13))
+    for j in range(1, plan.M + 1):
+        shed = {s for layer in circuit.projected_by_layer[:j] for s in layer}
+        assert snapshots[j].sites == [s for s in range(1, 13) if s not in shed]
+    assert snapshots[plan.M].sites == list(plan.final_carried)
+
+
 def test_exact_learn_of_an_open_mps_runs_far_past_the_dense_cap():
     state = mps.random_mps(mps.StateSpec(n=64, d=2, D=2, seed=35))
     circuit, report = learner.learn(state, 2, 2, 0.2, 0.01)
@@ -864,6 +883,7 @@ def test_closest_learn_at_n_64_refuses_its_block_window_before_contracting(monke
 
     monkeypatch.setattr(np, "einsum", refuse)
     monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(mps, "contract_window", refuse)
     with pytest.raises(errors.BackendTooLarge, match="window"):
         learner.learn(state, 2, 2, 0.2, 0.01, variant="closest")
 

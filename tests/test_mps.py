@@ -106,6 +106,28 @@ def test_expand_matches_the_entrywise_matrix_products(n, d, D, boundary, seed):
     assert np.linalg.norm(psi - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    bonds=st.lists(st.integers(1, 4), min_size=2, max_size=7),
+    d=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_window_matches_an_einsum_chain(bonds, d, seed):
+    # a run of (D_l, d, D_r) tensors on uneven bonds, outer ones included, given as the
+    # transposed (d, D_l, D_r) views that expand passes
+    rng = np.random.default_rng(seed)
+    tensors = [
+        (rng.standard_normal((d, l, r)) + 1j * rng.standard_normal((d, l, r))).transpose(1, 0, 2)
+        for l, r in zip(bonds, bonds[1:])
+    ]
+    reference = tensors[0]
+    for t in tensors[1:]:
+        reference = np.einsum("lxa,aib->lxib", reference, t).reshape(bonds[0], -1, t.shape[2])
+    window = mps.contract_window(tensors)
+    assert window.shape == (bonds[0], d ** len(tensors), bonds[-1])
+    assert np.max(np.abs(window - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_normalize_matches_the_normalized_expansion(boundary):
     rng = np.random.default_rng(41)
