@@ -47,9 +47,9 @@ SVD_CUTOFF = 1e-12  # singular values below this share of the largest are numeri
 
 
 def infer_site_count(size: int, d: int) -> int:
-    n = round(math.log(size, d))
+    n = round(math.log(size, d)) if size >= 1 and d >= 2 else 0  # then only size 1 passes
     if d**n != size:
-        raise DimensionMismatch(f"dimension {size} is not a power of d = {d}")
+        raise DimensionMismatch(f"dimension {size} is not a power of d = {mps.shown(d)}")
     return n
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +24,17 @@ closed form in the copy-count total for the competitive variant."""
 
 
 def _in_float_range(formula):
-    """``formula``, raising ``BadParameter`` where an integer argument overflows a float."""
+    """``formula``, raising ``BadParameter`` where an argument or the value overflows a float."""
 
     @functools.wraps(formula)
     def checked(*args, **kwargs):
         try:
-            return formula(*args, **kwargs)
+            value = formula(*args, **kwargs)
         except OverflowError:
             raise BadParameter(f"{formula.__name__}: an argument exceeds a float's range") from None
+        if not math.isfinite(value):  # a float product past the range reads inf
+            raise BadParameter(f"{formula.__name__}: the value exceeds a float's range")
+        return value
 
     return checked
 
@@ -127,14 +131,16 @@ def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> flo
     return float(n**9) * D**8 * math.log(n / delta) / epsilon**8
 
 
+@_in_float_range
 def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float:
     """Tree-stage total over the closing-call cost, ``n eps**2 d**(2p) / (p eta**2)``.
 
     Values above 1 mean the tree stages dominate the copy count, so the
     closing call is never the bottleneck in the stated regimes.
     """
-    if n < 2 or d < 2 or p < 1:
-        raise BadParameter("need n >= 2, d >= 2, p >= 1")
+    # d**(2p) is exact, so its float range is checked first: a huge p never returns
+    if n < 2 or d < 2 or p < 1 or 2 * p * math.log2(d) > sys.float_info.max_exp:
+        raise BadParameter("need n >= 2, d >= 2, p >= 1 and d**(2p) within a float's range")
     if not 0.0 < epsilon <= 1.0:
         raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < eta < 1.0:

@@ -26,6 +26,7 @@ construction, so there is no hermiticity check and no certificate to pass.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -117,12 +118,18 @@ def build_rank_capped_from_factor(
     m = _kept_dim(dim, d, D_squared, p)
     u = np.linalg.svd(factor, full_matrices=False)[0]
     if u.shape[1] < m:
-        rng = np.random.default_rng(0)
-        shape = (dim, m - u.shape[1])
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = np.linalg.qr(np.concatenate([u, g], axis=1))[0]
+        u = np.linalg.qr(np.concatenate([u, _completion(dim, m - u.shape[1])], axis=1))[0]
     vectors = linalg._fix_phases(u[:, :m])
     return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
+
+
+@functools.lru_cache(maxsize=16)
+def _completion(dim: int, columns: int) -> np.ndarray:
+    """The seeded ``dim x columns`` complex Gaussian of a factored build's completion, read-only."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((dim, columns)) + 1j * rng.standard_normal((dim, columns))
+    g.flags.writeable = False
+    return g
 
 
 def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:

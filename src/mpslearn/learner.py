@@ -360,15 +360,14 @@ def learn(
     if variant not in ("exact", "closest"):
         raise BadParameter(f"variant must be 'exact' or 'closest', got {variant!r}")
     if not (mps.is_real(epsilon) and 0.0 < epsilon <= 1.0):
-        raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadParameter(f"epsilon must be in (0, 1], got {mps.shown(epsilon)}")
     if not (mps.is_real(delta) and 0.0 < delta < 1.0):
-        raise BadParameter(f"delta must be in (0, 1), got {delta!r}")
+        raise BadParameter(f"delta must be in (0, 1), got {mps.shown(delta)}")
     if not (all(mps.is_integer(x) for x in (d, D, seed)) and D >= 1 and seed >= 0):
-        raise BadParameter(
-            f"need integers d, D >= 1 and seed >= 0, got d={d!r}, D={D!r}, seed={seed!r}"
-        )
+        got = f"d={mps.shown(d)}, D={mps.shown(D)}, seed={mps.shown(seed)}"
+        raise BadParameter(f"need integers d, D >= 1 and seed >= 0, got {got}")
     if theta is not None and not (mps.is_real(theta) and abs(theta) <= sys.float_info.max):
-        raise BadParameter(f"theta must be a finite float, got {theta!r}")
+        raise BadParameter(f"theta must be a finite float, got {mps.shown(theta)}")
     mode = tomography.ExactMode() if mode is None else mode
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")

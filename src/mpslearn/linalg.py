@@ -19,7 +19,9 @@ MAX_DENSITY_DIM = 2**10
 
 HERMITIAN_TOL = 1e-10
 _LANCZOS_STEPS = 64
-_CHUNK = 2**14
+# Tile side of the hermiticity check.  One BLAS thread on a 2-vCPU VM, median
+# check of a 1024 x 1024 input: side 64 3.9-4.5 ms, 128 3.8-4.3 ms, 256 6.4 ms.
+_TILE = 128
 
 
 def require_square(matrix: np.ndarray) -> int:
@@ -34,43 +36,48 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
     The result is bit for bit ``(a + a^H) / 2``, written into its one
-    C-contiguous output array, and the defect is the largest
-    ``|a - a^H|`` entry, read in row chunks of about ``_CHUNK`` entries, each
-    mirror pair once, with no temporary of the full size.  Non-finite entries
-    are rejected too, also under ``tol=np.inf``.  Each makes the defect NaN
-    or infinite, so the entries are scanned for them only when the defect is
-    not finite (a difference of finite entries can also overflow).  A NaN or
+    C-contiguous output array.  The defect, the largest ``|a - a^H|`` entry,
+    is read in mirror pairs of ``_TILE``-square tiles through one scratch
+    tile, with no full-size temporary.  A pair whose differences
+    ``x`` have ``max(|Re x|, |Im x|) <= 0.7 tol`` passes on that bound, as
+    ``|x| <= sqrt(2) max(|Re x|, |Im x|)``; any other takes its exact
+    largest ``|x|``, so a rejection reports the exact defect.  Non-finite
+    entries are rejected too, also under ``tol=np.inf``: each makes the
+    defect NaN or infinite, so they are looked for only when it is not
+    finite (a difference of finite entries can also overflow).  A NaN or
     negative ``tol`` is a ``BadParameter``.
     """
-    a, _ = _hermitian_input(matrix, tol)
+    a = _hermitian_input(matrix, tol)
     h = np.conjugate(a.T, out=np.empty_like(a, order="C"))  # the one full-size allocation
     h += a
     h /= 2.0
     return h
 
 
-def _hermitian_input(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """``matrix`` as a complex array and ``|A|_F^2``, after :func:`require_hermitian`'s check."""
+def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """``matrix`` as a complex array, after :func:`require_hermitian`'s check."""
     if not tol >= 0.0:  # NaN fails too
         raise BadParameter(f"hermiticity tolerance must be non-negative, got {tol}")
-    require_square(matrix)
+    dim = require_square(matrix)
     a = np.asarray(matrix, dtype=complex)
-    dim = a.shape[0]
-    step = max(1, _CHUNK // max(dim, 1))
-    peaks, frobenius2 = [0.0], 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf in a chunk is caught below
-        for i in range(0, dim, step):
-            rows = a[i : i + step]
-            x, yh = rows[:, i:], a[i:, i : i + step].T.conj()
-            peaks.append(np.max(np.abs(x - yh)))
-            frobenius2 += float(np.vdot(rows, rows).real)
+    scratch = np.empty(min(dim, _TILE) ** 2, dtype=complex)
+    peaks = [0.0]
+    with np.errstate(invalid="ignore"):  # inf - inf in a tile is caught below
+        for i in range(0, dim, _TILE):
+            for j in range(i, dim, _TILE):
+                x = a[i : i + _TILE, j : j + _TILE]
+                diff = scratch[: x.size].reshape(x.shape)
+                np.conjugate(a[j : j + _TILE, i : i + _TILE].T, out=diff)
+                diff -= x
+                bound = max(diff.view(float).max(), -diff.view(float).min())  # max |Re|, |Im|
+                if not (bound <= 0.7 * tol and math.isfinite(bound)):
+                    peaks.append(np.max(np.abs(diff)))
     defect = float(np.max(peaks))  # NaN-propagating, unlike the builtin max
-    chunks = (a[i : i + step] for i in range(0, dim, step))
-    if not math.isfinite(defect) and not all(np.isfinite(c).all() for c in chunks):
+    if not math.isfinite(defect) and not all(np.isfinite(row).all() for row in a):
         raise NonHermitian("matrix has non-finite entries")
     if defect > tol:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
-    return a, frobenius2
+    return a
 
 
 def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -186,7 +193,7 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
 
     1. Frobenius gap bound: ``lo = theta - r - 1e-10 * scale > 0`` and
        ``2 lo^2 > |A|_F^2 (1 + dim^2 2^-52)``, the factor covering the
-       rounding of ``|A|_F^2``, summed in the validation's row chunks.
+       rounding of ``|A|_F^2``, one ``vdot``, in any summation order.
        ``|H|_F <= |A|_F``, as ``A = H + K`` with ``K`` anti-Hermitian and
        ``|A|_F^2 = |H|_F^2 + |K|_F^2``.  Some eigenvalue ``lam_i`` of ``H``
        lies within ``r`` of ``theta``, so ``lam_i > lo``, and every other has
@@ -219,7 +226,7 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     ``1e-10 * scale`` of the top count as near-tied: the result is a unit
     vector mostly in their span, weighted differently by the two paths.
     """
-    a, frobenius2 = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
+    a = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
     dim = a.shape[0]
     if dim == 0:
         raise BadParameter("an empty matrix has no eigenvector")
@@ -230,7 +237,7 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     r = float(np.linalg.norm(hv - theta * v))
     lo = theta - r - 1e-10 * scale
     converged = r <= 1e-12 * scale
-    if converged and lo > 0.0 and 2.0 * lo * lo > frobenius2 * (1.0 + dim * dim * 2.0**-52):
+    if converged and lo > 0.0 and 2.0 * lo * lo > np.vdot(a, a).real * (1.0 + dim * dim * 2.0**-52):
         return fix_phase(v)
     sigma = theta + r + 1e-10 * scale
     h = np.conjugate(a.T, out=np.empty_like(a))  # -(a + a^H) / 2, then sigma on the diagonal

@@ -358,6 +358,12 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """``repr(value)``, but an integer of over 64 bits by its size: Python caps the digits."""
+    big = is_integer(value) and int(value).bit_length() > 64
+    return f"an integer of {int(value).bit_length()} bits" if big else repr(value)
+
+
 def canonical_json(doc) -> str:
     """``doc`` as JSON with sorted keys and no spaces, so equal documents give equal text."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -225,11 +225,14 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
         ("budget", {"delta": 10**400}, []),
         ("budget", {"D": 10**400}, []),
         ("budget", {"n_values": [8, 10**400]}, []),
+        # a float product past the range, which would read inf
+        ("budget", {"D": 10**25}, []),
     ],
     ids=["eta-nan", "eta-infinity", "eta-above-2", "theta-nan", "theta-infinity", "copies-2**63",
          "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact",
          "gen-seed-negative", "verify-seed-negative", "epsilon-10**400", "delta-10**400",
-         "theta-10**400", "budget-delta-10**400", "budget-D-10**400", "budget-n-10**400"],
+         "theta-10**400", "budget-delta-10**400", "budget-D-10**400", "budget-n-10**400",
+         "budget-D-10**25"],
 )
 def test_a_bad_config_number_exits_2_without_a_traceback(tmp_path, capsys, command, overrides, flags):
     # JSON's NaN and Infinity parse to floats; each value is refused by a typed error

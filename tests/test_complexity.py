@@ -158,3 +158,10 @@ def test_budget_validation():
         complexity.budget_closest_previous(10**400, 2, 0.1, DELTA)
     with pytest.raises(errors.BadParameter):
         complexity.budget_closest_raw(10**400, 2, 3, 0.1, DELTA)
+    # powers too large to compute or to convert, and a float product that reads inf
+    with pytest.raises(errors.BadParameter):
+        complexity.dominance_ratio(16, 2, 10**400, 0.1, 0.01)
+    with pytest.raises(errors.BadParameter):
+        complexity.dominance_ratio(16, 2, 512, 0.1, 0.01)
+    with pytest.raises(errors.BadParameter, match="value exceeds"):
+        complexity.budget_closest_ours(16, 2, 10**25, 0.2, 0.01)

@@ -313,3 +313,26 @@ def test_the_factor_builder_completes_a_rank_deficient_factor(monkeypatch):
     with pytest.raises(errors.RankCapExceedsDim):
         disentangler.build_rank_capped_from_factor(factor, 2, 9, 3)
 
+
+
+def test_the_factor_builder_draws_each_completion_shape_once(monkeypatch):
+    # the completion depends on its shape alone: the first build of a shape
+    # draws it, read-only, and a second build of that shape reuses it
+    rng = np.random.default_rng(17)
+    factor = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+    disentangler._completion.cache_clear()
+    dz = disentangler.build_rank_capped_from_factor(factor, 2, 4, 4)
+    seeded = np.random.default_rng(0)
+    g = seeded.standard_normal((64, 12)) + 1j * seeded.standard_normal((64, 12))
+    u = np.linalg.svd(factor, full_matrices=False)[0]
+    fresh = linalg._fix_phases(np.linalg.qr(np.concatenate([u, g], axis=1))[0])
+    assert dz.isometry.tobytes() == fresh.tobytes()
+    cached = disentangler._completion(64, 12)
+    assert cached.tobytes() == g.tobytes() and not cached.flags.writeable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a completion of a seen shape is drawn again")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    again = disentangler.build_rank_capped_from_factor(factor.copy() * 2.0, 2, 4, 4)
+    assert again.isometry.shape == (64, 16)

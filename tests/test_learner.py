@@ -351,6 +351,16 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 2, 0.2, "0.01")
     with pytest.raises(errors.BadParameter, match="theta"):
         learner.learn(psi, 2, 2, 0.2, 0.01, theta=10**400)
+    # an empty input has no site count; an integer too long for Python to
+    # format is named by its size, not formatted
+    with pytest.raises(errors.DimensionMismatch):
+        learner.learn(np.array([]), 2, 2, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter, match="epsilon .* an integer of 16610 bits"):
+        learner.learn(psi, 2, 2, 10**5000, 0.01)
+    with pytest.raises(errors.BadParameter, match="theta .* an integer of 16610 bits"):
+        learner.learn(psi, 2, 2, 0.2, 0.01, theta=10**5000)
+    with pytest.raises(errors.DimensionMismatch, match="not a power of d = 1"):
+        learner.learn(psi, 1, 2, 0.2, 0.01)
 
 
 @pytest.mark.parametrize(

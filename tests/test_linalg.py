@@ -98,6 +98,62 @@ def test_require_hermitian_matches_two_transpose_expression():
         assert linalg.require_hermitian(big, tol=np.inf).tobytes() == np.zeros((2, 2), complex).tobytes()
 
 
+TILE = linalg._TILE
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # whole, split and one-entry trailing tiles at both tile edges
+    dim=st.sampled_from([1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE, 2 * TILE + 1]),
+    level=st.sampled_from([2**-0.5, 0.7, 1.0]),
+    spread=st.floats(0.999, 1.001),
+    background=st.sampled_from([0.0, 0.3, 0.69]),
+    tol=st.sampled_from([linalg.HERMITIAN_TOL, 7e-11]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_require_hermitian_accepts_exactly_within_tol(dim, level, spread, background, tol, seed):
+    # one defect about tol / sqrt(2), 0.7 tol or tol, on a background of
+    # small defects: the componentwise bound passes a tile only where the
+    # exact largest |a - a^H| entry is within tol, and a rejection reports it
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(dim, rng)
+    noise = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    a += 0.5 * background * tol * noise
+    i, j = rng.integers(0, dim, 2)
+    a[i, j] += level * spread * tol * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    reference = np.max(np.abs(a - a.conj().T))
+    if reference <= tol:
+        assert linalg.require_hermitian(a, tol).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+    else:
+        with pytest.raises(errors.NonHermitian, match=f"by {reference:.3e} > "):
+            linalg.require_hermitian(a, tol)
+
+
+def test_require_hermitian_finds_non_finite_entries_at_tile_edges():
+    rng = np.random.default_rng(29)
+    a = random_hermitian(2 * TILE + 1, rng)
+    edges = (0, TILE - 1, TILE, 2 * TILE - 1, 2 * TILE)
+    for i, j in [(i, j) for i in edges for j in edges]:
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+            b = a.copy()
+            b[i, j] = bad
+            for tol in (linalg.HERMITIAN_TOL, 0.0, np.inf):
+                with pytest.raises(errors.NonHermitian, match="non-finite"):
+                    linalg.require_hermitian(b, tol=tol)
+
+
+def test_hermitian_check_makes_no_full_size_temporary():
+    # one 128 x 128 scratch tile is 256 KiB of a 16 MiB input
+    a = _top_case(1024, "rank1-floor", 31)
+    tracemalloc.start()
+    try:
+        linalg._hermitian_input(a, linalg.HERMITIAN_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
 def _top_case(dim, kind, seed):
     """A Hermitian test matrix: random, tied-top, rank-1 plus floor or frobenius-edge."""
     rng = np.random.default_rng(seed)

@@ -1,0 +1,82 @@
+"""Pinned output bits of the dense kernels.
+
+Each digest is the sha256 of a kernel's outputs, as raw bytes in order, on a
+fixed grid of seeded inputs.  A change to one of these kernels that moves any
+bit of any output fails here, so a speed-up that claims equal results has to
+show it.  Sides of 256 and more round differently with the number of BLAS
+threads, so the digests are computed in a child process with one thread.
+They were taken with NumPy 2.4 on OpenBLAS 0.3.31 (its SkylakeX kernels); a
+different BLAS build or CPU kernel may round the eigensolver paths
+differently.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+from test_linalg import _top_case, random_hermitian
+
+from mpslearn import disentangler, linalg
+
+PINNED = {
+    "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
+    "top_eigenvector": "23829669fab99fdfa56c1468d47628371216ed86125f81954c9c7610ae450ff0",
+    "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
+}
+
+
+def _require_hermitian_outputs():
+    rng = np.random.default_rng(2201)
+    for dim in (1, 2, 5, 127, 128, 129, 257, 1024):
+        a = random_hermitian(dim, rng)
+        a += 1e-12 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        yield linalg.require_hermitian(a)
+
+
+def _top_eigenvector_outputs():
+    # a random Hermitian matrix of side 1024 takes the eigvalsh fallback, about 1 s
+    kinds = ("random", "tied-top", "rank1-floor", "frobenius-edge")
+    for dim in (4, 64, 256, 1024):
+        for kind in kinds[1:] if dim == 1024 else kinds:
+            yield linalg.top_eigenvector(_top_case(dim, kind, seed=dim))
+
+
+def _factor_outputs():
+    # (side, d, D**2, p, columns): k < d**p columns take the seeded completion
+    rng = np.random.default_rng(2202)
+    for dim, d, rank, p, k in (
+        (16, 2, 4, 2, 2), (16, 2, 4, 2, 6), (81, 3, 4, 2, 3), (256, 2, 16, 4, 16),
+        (256, 2, 16, 6, 16), (256, 2, 16, 6, 4),
+    ):
+        factor = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        dz = disentangler.build_rank_capped_from_factor(factor, d, rank, p)
+        yield dz.isometry
+        yield dz.selected
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _digests():
+    return {
+        "require_hermitian": _digest(_require_hermitian_outputs()),
+        "top_eigenvector": _digest(_top_eigenvector_outputs()),
+        "build_rank_capped_from_factor": _digest(_factor_outputs()),
+    }
+
+
+def test_dense_kernel_bits_are_pinned():
+    threads = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import json, test_pinned_bits as t; print(json.dumps(t._digests()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == PINNED
