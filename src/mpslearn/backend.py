@@ -38,10 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps
-from .errors import BackendTooLarge, BadParameter, BlockOutOfRange, DimensionMismatch
+from .errors import BackendTooLarge, BadParameter, BlockOutOfRange, DimensionMismatch, shown
 
-MAX_PURE_DIM = linalg.MAX_VECTOR_DIM
-MAX_MIXED_DIM = linalg.MAX_DENSITY_DIM
 MAX_WALK_WINDOW = 2**24  # entries of a window that MPSBackend.uncompress grows
 SVD_CUTOFF = 1e-12  # singular values below this share of the largest are numerical zeros
 
@@ -49,7 +47,7 @@ SVD_CUTOFF = 1e-12  # singular values below this share of the largest are numeri
 def infer_site_count(size: int, d: int) -> int:
     n = round(math.log(size, d)) if size >= 1 and d >= 2 else 0  # then only size 1 passes
     if d**n != size:
-        raise DimensionMismatch(f"dimension {size} is not a power of d = {mps.shown(d)}")
+        raise DimensionMismatch(f"dimension {size} is not a power of d = {shown(d)}")
     return n
 
 
@@ -95,14 +93,14 @@ class StateBackend:
         self.d = int(d)
         if state.ndim == 1:
             self.pure = True
-            size = state.size
-            if size > MAX_PURE_DIM:
-                raise BackendTooLarge(f"vector dimension {size} exceeds cap {MAX_PURE_DIM}")
+            size, cap = state.size, linalg.MAX_VECTOR_DIM
+            if size > cap:
+                raise BackendTooLarge(f"vector dimension {size} exceeds cap {cap}")
         elif state.ndim == 2:
             self.pure = False
-            size = linalg.require_square(state)
-            if size > MAX_MIXED_DIM:
-                raise BackendTooLarge(f"density dimension {size} exceeds cap {MAX_MIXED_DIM}")
+            size, cap = linalg.require_square(state), linalg.MAX_DENSITY_DIM
+            if size > cap:
+                raise BackendTooLarge(f"density dimension {size} exceeds cap {cap}")
         else:
             raise DimensionMismatch(f"state must be a vector or matrix, got ndim {state.ndim}")
         n = infer_site_count(size, self.d)
@@ -254,7 +252,7 @@ class MPSBackend:
 
     Each held site keeps a ``(D_l, d, D_r)`` tensor.  A block must be a run of
     consecutive held sites, and its window, the block's tensors contracted
-    into ``(D_l, d**y, D_r)``, must have at most ``MAX_PURE_DIM`` entries; both
+    into ``(D_l, d**y, D_r)``, must have at most ``linalg.MAX_VECTOR_DIM`` entries; both
     are checked before anything is built (``BlockOutOfRange``,
     ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
     at ``MAX_WALK_WINDOW`` entries.  The left and right transfer environments,
@@ -292,7 +290,9 @@ class MPSBackend:
         """A register on the same tensors, which no operation writes in place."""
         return MPSBackend(self.state, self.sites)
 
-    def _window(self, labels: list[int], cap: int = MAX_PURE_DIM, grow: int = 0) -> tuple[int, int]:
+    def _window(
+        self, labels: list[int], cap: int = linalg.MAX_VECTOR_DIM, grow: int = 0
+    ) -> tuple[int, int]:
         """Positions ``lo:hi`` of a run of held sites.
 
         Every carry :func:`mpslearn.mps.contract_window` builds from their

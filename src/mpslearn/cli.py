@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -123,14 +124,7 @@ def _cmd_gen(args) -> int:
         "boundary": config.get("boundary", "open"),
         "seed": args.seed if args.seed is not None else config.get("seed", 0),
     }
-    spec = mps.StateSpec(
-        n=resolved["n"],
-        d=resolved["d"],
-        D=resolved["D"],
-        boundary=resolved["boundary"],
-        seed=resolved["seed"],
-        kind=kind,
-    )
+    spec = mps.StateSpec(**resolved)
     state = mps.random_mps(spec)
     profile = mps.schmidt_profile(state)  # before any file: a periodic state may be too large
     out_dir = Path(args.out)
@@ -291,17 +285,18 @@ _BUDGET_SCHEMA = {
     "delta": ((float, int), True),
 }
 
-_FORMULAS = ("exact_ours", "exact_previous", "closest_ours", "closest_previous")
+
+def _without_d(formula):
+    """An earlier learner's formula, which takes no ``d``, in the shape of ours."""
+    return lambda n, d, D, epsilon, delta: formula(n, D, epsilon, delta)
 
 
-def _budget_value(formula: str, n: int, d: int, D: int, epsilon: float, delta: float) -> float:
-    if formula == "exact_ours":
-        return complexity.budget_exact_ours(n, d, D, epsilon, delta)
-    if formula == "exact_previous":
-        return complexity.budget_exact_previous(n, D, epsilon, delta)
-    if formula == "closest_ours":
-        return complexity.budget_closest_ours(n, d, D, epsilon, delta)
-    return complexity.budget_closest_previous(n, D, epsilon, delta)
+_FORMULAS = {
+    "exact_ours": complexity.budget_exact_ours,
+    "exact_previous": _without_d(complexity.budget_exact_previous),
+    "closest_ours": complexity.budget_closest_ours,
+    "closest_previous": _without_d(complexity.budget_closest_previous),
+}
 
 
 def _cmd_budget(args) -> int:
@@ -316,77 +311,44 @@ def _cmd_budget(args) -> int:
     ):
         raise InvalidSpec("epsilon_values must be a non-empty list of floats in (0, 1]")
     d, D, delta = config["d"], config["D"], float(config["delta"])
+    epsilons = [float(e) for e in epsilon_values]
     resolved = {
         "n_values": list(n_values),
-        "epsilon_values": [float(e) for e in epsilon_values],
+        "epsilon_values": epsilons,
         "d": d,
         "D": D,
         "delta": delta,
     }
-    rows: list[list[str]] = [["formula", "n", "d", "D", "epsilon", "delta", "value"]]
-    for formula in _FORMULAS:
-        for n in n_values:
-            for epsilon in resolved["epsilon_values"]:
-                value = _budget_value(formula, n, d, D, epsilon, delta)
-                rows.append(
-                    [
-                        formula,
-                        str(n),
-                        str(d),
-                        str(D),
-                        _format_float(epsilon),
-                        _format_float(delta),
-                        _format_float(value),
-                    ]
-                )
-    # Trailer: fitted log-log slopes.  The n-fit removes the log(n/delta)
+    # Each row is (formula, n, epsilon, value); "" leaves a column blank.
+    rows, copies = [], {}
+    for (name, formula), n, epsilon in itertools.product(_FORMULAS.items(), n_values, epsilons):
+        copies[name, n, epsilon] = formula(n, d, D, epsilon, delta)
+        rows.append((name, n, epsilon, copies[name, n, epsilon]))
+    # Trailer: fitted log-log slopes, against n at the first epsilon and
+    # against 1/epsilon at the first n.  The n-fit removes the log(n/delta)
     # factor first so the slope reflects the polynomial exponent alone.
-    for formula in _FORMULAS:
-        if len(n_values) >= 2:
-            epsilon = resolved["epsilon_values"][0]
-            values = [
-                _budget_value(formula, n, d, D, epsilon, delta) / math.log(n / delta)
-                for n in n_values
-            ]
-            slope = complexity.fit_loglog_slope(n_values, values)
-            rows.append(
-                [
-                    f"slope_n:{formula}",
-                    "",
-                    str(d),
-                    str(D),
-                    _format_float(epsilon),
-                    _format_float(delta),
-                    _format_float(slope),
-                ]
-            )
-        if len(resolved["epsilon_values"]) >= 2:
-            n = n_values[0]
-            values = [
-                _budget_value(formula, n, d, D, epsilon, delta)
-                for epsilon in resolved["epsilon_values"]
-            ]
-            inverse = [1.0 / e for e in resolved["epsilon_values"]]
-            slope = complexity.fit_loglog_slope(inverse, values)
-            rows.append(
-                [
-                    f"slope_inv_eps:{formula}",
-                    str(n),
-                    str(d),
-                    str(D),
-                    "",
-                    _format_float(delta),
-                    _format_float(slope),
-                ]
-            )
+    n0, epsilon0 = n_values[0], epsilons[0]
+    for name in _FORMULAS:
+        fits = (
+            ("slope_n", "", epsilon0, n_values,
+             [copies[name, n, epsilon0] / math.log(n / delta) for n in n_values]),
+            ("slope_inv_eps", n0, "", [1.0 / e for e in epsilons],
+             [copies[name, n0, e] for e in epsilons]),
+        )
+        for label, n, epsilon, xs, ys in fits:
+            if len(xs) >= 2:
+                rows.append((f"{label}:{name}", n, epsilon, complexity.fit_loglog_slope(xs, ys)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(["formula", "n", "d", "D", "epsilon", "delta", "value"])
+    for name, n, epsilon, value in rows:
+        cells = (name, n, d, D, epsilon, delta, value)
+        writer.writerow([_format_float(c) if isinstance(c, float) else c for c in cells])
     (out_dir / "budget.csv").write_text(buffer.getvalue())
     _write_manifest(out_dir, "budget", resolved, [], ["budget.csv"])
-    print(f"wrote {len(rows) - 1} rows to {out_dir / 'budget.csv'}")
+    print(f"wrote {len(rows)} rows to {out_dir / 'budget.csv'}")
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DegenerateD
+from .errors import BadParameter, DegenerateD, shown
 from .planner import SQRT2_GAP, copy_scale_base
 
 ETA_SUBSTITUTION_CONSTANT = (64.0 / SQRT2_GAP) ** 6
@@ -41,13 +41,13 @@ def _in_float_range(formula):
 
 def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
     if n < 2:
-        raise BadParameter(f"n must be >= 2, got {n}")
+        raise BadParameter(f"n must be >= 2, got {shown(n)}")
     if d < 2:
-        raise BadParameter(f"d must be >= 2, got {d}")
+        raise BadParameter(f"d must be >= 2, got {shown(d)}")
     if not 0.0 < epsilon <= 1.0:
-        raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadParameter(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if not 0.0 < delta < 1.0:
-        raise BadParameter(f"delta must be in (0, 1), got {delta}")
+        raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
 
 
 @_in_float_range
@@ -60,7 +60,7 @@ def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> f
     """
     _check_common(n, d, epsilon, delta)
     if D < 2:
-        raise DegenerateD(f"the scaling formula needs D >= 2, got {D}")
+        raise DegenerateD(f"the scaling formula needs D >= 2, got {shown(D)}")
     log_d_D = math.log(D) / math.log(d)
     return (
         float(D**6)
@@ -76,7 +76,7 @@ def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float
     """Copies for the earlier sweep-based learner under the same promise."""
     _check_common(n, 2, epsilon, delta)
     if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
+        raise BadParameter(f"D must be >= 1, got {shown(D)}")
     return float(n**5) * D**2 * math.log(n / delta) / epsilon**4
 
 
@@ -90,7 +90,7 @@ def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) ->
     """
     _check_common(n, d, epsilon, delta)
     if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
+        raise BadParameter(f"D must be >= 1, got {shown(D)}")
     B = copy_scale_base(n, D, epsilon)
     L = math.log(math.log(d) * B)
     if L <= 0:
@@ -116,9 +116,9 @@ def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> floa
     if n < 2 or d < 2 or p < 1:
         raise BadParameter("need n >= 2, d >= 2, p >= 1")
     if not 0.0 < eta < 1.0:
-        raise BadParameter(f"eta must be in (0, 1), got {eta}")
+        raise BadParameter(f"eta must be in (0, 1), got {shown(eta)}")
     if not 0.0 < delta < 1.0:
-        raise BadParameter(f"delta must be in (0, 1), got {delta}")
+        raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
     return float(n) * d**4 * math.log(n / delta) / (p * eta**6)
 
 
@@ -127,7 +127,7 @@ def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> flo
     """Copies for the earlier competitive learner."""
     _check_common(n, 2, epsilon, delta)
     if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
+        raise BadParameter(f"D must be >= 1, got {shown(D)}")
     return float(n**9) * D**8 * math.log(n / delta) / epsilon**8
 
 
@@ -142,9 +142,9 @@ def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float
     if n < 2 or d < 2 or p < 1 or 2 * p * math.log2(d) > sys.float_info.max_exp:
         raise BadParameter("need n >= 2, d >= 2, p >= 1 and d**(2p) within a float's range")
     if not 0.0 < epsilon <= 1.0:
-        raise BadParameter(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadParameter(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if not 0.0 < eta < 1.0:
-        raise BadParameter(f"eta must be in (0, 1), got {eta}")
+        raise BadParameter(f"eta must be in (0, 1), got {shown(eta)}")
     return n * epsilon**2 * d ** (2 * p) / (p * eta**2)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .backend import infer_site_count
-from .errors import BadParameter, RankCapExceedsDim
+from .errors import BadParameter, RankCapExceedsDim, shown
 
 # Smallest block side on which build_rank_capped tries _top_eigenpairs.  One
 # BLAS thread on a 2-vCPU VM, rank-m qubit inputs, full unitaries completed,
@@ -136,12 +136,14 @@ def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:
     """The kept dimension ``d**p`` of a rank-capped build, after checking its arguments."""
     y = infer_site_count(dim, d)
     if p < 0 or p > y:
-        raise BadParameter(f"need 0 <= p <= y = {y}, got p={p}")
+        raise BadParameter(f"need 0 <= p <= y = {y}, got p={shown(p)}")
     if D_squared < 1:
-        raise BadParameter(f"D_squared must be >= 1, got {D_squared}")
+        raise BadParameter(f"D_squared must be >= 1, got {shown(D_squared)}")
     m = d**p
     if D_squared > m:
-        raise RankCapExceedsDim(f"kept rank {D_squared} does not fit into kept dimension {m}")
+        raise RankCapExceedsDim(
+            f"kept rank {shown(D_squared)} does not fit into kept dimension {m}"
+        )
     return m
 
 
@@ -158,7 +160,7 @@ def build_threshold(
     not given: a learner that keeps ``p`` qudits per block asks for ``p``.
     """
     if eta <= 0:
-        raise BadParameter(f"eta must be positive, got {eta}")
+        raise BadParameter(f"eta must be positive, got {shown(eta)}")
     infer_site_count(linalg.require_square(sigma_hat), d)  # a side that is no power of d raises
     trace = float(np.real(np.trace(sigma_hat)))
     if trace > 1.0 + 1e-9:

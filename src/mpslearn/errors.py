@@ -2,8 +2,11 @@
 
 Every error that callers are expected to catch has a named class here so that
 CLI exit codes and tests can dispatch on type rather than on message text.
+Their messages show argument values through :func:`shown`.
 """
 from __future__ import annotations
+
+import numbers
 
 
 class NonSquare(ValueError):
@@ -72,3 +75,9 @@ class MalformedCircuit(ValueError):
 
 class DegenerateD(ValueError):
     """A cost formula was evaluated at a bond dimension below 2."""
+
+
+def shown(value) -> str:
+    """``repr(value)``, but an integer of over 64 bits by its size: Python caps the digits."""
+    big = isinstance(value, numbers.Integral) and int(value).bit_length() > 64
+    return f"an integer of {int(value).bit_length()} bits" if big else repr(value)

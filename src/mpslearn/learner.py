@@ -56,7 +56,7 @@ from .disentangler import (
     build_threshold,
     unitary_from_isometry,
 )
-from .errors import BadParameter, MalformedCircuit, TooLarge
+from .errors import BadParameter, MalformedCircuit, TooLarge, shown
 from .planner import (
     LayerPlan,
     eta_closest,
@@ -360,14 +360,14 @@ def learn(
     if variant not in ("exact", "closest"):
         raise BadParameter(f"variant must be 'exact' or 'closest', got {variant!r}")
     if not (mps.is_real(epsilon) and 0.0 < epsilon <= 1.0):
-        raise BadParameter(f"epsilon must be in (0, 1], got {mps.shown(epsilon)}")
+        raise BadParameter(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if not (mps.is_real(delta) and 0.0 < delta < 1.0):
-        raise BadParameter(f"delta must be in (0, 1), got {mps.shown(delta)}")
-    if not (all(mps.is_integer(x) for x in (d, D, seed)) and D >= 1 and seed >= 0):
-        got = f"d={mps.shown(d)}, D={mps.shown(D)}, seed={mps.shown(seed)}"
-        raise BadParameter(f"need integers d, D >= 1 and seed >= 0, got {got}")
+        raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
+    if not (mps.is_integer(d) and mps.is_integer(D) and D >= 1 and mps.is_seed(seed)):
+        got = f"d={shown(d)}, D={shown(D)}, seed={shown(seed)}"
+        raise BadParameter(f"need integers d, D >= 1 and seed in 0 .. 2**64 - 1, got {got}")
     if theta is not None and not (mps.is_real(theta) and abs(theta) <= sys.float_info.max):
-        raise BadParameter(f"theta must be a finite float, got {mps.shown(theta)}")
+        raise BadParameter(f"theta must be a finite float, got {shown(theta)}")
     mode = tomography.ExactMode() if mode is None else mode
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")

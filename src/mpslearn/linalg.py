@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, NoConvergence, NonHermitian, NonSquare
+from .errors import BadParameter, DimensionMismatch, NoConvergence, NonHermitian, NonSquare, shown
 
 MAX_VECTOR_DIM = 2**16
 MAX_DENSITY_DIM = 2**10
@@ -57,7 +57,7 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
 def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
     """``matrix`` as a complex array, after :func:`require_hermitian`'s check."""
     if not tol >= 0.0:  # NaN fails too
-        raise BadParameter(f"hermiticity tolerance must be non-negative, got {tol}")
+        raise BadParameter(f"hermiticity tolerance must be non-negative, got {shown(tol)}")
     dim = require_square(matrix)
     a = np.asarray(matrix, dtype=complex)
     scratch = np.empty(min(dim, _TILE) ** 2, dtype=complex)
@@ -287,7 +287,7 @@ def _top_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | No
     """
     dim = a.shape[0]
     if not 1 <= m <= dim:
-        raise BadParameter(f"need 1 <= m <= {dim}, got m={m}")
+        raise BadParameter(f"need 1 <= m <= {dim}, got m={shown(m)}")
     rng = np.random.default_rng(0)
     omega = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
     q, _ = np.linalg.qr(a @ omega)
@@ -332,14 +332,15 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
-        raise BadParameter(f"site dimensions must be >= 1, got {dims}")
+        raise BadParameter(f"site dimensions must be >= 1, got {shown(min(dims))}")
     side = require_square(matrix)
     if side != math.prod(dims):
         raise DimensionMismatch(f"matrix side {side} does not match prod(dims) = {math.prod(dims)}")
     n = len(dims)
     keep = sorted(int(k) for k in keep)
     if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise DimensionMismatch(f"keep sites {keep} outside register of {n} sites")
+        outside = keep[0] if keep[0] < 0 else keep[-1]
+        raise DimensionMismatch(f"keep site {shown(outside)} outside register of {n} sites")
     if len(set(keep)) != len(keep):
         raise BadParameter(f"keep sites contain duplicates: {keep}")
 
@@ -355,7 +356,7 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
 def numerical_rank(matrix: np.ndarray, tol: float) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix exceeding ``tol``."""
     if not tol >= 0:  # NaN fails too
-        raise BadParameter(f"rank tolerance must be non-negative, got {tol}")
+        raise BadParameter(f"rank tolerance must be non-negative, got {shown(tol)}")
     a = require_hermitian(matrix)
     w = np.linalg.eigvalsh(a)
     return int(np.count_nonzero(w > tol))

@@ -353,15 +353,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_seed(value) -> bool:
+    """Whether a value is an integer in ``0 .. 2**64 - 1``, a seed any JSON reader can store."""
+    return is_integer(value) and 0 <= value < 2**64
+
+
 def is_real(value) -> bool:
     """Whether a value is a Python or NumPy real number; ``True``/``False`` is not."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def shown(value) -> str:
-    """``repr(value)``, but an integer of over 64 bits by its size: Python caps the digits."""
-    big = is_integer(value) and int(value).bit_length() > 64
-    return f"an integer of {int(value).bit_length()} bits" if big else repr(value)
 
 
 def canonical_json(doc) -> str:

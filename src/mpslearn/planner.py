@@ -28,6 +28,7 @@ from .errors import (
     NegativeArgument,
     NoConvergence,
     TooSmall,
+    shown,
 )
 
 SQRT2_GAP = 3.0 - 2.0 * math.sqrt(2.0)  # (sqrt(2) - 1)**2
@@ -93,11 +94,11 @@ def plan_layers(n: int, d: int, p: int) -> LayerPlan:
     ``2p`` block; the amendment is recorded in ``s1_amended``.
     """
     if p < 1:
-        raise BadParameter(f"block size p must be >= 1, got {p}")
+        raise BadParameter(f"block size p must be >= 1, got {shown(p)}")
     if d < 2:
-        raise BadParameter(f"local dimension d must be >= 2, got {d}")
+        raise BadParameter(f"local dimension d must be >= 2, got {shown(d)}")
     if n <= p:
-        raise TooSmall(f"need n > p, got n={n}, p={p}")
+        raise TooSmall(f"need n > p, got n={shown(n)}, p={shown(p)}")
 
     M = 1
     while 2**M * p < n:
@@ -167,7 +168,7 @@ def p_exact(d: int, D: int) -> int:
     ``d**(p/2) >= D``.  ``D = 1`` yields 0.
     """
     if d < 2 or D < 1:
-        raise BadParameter(f"need d >= 2 and D >= 1, got d={d}, D={D}")
+        raise BadParameter(f"need d >= 2 and D >= 1, got d={shown(d)}, D={shown(D)}")
     k = 0
     while d**k < D:
         k += 1
@@ -182,7 +183,7 @@ def lambert_w(z: float) -> float:
     ``1e-12`` relative.
     """
     if z < 0:
-        raise NegativeArgument(f"lambert_w requires z >= 0, got {z}")
+        raise NegativeArgument(f"lambert_w requires z >= 0, got {shown(z)}")
     if z == 0.0:
         return 0.0
     if z > math.e:
@@ -221,9 +222,9 @@ class LambertSolution:
 def copy_scale_base(n: int, D: int, epsilon: float) -> float:
     """Scale constant of the block-size equation, ``64 n D**2 / ((3 - 2 sqrt(2)) eps**2)``."""
     if n < 1 or D < 1:
-        raise BadParameter(f"need n >= 1 and D >= 1, got n={n}, D={D}")
+        raise BadParameter(f"need n >= 1 and D >= 1, got n={shown(n)}, D={shown(D)}")
     if not 0.0 < epsilon <= 1.0:
-        raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadEpsilon(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     try:
         scale = 64.0 * n * D * D / (SQRT2_GAP * epsilon * epsilon)
         if scale < math.inf:
@@ -231,8 +232,8 @@ def copy_scale_base(n: int, D: int, epsilon: float) -> float:
     except (OverflowError, ZeroDivisionError):  # D past a float, or eps**2 underflowing
         pass
     raise BadParameter(
-        f"the block-size scale 64 n D**2 / ((3 - 2 sqrt 2) eps**2) at n={n}, "
-        f"epsilon={epsilon} exceeds a float's range"
+        f"the block-size scale 64 n D**2 / ((3 - 2 sqrt 2) eps**2) at n={shown(n)}, "
+        f"epsilon={shown(epsilon)} exceeds a float's range"
     )
 
 
@@ -255,10 +256,10 @@ def solve_p_from_scale(d: int, B: float) -> LambertSolution:
     confirmed against the inequality itself.
     """
     if d < 2:
-        raise BadParameter(f"need d >= 2, got d={d}")
+        raise BadParameter(f"need d >= 2, got d={shown(d)}")
     log_d = math.log(d)
     if not 0.0 < B * d * log_d < math.inf:
-        raise BadParameter(f"scale B must be positive and B d ln d finite, got B={B}")
+        raise BadParameter(f"scale B must be positive and B d ln d finite, got B={shown(B)}")
     z = B * log_d
     a = lambert_w(z) / log_d
     b = lambert_w(B * d * log_d) / log_d
@@ -289,7 +290,7 @@ def select_epsilon(n: int, d: int, D: int, epsilon_target: float) -> tuple[int, 
     solvable at ``epsilon_prime`` with block size ``m``.
     """
     if d < 2:
-        raise BadParameter(f"need d >= 2, got d={d}")
+        raise BadParameter(f"need d >= 2, got d={shown(d)}")
     target_B = copy_scale_base(n, D, epsilon_target)
     m = 1
     while m * float(d) ** m < target_B:
@@ -301,16 +302,16 @@ def select_epsilon(n: int, d: int, D: int, epsilon_target: float) -> tuple[int, 
 def eta_exact(epsilon: float, M: int) -> float:
     """Per-call tomography budget for the exact variant."""
     if not 0.0 < epsilon <= 1.0:
-        raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadEpsilon(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if M < 1:
-        raise BadParameter(f"layer count M must be >= 1, got {M}")
+        raise BadParameter(f"layer count M must be >= 1, got {shown(M)}")
     return SQRT2_GAP * epsilon * epsilon / 2 ** (M + 5)
 
 
 def eta_closest(epsilon: float, p: int, D: int, n: int) -> float:
     """Per-call tomography budget and eigenvalue threshold, closest variant."""
     if not 0.0 < epsilon <= 1.0:
-        raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
+        raise BadEpsilon(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if p < 1 or D < 1 or n < 1:
-        raise BadParameter(f"need p, D, n >= 1, got p={p}, D={D}, n={n}")
+        raise BadParameter(f"need p, D, n >= 1, got p={shown(p)}, D={shown(D)}, n={shown(n)}")
     return SQRT2_GAP * epsilon * epsilon * p / (64.0 * D * D * n)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, mps
 from .backend import MAX_WALK_WINDOW, infer_site_count
-from .errors import BadParameter, OracleFailure, TooLarge
+from .errors import BadParameter, OracleFailure, TooLarge, shown
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,9 +60,11 @@ class BoundedNoiseMode:
 
     def __post_init__(self) -> None:
         if self.eta is not None and not (mps.is_real(self.eta) and 0.0 <= self.eta <= 2.0):
-            raise BadParameter(f"eta must be in [0, 2], the largest trace distance, got {self.eta}")
-        if not (mps.is_integer(self.seed) and self.seed >= 0):
-            raise BadParameter(f"seed must be an integer >= 0, got {self.seed!r}")
+            raise BadParameter(
+                f"eta must be in [0, 2], the largest trace distance, got {shown(self.eta)}"
+            )
+        if not mps.is_seed(self.seed):
+            raise BadParameter(f"seed must be an integer in 0 .. 2**64 - 1, got {shown(self.seed)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,11 +86,11 @@ class FiniteSampleMode:
 
     def __post_init__(self) -> None:
         if not mps.is_integer(self.copies):
-            raise BadParameter(f"copies must be an integer, got {self.copies!r}")
+            raise BadParameter(f"copies must be an integer, got {shown(self.copies)}")
         if not 1 <= self.copies < 2**63:  # the survivors' binomial draw takes an int64
-            raise BadParameter(f"copies must be in 1 .. 2**63 - 1, got {self.copies}")
-        if not (mps.is_integer(self.seed) and self.seed >= 0):
-            raise BadParameter(f"seed must be an integer >= 0, got {self.seed!r}")
+            raise BadParameter(f"copies must be in 1 .. 2**63 - 1, got {shown(self.copies)}")
+        if not mps.is_seed(self.seed):
+            raise BadParameter(f"seed must be an integer in 0 .. 2**64 - 1, got {shown(self.seed)}")
 
 
 OracleMode = Union[ExactMode, BoundedNoiseMode, FiniteSampleMode]
@@ -266,20 +268,21 @@ def _budget(mu: float, factors: tuple[int, ...], eta: float, delta: float) -> in
         return int(math.ceil(value * math.log(1.0 / delta) / eta**2))
     except (OverflowError, ZeroDivisionError):
         raise BadParameter(
-            f"the copy budget at eta={eta} exceeds a float's range (D or the block too large, "
-            "or eta too small)"
+            f"the copy budget at eta={shown(eta)} exceeds a float's range "
+            "(D or the block too large, or eta too small)"
         ) from None
 
 
 def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> None:
     if not 0.0 <= mu <= 1.0 + 1e-12:
-        raise BadParameter(f"mu must be in [0, 1], got {mu}")
+        raise BadParameter(f"mu must be in [0, 1], got {shown(mu)}")
     if d < 2 or r_minus_i < 0:
-        raise BadParameter(f"need d >= 2 and r_minus_i >= 0, got d={d}, r_minus_i={r_minus_i}")
+        got = f"d={shown(d)}, r_minus_i={shown(r_minus_i)}"
+        raise BadParameter(f"need d >= 2 and r_minus_i >= 0, got {got}")
     if not 0.0 < eta < math.inf:  # NaN fails too
-        raise BadParameter(f"eta must be positive and finite, got {eta}")
+        raise BadParameter(f"eta must be positive and finite, got {shown(eta)}")
     if not 0.0 < delta < 1.0:
-        raise BadParameter(f"delta must be in (0, 1), got {delta}")
+        raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
 
 
 def budget_rank_constrained(
@@ -294,7 +297,7 @@ def budget_rank_constrained(
     """
     _validate_budget_args(mu, d, r_minus_i, eta, delta)
     if D < 1:
-        raise BadParameter(f"D must be >= 1, got {D}")
+        raise BadParameter(f"D must be >= 1, got {shown(D)}")
     return _budget(mu, (D, D, d**r_minus_i), eta, delta)
 
 

@@ -1,12 +1,14 @@
 """Runnable property suites for the learner's structural guarantees.
 
 Each suite bundles related invariants into seeded, desk-scale checks that
-finish in seconds.  The CLI exposes them through ``verify``; the test suite
-reuses them so the command line and CI agree on what "healthy" means.
+finish in seconds.  The CLI exposes them through ``verify``, and
+``tests/test_cli.py`` runs every suite through that command, so a suite
+that fails also fails the tests.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from . import complexity, linalg, mps, tomography
 from .backend import StateBackend
 from .disentangler import build_rank_capped, build_threshold
-from .errors import BadParameter
+from .errors import BadParameter, shown
 from .learner import LearnSchedule, learn
 from .planner import (
     eta_closest,
@@ -92,26 +94,18 @@ def _suite_rank(seed: int) -> SuiteResult:
         )
     for n, d, D in [(6, 2, 2), (5, 2, 3)]:
         state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, boundary="open", seed=seed + 7))
-        for cut in range(1, n):
-            rank = mps.schmidt_rank(state, cut)
-            bound = min(D, d**cut, d ** (n - cut))
-            if rank > bound:
-                checks.append(
-                    CheckResult(
-                        name=f"schmidt n={n} cut={cut}",
-                        passed=False,
-                        detail=f"schmidt rank {rank} exceeds {bound}",
-                    )
-                )
-                break
+        bounds = [min(D, d**cut, d ** (n - cut)) for cut in range(1, n)]
+        over = [
+            (cut, rank, bound)
+            for cut, (rank, bound) in enumerate(zip(mps.schmidt_profile(state), bounds), start=1)
+            if rank > bound
+        ]
+        if over:
+            cut, rank, bound = over[0]
+            name, detail = f"schmidt n={n} cut={cut}", f"schmidt rank {rank} exceeds {bound}"
         else:
-            checks.append(
-                CheckResult(
-                    name=f"schmidt n={n} d={d} D={D}",
-                    passed=True,
-                    detail="all cut ranks within the bond profile",
-                )
-            )
+            name, detail = f"schmidt n={n} d={d} D={D}", "all cut ranks within the bond profile"
+        checks.append(CheckResult(name, not over, detail))
     return SuiteResult("rank", tuple(checks))
 
 
@@ -206,62 +200,54 @@ def _suite_monotonicity(seed: int) -> SuiteResult:
 
 
 def _suite_layer_bounds(seed: int) -> SuiteResult:
-    checks: list[CheckResult] = []
-    state = mps.random_mps(mps.StateSpec(n=10, d=2, D=2, boundary="periodic", seed=seed))
+    n, d, D = 10, 2, 2
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, boundary="periodic", seed=seed))
     phi = mps.expand(state)
+
+    def drops(report) -> list[tuple[float, float]]:
+        """Each layer's fidelity drop against ``phi``, with the layer's drop bound."""
+        fids = [report.audit.fidelity_against(phi, j) for j in range(report.audit.M + 1)]
+        return [(a - b, layer.drop_bound) for a, b, layer in zip(fids, fids[1:], report.per_layer)]
+
+    def within(pairs) -> bool:
+        return all(drop <= bound + 1e-9 for drop, bound in pairs)  # a NaN drop fails
+
     epsilon = 0.25
     _, report = learn(
-        state, 2, 2, epsilon, 0.05,
+        state, d, D, epsilon, 0.05,
         mode=tomography.BoundedNoiseMode(eta=None, seed=seed),
         audit=True,
     )
-    trail = report.audit
-    fids = [trail.fidelity_against(phi, j) for j in range(trail.M + 1)]
-    ok = True
-    detail = []
-    for j in range(1, trail.M + 1):
-        drop = fids[j - 1] - fids[j]
-        bound = report.per_layer[j - 1].drop_bound
-        detail.append(f"layer {j}: drop {drop:.3e} <= {bound:.3e}")
-        if drop > bound + 1e-9:
-            ok = False
-    checks.append(
-        CheckResult(
-            name="per-layer-fidelity-drop-bounded",
-            passed=ok,
-            detail="; ".join(detail),
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="final-fidelity-above-target",
-            passed=report.final_fidelity >= 1.0 - epsilon - 1e-9,
-            detail=f"fidelity {report.final_fidelity:.9f} vs 1 - epsilon = {1 - epsilon}",
-        )
-    )
-    n, d, D = 10, 2, 2
-    eta = eta_closest(0.5, 2, D, n)
+    exact = drops(report)
     _, report_c = learn(
         state, d, D, 0.5, 0.05,
         variant="closest",
         mode=tomography.BoundedNoiseMode(eta=None, seed=seed + 1),
         audit=True,
-        schedule=LearnSchedule(p=2, eta=eta),
+        schedule=LearnSchedule(p=2, eta=eta_closest(0.5, 2, D, n)),
     )
-    trail_c = report_c.audit
-    fids_c = [trail_c.fidelity_against(phi, j) for j in range(trail_c.M + 1)]
-    ok_c = all(
-        fids_c[j - 1] - fids_c[j] <= report_c.per_layer[j - 1].drop_bound + 1e-9
-        for j in range(1, trail_c.M + 1)
-    )
-    checks.append(
+    closest = drops(report_c)
+    checks = (
+        CheckResult(
+            name="per-layer-fidelity-drop-bounded",
+            passed=within(exact),
+            detail="; ".join(
+                f"layer {j}: drop {drop:.3e} <= {bound:.3e}"
+                for j, (drop, bound) in enumerate(exact, start=1)
+            ),
+        ),
+        CheckResult(
+            name="final-fidelity-above-target",
+            passed=report.final_fidelity >= 1.0 - epsilon - 1e-9,
+            detail=f"fidelity {report.final_fidelity:.9f} vs 1 - epsilon = {1 - epsilon}",
+        ),
         CheckResult(
             name="competitive-drop-bound-under-schedule",
-            passed=ok_c,
-            detail="; ".join(f"{fids_c[j - 1] - fids_c[j]:.3e}" for j in range(1, trail_c.M + 1)),
-        )
+            passed=within(closest),
+            detail="; ".join(f"{drop:.3e}" for drop, _ in closest),
+        ),
     )
-    return SuiteResult("layer-bounds", tuple(checks))
+    return SuiteResult("layer-bounds", checks)
 
 
 def _bisect_lambert(z: float) -> float:
@@ -278,82 +264,57 @@ def _bisect_lambert(z: float) -> float:
 
 
 def _suite_lambert(seed: int) -> SuiteResult:
-    checks: list[CheckResult] = []
-    zs = np.logspace(-3, 6, 40)
-    worst = 0.0
-    for z in zs:
-        w = lambert_w(float(z))
-        worst = max(worst, abs(w * math.exp(w) - z) / z)
-    checks.append(
+    zs = [float(z) for z in np.logspace(-3, 6, 40)]
+    worst = max(abs(w * math.exp(w) - z) / z for z, w in zip(zs, map(lambert_w, zs)))
+    worst_gap = max(
+        abs(lambert_w(z) - _bisect_lambert(z)) for z in map(float, np.logspace(-2, 5, 20))
+    )
+    rng = np.random.default_rng(seed)
+
+    def bracket_width() -> float:
+        n, D, d = int(rng.integers(2, 200)), int(rng.integers(1, 10)), int(rng.integers(2, 6))
+        sol = solve_p_closest(n, d, D, float(rng.uniform(0.01, 1.0)))
+        return sol.b - sol.a
+
+    checks = (
         CheckResult(
             name="defining-equation-residual",
             passed=worst < 1e-10,
             detail=f"max relative residual {worst:.2e} over {len(zs)} points",
-        )
-    )
-    worst_gap = 0.0
-    for z in np.logspace(-2, 5, 20):
-        w = lambert_w(float(z))
-        w_ref = _bisect_lambert(float(z))
-        worst_gap = max(worst_gap, abs(w - w_ref))
-    checks.append(
+        ),
         CheckResult(
             name="agrees-with-bisection",
             passed=worst_gap < 1e-9,
             detail=f"max |halley - bisection| = {worst_gap:.2e}",
-        )
-    )
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(200):
-        n = int(rng.integers(2, 200))
-        D = int(rng.integers(1, 10))
-        d = int(rng.integers(2, 6))
-        epsilon = float(rng.uniform(0.01, 1.0))
-        sol = solve_p_closest(n, d, D, epsilon)
-        if not (0.0 < sol.b - sol.a < 1.0):
-            ok = False
-            break
-    checks.append(
+        ),
         CheckResult(
             name="bracket-width-in-unit-interval",
-            passed=ok,
+            passed=all(0.0 < bracket_width() < 1.0 for _ in range(200)),
             detail="b - a in (0, 1) on 200 random scales",
-        )
+        ),
     )
-    return SuiteResult("lambert", tuple(checks))
+    return SuiteResult("lambert", checks)
 
 
 def _suite_plan(seed: int) -> SuiteResult:
     checks: list[CheckResult] = []
-    ok = True
     bad = ""
-    for n in range(3, 41):
-        for p in (1, 2, 3):
-            if n <= p:
-                continue
-            plan = plan_layers(n, 2, p)
-            seen: list[int] = []
-            for j in range(1, plan.M + 1):
-                for b in plan.blocks(j):
-                    seen.extend(b.projected)
-            covered = sorted(seen) == list(range(1, n - p + 1)) or sorted(
-                seen + list(plan.final_carried)
-            ) == list(range(1, n + 1))
-            if plan.total_projected != n - p or not covered:
-                ok = False
-                bad = f"n={n} p={p}: projected {len(seen)} sites"
-                break
-            if plan.final_carried != tuple(range(n - p + 1, n + 1)):
-                ok = False
-                bad = f"n={n} p={p}: tail {plan.final_carried}"
-                break
-        if not ok:
+    for n, p in ((n, p) for n in range(3, 41) for p in (1, 2, 3) if n > p):
+        plan = plan_layers(n, 2, p)
+        seen = [s for j in range(1, plan.M + 1) for b in plan.blocks(j) for s in b.projected]
+        covered = sorted(seen) == list(range(1, n - p + 1)) or sorted(
+            seen + list(plan.final_carried)
+        ) == list(range(1, n + 1))
+        if plan.total_projected != n - p or not covered:
+            bad = f"n={n} p={p}: projected {len(seen)} sites"
+        elif plan.final_carried != tuple(range(n - p + 1, n + 1)):
+            bad = f"n={n} p={p}: tail {plan.final_carried}"
+        if bad:
             break
     checks.append(
         CheckResult(
             name="partition-covers-register",
-            passed=ok,
+            passed=not bad,
             detail=bad or "every plan sheds n - p sites and carries the last p",
         )
     )
@@ -377,50 +338,32 @@ def _suite_plan(seed: int) -> SuiteResult:
     return SuiteResult("plan", tuple(checks))
 
 
+def _exact_schedule(n: int, d: int, D: int, epsilon: float) -> tuple[int, float]:
+    p = p_exact(d, D)
+    return p, eta_exact(epsilon, plan_layers(n, d, p).M)
+
+
+def _closest_schedule(n: int, d: int, D: int, epsilon: float) -> tuple[int, float]:
+    sol = solve_p_closest(n, d, D, epsilon)
+    p = sol.p_candidate if sol.exists else max(1, sol.p_candidate)
+    return p, eta_closest(epsilon, p, D, n)
+
+
 def _suite_dominance(seed: int) -> SuiteResult:
     checks: list[CheckResult] = []
-    ok = True
-    worst = math.inf
-    for n in (16, 64, 256):
-        for d in (2, 3):
-            for D in (2, 4):
-                for epsilon in (0.5, 0.1, 0.01):
-                    p = p_exact(d, D)
-                    plan = plan_layers(n, d, p)
-                    eta = eta_exact(epsilon, plan.M)
-                    ratio = complexity.dominance_ratio(n, d, p, epsilon, eta)
-                    worst = min(worst, ratio)
-                    if ratio <= 1.0:
-                        ok = False
-    checks.append(
-        CheckResult(
-            name="tree-stages-dominate-exact",
-            passed=ok,
-            detail=f"smallest ratio {worst:.3e}",
+    for name, schedule in (("exact", _exact_schedule), ("competitive", _closest_schedule)):
+        ratios = []
+        for n, d, D, epsilon in itertools.product((16, 64, 256), (2, 3), (2, 4), (0.5, 0.1, 0.01)):
+            p, eta = schedule(n, d, D, epsilon)
+            if 0.0 < eta < 1.0:  # always so for eta_exact, not for eta_closest
+                ratios.append(complexity.dominance_ratio(n, d, p, epsilon, eta))
+        checks.append(
+            CheckResult(
+                name=f"tree-stages-dominate-{name}",
+                passed=all(ratio > 1.0 for ratio in ratios),
+                detail=f"smallest ratio {min(ratios, default=math.inf):.3e}",
+            )
         )
-    )
-    ok = True
-    worst = math.inf
-    for n in (16, 64, 256):
-        for d in (2, 3):
-            for D in (2, 4):
-                for epsilon in (0.5, 0.1, 0.01):
-                    sol = solve_p_closest(n, d, D, epsilon)
-                    p = sol.p_candidate if sol.exists else max(1, sol.p_candidate)
-                    eta = eta_closest(epsilon, p, D, n)
-                    if not 0.0 < eta < 1.0:
-                        continue
-                    ratio = complexity.dominance_ratio(n, d, p, epsilon, eta)
-                    worst = min(worst, ratio)
-                    if ratio <= 1.0:
-                        ok = False
-    checks.append(
-        CheckResult(
-            name="tree-stages-dominate-competitive",
-            passed=ok,
-            detail=f"smallest ratio {worst:.3e}",
-        )
-    )
     return SuiteResult("dominance", tuple(checks))
 
 
@@ -438,8 +381,8 @@ AVAILABLE_SUITES = tuple(_SUITE_FUNCTIONS)
 
 def run_suites(names: list[str], seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (or all of them for ``["all"]``) and collect results."""
-    if not (mps.is_integer(seed) and seed >= 0):
-        raise BadParameter(f"seed must be an integer >= 0, got {seed!r}")
+    if not mps.is_seed(seed):
+        raise BadParameter(f"seed must be an integer in 0 .. 2**64 - 1, got {shown(seed)}")
     if names == ["all"]:
         names = list(AVAILABLE_SUITES)
     results = []

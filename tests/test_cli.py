@@ -2,12 +2,17 @@
 
 Each test drives ``cli.main`` in process with a temp directory, so exit
 codes, printed output, and the files written to ``--out`` are all checked
-without spawning subprocesses.
+without spawning subprocesses.  The one exception pins the bytes of the
+``verify`` and ``budget`` artifacts in a child process with one BLAS thread.
 """
 import argparse
 import base64
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +221,7 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
         ("learn", {"oracle": "bounded_noise"}, ["--seed", "-1"]),
         ("learn", {"oracle": "finite_sample", "copies": 1000, "seed": -1}, []),
         ("learn", {"seed": -1}, []),
+        ("learn", {"seed": 2**64}, []),
         ("gen", {"seed": -1}, []),
         ("verify", None, ["--suite", "rank", "--seed", "-1"]),
         # integers past a float's range
@@ -229,7 +235,7 @@ def test_learn_has_no_audit_flag_or_key(tmp_path, capsys):
         ("budget", {"D": 10**25}, []),
     ],
     ids=["eta-nan", "eta-infinity", "eta-above-2", "theta-nan", "theta-infinity", "copies-2**63",
-         "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact",
+         "seed-flag-negative-noise", "seed-negative-sample", "seed-negative-exact", "seed-2**64",
          "gen-seed-negative", "verify-seed-negative", "epsilon-10**400", "delta-10**400",
          "theta-10**400", "budget-delta-10**400", "budget-D-10**400", "budget-n-10**400",
          "budget-D-10**25"],
@@ -477,3 +483,31 @@ def test_the_readme_command_line_names_only_real_flags_and_keys():
     for config in configs:  # matched to the one schema whose required keys it holds
         (schema,) = [s for s in schemas if all(k in config for k, (_, req) in s.items() if req)]
         assert set(config) <= set(schema), sorted(set(config) - set(schema))
+
+
+# sha256 of the artifacts of `verify --suite all --seed 0` and of `budget` on
+# PINNED_BUDGET, taken with NumPy 2.4 on OpenBLAS 0.3.31 (its SkylakeX kernels);
+# the verify suites' eigensolvers may round differently on another BLAS build
+PINNED_BUDGET = {"n_values": [8, 16, 32], "epsilon_values": [0.5, 0.2, 0.1], "d": 2, "D": 3,
+                 "delta": 0.01}
+PINNED_ARTIFACTS = {
+    "verify/verify.json": "d70b5996e5f8baad59a8b68d22e2eb044766f2a06825b8351e91eba3bccbb14b",
+    "budget/budget.csv": "6b774d295184bb46bc1326149f0c0e24c5031e74a33fcbb42fba6532bfa60331",
+    "budget/manifest.json": "873f194fd30a0e9c82fe1fec1278e16982965bc5279568c47a165ac1e060b74b",
+}
+
+
+def test_verify_and_budget_artifacts_are_pinned(tmp_path):
+    threads = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    config = write_config(tmp_path / "budget.json", PINNED_BUDGET)
+    for argv in (
+        ["verify", "--suite", "all", "--seed", "0", "--out", str(tmp_path / "verify")],
+        ["budget", "--config", config, "--out", str(tmp_path / "budget")],
+    ):
+        subprocess.run(
+            [sys.executable, "-m", "mpslearn.cli", *argv], env=env, capture_output=True, check=True
+        )
+    files = ("verify/verify.json", "budget/budget.csv", "budget/manifest.json")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    assert digests == PINNED_ARTIFACTS

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mpslearn import complexity, errors, planner
+from mpslearn import complexity, disentangler, errors, linalg, planner, tomography
 
 
 DELTA = 1e-3
@@ -165,3 +165,34 @@ def test_budget_validation():
         complexity.dominance_ratio(16, 2, 512, 0.1, 0.01)
     with pytest.raises(errors.BadParameter, match="value exceeds"):
         complexity.budget_closest_ours(16, 2, 10**25, 0.2, 0.01)
+
+
+HUGE = 10**5000  # 16610 bits: Python refuses to format an integer of over 4300 digits
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: complexity.budget_exact_ours(16, 2, 2, HUGE, DELTA), errors.BadParameter),
+        (lambda: complexity.budget_closest_raw(16, 2, 3, HUGE, DELTA), errors.BadParameter),
+        (lambda: complexity.dominance_ratio(16, 2, 2, 0.1, HUGE), errors.BadParameter),
+        (lambda: planner.p_exact(2, -HUGE), errors.BadParameter),
+        (lambda: planner.plan_layers(8, 2, HUGE), errors.TooSmall),
+        (lambda: planner.eta_exact(HUGE, 3), errors.BadEpsilon),
+        (lambda: planner.eta_closest(0.1, 2, -HUGE, 16), errors.BadParameter),
+        (lambda: planner.copy_scale_base(16, -HUGE, 0.1), errors.BadParameter),
+        (lambda: planner.lambert_w(-HUGE), errors.NegativeArgument),
+        # an eta this large passes the range check; its square overflows the division
+        (lambda: tomography.budget_rank_constrained(1.0, 2, 2, 2, HUGE, DELTA),
+         errors.BadParameter),
+        (lambda: tomography.budget_general(1.0, 2, 2, 0.1, HUGE), errors.BadParameter),
+        (lambda: disentangler.build_threshold(np.eye(2) / 2, 2, -HUGE), errors.BadParameter),
+        (lambda: linalg.numerical_rank(np.eye(2), -HUGE), errors.BadParameter),
+    ],
+    ids=["budget_exact_ours", "budget_closest_raw", "dominance_ratio", "p_exact", "plan_layers",
+         "eta_exact", "eta_closest", "copy_scale_base", "lambert_w", "budget_rank_constrained",
+         "budget_general", "build_threshold", "numerical_rank"],
+)
+def test_a_huge_integer_argument_is_named_by_its_size(call, error):
+    with pytest.raises(error, match="an integer of 16610 bits"):
+        call()

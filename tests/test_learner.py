@@ -361,6 +361,18 @@ def test_learn_validates_arguments():
         learner.learn(psi, 2, 2, 0.2, 0.01, theta=10**5000)
     with pytest.raises(errors.DimensionMismatch, match="not a power of d = 1"):
         learner.learn(psi, 1, 2, 0.2, 0.01)
+    # a seed is stored in the circuit file, so it must fit in 64 bits
+    with pytest.raises(errors.BadParameter, match="seed=an integer of 65 bits"):
+        learner.learn(psi, 2, 2, 0.2, 0.01, seed=2**64)
+    with pytest.raises(errors.BadParameter, match="seed=an integer of 16610 bits"):
+        learner.learn(psi, 2, 2, 0.2, 0.01, seed=10**5000)
+    with pytest.raises(errors.BadParameter, match="an integer of 65 bits"):
+        tomography.BoundedNoiseMode(seed=2**64)
+    with pytest.raises(errors.BadParameter, match="an integer of 65 bits"):
+        tomography.FiniteSampleMode(copies=100, seed=2**64)
+    with pytest.raises(errors.BadParameter, match="an integer of 65 bits"):
+        verify.run_suites(["plan"], seed=2**64)
+    assert tomography.BoundedNoiseMode(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
