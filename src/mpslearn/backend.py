@@ -23,7 +23,7 @@ No register writes a held array in place; every operation assigns new
 arrays.  So the dense register holds its input as given, with no copy.
 
 Both registers remember which chain sites they still hold (``0..n-1``, or
-the labels given, such as the planner's ``1..n``), so callers address
+ascending labels given, such as the planner's ``1..n``), so callers address
 operations by label while the held state shrinks.  A circuit is walked
 forward by ``compress`` and backward by its mirror, ``uncompress``.  The dense
 register contracts only in :meth:`StateBackend._contract`, the tensor train
@@ -49,6 +49,14 @@ def infer_site_count(size: int, d: int) -> int:
     if d**n != size:
         raise DimensionMismatch(f"dimension {size} is not a power of d = {shown(d)}")
     return n
+
+
+def _held_sites(sites: Sequence[int] | None, n: int) -> list[int]:
+    """The ``n`` labels a register holds: ``0..n-1``, or the given ones, strictly ascending."""
+    labels = list(range(n)) if sites is None else list(sites)
+    if len(labels) != n or any(a >= b for a, b in zip(labels, labels[1:])):
+        raise DimensionMismatch(f"site labels {labels} for {n} sites, not ascending")
+    return labels
 
 
 def contract_block(
@@ -105,9 +113,7 @@ class StateBackend:
             raise DimensionMismatch(f"state must be a vector or matrix, got ndim {state.ndim}")
         n = infer_site_count(size, self.d)
         self.state = state
-        self.sites = list(range(n)) if sites is None else list(sites)
-        if len(self.sites) != n:
-            raise DimensionMismatch(f"{len(self.sites)} site labels for {n} sites")
+        self.sites = _held_sites(sites, n)
 
     @property
     def n(self) -> int:
@@ -270,9 +276,7 @@ class MPSBackend:
         self.tensors = [
             np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
         ]
-        self.sites = list(range(state.n)) if sites is None else list(sites)
-        if len(self.sites) != state.n or self.sites != sorted(set(self.sites)):
-            raise DimensionMismatch(f"site labels {self.sites} for {state.n} sites, not ascending")
+        self.sites = _held_sites(sites, state.n)
         self._left: list[np.ndarray] | None = None
         self._right: list[np.ndarray] | None = None
 

@@ -4,39 +4,24 @@ Each ``budget_*`` function returns the leading-order number of state copies a
 method consumes, with the unspecified constant set to 1.  Logarithms are
 natural.  Each product is carried in floats from its first factor on, which
 fixes its last digits at large ``n``.  The functions are meant for comparing
-growth rates, not for predicting laboratory shot counts.
+growth rates, not for predicting laboratory shot counts.  Their float-range
+guard is :func:`mpslearn.errors.in_float_range`, shared with the planner and
+the tomography budgets.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DegenerateD, shown
+from .errors import BadParameter, DegenerateD, in_float_range, shown
 from .planner import SQRT2_GAP, copy_scale_base
 
 ETA_SUBSTITUTION_CONSTANT = (64.0 / SQRT2_GAP) ** 6
 """Constant factor picked up when the per-call accuracy is replaced by its
 closed form in the copy-count total for the competitive variant."""
-
-
-def _in_float_range(formula):
-    """``formula``, raising ``BadParameter`` where an argument or the value overflows a float."""
-
-    @functools.wraps(formula)
-    def checked(*args, **kwargs):
-        try:
-            value = formula(*args, **kwargs)
-        except OverflowError:
-            raise BadParameter(f"{formula.__name__}: an argument exceeds a float's range") from None
-        if not math.isfinite(value):  # a float product past the range reads inf
-            raise BadParameter(f"{formula.__name__}: the value exceeds a float's range")
-        return value
-
-    return checked
 
 
 def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
@@ -50,7 +35,7 @@ def _check_common(n: int, d: int, epsilon: float, delta: float) -> None:
         raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
 
 
-@_in_float_range
+@in_float_range
 def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the tree learner under the bond-dimension promise.
 
@@ -71,7 +56,7 @@ def budget_exact_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> f
     )
 
 
-@_in_float_range
+@in_float_range
 def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier sweep-based learner under the same promise."""
     _check_common(n, 2, epsilon, delta)
@@ -80,7 +65,7 @@ def budget_exact_previous(n: int, D: int, epsilon: float, delta: float) -> float
     return float(n**5) * D**2 * math.log(n / delta) / epsilon**4
 
 
-@_in_float_range
+@in_float_range
 def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the competitive tree learner (no input promise).
 
@@ -105,7 +90,7 @@ def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) ->
     )
 
 
-@_in_float_range
+@in_float_range
 def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> float:
     """Competitive-variant total before eliminating the per-call accuracy.
 
@@ -122,7 +107,7 @@ def budget_closest_raw(n: int, d: int, p: int, eta: float, delta: float) -> floa
     return float(n) * d**4 * math.log(n / delta) / (p * eta**6)
 
 
-@_in_float_range
+@in_float_range
 def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> float:
     """Copies for the earlier competitive learner."""
     _check_common(n, 2, epsilon, delta)
@@ -131,7 +116,7 @@ def budget_closest_previous(n: int, D: int, epsilon: float, delta: float) -> flo
     return float(n**9) * D**8 * math.log(n / delta) / epsilon**8
 
 
-@_in_float_range
+@in_float_range
 def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float:
     """Tree-stage total over the closing-call cost, ``n eps**2 d**(2p) / (p eta**2)``.
 

@@ -2,10 +2,14 @@
 
 Every error that callers are expected to catch has a named class here so that
 CLI exit codes and tests can dispatch on type rather than on message text.
-Their messages show argument values through :func:`shown`.
+Their messages show argument values through :func:`shown`.  The one guard of
+the float-valued schedule and copy-count formulas, :func:`in_float_range`,
+lives here too.
 """
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 
 
@@ -81,3 +85,22 @@ def shown(value) -> str:
     """``repr(value)``, but an integer of over 64 bits by its size: Python caps the digits."""
     big = isinstance(value, numbers.Integral) and int(value).bit_length() > 64
     return f"an integer of {int(value).bit_length()} bits" if big else repr(value)
+
+
+def in_float_range(formula):
+    """``formula``, raising ``BadParameter`` where an argument or its value overflows a float."""
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            value = formula(*args, **kwargs)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ZeroDivisionError):  # the latter from a square underflowing to 0
+            pass
+        given = ", ".join([*map(shown, args), *(f"{k}={shown(v)}" for k, v in kwargs.items())])
+        raise BadParameter(
+            f"{formula.__name__}({given}): an argument or the value exceeds a float's range"
+        ) from None
+
+    return checked

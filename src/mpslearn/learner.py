@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps, tomography
-from .backend import MPSBackend, StateBackend, tt_split
+from .backend import MPSBackend, StateBackend, infer_site_count, tt_split
 from .disentangler import (
     build_rank_capped,
     build_rank_capped_from_factor,
@@ -293,9 +293,7 @@ def _register(state, d: int) -> StateBackend | MPSBackend:
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise BadParameter(f"state must be a vector or density matrix, got ndim {arr.ndim}")
-    register = StateBackend(arr, d)  # n is known once the register has checked the array
-    register.sites = list(range(1, register.n + 1))
-    return register
+    return StateBackend(arr, d, range(1, infer_site_count(len(arr), d) + 1))
 
 
 def learn(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BadCut, DimensionMismatch, InvalidSpec, TooLarge
+from .errors import BadCut, DimensionMismatch, InvalidSpec, TooLarge, shown
 
 MPS_FORMAT_NAME = "mps-state"
 MPS_FORMAT_VERSION = 2
@@ -55,13 +55,14 @@ class MatrixProductState:
         if self.boundary not in ("open", "periodic"):
             raise InvalidSpec(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         if self.n < 1 or self.d < 2:
-            raise InvalidSpec(f"need n >= 1 and d >= 2, got n={self.n}, d={self.d}")
+            raise InvalidSpec(f"need n >= 1 and d >= 2, got n={shown(self.n)}, d={shown(self.d)}")
         if len(self.tensors) != self.n:
-            raise DimensionMismatch(f"expected {self.n} site tensors, got {len(self.tensors)}")
+            got = len(self.tensors)
+            raise DimensionMismatch(f"expected {shown(self.n)} site tensors, got {got}")
         for k, t in enumerate(self.tensors):
             if t.ndim != 3 or t.shape[0] != self.d:
                 raise DimensionMismatch(
-                    f"site {k} tensor has shape {t.shape}, expected (d={self.d}, D_l, D_r)"
+                    f"site {k} tensor has shape {t.shape}, expected (d={shown(self.d)}, D_l, D_r)"
                 )
             if k > 0 and t.shape[1] != self.tensors[k - 1].shape[2]:
                 raise DimensionMismatch(
@@ -122,17 +123,19 @@ class StateSpec:
     def __post_init__(self) -> None:
         integers = all(is_integer(x) for x in (self.n, self.d, self.D, self.seed))
         if not (integers and self.n >= 1 and self.d >= 2 and self.D >= 1 and self.seed >= 0):
-            raise InvalidSpec(f"need integers n >= 1, d >= 2, D >= 1 and seed >= 0, got {self}")
+            got = ", ".join(f"{k}={shown(v)}" for k, v in vars(self).items())
+            need = "need integers n >= 1, d >= 2, D >= 1 and seed >= 0"
+            raise InvalidSpec(f"{need}, got StateSpec({got})")
         if self.boundary not in ("open", "periodic"):
             raise InvalidSpec(f"unknown boundary {self.boundary!r}")
         if self.kind not in ("random", "ghz", "product", "w-state"):
             raise InvalidSpec(f"unknown state kind {self.kind!r}")
         if self.kind == "ghz" and self.D != self.d:
-            raise InvalidSpec(f"ghz needs D = d, got D={self.D}, d={self.d}")
+            raise InvalidSpec(f"ghz needs D = d, got D={shown(self.D)}, d={shown(self.d)}")
         if self.kind == "w-state" and self.D != 2:
-            raise InvalidSpec(f"w-state needs D = 2, got D={self.D}")
+            raise InvalidSpec(f"w-state needs D = 2, got D={shown(self.D)}")
         if self.kind == "product" and self.D != 1:
-            raise InvalidSpec(f"product needs D = 1, got D={self.D}")
+            raise InvalidSpec(f"product needs D = 1, got D={shown(self.D)}")
 
 
 def _open_bond_profile(n: int, d: int, D: int) -> list[int]:

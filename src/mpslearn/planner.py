@@ -1,11 +1,11 @@
 """Layer schedules for the tree learner, and block-size parameter solvers.
 
-The learner removes qudits from an ``n``-site chain in ``M`` halving layers.
-Layer 1 partitions the chain into ``2**(M-1)`` blocks: the first ``ell1``
-blocks are acted on by unitaries and shed their leading qudits, the rest ride
-along unchanged.  Every later layer pairs up the surviving ``p``-qudit tails,
-acts on the resulting ``2p``-qudit blocks, and sheds the leading ``p`` qudits
-of each, until a single ``p``-qudit tail remains.
+The learner removes qudits from an ``n``-site chain in
+``M = ceil(log2(n / p))`` halving layers, by one rule: in every layer, each
+block sheds its leading qudits and carries its last ``p``.  Layer 1 cuts the
+chain into ``2**(M-1)`` blocks; the first ``ell1`` are longer than ``p`` and
+shed, the rest are ``p`` long and ride along.  Every later layer joins the
+carried tails in pairs, so a single ``p``-qudit tail remains.
 
 Qudit labels in this module are 1-based: ``k1`` is the label of the last
 qudit touched by a first-layer unitary, matching the schedule arithmetic.
@@ -28,6 +28,7 @@ from .errors import (
     NegativeArgument,
     NoConvergence,
     TooSmall,
+    in_float_range,
     shown,
 )
 
@@ -88,10 +89,13 @@ class LayerPlan:
 def plan_layers(n: int, d: int, p: int) -> LayerPlan:
     """Build the halving schedule for an ``n``-qudit chain with block size ``p``.
 
-    Requires ``n > p >= 1``.  When the first-layer remainder divides evenly
-    (the raw recipe would give ``s1 = 0`` and leave a gap in the partition)
-    the schedule is amended to ``s1 = p`` so the last acted block is a full
-    ``2p`` block; the amendment is recorded in ``s1_amended``.
+    Requires ``n > p >= 1``.  One rule makes every block: of a support ``s``,
+    the layer projects ``s[:len(s) - p]`` and carries the last ``p`` qudits,
+    and the block is acted on iff it projects any.  Layer 1 runs along the
+    chain, its block ``i`` (0-based) ``min(p, max(0, overhang - i*p)) + p``
+    qudits long; each later layer joins the previous layer's carried tails in
+    pairs.  ``s1_amended`` records that the overhang is a multiple of ``p``,
+    so the last acted block of layer 1 is a full ``2p`` block.
     """
     if p < 1:
         raise BadParameter(f"block size p must be >= 1, got {shown(p)}")
@@ -100,63 +104,28 @@ def plan_layers(n: int, d: int, p: int) -> LayerPlan:
     if n <= p:
         raise TooSmall(f"need n > p, got n={shown(n)}, p={shown(p)}")
 
-    M = 1
-    while 2**M * p < n:
-        M += 1
-    half = 2 ** (M - 1)
-    overhang = n - half * p  # > 0 because M is minimal
-    ell1 = math.ceil(overhang / p)
-    s1 = overhang % p
-    amended = s1 == 0
-    if amended:
-        s1 = p
-    k1 = 2 * ell1 * p - p + s1
+    M = (-(-n // p) - 1).bit_length()  # the least M >= 1 with 2**M * p >= n
+    overhang = n - 2 ** (M - 1) * p  # in 1 .. 2**(M-1) * p, as M is least
+    ell1 = -(-overhang // p)
+    s1 = overhang - (ell1 - 1) * p
 
-    first: list[PlannedBlock] = []
-    for i in range(1, half + 1):
-        if i < ell1:
-            support = tuple(range(2 * (i - 1) * p + 1, 2 * i * p + 1))
-            f = p
-        elif i == ell1:
-            support = tuple(range(2 * (ell1 - 1) * p + 1, k1 + 1))
-            f = s1
-        else:
-            start = k1 + 1 + (i - ell1 - 1) * p
-            support = tuple(range(start, start + p))
-            f = 0
-        first.append(
-            PlannedBlock(
-                layer=1,
-                index=i,
-                support=support,
-                projected=support[:f],
-                carried=support[f:],
-                acted=f > 0,
-            )
+    supports, start = [], 1
+    for i in range(2 ** (M - 1)):
+        size = min(p, max(0, overhang - i * p)) + p
+        supports.append(tuple(range(start, start + size)))
+        start += size
+    layers = []
+    for j in range(1, M + 1):
+        layer = tuple(
+            PlannedBlock(j, i, s, s[: len(s) - p], s[len(s) - p :], len(s) > p)
+            for i, s in enumerate(supports, 1)
         )
-
-    layers = [tuple(first)]
-    carried = [b.carried for b in first]
-    for j in range(2, M + 1):
-        blocks: list[PlannedBlock] = []
-        for i in range(1, len(carried) // 2 + 1):
-            support = carried[2 * i - 2] + carried[2 * i - 1]
-            blocks.append(
-                PlannedBlock(
-                    layer=j,
-                    index=i,
-                    support=support,
-                    projected=support[:p],
-                    carried=support[p:],
-                    acted=True,
-                )
-            )
-        layers.append(tuple(blocks))
-        carried = [b.carried for b in blocks]
+        layers.append(layer)
+        supports = [a.carried + b.carried for a, b in zip(layer[::2], layer[1::2])]
 
     return LayerPlan(
-        n=n, d=d, p=p, M=M, ell1=ell1, s1=s1, k1=k1, s1_amended=amended,
-        layers=tuple(layers),
+        n=n, d=d, p=p, M=M, ell1=ell1, s1=s1, k1=2 * ell1 * p - p + s1,
+        s1_amended=overhang % p == 0, layers=tuple(layers),
     )
 
 
@@ -175,6 +144,7 @@ def p_exact(d: int, D: int) -> int:
     return 2 * k
 
 
+@in_float_range
 def lambert_w(z: float) -> float:
     """Principal branch of the Lambert W function for ``z >= 0``.
 
@@ -219,22 +189,14 @@ class LambertSolution:
     exists: bool
 
 
+@in_float_range
 def copy_scale_base(n: int, D: int, epsilon: float) -> float:
     """Scale constant of the block-size equation, ``64 n D**2 / ((3 - 2 sqrt(2)) eps**2)``."""
     if n < 1 or D < 1:
         raise BadParameter(f"need n >= 1 and D >= 1, got n={shown(n)}, D={shown(D)}")
     if not 0.0 < epsilon <= 1.0:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {shown(epsilon)}")
-    try:
-        scale = 64.0 * n * D * D / (SQRT2_GAP * epsilon * epsilon)
-        if scale < math.inf:
-            return scale
-    except (OverflowError, ZeroDivisionError):  # D past a float, or eps**2 underflowing
-        pass
-    raise BadParameter(
-        f"the block-size scale 64 n D**2 / ((3 - 2 sqrt 2) eps**2) at n={shown(n)}, "
-        f"epsilon={shown(epsilon)} exceeds a float's range"
-    )
+    return 64.0 * n * D * D / (SQRT2_GAP * epsilon * epsilon)
 
 
 def _satisfies_interval(p: int, d: int, B: float) -> bool:
@@ -299,15 +261,17 @@ def select_epsilon(n: int, d: int, D: int, epsilon_target: float) -> tuple[int, 
     return m, min(epsilon_prime, epsilon_target)
 
 
+@in_float_range
 def eta_exact(epsilon: float, M: int) -> float:
     """Per-call tomography budget for the exact variant."""
     if not 0.0 < epsilon <= 1.0:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {shown(epsilon)}")
     if M < 1:
         raise BadParameter(f"layer count M must be >= 1, got {shown(M)}")
-    return SQRT2_GAP * epsilon * epsilon / 2 ** (M + 5)
+    return SQRT2_GAP * epsilon * epsilon / 2.0 ** (M + 5)
 
 
+@in_float_range
 def eta_closest(epsilon: float, p: int, D: int, n: int) -> float:
     """Per-call tomography budget and eigenvalue threshold, closest variant."""
     if not 0.0 < epsilon <= 1.0:

@@ -16,9 +16,10 @@ block marginal, which the caller takes from its register) into an estimate:
 
 Each outcome carries its estimate's trace-norm error, taken from the oracle's
 own work.  Budgets are charged analytically by the calculators below
-regardless of the oracle mode in use; estimates are sub-normalized exactly
-like the marginals they are taken from.  Each mode's ``name`` is the oracle's
-name in run metadata and reports.
+regardless of the oracle mode in use, and a count past a float's range raises
+``BadParameter`` through :func:`mpslearn.errors.in_float_range`; estimates
+are sub-normalized exactly like the marginals they are taken from.  Each
+mode's ``name`` is the oracle's name in run metadata and reports.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import linalg, mps
 from .backend import MAX_WALK_WINDOW, infer_site_count
-from .errors import BadParameter, OracleFailure, TooLarge, shown
+from .errors import BadParameter, OracleFailure, TooLarge, in_float_range, shown
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,19 +259,9 @@ def _per_site(matrix: np.ndarray, table: np.ndarray, sites: int, d: int) -> np.n
 
 
 def _budget(mu: float, factors: tuple[int, ...], eta: float, delta: float) -> int:
-    """``ceil(mu * prod(factors) * ln(1/delta) / eta**2)``, left to right.
-
-    A count past a float's range (a huge factor, or ``eta**2`` underflowing
-    to zero) raises ``BadParameter``.
-    """
-    try:
-        value = reduce(operator.mul, factors, mu)
-        return int(math.ceil(value * math.log(1.0 / delta) / eta**2))
-    except (OverflowError, ZeroDivisionError):
-        raise BadParameter(
-            f"the copy budget at eta={shown(eta)} exceeds a float's range "
-            "(D or the block too large, or eta too small)"
-        ) from None
+    """``ceil(mu * prod(factors) * ln(1/delta) / eta**2)``, left to right."""
+    value = reduce(operator.mul, factors, mu)
+    return int(math.ceil(value * math.log(1.0 / delta) / eta**2))
 
 
 def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> None:
@@ -285,6 +276,7 @@ def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: 
         raise BadParameter(f"delta must be in (0, 1), got {shown(delta)}")
 
 
+@in_float_range
 def budget_rank_constrained(
     mu: float, D: int, d: int, r_minus_i: int, eta: float, delta: float
 ) -> int:
@@ -301,6 +293,7 @@ def budget_rank_constrained(
     return _budget(mu, (D, D, d**r_minus_i), eta, delta)
 
 
+@in_float_range
 def budget_general(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> int:
     """Copies sufficient for unconstrained tomography after post-selection.
 

@@ -19,6 +19,7 @@ from .disentangler import build_rank_capped, build_threshold
 from .errors import BadParameter, shown
 from .learner import LearnSchedule, learn
 from .planner import (
+    LayerPlan,
     eta_closest,
     eta_exact,
     lambert_w,
@@ -296,21 +297,19 @@ def _suite_lambert(seed: int) -> SuiteResult:
     return SuiteResult("lambert", checks)
 
 
+def _plan_fault(plan: LayerPlan) -> str:
+    """``""`` if ``plan`` sheds sites ``1..n-p`` and carries the rest, else what it does."""
+    n, p = plan.n, plan.p
+    shed = sorted(s for layer in plan.layers for b in layer for s in b.projected)
+    if shed == list(range(1, n - p + 1)) and plan.final_carried == tuple(range(n - p + 1, n + 1)):
+        return ""
+    return f"n={n} p={p}: projected {plan.total_projected} sites, tail {plan.final_carried}"
+
+
 def _suite_plan(seed: int) -> SuiteResult:
     checks: list[CheckResult] = []
-    bad = ""
-    for n, p in ((n, p) for n in range(3, 41) for p in (1, 2, 3) if n > p):
-        plan = plan_layers(n, 2, p)
-        seen = [s for j in range(1, plan.M + 1) for b in plan.blocks(j) for s in b.projected]
-        covered = sorted(seen) == list(range(1, n - p + 1)) or sorted(
-            seen + list(plan.final_carried)
-        ) == list(range(1, n + 1))
-        if plan.total_projected != n - p or not covered:
-            bad = f"n={n} p={p}: projected {len(seen)} sites"
-        elif plan.final_carried != tuple(range(n - p + 1, n + 1)):
-            bad = f"n={n} p={p}: tail {plan.final_carried}"
-        if bad:
-            break
+    plans = (plan_layers(n, 2, p) for n in range(3, 41) for p in (1, 2, 3) if n > p)
+    bad = next(filter(None, map(_plan_fault, plans)), "")
     checks.append(
         CheckResult(
             name="partition-covers-register",

@@ -137,6 +137,17 @@ def test_backend_size_caps():
         StateBackend(np.zeros(12), 2)
 
 
+@pytest.mark.parametrize(
+    "sites", [[1, 1, 3], [5, 1, 3], [1, 3]], ids=["repeated", "unordered", "short"]
+)
+def test_registers_refuse_labels_that_are_not_strictly_ascending(sites):
+    spec = mps.StateSpec(n=3, d=2, D=2, seed=41)
+    with pytest.raises(errors.DimensionMismatch, match="not ascending"):
+        StateBackend(random_state(3, 2, seed=41), 2, sites=sites)
+    with pytest.raises(errors.DimensionMismatch, match="not ascending"):
+        MPSBackend(mps.random_mps(spec), sites=sites)
+
+
 def test_backend_fidelity_reads_the_held_sites():
     psi = random_state(4, 2, seed=40)
     witness = random_state(2, 2, seed=41)

@@ -312,20 +312,22 @@ def test_gen_past_a_resource_limit_writes_no_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "boundary, n, variant",
-    [("open", 64, "closest"), ("periodic", 17, "exact")],
-    ids=["closest-n64-window", "periodic-n17-dense"],
+    "boundary, n, variant, flags",
+    [("open", 64, "closest", []), ("periodic", 17, "exact", []),
+     ("open", 12, "closest", ["--mode", "noise"])],
+    ids=["closest-n64-window", "periodic-n17-dense", "closest-n12-noisy-tail"],
 )
-def test_learn_past_a_resource_limit_exits_4(tmp_path, capsys, boundary, n, variant):
-    # a block window the tensor train cannot hold (BackendTooLarge), and a
-    # periodic state the dense register cannot hold (TooLarge)
+def test_learn_past_a_resource_limit_exits_4(tmp_path, capsys, boundary, n, variant, flags):
+    # a block window the tensor train cannot hold (BackendTooLarge), a
+    # periodic state the dense register cannot hold, and a 12-site tail
+    # whose noisy estimate needs a 4096 x 4096 operator (both TooLarge)
     state_dir = tmp_path / "gen"
     state_dir.mkdir()
     spec = mps.StateSpec(n=n, d=2, D=2, boundary=boundary, seed=52)
     mps.save_mps(mps.random_mps(spec), state_dir / "state.json")
     config = learn_config(tmp_path, state_dir, variant=variant)
     out = tmp_path / "learn"
-    assert cli.main(["learn", "--config", config, "--out", str(out)]) == 4
+    assert cli.main(["learn", "--config", config, *flags, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and "Traceback" not in err
     assert not out.exists()

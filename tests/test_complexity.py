@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mpslearn import complexity, disentangler, errors, linalg, planner, tomography
+from mpslearn import complexity, disentangler, errors, linalg, mps, planner, tomography
 
 
 DELTA = 1e-3
@@ -182,16 +182,25 @@ HUGE = 10**5000  # 16610 bits: Python refuses to format an integer of over 4300 
         (lambda: planner.eta_closest(0.1, 2, -HUGE, 16), errors.BadParameter),
         (lambda: planner.copy_scale_base(16, -HUGE, 0.1), errors.BadParameter),
         (lambda: planner.lambert_w(-HUGE), errors.NegativeArgument),
+        # arguments inside each check, whose formula leaves a float's range
+        (lambda: planner.eta_exact(0.1, HUGE), errors.BadParameter),
+        (lambda: planner.eta_closest(0.1, 2, HUGE, 16), errors.BadParameter),
+        (lambda: planner.lambert_w(HUGE), errors.BadParameter),
         # an eta this large passes the range check; its square overflows the division
         (lambda: tomography.budget_rank_constrained(1.0, 2, 2, 2, HUGE, DELTA),
          errors.BadParameter),
         (lambda: tomography.budget_general(1.0, 2, 2, 0.1, HUGE), errors.BadParameter),
         (lambda: disentangler.build_threshold(np.eye(2) / 2, 2, -HUGE), errors.BadParameter),
         (lambda: linalg.numerical_rank(np.eye(2), -HUGE), errors.BadParameter),
+        (lambda: mps.StateSpec(n=-HUGE, d=2, D=2), errors.InvalidSpec),
+        (lambda: mps.StateSpec(n=3, d=HUGE, D=2, kind="ghz"), errors.InvalidSpec),
+        (lambda: mps.MatrixProductState(HUGE, 2, "open", [np.ones((2, 1, 1))]),
+         errors.DimensionMismatch),
     ],
     ids=["budget_exact_ours", "budget_closest_raw", "dominance_ratio", "p_exact", "plan_layers",
-         "eta_exact", "eta_closest", "copy_scale_base", "lambert_w", "budget_rank_constrained",
-         "budget_general", "build_threshold", "numerical_rank"],
+         "eta_exact", "eta_closest", "copy_scale_base", "lambert_w", "eta_exact_huge_M",
+         "eta_closest_huge_D", "lambert_w_huge_z", "budget_rank_constrained", "budget_general",
+         "build_threshold", "numerical_rank", "StateSpec", "StateSpec_ghz", "MatrixProductState"],
 )
 def test_a_huge_integer_argument_is_named_by_its_size(call, error):
     with pytest.raises(error, match="an integer of 16610 bits"):

@@ -910,6 +910,29 @@ def test_closest_learn_at_n_64_refuses_its_block_window_before_contracting(monke
         learner.learn(state, 2, 2, 0.2, 0.01, variant="closest")
 
 
+def test_closest_learn_at_n_12_refuses_its_tail_before_any_estimate(monkeypatch):
+    # n = 12 <= 2p, so the closing call alone would estimate a 4096 x 4096 operator
+    state = mps.random_mps(mps.StateSpec(n=12, d=2, D=2, seed=7))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate was taken before the size check")
+
+    monkeypatch.setattr(tomography, "estimate_block", refuse)
+    mode = tomography.BoundedNoiseMode()
+    with pytest.raises(errors.TooLarge, match="12-site tail .* 4096 > 1024"):
+        learner.learn(state, 2, 2, 0.25, 0.01, variant="closest", mode=mode)
+
+
+def test_stepwise_state_refuses_a_register_past_the_dense_operator_cap():
+    psi = random_mps_vector(12, seed=53)
+    _, report = learner.learn(psi, 2, 2, 0.2, 0.01, audit=True)
+    assert report.M >= 1
+    with pytest.raises(errors.TooLarge, match=r"2\*\*12 exceeds cap 1024"):
+        report.audit.stepwise_state(1)
+    # a pure run's stages are read as vectors instead
+    assert report.audit.stepwise_vector(1).shape == (2**12,)
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n):
     # each block's isometry comes from its marginal's thin factor, and the

@@ -1,5 +1,6 @@
 """Layer schedule and block-size solver tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,19 @@ def test_plan_partition_and_total_shed_sweep():
 def test_plan_partition_and_total_shed_up_to_n_2048(p, n):
     assume(n > p)
     check_plan(n, p)
+
+
+# sha256 of the reprs of the grid's plans, in this order: a change to any plan shows here
+PLAN_GRID_DIGEST = "0d56fcbcbe598d8427ef253660adc28a5f0a6856827581d93a82fe0fe7f55c3c"
+
+
+def test_plans_over_a_grid_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for d in (2, 3):
+        for p in range(1, 9):
+            for n in range(p + 1, 130):
+                digest.update(repr(planner.plan_layers(n, d, p)).encode())
+    assert digest.hexdigest() == PLAN_GRID_DIGEST
 
 
 def test_plan_blocks_halve_per_layer():
