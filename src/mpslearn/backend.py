@@ -40,7 +40,6 @@ import numpy as np
 from . import linalg, mps
 from .errors import BackendTooLarge, BadParameter, BlockOutOfRange, DimensionMismatch, shown
 
-MAX_WALK_WINDOW = 2**24  # entries of a window that MPSBackend.uncompress grows
 SVD_CUTOFF = 1e-12  # singular values below this share of the largest are numerical zeros
 
 
@@ -261,7 +260,7 @@ class MPSBackend:
     into ``(D_l, d**y, D_r)``, must have at most ``linalg.MAX_VECTOR_DIM`` entries; both
     are checked before anything is built (``BlockOutOfRange``,
     ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
-    at ``MAX_WALK_WINDOW`` entries.  The left and right transfer environments,
+    at ``linalg.MAX_WALK_WINDOW`` entries.  The left and right transfer environments,
     the Gram matrices of the held state on either side of each bond, are built
     in one sweep each and kept until the next change of the register, so a
     layer's marginals cost two sweeps however many blocks it has.
@@ -386,7 +385,7 @@ class MPSBackend:
         y, k = len(labels), len(labels) - len(new)
         if k < 1 or labels[: len(new)] != new:
             raise DimensionMismatch(f"no isometry inserts {new} into {labels}")
-        lo, hi = self._window(labels[len(new) :], MAX_WALK_WINDOW, grow=len(new))
+        lo, hi = self._window(labels[len(new) :], linalg.MAX_WALK_WINDOW, grow=len(new))
         sites = self.sites[:lo] + labels + self.sites[hi:]
         if any(a >= b for a, b in zip(sites, sites[1:])):
             raise BlockOutOfRange(f"sites {new} do not fit before the held run")

@@ -6,7 +6,7 @@ config hash, and any schedule deviations.  Outputs carry no timestamps, so a
 rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 1 property failure, 2 bad input, 3 infeasible plan,
-4 resource limit.
+4 resource limit; each error class in :mod:`mpslearn.errors` declares its own.
 """
 from __future__ import annotations
 
@@ -21,34 +21,11 @@ import sys
 from pathlib import Path
 
 from . import complexity, mps, tomography, verify
-from .errors import (
-    BadCut,
-    BadEpsilon,
-    BadParameter,
-    DegenerateD,
-    InvalidSpec,
-    MalformedCircuit,
-    NoConvergence,
-    OracleFailure,
-    TooLarge,
-    TooSmall,
-)
+from .errors import InvalidSpec, MpslearnError
 from .learner import CIRCUIT_FORMAT_NAME, CIRCUIT_FORMAT_VERSION, learn, save_circuit
 
 MANIFEST_FORMAT_NAME = "run-manifest"
 MANIFEST_FORMAT_VERSION = 1
-
-_BAD_INPUT = (
-    BadParameter,
-    InvalidSpec,
-    BadEpsilon,
-    BadCut,
-    MalformedCircuit,
-    DegenerateD,
-)
-_INFEASIBLE = (TooSmall,)
-_RESOURCE = (TooLarge,)
-_PROPERTY = (OracleFailure, NoConvergence)
 
 
 def _format_float(x: float) -> str:
@@ -402,18 +379,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _INFEASIBLE as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except _RESOURCE as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 4
-    except _PROPERTY as exc:
-        print(f"property failure: {exc}", file=sys.stderr)
-        return 1
+    except MpslearnError as exc:
+        print(f"{exc.outcome}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Exception types raised across the package.
 
-Every error that callers are expected to catch has a named class here so that
-CLI exit codes and tests can dispatch on type rather than on message text.
-Their messages show argument values through :func:`shown`.  The one guard of
-the float-valued schedule and copy-count formulas, :func:`in_float_range`,
-lives here too.
+Every error that callers are expected to catch has a named class here, so
+tests dispatch on type rather than on message text, and the CLI reads each
+class's exit code and stderr prefix off the class itself (those of
+:class:`MpslearnError` unless it overrides them).  Messages show argument
+values through :func:`shown`.  The one guard of the float-valued schedule and
+copy-count formulas, :func:`in_float_range`, lives here too.
 """
 from __future__ import annotations
 
@@ -13,55 +14,67 @@ import math
 import numbers
 
 
-class NonSquare(ValueError):
+class MpslearnError(Exception):
+    """Base of every error here: bad input, exit code 2, unless a class says otherwise."""
+
+    exit_code, outcome = 2, "error"
+
+
+class NonSquare(MpslearnError, ValueError):
     """A matrix argument is not square."""
 
 
-class NonHermitian(ValueError):
+class NonHermitian(MpslearnError, ValueError):
     """A matrix argument is not Hermitian within tolerance."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(MpslearnError, RuntimeError):
     """An iterative routine failed to converge."""
 
+    exit_code, outcome = 1, "property failure"
 
-class DimensionMismatch(ValueError):
+
+class DimensionMismatch(MpslearnError, ValueError):
     """Array shapes are inconsistent with the stated qudit dimensions."""
 
 
-class InvalidSpec(ValueError):
+class InvalidSpec(MpslearnError, ValueError):
     """A state specification is internally inconsistent."""
 
 
-class TooLarge(ValueError):
+class TooLarge(MpslearnError, ValueError):
     """A requested dense object exceeds the desk-scale size cap."""
 
+    exit_code, outcome = 4, "resource limit"
 
-class BadCut(ValueError):
+
+class BadCut(MpslearnError, ValueError):
     """A bipartition cut index is out of range."""
 
 
-class BlockOutOfRange(ValueError):
+class BlockOutOfRange(MpslearnError, ValueError):
     """A site block refers to sites outside the register."""
 
 
-class BadParameter(ValueError):
+class BadParameter(MpslearnError, ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class RankCapExceedsDim(ValueError):
+class RankCapExceedsDim(MpslearnError, ValueError):
     """The requested kept rank does not fit into the kept subspace."""
 
 
-class TooSmall(ValueError):
+class TooSmall(MpslearnError, ValueError):
     """The chain is too short for the requested block size."""
 
+    exit_code, outcome = 3, "infeasible"
 
-class NegativeArgument(ValueError):
+
+class NegativeArgument(MpslearnError, ValueError):
     """A function of a non-negative real received a negative argument."""
 
 
-class BadEpsilon(ValueError):
+class BadEpsilon(MpslearnError, ValueError):
     """An accuracy parameter is outside (0, 1]."""
 
 
@@ -69,15 +82,17 @@ class BackendTooLarge(TooLarge):
     """A register cannot hold a state, or a block's window, of this size."""
 
 
-class OracleFailure(RuntimeError):
+class OracleFailure(MpslearnError, RuntimeError):
     """A tomography oracle could not produce an estimate."""
 
+    exit_code, outcome = 1, "property failure"
 
-class MalformedCircuit(ValueError):
+
+class MalformedCircuit(MpslearnError, ValueError):
     """A serialized circuit description failed validation."""
 
 
-class DegenerateD(ValueError):
+class DegenerateD(MpslearnError, ValueError):
     """A cost formula was evaluated at a bond dimension below 2."""
 
 
@@ -88,13 +103,13 @@ def shown(value) -> str:
 
 
 def in_float_range(formula):
-    """``formula``, raising ``BadParameter`` where an argument or its value overflows a float."""
+    """``formula``, raising ``BadParameter`` where an argument, a step or a real result overflows."""
 
     @functools.wraps(formula)
     def checked(*args, **kwargs):
         try:
             value = formula(*args, **kwargs)
-            if math.isfinite(value):
+            if not isinstance(value, numbers.Real) or math.isfinite(value):
                 return value
         except (OverflowError, ZeroDivisionError):  # the latter from a square underflowing to 0
             pass

@@ -16,6 +16,7 @@ from .errors import BadParameter, DimensionMismatch, NoConvergence, NonHermitian
 
 MAX_VECTOR_DIM = 2**16
 MAX_DENSITY_DIM = 2**10
+MAX_WALK_WINDOW = 2**24  # entries of a grown window, a frequency table or a generated state
 
 HERMITIAN_TOL = 1e-10
 _LANCZOS_STEPS = 64

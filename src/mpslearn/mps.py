@@ -138,9 +138,24 @@ class StateSpec:
             raise InvalidSpec(f"product needs D = 1, got D={shown(self.D)}")
 
 
-def _open_bond_profile(n: int, d: int, D: int) -> list[int]:
-    """Maximal open-boundary bond dimensions capped at D."""
-    return [min(D, d**k, d ** (n - k)) for k in range(n + 1)]
+def _bond_profile(spec: StateSpec) -> list[int]:
+    """Bonds of ``spec``'s state: maximal ones capped at ``D`` if open, all ``D`` if periodic.
+
+    A state of more than ``linalg.MAX_WALK_WINDOW`` tensor entries raises ``TooLarge``.
+    """
+    n, d, D = spec.n, spec.d, spec.D
+    entries = n * d  # every tensor holds d * D_l * D_r entries, so at least d
+    if entries <= linalg.MAX_WALK_WINDOW:
+        top = int(D).bit_length()  # d**top > D, so no larger power is formed
+        open_ = spec.boundary == "open"
+        bonds = [min(D, d ** min(k, n - k, top)) if open_ else D for k in range(n + 1)]
+        entries = sum(d * a * b for a, b in zip(bonds, bonds[1:]))
+    if entries > linalg.MAX_WALK_WINDOW:
+        raise TooLarge(
+            f"a {spec.kind} state with n={shown(n)}, d={shown(d)}, D={shown(D)} holds at least "
+            f"{shown(entries)} tensor entries, past the cap of {linalg.MAX_WALK_WINDOW}"
+        )
+    return bonds
 
 
 def random_mps(spec: StateSpec) -> MatrixProductState:
@@ -150,23 +165,18 @@ def random_mps(spec: StateSpec) -> MatrixProductState:
     profile capped by ``D`` (open) or at uniform bond ``D`` (periodic), so the
     realized bond dimension is exactly ``min(D, maximal achievable)`` at every
     cut.  ``ghz``, ``w-state`` and ``product`` build the standard closed
-    forms; ``product`` uses a seeded random unit vector on each site.
+    forms; ``product`` uses a seeded random unit vector on each site.  A state
+    of more than ``linalg.MAX_WALK_WINDOW`` tensor entries, whatever its kind,
+    raises ``TooLarge`` before anything is built.
     """
-    rng = np.random.default_rng(spec.seed)
-    n, d, D = spec.n, spec.d, spec.D
-
+    bonds = _bond_profile(spec)
+    n, d = spec.n, spec.d
     if spec.kind == "ghz":
         return _ghz_mps(n, d, spec.boundary)
     if spec.kind == "w-state":
         return _w_mps(n, d, spec.boundary)
 
-    if spec.kind == "product":
-        bonds = [1] * (n + 1)
-    elif spec.boundary == "open":
-        bonds = _open_bond_profile(n, d, D)
-    else:
-        bonds = [D] * (n + 1)
-
+    rng = np.random.default_rng(spec.seed)
     tensors = []
     for k in range(n):
         shape = (d, bonds[k], bonds[k + 1])

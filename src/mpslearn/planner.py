@@ -207,6 +207,7 @@ def _satisfies_interval(p: int, d: int, B: float) -> bool:
     return lower < B * (1.0 + _REL_TOL) and B <= upper * (1.0 + _REL_TOL)
 
 
+@in_float_range
 def solve_p_from_scale(d: int, B: float) -> LambertSolution:
     """Solve ``p * d**(p-1) < B <= p * d**p`` for an integer block size.
 
@@ -227,6 +228,8 @@ def solve_p_from_scale(d: int, B: float) -> LambertSolution:
     b = lambert_w(B * d * log_d) / log_d
     p_candidate = max(1, math.ceil(a - _REL_TOL))
     exists = _satisfies_interval(p_candidate, d, B)
+    # Past z of about 1e307 lambert_w's Halley step overflows and stops short, leaving
+    # a about 0.01 low (B = 1013 * 2.0**1012 at d = 2); the next integer then qualifies.
     if not exists and _satisfies_interval(p_candidate + 1, d, B):
         p_candidate += 1
         exists = True
@@ -242,6 +245,7 @@ def solve_p_closest(n: int, d: int, D: int, epsilon: float) -> LambertSolution:
     return solve_p_from_scale(d, copy_scale_base(n, D, epsilon))
 
 
+@in_float_range
 def select_epsilon(n: int, d: int, D: int, epsilon_target: float) -> tuple[int, float]:
     """Smallest solvable block size at accuracy at least ``epsilon_target``.
 

@@ -27,13 +27,14 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 from functools import lru_cache, reduce
 from typing import ClassVar, Union
 
 import numpy as np
 
 from . import linalg, mps
-from .backend import MAX_WALK_WINDOW, infer_site_count
+from .backend import infer_site_count
 from .errors import BadParameter, OracleFailure, TooLarge, in_float_range, shown
 
 
@@ -77,7 +78,7 @@ class FiniteSampleMode:
     setting without shots (fewer survivors than settings) reads as the
     maximally mixed state would, with uniform outcomes, so the per-site
     inversion stays the least-squares solution.  A frequency table (settings
-    x outcomes) past ``backend.MAX_WALK_WINDOW`` entries raises ``TooLarge``
+    x outcomes) past ``linalg.MAX_WALK_WINDOW`` entries raises ``TooLarge``
     before any draw: at d = 2, a block of 10 qubits or more.
     """
 
@@ -208,10 +209,10 @@ def _finite_sample_estimate(sigma: np.ndarray, d: int, mode: FiniteSampleMode) -
     dim = sigma.shape[0]
     sites = infer_site_count(dim, d)
     settings = len(_single_site_bases(d)) ** sites
-    if settings * dim > MAX_WALK_WINDOW:
+    if settings * dim > linalg.MAX_WALK_WINDOW:
         raise TooLarge(
             f"finite-sample simulation of {settings} settings x {dim} outcomes exceeds the "
-            f"cap of {MAX_WALK_WINDOW} frequency-table entries"
+            f"cap of {linalg.MAX_WALK_WINDOW} frequency-table entries"
         )
     # The survivors come from a stream of their own, so the measurement draws
     # do not hinge on whether the mass rounds to 1 or to just below it.
@@ -267,9 +268,10 @@ def _budget(mu: float, factors: tuple[int, ...], eta: float, delta: float) -> in
 def _validate_budget_args(mu: float, d: int, r_minus_i: int, eta: float, delta: float) -> None:
     if not 0.0 <= mu <= 1.0 + 1e-12:
         raise BadParameter(f"mu must be in [0, 1], got {shown(mu)}")
-    if d < 2 or r_minus_i < 0:
-        got = f"d={shown(d)}, r_minus_i={shown(r_minus_i)}"
-        raise BadParameter(f"need d >= 2 and r_minus_i >= 0, got {got}")
+    # d**r_minus_i is exact, so its float range is checked first: a huge one never returns
+    if d < 2 or not 0 <= r_minus_i <= sys.float_info.max_exp / math.log2(d):
+        need = "need d >= 2 and r_minus_i >= 0 with d**r_minus_i in a float's range"
+        raise BadParameter(f"{need}, got d={shown(d)}, r_minus_i={shown(r_minus_i)}")
     if not 0.0 < eta < math.inf:  # NaN fails too
         raise BadParameter(f"eta must be positive and finite, got {shown(eta)}")
     if not 0.0 < delta < 1.0:

@@ -8,6 +8,7 @@ without spawning subprocesses.  The one exception pins the bytes of the
 import argparse
 import base64
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpslearn import cli, learner, mps
+from mpslearn import cli, errors, learner, mps
 from mpslearn.learner import load_circuit
 
 
@@ -302,13 +303,39 @@ def test_gen_rejects_nonpositive_register(tmp_path):
 
 
 def test_gen_past_a_resource_limit_writes_no_file(tmp_path, capsys):
-    # a periodic state's profile expands it: n = 17 is past the dense cap
-    doc = {"kind": "random", "n": 17, "d": 2, "D": 2, "boundary": "periodic"}
-    config = write_config(tmp_path / "c.json", doc)
-    out = tmp_path / "x"
-    assert cli.main(["gen", "--config", config, "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("resource limit: ")
-    assert not out.exists() or not any(out.iterdir())
+    # a periodic state's profile expands it, and n = 17 is past the dense cap;
+    # the other two states would hold terabytes of tensor entries
+    for i, doc in enumerate([
+        {"kind": "random", "n": 17, "d": 2, "D": 2, "boundary": "periodic"},
+        {"kind": "random", "n": 40, "d": 2, "D": 1000000},
+        {"kind": "ghz", "n": 3, "d": 100000},
+    ]):
+        config = write_config(tmp_path / f"c{i}.json", doc)
+        out = tmp_path / f"x{i}"
+        assert cli.main(["gen", "--config", config, "--out", str(out)]) == 4, doc
+        assert capsys.readouterr().err.startswith("resource limit: ")
+        assert not out.exists() or not any(out.iterdir())
+
+
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+]
+EXIT_CODES = {"NoConvergence": 1, "OracleFailure": 1, "TooSmall": 3, "TooLarge": 4,
+              "BackendTooLarge": 4}
+PREFIXES = {1: "property failure: ", 2: "error: ", 3: "infeasible: ", 4: "resource limit: "}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_typed_error_exits_with_its_code_and_no_traceback(tmp_path, capsys, monkeypatch, cls):
+    def raise_it(args):
+        raise cls("raised by a command")
+
+    monkeypatch.setattr(cli, "_cmd_gen", raise_it)
+    code = EXIT_CODES.get(cls.__name__, 2)
+    assert cli.main(["gen", "--config", "unread.json", "--out", str(tmp_path)]) == code
+    # the prefix and message alone: no traceback
+    assert capsys.readouterr().err == f"{PREFIXES[code]}raised by a command\n"
 
 
 @pytest.mark.parametrize(

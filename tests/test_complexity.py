@@ -190,6 +190,14 @@ HUGE = 10**5000  # 16610 bits: Python refuses to format an integer of over 4300 
         (lambda: tomography.budget_rank_constrained(1.0, 2, 2, 2, HUGE, DELTA),
          errors.BadParameter),
         (lambda: tomography.budget_general(1.0, 2, 2, 0.1, HUGE), errors.BadParameter),
+        # an exact power d**r_minus_i this large would never be formed
+        (lambda: tomography.budget_general(1.0, 2, HUGE, 0.1, DELTA), errors.BadParameter),
+        (lambda: tomography.budget_rank_constrained(1.0, 2, 2, HUGE, 0.1, DELTA),
+         errors.BadParameter),
+        # a d that no float can hold
+        (lambda: planner.select_epsilon(16, HUGE, 2, 0.1), errors.BadParameter),
+        (lambda: planner.solve_p_closest(16, HUGE, 2, 0.1), errors.BadParameter),
+        (lambda: planner.solve_p_from_scale(HUGE, 1.0), errors.BadParameter),
         (lambda: disentangler.build_threshold(np.eye(2) / 2, 2, -HUGE), errors.BadParameter),
         (lambda: linalg.numerical_rank(np.eye(2), -HUGE), errors.BadParameter),
         (lambda: mps.StateSpec(n=-HUGE, d=2, D=2), errors.InvalidSpec),
@@ -200,6 +208,8 @@ HUGE = 10**5000  # 16610 bits: Python refuses to format an integer of over 4300 
     ids=["budget_exact_ours", "budget_closest_raw", "dominance_ratio", "p_exact", "plan_layers",
          "eta_exact", "eta_closest", "copy_scale_base", "lambert_w", "eta_exact_huge_M",
          "eta_closest_huge_D", "lambert_w_huge_z", "budget_rank_constrained", "budget_general",
+         "budget_general_huge_r", "budget_rank_constrained_huge_r", "select_epsilon_huge_d",
+         "solve_p_closest_huge_d", "solve_p_from_scale_huge_d",
          "build_threshold", "numerical_rank", "StateSpec", "StateSpec_ghz", "MatrixProductState"],
 )
 def test_a_huge_integer_argument_is_named_by_its_size(call, error):

@@ -1045,6 +1045,6 @@ def test_extract_mps_refuses_a_huge_window_before_contracting(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the window was contracted before the size check")
 
-    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(mps, "contract_window", refuse)
     with pytest.raises(errors.TooLarge):
         learner.extract_mps(wide)

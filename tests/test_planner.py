@@ -213,6 +213,15 @@ def test_engineered_scale_hits_exact_block_size():
             assert sol.p_candidate == m
 
 
+def test_the_solver_holds_near_the_top_of_the_float_range():
+    # B = m * d**(m-1) here: lambert_w's Halley step overflows and stops about
+    # 0.01 short, so ceil(a) is m - 1 and the check of the next integer finds m
+    for d, m in [(2, 1013), (2, 1014), (3, 640), (4, 507)]:
+        sol = planner.solve_p_from_scale(d, m * float(d) ** (m - 1))
+        assert (sol.p_candidate, sol.exists) == (m, True)
+        assert sol.a < m - 1 + 1e-9
+
+
 def test_select_epsilon_fixed_point():
     for n, d, D, target in [(8, 2, 2, 0.2), (12, 2, 2, 0.35), (20, 2, 3, 0.1)]:
         m, eps = planner.select_epsilon(n, d, D, target)
