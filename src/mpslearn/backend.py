@@ -3,12 +3,12 @@
 Which register ``learn`` uses follows from its input alone:
 
 * an open-boundary :class:`~mpslearn.mps.MatrixProductState` goes to
-  :class:`MPSBackend`, which keeps the site tensors and never forms a
-  ``d**n`` object, so these runs have no dense cap: only each block's window
-  (``d**y * D_l * D_r`` entries) and the closing tail are capped.  Its
-  :meth:`MPSBackend.rdm_factor` gives a block marginal as ``F F^H`` for a thin
-  ``d**y x (D_l * D_r)`` factor ``F``; the exact variant under the exact
-  oracle builds its isometries from ``F`` and never forms the marginal;
+  :class:`MPSBackend`, which keeps the site tensors in mixed-canonical form
+  and never forms a ``d**n`` object, so these runs have no dense cap: only
+  each block's window (``d**y * D_l * D_r`` entries) and the closing tail are
+  capped.  :meth:`MPSBackend.rdm_factor`, the window with the centre in it,
+  is a thin ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``;
+  the exact variant under the exact oracle builds its isometries from ``F``;
 * everything else goes to :class:`StateBackend`, the dense register:
   vectors, density matrices and periodic states (expanded).  Pure inputs stay
   vectors; mixed inputs are density matrices, capped at a much smaller
@@ -32,6 +32,7 @@ only in :func:`mpslearn.mps.contract_window`.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from typing import Sequence
 
@@ -243,27 +244,20 @@ def tt_split(window: np.ndarray, d: int, count: int) -> list[np.ndarray]:
     return tensors
 
 
-def _gram_root(gram: np.ndarray) -> np.ndarray:
-    """``G`` with ``G @ G^H == gram`` for a Gram matrix, from its eigendecomposition.
-
-    Eigenvalues that rounding left negative are clipped to zero.
-    """
-    w, v = np.linalg.eigh(gram)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
 class MPSBackend:
     """A pure register held as open-boundary site tensors, never as a d**n vector.
 
-    Each held site keeps a ``(D_l, d, D_r)`` tensor.  A block must be a run of
-    consecutive held sites, and its window, the block's tensors contracted
-    into ``(D_l, d**y, D_r)``, must have at most ``linalg.MAX_VECTOR_DIM`` entries; both
-    are checked before anything is built (``BlockOutOfRange``,
-    ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
-    at ``linalg.MAX_WALK_WINDOW`` entries.  The left and right transfer environments,
-    the Gram matrices of the held state on either side of each bond, are built
-    in one sweep each and kept until the next change of the register, so a
-    layer's marginals cost two sweeps however many blocks it has.
+    Each held site keeps a ``(D_l, d, D_r)`` tensor, in mixed-canonical form:
+    the tensors left of position ``centre`` are left-orthonormal and those
+    right of it right-orthonormal, so the state's norm sits in the centre and
+    a window that holds the centre is its block's marginal factor.  The
+    centre moves one :func:`mpslearn.mps.qr_step` per bond, only as far as the
+    next window needs.  A block must be a run of consecutive held sites, and
+    its window, the block's tensors contracted into ``(D_l, d**y, D_r)``,
+    must have at most ``linalg.MAX_VECTOR_DIM`` entries; both are checked
+    before anything is built (``BlockOutOfRange``, ``BackendTooLarge``).
+    :meth:`uncompress` grows a window instead, capped at
+    ``linalg.MAX_WALK_WINDOW`` entries.
     """
 
     pure = True
@@ -276,8 +270,8 @@ class MPSBackend:
             np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
         ]
         self.sites = _held_sites(sites, state.n)
-        self._left: list[np.ndarray] | None = None
-        self._right: list[np.ndarray] | None = None
+        self.centre = 0
+        self._move_centre(self.n - 1, self.n)  # one QR sweep, left to right
 
     @property
     def n(self) -> int:
@@ -290,13 +284,15 @@ class MPSBackend:
         return mps.MatrixProductState(self.n, self.d, "open", tensors)
 
     def copy(self) -> "MPSBackend":
-        """A register on the same tensors, which no operation writes in place."""
-        return MPSBackend(self.state, self.sites)
+        """A register on the same tensors and centre, which no operation writes in place."""
+        clone = copy.copy(self)
+        clone.tensors, clone.sites = list(self.tensors), list(self.sites)
+        return clone
 
     def _window(
         self, labels: list[int], cap: int = linalg.MAX_VECTOR_DIM, grow: int = 0
     ) -> tuple[int, int]:
-        """Positions ``lo:hi`` of a run of held sites.
+        """Positions ``lo:hi`` of a run of held sites, with the centre moved into them.
 
         Every carry :func:`mpslearn.mps.contract_window` builds from their
         tensors, ``grow`` sites wider, must fit in ``cap`` entries.
@@ -314,59 +310,45 @@ class MPSBackend:
                 f"the window of sites {labels[0]}..{labels[-1]} needs {entries} entries "
                 f"> cap {cap}"
             )
+        self._move_centre(lo, hi)
         return lo, hi
 
-    def _left_envs(self) -> list[np.ndarray]:
-        """``L[k][a', a]``: the Gram matrix of the first ``k`` held sites, ``k = 0..n``."""
-        if self._left is None:
-            envs = [np.ones((1, 1), dtype=complex)]
-            for t in self.tensors:
-                a = t.reshape(-1, t.shape[2])
-                envs.append(a.conj().T @ (envs[-1] @ t.reshape(t.shape[0], -1)).reshape(a.shape))
-            self._left = envs
-        return self._left
-
-    def _right_envs(self) -> list[np.ndarray]:
-        """``R[k][b, b']``: the Gram matrix of the held sites from ``k`` on, ``k = 0..n``."""
-        if self._right is None:
-            envs = [np.ones((1, 1), dtype=complex)]
-            for t in reversed(self.tensors):
-                a = t.reshape(t.shape[0], -1)
-                envs.append((t.reshape(-1, t.shape[2]) @ envs[-1]).reshape(a.shape) @ a.conj().T)
-            self._right = envs[::-1]
-        return self._right
+    def _move_centre(self, lo: int, hi: int) -> None:
+        """Move the centre to the nearest of positions ``lo:hi``, one QR step per bond."""
+        while not lo <= self.centre < hi:
+            step = 1 if self.centre < lo else -1
+            k = min(self.centre, self.centre + step)
+            self.tensors[k : k + 2] = mps.qr_step(*self.tensors[k : k + 2], rightward=step > 0)
+            self.centre += step
 
     def success_mass(self) -> float:
-        return float(np.real(self._left_envs()[-1][0, 0]))
+        return float(np.linalg.norm(self.tensors[self.centre]) ** 2)
 
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
-        lo, hi = self._window(sorted(site_labels))
-        left, right = self._left_envs()[lo], self._right_envs()[hi]
-        window = mps.contract_window(self.tensors[lo:hi])
-        dl, dim, dr = window.shape
-        framed = (left @ window.reshape(dl, -1)).reshape(-1, dr) @ right
-        rdm = np.tensordot(framed.reshape(dl, dim, dr), window.conj(), axes=([0, 2], [0, 2]))
+        factor = self.rdm_factor(site_labels)
+        rdm = factor @ factor.conj().T
         return (rdm + rdm.conj().T) / 2.0
 
     def rdm_factor(self, site_labels: Sequence[int]) -> np.ndarray:
         """A thin ``F``, ``d**y x (D_l * D_r)``, with ``F @ F^H == rdm(site_labels)``.
 
-        ``F[x, (a, b)] = sum A[a, l] W[l, x, r] B[r, b]`` for the window ``W``,
-        where ``A^H A = L`` and ``B B^H = R`` factor the two environments
-        (:func:`_gram_root`).  The ``d**y x d**y`` marginal is never formed.
+        ``F[x, (a, b)] = W[a, x, b]`` for the window ``W`` that holds the
+        centre: the held state is ``L W R`` with orthonormal ``L`` and ``R``,
+        so the marginal is ``F F^H``, which is never formed here.
         """
         lo, hi = self._window(sorted(site_labels))
-        a = _gram_root(self._left_envs()[lo]).conj().T
-        b = _gram_root(self._right_envs()[hi])
         window = mps.contract_window(self.tensors[lo:hi])
         dl, dim, dr = window.shape
-        framed = ((a @ window.reshape(dl, -1)).reshape(-1, dr) @ b).reshape(dl, dim, dr)
-        return framed.transpose(1, 0, 2).reshape(dim, dl * dr)
+        return window.transpose(1, 0, 2).reshape(dim, dl * dr)
 
     def compress(
         self, isometry: np.ndarray, site_labels: Sequence[int], dropped: Sequence[int]
     ) -> None:
-        """:meth:`StateBackend.compress` on the block's window, re-split by :func:`tt_split`."""
+        """:meth:`StateBackend.compress` on the block's window, re-split by :func:`tt_split`.
+
+        The window holds the centre, so every cut of the split sees the held
+        state's own Schmidt values; the centre ends on the block's last site.
+        """
         labels, gone = list(site_labels), list(dropped)
         y, k = len(labels), len(labels) - len(gone)
         if k < 1 or labels[: len(gone)] != gone or isometry.shape != (self.d**y, self.d**k):
@@ -375,12 +357,15 @@ class MPSBackend:
         kept = isometry.conj().T @ mps.contract_window(self.tensors[lo:hi])
         self.tensors[lo:hi] = tt_split(kept, self.d, k)
         self.sites[lo:hi] = labels[len(gone) :]
-        self._left = self._right = None
+        self.centre = lo + k - 1
 
     def uncompress(
         self, isometry: np.ndarray, site_labels: Sequence[int], inserted: Sequence[int]
     ) -> None:
-        """:meth:`StateBackend.uncompress`, capping the grown window before anything is read."""
+        """:meth:`StateBackend.uncompress`, capping the grown window before anything is read.
+
+        Re-split from the centre like :meth:`compress`, which it mirrors.
+        """
         labels, new = list(site_labels), list(inserted)
         y, k = len(labels), len(labels) - len(new)
         if k < 1 or labels[: len(new)] != new:
@@ -394,7 +379,7 @@ class MPSBackend:
         grown = isometry @ mps.contract_window(self.tensors[lo:hi])
         self.tensors[lo:hi] = tt_split(grown, self.d, y)
         self.sites = sites
-        self._left = self._right = None
+        self.centre = lo + y - 1
 
     def expand(self) -> np.ndarray:
         """The held state as a dense vector on the held sites (capped by :func:`mps.expand`)."""

@@ -17,11 +17,15 @@ with the best fidelity achievable by any bond-dimension-``D`` state.
 
 On the tensor-train register the exact variant under the exact oracle
 (a factored run) never forms a block marginal: each marginal is ``F F^H`` for
-the thin factor :meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns, of
+the thin factor :meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns (the
+block's window, with the register's orthogonality centre moved into it), of
 rank at most ``D_l * D_r``, and its isometry is built from ``F``'s top left
 singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
 That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
 and PSD by construction.  Every other run hands the oracle the dense marginal.
+A layer's blocks are estimated right to left and compressed left to right, so
+the centre crosses the register once each way per layer; the oracle's seeds
+are keyed by (layer, block), so the order changes no estimate.
 
 A register no longer than twice the block tail runs the same loop on a plan
 with zero layers: the closing call then covers the whole register (the
@@ -441,10 +445,10 @@ def learn(
         and hasattr(backend, "rdm_factor")
     )
     for j in range(1, M + 1):
-        blocks = plan.blocks(j)
         built: list[tuple] = []
         stats: list[BlockStats] = []
-        for block in blocks:
+        # Right to left, so a tensor train's centre ends where the compressions start
+        for block in reversed(plan.blocks(j)):
             if not block.acted:
                 continue
             if factored:
@@ -472,6 +476,7 @@ def learn(
                     copies_charged=charge,
                 )
             )
+        built, stats = built[::-1], stats[::-1]
         for block, dz in built:
             backend.compress(dz.isometry, block.support, block.projected)
         if variant == "exact":

@@ -243,6 +243,22 @@ def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
     return window
 
 
+def qr_step(left: np.ndarray, right: np.ndarray, rightward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Move the orthogonality centre across the bond of two ``(D_l, d, D_r)`` tensors.
+
+    Rightward, ``left = Q R`` becomes its left-orthonormal ``Q`` and ``R``
+    joins ``right``; leftward, ``right`` becomes right-orthonormal the same
+    way and its ``R^T`` joins ``left``.  The pair's product is unchanged, and
+    the bond shrinks to at most the dimension on the ``Q`` side.
+    """
+    (a, d, _), (_, _, b) = left.shape, right.shape
+    if rightward:
+        q, r = np.linalg.qr(left.reshape(a * d, -1))
+        return q.reshape(a, d, -1), (r @ right.reshape(r.shape[1], -1)).reshape(-1, d, b)
+    q, r = np.linalg.qr(right.reshape(-1, d * b).T)
+    return (left.reshape(a * d, -1) @ r.T).reshape(a, d, -1), q.T.reshape(-1, d, b)
+
+
 def expand(mps: MatrixProductState) -> np.ndarray:
     """Contract the tensor train into a dense state vector of length d**n.
 
@@ -329,24 +345,18 @@ def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None
 def schmidt_profile(state: MatrixProductState, tol: float = 1e-10) -> list[int]:
     """The Schmidt rank at every cut ``1 .. n-1``, counted as :func:`schmidt_rank` does.
 
-    An open-boundary state is made left-canonical by a QR sweep; a
-    right-to-left SVD sweep then reads each cut's singular values off one bond
-    matrix, so no d**n vector is formed and any ``n`` works.  A periodic state
-    is expanded, under :func:`expand`'s cap.
+    An open-boundary state is made left-canonical by a sweep of
+    :func:`qr_step`; a right-to-left SVD sweep then reads each cut's singular
+    values off one bond matrix, so no d**n vector is formed and any ``n``
+    works.  A periodic state is expanded, under :func:`expand`'s cap.
     """
     n, d = state.n, state.d
     if state.boundary == "periodic":
         vector = expand(state)
         return [schmidt_rank(vector, cut, tol, dims=(d,) * n) for cut in range(1, n)]
     tensors = [np.transpose(t, (1, 0, 2)) for t in state.tensors]  # (D_l, d, D_r)
-    carry = np.ones((1, 1), dtype=complex)
-    for k, t in enumerate(tensors):
-        merged = (carry @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
-        if k == n - 1:
-            tensors[k] = merged.reshape(-1, d, 1)
-        else:
-            q, carry = np.linalg.qr(merged)
-            tensors[k] = q.reshape(-1, d, q.shape[1])
+    for k in range(n - 1):
+        tensors[k : k + 2] = qr_step(tensors[k], tensors[k + 1], rightward=True)
     ranks = []
     carry = np.ones((1, 1), dtype=complex)
     for t in tensors[:0:-1]:

@@ -164,7 +164,11 @@ def lambert_w(z: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - z
-        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if math.isfinite((w + 2.0) * f):
+            step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        else:  # past z of about 1e307: the same step, divided through by exp(w)
+            f = w - z / ew
+            step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
         w -= step
         if abs(step) <= 1e-15 * max(1.0, abs(w)):
             return w
@@ -228,11 +232,6 @@ def solve_p_from_scale(d: int, B: float) -> LambertSolution:
     b = lambert_w(B * d * log_d) / log_d
     p_candidate = max(1, math.ceil(a - _REL_TOL))
     exists = _satisfies_interval(p_candidate, d, B)
-    # Past z of about 1e307 lambert_w's Halley step overflows and stops short, leaving
-    # a about 0.01 low (B = 1013 * 2.0**1012 at d = 2); the next integer then qualifies.
-    if not exists and _satisfies_interval(p_candidate + 1, d, B):
-        p_candidate += 1
-        exists = True
     return LambertSolution(B=B, z=z, a=a, b=b, p_candidate=p_candidate, exists=exists)
 
 

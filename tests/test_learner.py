@@ -684,6 +684,56 @@ def test_extract_mps_matches_reconstruction(n, D, oracle, seed):
     assert np.max(np.abs(mps.expand(extracted) - reconstructed)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("D", [2, 4])
+def test_an_exact_run_extracts_at_the_bonds_of_its_input(n, D):
+    # each window is re-split from the centre, so the walk keeps only the
+    # state's own Schmidt values: no bond past the input's rank at its cut
+    for seed in range(3):
+        state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=seed))
+        circuit, _ = learner.learn(state, 2, D, 0.2, 0.01, seed=seed)
+        extracted = learner.extract_mps(circuit)
+        profile = mps.schmidt_profile(state)
+        assert mps.schmidt_profile(extracted) == profile, seed
+        assert all(t.shape[2] <= rank for t, rank in zip(extracted.tensors, profile)), seed
+
+
+@pytest.mark.parametrize("oracle", ["exact", "bounded-noise"])
+def test_the_centre_sweeps_the_register_once_a_layer(monkeypatch, oracle):
+    # one QR sweep makes the input canonical; then a layer's estimates, right
+    # to left, move the centre at most once over its held sites, and each
+    # compression one step into the next block.  Estimates taken left to right
+    # would sweep three times: back to the first block, along, and back again.
+    steps, qr_step = [], mps.qr_step
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs["rightward"])
+        return qr_step(*args, **kwargs)
+
+    monkeypatch.setattr(mps, "qr_step", counted)
+    state = mps.random_mps(mps.StateSpec(n=100, d=2, D=2, seed=41))
+    circuit, report = learner.learn(state, 2, 2, 0.2, 0.01, mode=_ORACLES[oracle](), seed=41)
+    held, bound = state.n, state.n - 1
+    for layer in circuit.plan.layers:
+        bound += held + sum(b.acted for b in layer)
+        held -= sum(b.f for b in layer)
+    assert report.M == 6
+    assert len(steps) <= bound
+
+
+def test_the_success_mass_is_the_norm_of_the_centre_at_n_1024():
+    # the mass of each layer's register against a transfer-matrix sweep of its tensors
+    state = mps.random_mps(mps.StateSpec(n=1024, d=2, D=2, seed=42))
+    mode = tomography.BoundedNoiseMode(eta=1e-3, seed=42)
+    _, report = learner.learn(state, 2, 2, 0.2, 0.01, mode=mode, seed=42, audit=True)
+    assert report.per_layer[-1].success_mass < 1.0 - 1e-3
+    for snapshot in report.audit.snapshots:
+        env = np.ones((1, 1), dtype=complex)
+        for t in snapshot.state.tensors:
+            env = np.einsum("ab,iac,ibd->cd", env, t.conj(), t)
+        assert abs(snapshot.success_mass() - env[0, 0].real) <= 1e-9
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.sampled_from([2, 3]),

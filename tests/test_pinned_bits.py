@@ -1,4 +1,4 @@
-"""Pinned output bits of the dense kernels.
+"""Pinned output bits of the dense kernels and of the tensor-train register.
 
 Each digest is the sha256 of a kernel's outputs, as raw bytes in order, on a
 fixed grid of seeded inputs.  A change to one of these kernels that moves any
@@ -19,12 +19,13 @@ import sys
 import numpy as np
 from test_linalg import _top_case, random_hermitian
 
-from mpslearn import disentangler, linalg
+from mpslearn import backend, disentangler, linalg, mps
 
 PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
     "top_eigenvector": "23829669fab99fdfa56c1468d47628371216ed86125f81954c9c7610ae450ff0",
     "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
+    "MPSBackend.rdm_factor": "472b6e404ddd998d0236153296481526ca93835338e584b90522ccf9a2d1ec02",
 }
 
 
@@ -57,6 +58,20 @@ def _factor_outputs():
         yield dz.selected
 
 
+def _register_outputs():
+    # every two-site factor, its centre moved there and back, after each compression
+    rng = np.random.default_rng(2203)
+    for d, D, steps in ((2, 4, ((1, 4, 2), (6, 4, 2), (2, 4, 2), (3, 3, 1))), (3, 3, ((2, 3, 1),))):
+        register = backend.MPSBackend(mps.random_mps(mps.StateSpec(n=12, d=d, D=D, seed=2203)))
+        for lo, y, dropped in steps:
+            labels = register.sites[lo : lo + y]
+            g = rng.standard_normal((d**y, d ** (y - dropped)))
+            w = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))[0]
+            register.compress(w, labels, labels[:dropped])
+            for k in range(register.n - 1):
+                yield register.rdm_factor(register.sites[k : k + 2])
+
+
 def _digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -69,6 +84,7 @@ def _digests():
         "require_hermitian": _digest(_require_hermitian_outputs()),
         "top_eigenvector": _digest(_top_eigenvector_outputs()),
         "build_rank_capped_from_factor": _digest(_factor_outputs()),
+        "MPSBackend.rdm_factor": _digest(_register_outputs()),
     }
 
 

@@ -159,7 +159,8 @@ def test_p_exact_values():
 
 
 def test_lambert_w_residuals_and_oracle():
-    for z in np.logspace(-6, 12, 60):
+    # the last z is past 1e307, where the Halley step is taken divided by exp(w)
+    for z in [*np.logspace(-6, 12, 60), 3.081701135266179e307]:
         w = planner.lambert_w(float(z))
         assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, z)
         assert abs(w - bisect_lambert(float(z))) <= 1e-9 * max(1.0, w)
@@ -214,12 +215,12 @@ def test_engineered_scale_hits_exact_block_size():
 
 
 def test_the_solver_holds_near_the_top_of_the_float_range():
-    # B = m * d**(m-1) here: lambert_w's Halley step overflows and stops about
-    # 0.01 short, so ceil(a) is m - 1 and the check of the next integer finds m
+    # B = m * d**(m-1), so z = B ln d is past 1e307, where (w + 2) * f overflows
     for d, m in [(2, 1013), (2, 1014), (3, 640), (4, 507)]:
-        sol = planner.solve_p_from_scale(d, m * float(d) ** (m - 1))
+        B = m * float(d) ** (m - 1)
+        sol = planner.solve_p_from_scale(d, B)
         assert (sol.p_candidate, sol.exists) == (m, True)
-        assert sol.a < m - 1 + 1e-9
+        assert abs(sol.a * float(d) ** sol.a - B) <= 1e-12 * B
 
 
 def test_select_epsilon_fixed_point():
