@@ -2,22 +2,22 @@
 
 Which register ``learn`` uses follows from its input alone:
 
-* an open-boundary :class:`~mpslearn.mps.MatrixProductState` goes to
-  :class:`MPSBackend`, which keeps the site tensors in mixed-canonical form
-  and never forms a ``d**n`` object, so these runs have no dense cap: only
-  each block's window (``d**y * D_l * D_r`` entries) and the closing tail are
-  capped.  :meth:`MPSBackend.rdm_factor`, the window with the centre in it,
-  is a thin ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``;
-  the exact variant under the exact oracle builds its isometries from ``F``;
-* everything else goes to :class:`StateBackend`, the dense register:
-  vectors, density matrices and periodic states (expanded).  Pure inputs stay
-  vectors; mixed inputs are density matrices, capped at a much smaller
-  register since they square the memory cost.
+* a :class:`~mpslearn.mps.MatrixProductState` goes to :class:`MPSBackend`
+  as its :func:`~mpslearn.mps.open_chain`, which keeps the site tensors in
+  mixed-canonical form and never forms a ``d**n`` object, so these runs have
+  no dense cap: only the chain, each block's window (``d**y * D_l * D_r``
+  entries) and the closing tail are capped.  :meth:`MPSBackend.rdm_factor`,
+  the window with the centre in it, is a thin ``d**y x (D_l * D_r)`` factor
+  ``F`` of the marginal ``F F^H``; the exact variant under the exact oracle
+  builds its isometries from ``F``;
+* a vector or a density matrix goes to :class:`StateBackend`, the dense
+  register.  Pure inputs stay vectors; mixed inputs are density matrices,
+  capped at a much smaller register since they square the memory cost.
 
-What stays capped: mixed and periodic inputs, ``reconstruct_state`` and the
-audit's stage vectors and operators (all dense), and on every path a block
-window or tail too wide to hold, such as the closest variant's 36-site blocks
-at n = 64 and epsilon = 0.2.
+What stays capped: dense inputs, ``reconstruct_state`` and the audit's stage
+vectors and operators (all dense), and on every path a block window or tail
+too wide to hold, such as the closest variant's 36-site blocks at n = 64 and
+epsilon = 0.2.
 
 No register writes a held array in place; every operation assigns new
 arrays.  So the dense register holds its input as given, with no copy.
@@ -264,7 +264,7 @@ class MPSBackend:
 
     def __init__(self, state: mps.MatrixProductState, sites: Sequence[int] | None = None):
         if state.boundary != "open":
-            raise DimensionMismatch("the tensor-train register needs an open-boundary state")
+            raise DimensionMismatch("the tensor-train register needs an open chain, mps.open_chain")
         self.d = state.d
         self.tensors = [
             np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors

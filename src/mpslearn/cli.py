@@ -103,7 +103,7 @@ def _cmd_gen(args) -> int:
     }
     spec = mps.StateSpec(**resolved)
     state = mps.random_mps(spec)
-    profile = mps.schmidt_profile(state)  # before any file: a periodic state may be too large
+    profile = mps.schmidt_profile(state)  # on the open chain that random_mps has capped
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mps.save_mps(state, out_dir / "state.json")

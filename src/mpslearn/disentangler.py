@@ -14,13 +14,12 @@ eigenvalue order.  Any unitary ``U`` with ``U^dagger = [W, C]`` maps column
 (leading qudits zero) is the span of ``W``, which is all the learner's
 projection analysis relies on; :func:`unitary_from_isometry` builds one such
 ``U`` where a full unitary is asked for.  :func:`build_rank_capped` takes
-the top ``d**p`` eigenvectors from :func:`linalg._top_eigenpairs` on blocks of
-side at least ``LOW_RANK_MIN_SIDE``, in O(side^2 d**p) work, and from the
-full eigenbasis on smaller blocks or when the pairs cannot be certified.
+the top ``d**p`` eigenvectors of a dense estimate from its full eigenbasis.
 :func:`build_rank_capped_from_factor` builds the same isometry from a thin
 factor ``F`` of the estimate, ``F F^H``, as ``F``'s top left singular vectors
 in O(side k^2) work for ``k`` columns.  The tensor-train register's exact
-marginals come as such factors; their Gram matrix is Hermitian and PSD by
+marginals come as such factors, so the exact oracle on any MPS input never
+forms a dense estimate; their Gram matrix is Hermitian and PSD by
 construction, so there is no hermiticity check and no certificate to pass.
 """
 from __future__ import annotations
@@ -33,12 +32,6 @@ import numpy as np
 from . import linalg
 from .backend import infer_site_count
 from .errors import BadParameter, RankCapExceedsDim, shown
-
-# Smallest block side on which build_rank_capped tries _top_eigenpairs.  One
-# BLAS thread on a 2-vCPU VM, rank-m qubit inputs, full unitaries completed,
-# against hermitian_eig: side 16 (m = 4) 91 us vs 54 us, side 32 (m = 4)
-# 103 us vs 105 us, side 64 (m = 8) 186 us vs 387 us, side 256 2.3 vs 12.5 ms.
-LOW_RANK_MIN_SIDE = 64
 
 
 def unitary_from_isometry(isometry: np.ndarray) -> np.ndarray:
@@ -84,20 +77,12 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     ``D_squared <= d**p`` so the selected subspace fits into the kept sector.
 
     The isometry is the top ``m = d**p`` eigenvectors, which span the kept
-    sector.  On a side of at least ``LOW_RANK_MIN_SIDE`` they come from
-    :func:`linalg._top_eigenpairs`.  When the side is smaller, or the pairs
-    are not certified (the estimate has rank above ``m``), they are the
-    leading columns of :func:`linalg.hermitian_eig`'s full eigenbasis.
-    Either way eigenvalues tied across the cut may come back in any
-    orthonormal basis of their eigenspace, and equal inputs give equal
-    bits.
+    sector: the leading columns of :func:`linalg.hermitian_eig`'s full
+    eigenbasis.  Eigenvalues tied across the cut may come back in any
+    orthonormal basis of their eigenspace, and equal inputs give equal bits.
     """
-    dim = linalg.require_square(sigma_hat)
-    m = _kept_dim(dim, d, D_squared, p)
-    a = linalg.require_hermitian(sigma_hat)  # once, for both paths
-    pairs = linalg._top_eigenpairs(a, m) if dim >= LOW_RANK_MIN_SIDE else None
-    vectors = linalg._eigh_descending(a)[1] if pairs is None else pairs[1]
-    return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
+    m = _kept_dim(linalg.require_square(sigma_hat), d, D_squared, p)
+    return _from_eigenbasis(linalg.hermitian_eig(sigma_hat)[1], selected_count=D_squared, width=m)
 
 
 def build_rank_capped_from_factor(

@@ -209,22 +209,18 @@ class AuditTrail:
     def M(self) -> int:
         return self.circuit.num_layers
 
-    def _check_layer(self, j: int) -> None:
-        if not 0 <= j <= self.M:
-            raise BadParameter(f"layer must be in 0..{self.M}, got {j}")
-
     def success_mass(self, j: int) -> float:
-        self._check_layer(j)
+        _check_layer(j, 0, self.M)
         return self.snapshots[j].success_mass()
 
     def stepwise_vector(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized vector on the full register (pure runs)."""
-        self._check_layer(j)
+        _check_layer(j, 0, self.M)
         return _walk_backward(self.circuit, self.snapshots[j].copy(), j).expand()
 
     def stepwise_state(self, j: int) -> np.ndarray:
         """Stage ``j`` as a sub-normalized operator on the full register."""
-        self._check_layer(j)
+        _check_layer(j, 0, self.M)
         d, n = self.circuit.d, self.circuit.n
         if d**n > linalg.MAX_DENSITY_DIM:
             raise TooLarge(
@@ -239,17 +235,22 @@ class AuditTrail:
 
     def fidelity_against(self, phi: np.ndarray, j: int) -> float:
         """Overlap of stage ``j`` with a witness state, ``<phi| rho_j |phi>``."""
-        self._check_layer(j)
+        _check_layer(j, 0, self.M)
         return self.snapshots[j].fidelity(residual_projection(self.circuit, phi, j))
 
     def monotonicity_margin(self, j: int) -> float:
         """Smallest eigenvalue of ``rho_{j-1} - rho_j`` (non-negative in theory)."""
-        if not 1 <= j <= self.M:
-            raise BadParameter(f"layer must be in 1..{self.M}, got {j}")
+        _check_layer(j, 1, self.M)
         if self.snapshots[0].pure:
             return _rank_two_min_eig(self.stepwise_vector(j - 1), self.stepwise_vector(j))
         diff = self.stepwise_state(j - 1) - self.stepwise_state(j)
         return float(np.linalg.eigvalsh(diff)[0])
+
+
+def _check_layer(j: int, first: int, last: int) -> None:
+    """Raise ``BadParameter`` unless ``j`` is an integer in ``first..last``; a bool is not."""
+    if not (mps.is_integer(j) and first <= j <= last):
+        raise BadParameter(f"layer must be an integer in {first}..{last}, got {shown(j)}")
 
 
 def _rank_two_min_eig(u: np.ndarray, w: np.ndarray) -> float:
@@ -291,9 +292,7 @@ def _register(state, d: int) -> StateBackend | MPSBackend:
     if isinstance(state, mps.MatrixProductState):
         if state.d != d:
             raise BadParameter(f"state has d={state.d}, learner called with d={d}")
-        if state.boundary == "open":
-            return MPSBackend(state, range(1, state.n + 1))
-        state = mps.expand(state)
+        return MPSBackend(mps.open_chain(state), range(1, state.n + 1))
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise BadParameter(f"state must be a vector or density matrix, got ndim {arr.ndim}")
@@ -319,10 +318,10 @@ def learn(
     Parameters
     ----------
     state : MatrixProductState or np.ndarray
-        The input state: an MPS, a unit vector, or a density matrix.  An
-        open-boundary MPS runs on its tensors
-        (:class:`~mpslearn.backend.MPSBackend`, no d**n cap); every other
-        input runs on the dense :class:`~mpslearn.backend.StateBackend`.
+        The input state: an MPS, a unit vector, or a density matrix.  An MPS
+        runs on the tensors of its :func:`~mpslearn.mps.open_chain` (no d**n
+        cap, :class:`~mpslearn.backend.MPSBackend`); the others run on the
+        dense :class:`~mpslearn.backend.StateBackend`.
     d, D : int
         Local dimension and the bond-dimension parameter of the guarantee.
     epsilon, delta : float
@@ -442,7 +441,7 @@ def learn(
     factored = (
         variant == "exact"
         and isinstance(mode, tomography.ExactMode)
-        and hasattr(backend, "rdm_factor")
+        and isinstance(backend, MPSBackend)
     )
     for j in range(1, M + 1):
         built: list[tuple] = []
@@ -622,8 +621,7 @@ def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) ->
     backend state at stage ``j`` equals the witness's overlap with the
     stage-``j`` operator on the full register.
     """
-    if not 0 <= j <= circuit.num_layers:
-        raise BadParameter(f"layer must be in 0..{circuit.num_layers}, got {j}")
+    _check_layer(j, 0, circuit.num_layers)
     return _walk_forward(circuit, phi, j, project=True)
 
 

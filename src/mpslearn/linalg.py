@@ -105,13 +105,8 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alone), so any orthonormal basis of a tied eigenspace may come back;
         equal inputs still give equal bits.
     """
-    return _eigh_descending(require_hermitian(matrix))
-
-
-def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_eig` on a matrix :func:`require_hermitian` returned."""
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(require_hermitian(matrix))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")
@@ -263,49 +258,6 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(h, x)
         x /= np.linalg.norm(x)
     return fix_phase(x)
-
-
-def _top_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top ``m`` eigenpairs of a Hermitian matrix of rank at most about ``m``.
-
-    ``a`` is a matrix :func:`require_hermitian` returned.  Returns
-    ``(theta, V)`` like :func:`hermitian_eig`'s ``(w, V)`` cut to ``m``
-    columns, with the columns phase-normalized the same way, or ``None``
-    when the pairs cannot be certified.  Equal inputs give equal bits.
-
-    Randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217,
-    2011): ``Q`` is the reduced QR factor of ``A Omega``, where ``Omega`` is a
-    fixed seeded ``dim x m`` complex Gaussian matrix, and ``V = Q W`` for the
-    eigenvectors ``W`` of ``Q^H A Q`` (symmetrized), in descending order of
-    the Ritz values ``theta``.  With ``scale = max(1, |theta_1|)`` the pairs
-    are accepted only if ``|A - V diag(theta) V^H|_F <= 1e-12 * scale`` and
-    ``theta_m >= -1e-12 * scale``.  By Weyl's inequality every eigenvalue
-    of ``A`` is then within ``1e-12 * scale`` of a Ritz value or of 0, so
-    ``span V`` is the top-``m`` eigenspace up to eigenvalues within about
-    ``2e-12 * scale`` of the cut, which count as tied.  Without the second
-    test a negative Ritz value would rank above discarded zeros.  A matrix
-    of higher rank fails the first test.
-    """
-    dim = a.shape[0]
-    if not 1 <= m <= dim:
-        raise BadParameter(f"need 1 <= m <= {dim}, got m={shown(m)}")
-    rng = np.random.default_rng(0)
-    omega = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
-    q, _ = np.linalg.qr(a @ omega)
-    b = q.conj().T @ (a @ q)
-    try:
-        theta, w = np.linalg.eigh((b + b.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    theta, v = theta[::-1], q @ w[:, ::-1]
-    scale = max(1.0, abs(float(theta[0])))
-    if theta[-1] < -1e-12 * scale:
-        return None
-    residual = (v * theta) @ v.conj().T
-    residual -= a
-    if np.sqrt(np.vdot(residual, residual).real) > 1e-12 * scale:
-        return None
-    return theta, _fix_phases(v)
 
 
 def trace_norm(matrix: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BadCut, DimensionMismatch, InvalidSpec, TooLarge, shown
+from .errors import BadCut, BadParameter, DimensionMismatch, InvalidSpec, TooLarge, shown
 
 MPS_FORMAT_NAME = "mps-state"
 MPS_FORMAT_VERSION = 2
@@ -138,10 +138,17 @@ class StateSpec:
             raise InvalidSpec(f"product needs D = 1, got D={shown(self.D)}")
 
 
+def _chain_entries(d: int, bonds: Sequence[int], boundary: str) -> int:
+    """Entries of the :func:`open_chain` of these bonds: ``bonds[0]**2`` times more for a ring."""
+    entries = sum(d * a * b for a, b in zip(bonds, bonds[1:]))
+    return entries if boundary == "open" else bonds[0] ** 2 * entries
+
+
 def _bond_profile(spec: StateSpec) -> list[int]:
     """Bonds of ``spec``'s state: maximal ones capped at ``D`` if open, all ``D`` if periodic.
 
-    A state of more than ``linalg.MAX_WALK_WINDOW`` tensor entries raises ``TooLarge``.
+    A state whose open chain holds more than ``linalg.MAX_WALK_WINDOW``
+    tensor entries raises ``TooLarge``.
     """
     n, d, D = spec.n, spec.d, spec.D
     entries = n * d  # every tensor holds d * D_l * D_r entries, so at least d
@@ -149,7 +156,7 @@ def _bond_profile(spec: StateSpec) -> list[int]:
         top = int(D).bit_length()  # d**top > D, so no larger power is formed
         open_ = spec.boundary == "open"
         bonds = [min(D, d ** min(k, n - k, top)) if open_ else D for k in range(n + 1)]
-        entries = sum(d * a * b for a, b in zip(bonds, bonds[1:]))
+        entries = _chain_entries(d, bonds, spec.boundary)
     if entries > linalg.MAX_WALK_WINDOW:
         raise TooLarge(
             f"a {spec.kind} state with n={shown(n)}, d={shown(d)}, D={shown(D)} holds at least "
@@ -259,6 +266,28 @@ def qr_step(left: np.ndarray, right: np.ndarray, rightward: bool) -> tuple[np.nd
     return (left.reshape(a * d, -1) @ r.T).reshape(a, d, -1), q.T.reshape(-1, d, b)
 
 
+def open_chain(state: MatrixProductState) -> MatrixProductState:
+    """An open state as it is; a ring of closing bond ``D_0`` as the chain of bonds ``D_0 * D_k``.
+
+    The chain carries the closing bond along (Verstraete, Porras & Cirac, PRL
+    93, 227205, 2004): ``Tr(A_1 ... A_n) = vec(I)^T (I (x) A_1) ... (I (x)
+    A_n) vec(I)``.  A chain of more than ``linalg.MAX_WALK_WINDOW`` entries
+    raises ``TooLarge`` before anything is built.
+    """
+    if state.boundary == "open":
+        return state
+    closing = state.tensors[0].shape[1]
+    entries = _chain_entries(state.d, [closing] + [t.shape[2] for t in state.tensors], "periodic")
+    if entries > linalg.MAX_WALK_WINDOW:
+        cap = linalg.MAX_WALK_WINDOW
+        raise TooLarge(f"a ring's open chain holds {entries} tensor entries, past the cap of {cap}")
+    eye = np.eye(closing)
+    chain = [np.kron(eye[None], t) for t in state.tensors]  # (d, D_0 D_l, D_0 D_r)
+    chain[0] = eye.reshape(1, -1) @ chain[0]
+    chain[-1] = chain[-1] @ eye.reshape(-1, 1)
+    return MatrixProductState(state.n, state.d, "open", chain)
+
+
 def expand(mps: MatrixProductState) -> np.ndarray:
     """Contract the tensor train into a dense state vector of length d**n.
 
@@ -317,26 +346,25 @@ def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None
     """Rank of the reduced state across the cut ``(first cut sites | rest)``.
 
     ``state`` may be a :class:`MatrixProductState` or a dense vector (in which
-    case ``dims`` is required).  ``cut`` counts sites on the left, so valid
-    values are ``1 .. n-1``.  The rank is the number of squared singular
-    values of the reshaped vector exceeding ``tol``, which equals the number
-    of eigenvalues of the left block's reduced density matrix above ``tol``.
+    case ``dims`` is required).  ``cut`` counts sites on the left, an integer
+    in ``1 .. n-1``.  The rank is the number of squared singular values of the
+    reshaped vector exceeding ``tol >= 0``, which equals the number of
+    eigenvalues of the left block's reduced density matrix above ``tol``.
     """
-    if isinstance(state, MatrixProductState):
-        if not 1 <= cut <= state.n - 1:
-            raise BadCut(f"cut must be in 1..{state.n - 1}, got {cut}")
-        return schmidt_profile(state, tol)[cut - 1]
-    if dims is None:
+    if not isinstance(state, MatrixProductState) and dims is None:
         raise DimensionMismatch("dims is required when passing a dense vector")
+    n = state.n if isinstance(state, MatrixProductState) else len(dims)
+    if not (is_integer(cut) and 1 <= cut <= n - 1):
+        raise BadCut(f"cut must be an integer in 1..{n - 1}, got {shown(cut)}")
+    if isinstance(state, MatrixProductState):
+        return schmidt_profile(state, tol)[cut - 1]
+    _check_tol(tol)
     dims = tuple(int(x) for x in dims)
     vector = np.asarray(state, dtype=complex).reshape(-1)
     if vector.shape[0] != math.prod(dims):
         raise DimensionMismatch(
             f"vector length {vector.shape[0]} does not match prod(dims) = {math.prod(dims)}"
         )
-    n = len(dims)
-    if not 1 <= cut <= n - 1:
-        raise BadCut(f"cut must be in 1..{n - 1}, got {cut}")
     left = math.prod(dims[:cut])
     s = np.linalg.svd(vector.reshape(left, -1), compute_uv=False)
     return int(np.count_nonzero(s**2 > tol))
@@ -345,17 +373,14 @@ def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None
 def schmidt_profile(state: MatrixProductState, tol: float = 1e-10) -> list[int]:
     """The Schmidt rank at every cut ``1 .. n-1``, counted as :func:`schmidt_rank` does.
 
-    An open-boundary state is made left-canonical by a sweep of
+    The state's :func:`open_chain` is made left-canonical by a sweep of
     :func:`qr_step`; a right-to-left SVD sweep then reads each cut's singular
     values off one bond matrix, so no d**n vector is formed and any ``n``
-    works.  A periodic state is expanded, under :func:`expand`'s cap.
+    works.
     """
-    n, d = state.n, state.d
-    if state.boundary == "periodic":
-        vector = expand(state)
-        return [schmidt_rank(vector, cut, tol, dims=(d,) * n) for cut in range(1, n)]
-    tensors = [np.transpose(t, (1, 0, 2)) for t in state.tensors]  # (D_l, d, D_r)
-    for k in range(n - 1):
+    _check_tol(tol)
+    tensors = [np.transpose(t, (1, 0, 2)) for t in open_chain(state).tensors]  # (D_l, d, D_r)
+    for k in range(state.n - 1):
         tensors[k : k + 2] = qr_step(tensors[k], tensors[k + 1], rightward=True)
     ranks = []
     carry = np.ones((1, 1), dtype=complex)
@@ -365,6 +390,11 @@ def schmidt_profile(state: MatrixProductState, tol: float = 1e-10) -> list[int]:
         ranks.append(int(np.count_nonzero(s**2 > tol)))
         carry = u * s
     return ranks[::-1]
+
+
+def _check_tol(tol) -> None:
+    if not (is_real(tol) and tol >= 0.0):  # NaN fails too
+        raise BadParameter(f"rank tolerance must be a real number >= 0, got {shown(tol)}")
 
 
 def is_integer(value) -> bool:

@@ -31,6 +31,7 @@ from .errors import (
     in_float_range,
     shown,
 )
+from .mps import is_integer
 
 SQRT2_GAP = 3.0 - 2.0 * math.sqrt(2.0)  # (sqrt(2) - 1)**2
 _REL_TOL = 1e-9
@@ -75,6 +76,9 @@ class LayerPlan:
     layers: tuple[tuple[PlannedBlock, ...], ...]
 
     def blocks(self, layer: int) -> tuple[PlannedBlock, ...]:
+        """The blocks of ``layer``, an integer in ``1..M`` (``BadParameter`` otherwise)."""
+        if not (is_integer(layer) and 1 <= layer <= self.M):
+            raise BadParameter(f"layer must be an integer in 1..{self.M}, got {shown(layer)}")
         return self.layers[layer - 1]
 
     @property

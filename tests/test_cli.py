@@ -303,10 +303,13 @@ def test_gen_rejects_nonpositive_register(tmp_path):
 
 
 def test_gen_past_a_resource_limit_writes_no_file(tmp_path, capsys):
-    # a periodic state's profile expands it, and n = 17 is past the dense cap;
-    # the other two states would hold terabytes of tensor entries
+    # a ring is counted by its open chain, of bond D * D: at n = 16 and D = 27
+    # that is past the cap of 2**24 entries, and at n = 2 and D = 2000 so is
+    # the D**4 environment its normalization would build; the other two
+    # states would hold terabytes of tensor entries
     for i, doc in enumerate([
-        {"kind": "random", "n": 17, "d": 2, "D": 2, "boundary": "periodic"},
+        {"kind": "random", "n": 16, "d": 2, "D": 27, "boundary": "periodic"},
+        {"kind": "random", "n": 2, "d": 2, "D": 2000, "boundary": "periodic"},
         {"kind": "random", "n": 40, "d": 2, "D": 1000000},
         {"kind": "ghz", "n": 3, "d": 100000},
     ]):
@@ -339,20 +342,21 @@ def test_every_typed_error_exits_with_its_code_and_no_traceback(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "boundary, n, variant, flags",
-    [("open", 64, "closest", []), ("periodic", 17, "exact", []),
-     ("open", 12, "closest", ["--mode", "noise"])],
-    ids=["closest-n64-window", "periodic-n17-dense", "closest-n12-noisy-tail"],
+    "boundary, n, D, variant, flags",
+    [("open", 64, 2, "closest", []), ("periodic", 17, 8, "exact", []),
+     ("open", 12, 2, "closest", ["--mode", "noise"])],
+    ids=["closest-n64-window", "periodic-n17-window", "closest-n12-noisy-tail"],
 )
-def test_learn_past_a_resource_limit_exits_4(tmp_path, capsys, boundary, n, variant, flags):
-    # a block window the tensor train cannot hold (BackendTooLarge), a
-    # periodic state the dense register cannot hold, and a 12-site tail
-    # whose noisy estimate needs a 4096 x 4096 operator (both TooLarge)
+def test_learn_past_a_resource_limit_exits_4(tmp_path, capsys, boundary, n, D, variant, flags):
+    # two block windows the tensor train cannot hold (BackendTooLarge; the
+    # ring's open chain of bond 64 needs 131,072 entries for its first block),
+    # and a 12-site tail whose noisy estimate needs a 4096 x 4096 operator
+    # (TooLarge)
     state_dir = tmp_path / "gen"
     state_dir.mkdir()
-    spec = mps.StateSpec(n=n, d=2, D=2, boundary=boundary, seed=52)
+    spec = mps.StateSpec(n=n, d=2, D=D, boundary=boundary, seed=52)
     mps.save_mps(mps.random_mps(spec), state_dir / "state.json")
-    config = learn_config(tmp_path, state_dir, variant=variant)
+    config = learn_config(tmp_path, state_dir, D=D, variant=variant)
     out = tmp_path / "learn"
     assert cli.main(["learn", "--config", config, *flags, "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -520,7 +524,7 @@ def test_the_readme_command_line_names_only_real_flags_and_keys():
 PINNED_BUDGET = {"n_values": [8, 16, 32], "epsilon_values": [0.5, 0.2, 0.1], "d": 2, "D": 3,
                  "delta": 0.01}
 PINNED_ARTIFACTS = {
-    "verify/verify.json": "d70b5996e5f8baad59a8b68d22e2eb044766f2a06825b8351e91eba3bccbb14b",
+    "verify/verify.json": "f76e6564532ffabd78cf88d9fd113946fb65db2d26d5067cd299860cdf06b69e",
     "budget/budget.csv": "6b774d295184bb46bc1326149f0c0e24c5031e74a33fcbb42fba6532bfa60331",
     "budget/manifest.json": "873f194fd30a0e9c82fe1fec1278e16982965bc5279568c47a165ac1e060b74b",
 }

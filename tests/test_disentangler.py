@@ -194,7 +194,7 @@ def gapped_density(dim, rank, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    y=st.integers(6, 8),  # sides 64 to 256, all at least LOW_RANK_MIN_SIDE
+    y=st.integers(6, 8),  # sides 64 to 256
     p_drop=st.integers(0, 4),
     rank_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
@@ -204,8 +204,6 @@ def test_rank_capped_low_rank_path_keeps_the_estimate(y, p_drop, rank_frac, seed
     m = 2**p
     rank = max(1, round(rank_frac * m))
     sigma = gapped_density(2**y, rank, seed)
-    # the path under test
-    assert linalg._top_eigenpairs(linalg.require_hermitian(sigma), m) is not None
     dz = disentangler.build_rank_capped(sigma, 2, rank, p)
     u = disentangler.unitary_from_isometry(dz.isometry)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**y))) <= 1e-12
@@ -220,46 +218,15 @@ def test_rank_capped_low_rank_path_keeps_the_estimate(y, p_drop, rank_frac, seed
     assert again.selected.tobytes() == dz.selected.tobytes()
 
 
-def test_rank_capped_needs_no_full_eigensolver(monkeypatch):
-    eigh, qr = np.linalg.eigh, np.linalg.qr
-
-    def small_only(a):
-        if a.shape[0] >= 256:
-            raise AssertionError("a full 256 x 256 eigensolve is not needed")
-        return eigh(a)
-
-    def reduced_only(a, mode="reduced"):
-        if mode == "complete":
-            raise AssertionError("the isometry needs no completion")
-        return qr(a, mode)
-
-    monkeypatch.setattr(np.linalg, "eigh", small_only)
-    sigma = gapped_density(256, 16, seed=8)
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "qr", reduced_only)
-        dz = disentangler.build_rank_capped(sigma, 2, 16, 4)
-    assert dz.isometry.shape == (256, 16)
-    u = disentangler.unitary_from_isometry(dz.isometry)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(256))) <= 1e-12
-    assert float(np.real(np.trace((u @ sigma @ u.conj().T)[16:, 16:]))) <= 1e-12
-    with pytest.raises(AssertionError, match="not needed"):
-        linalg.hermitian_eig(sigma)
-
-
-def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
+def test_rank_capped_falls_back_to_the_full_eigenbasis():
+    # full-rank, signed and small estimates alike: hermitian_eig's leading columns
     rng = np.random.default_rng(9)
     full_rank = perturb_trace_norm(gapped_density(64, 8, seed=10), 1e-3, rng)
     q, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
     negative = (q * np.r_[0.6, 0.5, -0.1, np.zeros(61)]) @ q.conj().T
     for sigma in (full_rank, negative):
-        assert linalg._top_eigenpairs(linalg.require_hermitian(sigma), 8) is None
         dz = disentangler.build_rank_capped(sigma, 2, 4, 3)
         assert dz.isometry.tobytes() == linalg.hermitian_eig(sigma)[1][:, :8].tobytes()
-
-    def refuse(*args):
-        raise AssertionError("blocks below LOW_RANK_MIN_SIDE take the full eigenbasis")
-
-    monkeypatch.setattr(linalg, "_top_eigenpairs", refuse)
     sigma = gapped_density(32, 4, seed=11)
     dz = disentangler.build_rank_capped(sigma, 2, 4, 2)
     assert dz.isometry.tobytes() == linalg.hermitian_eig(sigma)[1][:, :4].tobytes()
@@ -268,9 +235,10 @@ def test_rank_capped_falls_back_to_the_full_eigenbasis(monkeypatch):
 @pytest.mark.parametrize(
     "sigma, p",
     [
-        (gapped_density(256, 16, seed=12), 4),  # low-rank path
+        (gapped_density(256, 16, seed=12), 4),  # of rank 16 = d**p
+        # of full rank
         (perturb_trace_norm(gapped_density(64, 8, seed=13), 1e-3, np.random.default_rng(14)), 3),
-        (gapped_density(32, 4, seed=15), 2),  # below LOW_RANK_MIN_SIDE
+        (gapped_density(32, 4, seed=15), 2),  # a small side
     ],
     ids=["low-rank", "fallback", "small"],
 )

@@ -554,6 +554,26 @@ def test_trivial_register_audit_trail():
         trail.monotonicity_margin(1)
 
 
+def test_the_audit_and_the_witness_projection_take_only_integer_layers():
+    # a bool is not layer 1, and a float layer raises BadParameter, not a bare TypeError
+    psi = random_mps_vector(8, seed=25)
+    circuit, report = learner.learn(psi, 2, 2, 0.2, 0.01, audit=True)
+    trail = report.audit
+    assert trail.M == 2
+    reads = [
+        trail.success_mass, trail.stepwise_vector, trail.stepwise_state, trail.monotonicity_margin,
+        lambda j: trail.fidelity_against(psi, j),
+        lambda j: learner.residual_projection(circuit, psi, j),
+    ]
+    for read in reads:
+        assert np.all(np.isfinite(read(np.int64(1))))
+        for j in (True, False, 1.5, 1.0, "1", None, 3):
+            with pytest.raises(errors.BadParameter, match="layer must be an integer"):
+                read(j)
+    with pytest.raises(errors.BadParameter, match="in 1..2"):
+        trail.monotonicity_margin(0)
+
+
 def _decode(entries):
     return np.frombuffer(base64.b64decode(entries), dtype="<c16").copy()
 
@@ -698,6 +718,22 @@ def test_an_exact_run_extracts_at_the_bonds_of_its_input(n, D):
         assert all(t.shape[2] <= rank for t, rank in zip(extracted.tensors, profile)), seed
 
 
+@pytest.mark.parametrize("D", [2, 4])
+def test_a_ring_at_n_256_learns_and_extracts_on_its_open_chain(D):
+    # the chain has bond D * D; the learned circuit extracts to a train at the
+    # ring's own Schmidt ranks, whose overlap with the chain is read by transfer matrices
+    ring = mps.random_mps(mps.StateSpec(n=256, d=2, D=D, boundary="periodic", seed=60 + D))
+    circuit, report = learner.learn(ring, 2, D, 0.2, 0.01, seed=D)
+    assert report.final_fidelity >= 1.0 - 1e-9
+    extracted = learner.extract_mps(circuit)
+    profile = mps.schmidt_profile(ring)
+    assert max(profile) == D * D and mps.schmidt_profile(extracted) == profile
+    env = np.ones((1, 1), dtype=complex)
+    for a, b in zip(extracted.tensors, mps.open_chain(ring).tensors, strict=True):
+        env = np.einsum("ab,iac,ibd->cd", env, a.conj(), b)
+    assert abs(env[0, 0]) ** 2 >= 1.0 - 1e-9
+
+
 @pytest.mark.parametrize("oracle", ["exact", "bounded-noise"])
 def test_the_centre_sweeps_the_register_once_a_layer(monkeypatch, oracle):
     # one QR sweep makes the input canonical; then a layer's estimates, right
@@ -741,15 +777,21 @@ def test_the_success_mass_is_the_norm_of_the_centre_at_n_1024():
     D=st.integers(1, 3),
     seed=st.integers(0, 2**16),
     oracle=st.sampled_from(sorted(_ORACLES)),
+    boundary=st.sampled_from(["open", "periodic"]),
 )
-@example(d=2, n=12, D=2, seed=1, oracle="exact")
-@example(d=2, n=12, D=2, seed=2, oracle="finite-sample")
-@example(d=2, n=12, D=3, seed=3, oracle="bounded-noise")
-@example(d=3, n=10, D=3, seed=4, oracle="exact")
-@example(d=3, n=8, D=2, seed=5, oracle="finite-sample")  # blocks of 81 x 81
-def test_the_tensor_train_register_learns_what_the_dense_register_learns(d, n, D, seed, oracle):
+@example(d=2, n=12, D=2, seed=1, oracle="exact", boundary="open")
+@example(d=2, n=12, D=2, seed=2, oracle="finite-sample", boundary="open")
+@example(d=2, n=12, D=3, seed=3, oracle="bounded-noise", boundary="open")
+@example(d=3, n=10, D=3, seed=4, oracle="exact", boundary="open")
+@example(d=3, n=8, D=2, seed=5, oracle="finite-sample", boundary="open")  # blocks of 81 x 81
+@example(d=2, n=12, D=3, seed=6, oracle="exact", boundary="periodic")
+@example(d=2, n=12, D=2, seed=7, oracle="bounded-noise", boundary="periodic")
+def test_the_tensor_train_register_learns_what_the_dense_register_learns(
+    d, n, D, seed, oracle, boundary
+):
+    # a ring on the tensor train is its open chain, of bond D * D
     n = min(n, 10) if d == 3 else n  # the dense register holds at most 2**16 entries
-    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed))
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, boundary=boundary, seed=seed))
     mode = _ORACLES[oracle]()
     if not isinstance(mode, tomography.ExactMode):
         mode = dataclasses.replace(mode, seed=seed)
@@ -776,10 +818,16 @@ def test_audited_learn_of_an_open_mps_runs_past_the_dense_cap():
     ]
     with pytest.raises(errors.TooLarge):
         trail.stepwise_vector(report.M)
-    # a periodic input is expanded onto the dense register, capped at d**n <= 2**16
-    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, boundary="periodic", seed=34))
-    with pytest.raises(errors.TooLarge):
-        learner.learn(ring, 2, 2, 0.2, 0.01, audit=True)
+    # a ring runs on its open chain, past the dense cap too, until a window
+    # is too wide: at n = 17 and D = 8 the chain has bond 64, and its first
+    # block's window needs 131,072 entries
+    ring = mps.random_mps(mps.StateSpec(n=64, d=2, D=2, boundary="periodic", seed=34))
+    _, report = learner.learn(ring, 2, 2, 0.2, 0.01, audit=True)
+    assert isinstance(report.audit.snapshots[0], backend.MPSBackend)
+    assert (report.M, report.final_fidelity >= 1.0 - 1e-9) == (5, True)
+    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=8, boundary="periodic", seed=34))
+    with pytest.raises(errors.BackendTooLarge, match="131072 entries"):
+        learner.learn(ring, 2, 8, 0.2, 0.01, audit=True)
 
 
 def _audit_input(kind, n, D, seed):
@@ -898,14 +946,16 @@ def test_audit_records_a_run_without_changing_it(
     n=st.integers(1, 12),
     D=st.integers(1, 3),
     seed=st.integers(0, 2**16),
+    boundary=st.sampled_from(["open", "periodic"]),
 )
-@example(d=2, n=12, D=2, seed=1)
-@example(d=2, n=12, D=3, seed=2)
-@example(d=3, n=10, D=3, seed=3)
-def test_the_audits_of_both_registers_agree_on_every_stage(d, n, D, seed):
-    # an open MPS audited on the tensor train against its vector audited on the dense register
+@example(d=2, n=12, D=2, seed=1, boundary="open")
+@example(d=2, n=12, D=3, seed=2, boundary="open")
+@example(d=3, n=10, D=3, seed=3, boundary="open")
+@example(d=2, n=12, D=3, seed=4, boundary="periodic")
+def test_the_audits_of_both_registers_agree_on_every_stage(d, n, D, seed, boundary):
+    # an MPS audited on the tensor train against its vector audited on the dense register
     n = min(n, 10) if d == 3 else n  # the dense register holds at most 2**16 entries
-    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed))
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, boundary=boundary, seed=seed))
     _, train = learner.learn(state, d, D, 0.2, 0.01, seed=seed, audit=True)
     _, dense = learner.learn(mps.expand(state), d, D, 0.2, 0.01, seed=seed, audit=True)
     assert isinstance(train.audit.snapshots[0], backend.MPSBackend)
@@ -993,7 +1043,7 @@ def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n)
         raise AssertionError("an exact learn on the tensor train formed a block marginal")
 
     monkeypatch.setattr(backend.MPSBackend, "rdm", refuse)
-    for name in ("require_hermitian", "_top_eigenpairs", "top_eigenvector"):
+    for name in ("require_hermitian", "top_eigenvector"):
         monkeypatch.setattr(linalg, name, refuse)
     _, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=39)
     assert report.M >= 2

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpslearn import errors, linalg
 
@@ -414,81 +414,6 @@ def test_hermitian_eig_phase_fix_matches_the_per_column_loop():
         values, vectors = linalg.hermitian_eig(a)
         assert values.tobytes() == w[order].tobytes()
         assert vectors.tobytes() == reference.tobytes()
-
-
-def _low_rank(dim, rank, seed, scale=1.0):
-    """Hermitian PSD matrix of the given rank, eigenvalues in [0.5, 1] * scale."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(random_hermitian(dim, rng))
-    values = np.zeros(dim)
-    values[:rank] = np.sort(rng.uniform(0.5, 1.0, rank))[::-1] * scale
-    return (q * values) @ q.conj().T, q[:, :rank]
-
-
-def top_eigenpairs(a, m):
-    """The range finder as the rank-capped builder runs it: on a validated matrix."""
-    return linalg._top_eigenpairs(linalg.require_hermitian(a), m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dim=st.integers(64, 256),
-    m=st.integers(1, 24),
-    rank_frac=st.floats(0.0, 1.0),
-    scale=st.sampled_from([1e-3, 1.0, 50.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(dim=256, m=16, rank_frac=1.0, scale=1.0, seed=0)
-@example(dim=64, m=24, rank_frac=1.0, scale=50.0, seed=1)
-def test_top_eigenpairs_are_the_top_eigenpairs(dim, m, rank_frac, scale, seed):
-    rank = max(1, round(rank_frac * m))
-    a, top = _low_rank(dim, rank, seed, scale)
-    pairs = top_eigenpairs(a, m)
-    assert pairs is not None
-    theta, v = pairs
-    bound = 1e-12 * max(1.0, abs(theta[0]))
-    assert theta.shape == (m,) and v.shape == (dim, m)
-    assert np.all(np.diff(theta) <= 0.0)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(m))) <= 1e-12
-    assert np.linalg.norm(a - (v * theta) @ v.conj().T) <= 2 * bound
-    expected = np.sort(np.linalg.eigvalsh(a))[::-1][:m]
-    assert np.max(np.abs(theta - expected)) <= 2 * bound
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(m)]
-    assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real > 0.0)
-    kept = v[:, :rank]
-    assert np.linalg.norm(kept @ kept.conj().T - top @ top.conj().T) <= 1e-10
-    again = top_eigenpairs(a.copy(), m)
-    assert again[0].tobytes() == theta.tobytes() and again[1].tobytes() == v.tobytes()
-
-
-def test_top_eigenpairs_declines_what_it_cannot_certify():
-    rng = np.random.default_rng(31)
-    full = random_density(64, rng)
-    assert top_eigenpairs(full, 8) is None
-    above, _ = _low_rank(64, 9, seed=1)
-    assert top_eigenpairs(above, 8) is None
-    # one eigenvalue of 1e-10 past the cut is above the 1e-12 residual bound
-    tail, top = _low_rank(64, 8, seed=2)
-    extra = random_unit_vector(64, rng)
-    extra -= top @ (top.conj().T @ extra)
-    extra /= np.linalg.norm(extra)
-    assert top_eigenpairs(tail + 1e-10 * np.outer(extra, extra.conj()), 8) is None
-    assert top_eigenpairs(tail, 8) is not None
-    # rank 3 below m = 8 with a negative eigenvalue: it would be the last
-    # Ritz value and rank above the discarded zeros
-    q, _ = np.linalg.qr(random_hermitian(64, rng))
-    signed = (q * np.r_[0.6, 0.5, -0.1, np.zeros(61)]) @ q.conj().T
-    assert top_eigenpairs(signed, 8) is None
-    assert top_eigenpairs(signed, 3) is None
-    for m in (0, 65):
-        with pytest.raises(errors.BadParameter):
-            top_eigenpairs(full, m)
-    with pytest.raises(errors.NonSquare):
-        top_eigenpairs(np.ones((2, 3)), 1)
-    with pytest.raises(errors.NonHermitian):
-        top_eigenpairs(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1)
-    with pytest.raises(errors.NonHermitian):
-        top_eigenpairs(np.diag([1.0, np.nan]), 1)
 
 
 def test_fix_phase_pins_leading_entry():

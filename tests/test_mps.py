@@ -280,7 +280,7 @@ def test_schmidt_rank_tracks_bond_profile():
     "kind, D", [("random", 1), ("random", 2), ("random", 3), ("ghz", 2), ("product", 1), ("w-state", 2)]
 )
 def test_schmidt_profile_matches_the_dense_ranks(kind, D):
-    # open states by the SVD sweep, periodic ones expanded: the same ranks either way
+    # every state by the SVD sweep of its open chain: the dense vector's ranks
     for n in range(2, 13):
         for boundary in ("open", "periodic"):
             state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, boundary=boundary, kind=kind, seed=n))
@@ -293,9 +293,64 @@ def test_schmidt_profile_of_an_open_state_runs_past_the_dense_cap():
     state = mps.random_mps(mps.StateSpec(n=40, d=3, D=4, seed=47))
     assert mps.schmidt_profile(state) == [min(4, 3**c, 3 ** (40 - c)) for c in range(1, 40)]
     assert mps.schmidt_rank(state, 20) == 4
-    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=2, boundary="periodic", seed=47))
+    # a ring's open chain has bond D * D; only a chain past 2**24 entries is
+    # refused, here a 27-bond ring whose chain holds 729 times its 24,786
+    ring = mps.random_mps(mps.StateSpec(n=40, d=3, D=2, boundary="periodic", seed=47))
+    assert mps.schmidt_profile(ring) == [min(4, 3**c, 3 ** (40 - c)) for c in range(1, 40)]
+    wide = mps.MatrixProductState(17, 2, "periodic", [np.ones((2, 27, 27))] * 17)
+    with pytest.raises(errors.TooLarge, match="18068994 tensor entries"):
+        mps.schmidt_profile(wide)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_open_chain_keeps_every_amplitude_of_a_ring(d):
+    rng = np.random.default_rng(48 + d)
+    for n in range(1, 7):
+        bonds = [int(b) for b in rng.integers(1, 4, n)]
+        ring = raw_chain(n, d, bonds + bonds[:1], "periodic", rng)
+        chain = mps.open_chain(ring)
+        assert chain.boundary == "open"
+        assert [t.shape[2] for t in chain.tensors] == [bonds[0] * b for b in bonds[1:]] + [1]
+        reference = expand_by_einsum(ring)
+        assert np.max(np.abs(mps.expand(chain) - reference)) <= 1e-12 * np.max(np.abs(reference))
+    state = mps.random_mps(mps.StateSpec(n=5, d=d, D=2, seed=48))
+    assert mps.open_chain(state) is state
+
+
+def test_open_chain_refuses_a_chain_past_the_cap_before_building_it(monkeypatch):
+    # 17 sites of 2 x 27 x 27 entries, times 27**2 for the carried closing bond
+    ring = mps.MatrixProductState(17, 2, "periodic", [np.ones((2, 27, 27))] * 17)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain tensor was built before the size check")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(errors.TooLarge, match="18068994 tensor entries"):
+        mps.open_chain(ring)
+    # random_mps counts a ring the same way: at n = 16 a bond of 27 is refused, 26 is held
+    with pytest.raises(errors.TooLarge, match="17006112 tensor entries"):
+        mps.random_mps(mps.StateSpec(n=16, d=2, D=27, boundary="periodic"))
     with pytest.raises(errors.TooLarge):
-        mps.schmidt_profile(ring)
+        mps.random_mps(mps.StateSpec(n=2, d=2, D=2000, boundary="periodic"))
+
+
+def test_schmidt_ranks_refuse_a_bad_cut_or_tolerance():
+    state = mps.random_mps(mps.StateSpec(n=6, d=2, D=2, seed=49))
+    psi, dims = mps.expand(state), (2,) * 6
+    for cut in (3.0, True, False, 0, 6, "3"):
+        with pytest.raises(errors.BadCut):
+            mps.schmidt_rank(state, cut)
+        with pytest.raises(errors.BadCut):
+            mps.schmidt_rank(psi, cut, dims=dims)
+    assert mps.schmidt_rank(state, np.int64(3)) == mps.schmidt_rank(psi, 3, dims=dims) == 2
+    for tol in (float("nan"), -1.0, -1e-300, True, None, "0"):
+        with pytest.raises(errors.BadParameter):
+            mps.schmidt_profile(state, tol)
+        with pytest.raises(errors.BadParameter):
+            mps.schmidt_rank(state, 3, tol)
+        with pytest.raises(errors.BadParameter):
+            mps.schmidt_rank(psi, 3, tol, dims=dims)
+    assert mps.schmidt_profile(state, 0) == [2] * 5
 
 
 def test_periodic_schmidt_rank_bounded_by_bond_squared():

@@ -116,6 +116,18 @@ def test_plan_blocks_halve_per_layer():
         assert b == a // 2
 
 
+def test_plan_blocks_take_only_a_layer_of_the_plan():
+    # layers are numbered 1..M; 0, -1 and M + 1 would index the tuple from
+    # the back or past its end, and a bool or a float is no layer number
+    plan = planner.plan_layers(40, 2, 2)
+    assert plan.M == 5
+    assert [plan.blocks(j) for j in range(1, 6)] == list(plan.layers)
+    assert plan.blocks(np.int64(2)) == plan.layers[1]
+    for j in (0, -1, 6, True, 1.0, 1.5, "1", None):
+        with pytest.raises(errors.BadParameter, match="layer must be an integer in 1..5"):
+            plan.blocks(j)
+
+
 def test_plan_carried_tails_stay_contiguous():
     # after any layer, each surviving block tail must be an unbroken run of
     # the surviving sites, so block tomography on the collapsed register
