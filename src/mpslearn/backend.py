@@ -3,13 +3,16 @@
 Which register ``learn`` uses follows from its input alone:
 
 * a :class:`~mpslearn.mps.MatrixProductState` goes to :class:`MPSBackend`
-  as its :func:`~mpslearn.mps.open_chain`, which keeps the site tensors in
-  mixed-canonical form and never forms a ``d**n`` object, so these runs have
-  no dense cap: only the chain, each block's window (``d**y * D_l * D_r``
-  entries) and the closing tail are capped.  :meth:`MPSBackend.rdm_factor`,
-  the window with the centre in it, is a thin ``d**y x (D_l * D_r)`` factor
-  ``F`` of the marginal ``F F^H``; the exact variant under the exact oracle
-  builds its isometries from ``F``;
+  as its :func:`~mpslearn.mps.open_chain`, which keeps its tensors, each a
+  run of sites, in mixed-canonical form and never forms a ``d**n`` object,
+  so these runs have no dense cap: only the chain, each block's window
+  (``d**y * D_l * D_r`` entries) and the closing tail are capped.
+  :meth:`MPSBackend.rdm_factor`, the window with the centre in it, is a thin
+  ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``; the exact
+  variant under the exact oracle builds its isometries from ``F``.  Each
+  window is kept as one tensor, so the centre crosses the register's
+  tensors, not its sites, and a later window made of earlier ones is
+  contracted with no cut;
 * a vector or a density matrix goes to :class:`StateBackend`, the dense
   register.  Pure inputs stay vectors; mixed inputs are density matrices,
   capped at a much smaller register since they square the memory cost.
@@ -222,42 +225,52 @@ class StateBackend:
         self.sites = sites
 
 
-def tt_split(window: np.ndarray, d: int, count: int) -> list[np.ndarray]:
-    """Split ``(D_l, d**count, D_r)`` into ``(D_l, d, D_r)`` site tensors by repeated SVD.
+def tt_split(window: np.ndarray, d: int, widths: Sequence[int], centre: int) -> list[np.ndarray]:
+    """Split ``(D_l, d**w, D_r)`` into tensors of the given widths, summing to ``w``, by SVD.
 
-    Singular values below ``SVD_CUTOFF`` relative to the largest are
-    numerical zeros and are pruned; no other truncation happens.
+    One SVD per cut, left to right.  Left of tensor ``centre`` each keeps its
+    left-orthonormal ``U`` and carries ``s V^H`` on; from ``centre`` on each
+    keeps ``U s`` and carries the right-orthonormal ``V^H``, so the norm ends
+    in tensor ``centre``.  Singular values below ``SVD_CUTOFF`` relative to
+    the largest are numerical zeros and are pruned; no other truncation
+    happens.
     """
     left, _, right = window.shape
     tensors: list[np.ndarray] = []
-    carry = window.reshape(left, d**count * right)
-    bond = left
-    for k in range(count - 1):
-        matrix = carry.reshape(bond * d, d ** (count - 1 - k) * right)
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        keep = int(np.count_nonzero(s > SVD_CUTOFF * s[0])) if s.size and s[0] > 0 else 1
-        keep = max(keep, 1)
-        tensors.append(u[:, :keep].reshape(bond, d, keep))
-        carry = s[:keep, None] * vh[:keep]
+    carry, bond = window, left
+    for k, w in enumerate(widths[:-1]):
+        u, s, vh = np.linalg.svd(carry.reshape(bond * d**w, -1), full_matrices=False)
+        keep = max(int(np.count_nonzero(s > SVD_CUTOFF * s[0])), 1)
+        u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+        u, carry = (u, s[:, None] * vh) if k < centre else (u * s, vh)
+        tensors.append(u.reshape(bond, d**w, keep))
         bond = keep
-    tensors.append(carry.reshape(bond, d, right))
+    tensors.append(carry.reshape(bond, -1, right))
     return tensors
 
 
 class MPSBackend:
-    """A pure register held as open-boundary site tensors, never as a d**n vector.
+    """A pure register held as an open-boundary tensor train, never as a d**n vector.
 
-    Each held site keeps a ``(D_l, d, D_r)`` tensor, in mixed-canonical form:
-    the tensors left of position ``centre`` are left-orthonormal and those
-    right of it right-orthonormal, so the state's norm sits in the centre and
-    a window that holds the centre is its block's marginal factor.  The
-    centre moves one :func:`mpslearn.mps.qr_step` per bond, only as far as the
-    next window needs.  A block must be a run of consecutive held sites, and
-    its window, the block's tensors contracted into ``(D_l, d**y, D_r)``,
-    must have at most ``linalg.MAX_VECTOR_DIM`` entries; both are checked
-    before anything is built (``BlockOutOfRange``, ``BackendTooLarge``).
-    :meth:`uncompress` grows a window instead, capped at
-    ``linalg.MAX_WALK_WINDOW`` entries.
+    Each tensor holds a run of ``w >= 1`` consecutive held sites as one
+    ``(D_l, d**w, D_r)`` array, its first site the most significant digit;
+    ``starts`` lists the label of each tensor's first site, so the tensor
+    that holds a site is found by bisection.  The tensors are in
+    mixed-canonical form: those left of the tensor ``centre`` are
+    left-orthonormal and those right of it right-orthonormal, so the state's
+    norm sits in the centre and a window that holds the centre is its block's
+    marginal factor.  The centre moves one :func:`mpslearn.mps.qr_step` per
+    bond between tensors, only as far as the next window needs.
+
+    Every operation leaves its window, the block's tensors contracted by
+    :func:`mpslearn.mps.contract_window`, as one tensor.  A tensor is cut
+    only where a window's edge falls inside it, by one :func:`tt_split` SVD
+    with the centre in it, so each cut sees the held state's own Schmidt
+    values.  A block must be a run of consecutive held sites, and every carry
+    of its window must have at most ``linalg.MAX_VECTOR_DIM`` entries; both
+    are checked before the window is contracted (``BlockOutOfRange``,
+    ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
+    at ``linalg.MAX_WALK_WINDOW`` entries.
     """
 
     pure = True
@@ -270,8 +283,17 @@ class MPSBackend:
             np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
         ]
         self.sites = _held_sites(sites, state.n)
+        self.starts = list(self.sites)
         self.centre = 0
         self._move_centre(self.n - 1, self.n)  # one QR sweep, left to right
+
+    @classmethod
+    def of_vector(cls, vector: np.ndarray, d: int, sites: Sequence[int]) -> "MPSBackend":
+        """A register holding a state vector on ``sites`` as one tensor, its centre."""
+        register = cls.__new__(cls)
+        register.d, register.sites, register.starts = d, list(sites), [sites[0]]
+        register.tensors, register.centre = [vector.reshape(1, -1, 1)], 0
+        return register
 
     @property
     def n(self) -> int:
@@ -279,47 +301,87 @@ class MPSBackend:
 
     @property
     def state(self) -> mps.MatrixProductState:
-        """The held state as an open-boundary tensor train on the held sites."""
-        tensors = [t.transpose(1, 0, 2) for t in self.tensors]
+        """The held state as an open-boundary train of one tensor per held site.
+
+        A copy takes the centre to its last tensor and is cut before every
+        site, right to left, each cut from the centre and keeping the centre
+        on its left, so every bond sees the state's own Schmidt values.  A
+        backward walk ends with the centre there, so no QR step crosses a
+        window.
+        """
+        register = self.copy()
+        register._move_centre(len(self.tensors) - 1, len(self.tensors))
+        for label in reversed(self.sites):
+            register._cut(label, left=True)
+        tensors = [t.transpose(1, 0, 2) for t in register.tensors]
         return mps.MatrixProductState(self.n, self.d, "open", tensors)
 
     def copy(self) -> "MPSBackend":
         """A register on the same tensors and centre, which no operation writes in place."""
         clone = copy.copy(self)
         clone.tensors, clone.sites = list(self.tensors), list(self.sites)
+        clone.starts = list(self.starts)
         return clone
+
+    def _position(self, label: int) -> int:
+        return bisect.bisect_left(self.sites, label)
 
     def _window(
         self, labels: list[int], cap: int = linalg.MAX_VECTOR_DIM, grow: int = 0
     ) -> tuple[int, int]:
-        """Positions ``lo:hi`` of a run of held sites, with the centre moved into them.
+        """Tensors ``lo:hi`` holding exactly a run of held sites, cut where its edges fall.
 
-        Every carry :func:`mpslearn.mps.contract_window` builds from their
-        tensors, ``grow`` sites wider, must fit in ``cap`` entries.
+        Every carry :func:`mpslearn.mps.contract_window` builds from them,
+        ``grow`` sites wider, must fit in ``cap`` entries.
         """
-        lo = bisect.bisect_left(self.sites, labels[0]) if labels else 0
-        hi = lo + len(labels)
-        if not labels or self.sites[lo:hi] != labels:
+        first = self._position(labels[0]) if labels else 0
+        last = first + len(labels)
+        if not labels or self.sites[first:last] != labels:
             raise BlockOutOfRange(f"sites {labels} are not a run of consecutive held sites")
+        if last < self.n:
+            self._cut(self.sites[last])
+        lo, hi = self._cut(labels[0]), bisect.bisect_right(self.starts, labels[-1])
         width, entries = self.tensors[lo].shape[0] * self.d**grow, 0
         for t in self.tensors[lo:hi]:
-            width *= self.d
+            width *= t.shape[1]
             entries = max(entries, width * t.shape[2])
         if entries > cap:
             raise BackendTooLarge(
                 f"the window of sites {labels[0]}..{labels[-1]} needs {entries} entries "
                 f"> cap {cap}"
             )
-        self._move_centre(lo, hi)
         return lo, hi
 
+    def _cut(self, label: int, left: bool = False) -> int:
+        """The index of the tensor that starts at held site ``label``, cutting the one holding it.
+
+        The cut takes the centre into the tensor, and leaves it right of the
+        cut, or with ``left`` left of it.
+        """
+        k = bisect.bisect_right(self.starts, label) - 1
+        if self.starts[k] == label:
+            return k
+        self._move_centre(k, k + 1)
+        t, m = self.tensors[k], self._position(label) - self._position(self.starts[k])
+        widths = [m, infer_site_count(t.shape[1], self.d) - m]
+        self.tensors[k : k + 1] = tt_split(t, self.d, widths, centre=0 if left else 1)
+        self.starts.insert(k + 1, label)
+        self.centre = k if left else k + 1
+        return k + 1
+
     def _move_centre(self, lo: int, hi: int) -> None:
-        """Move the centre to the nearest of positions ``lo:hi``, one QR step per bond."""
+        """Move the centre to the nearest of tensors ``lo:hi``, one QR step per bond."""
         while not lo <= self.centre < hi:
             step = 1 if self.centre < lo else -1
             k = min(self.centre, self.centre + step)
             self.tensors[k : k + 2] = mps.qr_step(*self.tensors[k : k + 2], rightward=step > 0)
             self.centre += step
+
+    def _store(self, lo: int, hi: int, tensor: np.ndarray, start: int) -> None:
+        """Hold ``tensor``, whose first site is ``start``, in place of tensors ``lo:hi``."""
+        self.tensors[lo:hi], self.starts[lo:hi] = [tensor], [start]
+        if self.centre >= lo:
+            self.centre = max(lo, self.centre - (hi - lo - 1))
 
     def success_mass(self) -> float:
         return float(np.linalg.norm(self.tensors[self.centre]) ** 2)
@@ -333,57 +395,67 @@ class MPSBackend:
         """A thin ``F``, ``d**y x (D_l * D_r)``, with ``F @ F^H == rdm(site_labels)``.
 
         ``F[x, (a, b)] = W[a, x, b]`` for the window ``W`` that holds the
-        centre: the held state is ``L W R`` with orthonormal ``L`` and ``R``,
-        so the marginal is ``F F^H``, which is never formed here.
+        centre, which the register keeps as one tensor: the held state is
+        ``L W R`` with orthonormal ``L`` and ``R``, so the marginal is
+        ``F F^H``, which is never formed here.
         """
         lo, hi = self._window(sorted(site_labels))
+        self._move_centre(lo, hi)
         window = mps.contract_window(self.tensors[lo:hi])
+        self._store(lo, hi, window, self.starts[lo])
         dl, dim, dr = window.shape
         return window.transpose(1, 0, 2).reshape(dim, dl * dr)
 
     def compress(
         self, isometry: np.ndarray, site_labels: Sequence[int], dropped: Sequence[int]
     ) -> None:
-        """:meth:`StateBackend.compress` on the block's window, re-split by :func:`tt_split`.
+        """:meth:`StateBackend.compress` on the block's window, kept as one tensor.
 
-        The window holds the centre, so every cut of the split sees the held
-        state's own Schmidt values; the centre ends on the block's last site.
+        The window holds the centre, so the centre ends on the kept tensor,
+        whose norm is the success mass.
         """
         labels, gone = list(site_labels), list(dropped)
         y, k = len(labels), len(labels) - len(gone)
         if k < 1 or labels[: len(gone)] != gone or isometry.shape != (self.d**y, self.d**k):
             raise DimensionMismatch(f"no {isometry.shape} isometry drops {gone} of {labels}")
         lo, hi = self._window(labels)
+        self._move_centre(lo, hi)
         kept = isometry.conj().T @ mps.contract_window(self.tensors[lo:hi])
-        self.tensors[lo:hi] = tt_split(kept, self.d, k)
-        self.sites[lo:hi] = labels[len(gone) :]
-        self.centre = lo + k - 1
+        self._store(lo, hi, kept, labels[len(gone)])
+        first = self._position(labels[0])
+        self.sites[first : first + y] = labels[len(gone) :]
 
     def uncompress(
         self, isometry: np.ndarray, site_labels: Sequence[int], inserted: Sequence[int]
     ) -> None:
         """:meth:`StateBackend.uncompress`, capping the grown window before anything is read.
 
-        Re-split from the centre like :meth:`compress`, which it mirrors.
+        An isometry keeps a tensor left- or right-orthonormal, so the window
+        needs no centre; the grown window is kept as one tensor.
         """
         labels, new = list(site_labels), list(inserted)
         y, k = len(labels), len(labels) - len(new)
         if k < 1 or labels[: len(new)] != new:
             raise DimensionMismatch(f"no isometry inserts {new} into {labels}")
         lo, hi = self._window(labels[len(new) :], linalg.MAX_WALK_WINDOW, grow=len(new))
-        sites = self.sites[:lo] + labels + self.sites[hi:]
-        if any(a >= b for a, b in zip(sites, sites[1:])):
+        first = self._position(labels[len(new)])
+        # the held run is ascending, so only the block and its left neighbour need a look
+        run = self.sites[first - 1 : first] + labels
+        if any(a >= b for a, b in zip(run, run[1:])):
             raise BlockOutOfRange(f"sites {new} do not fit before the held run")
         if isometry.shape != (self.d**y, self.d**k):
             raise DimensionMismatch(f"no {isometry.shape} isometry inserts {new} into {labels}")
-        grown = isometry @ mps.contract_window(self.tensors[lo:hi])
-        self.tensors[lo:hi] = tt_split(grown, self.d, y)
-        self.sites = sites
-        self.centre = lo + y - 1
+        self._store(lo, hi, isometry @ mps.contract_window(self.tensors[lo:hi]), labels[0])
+        self.sites[first : first + k] = labels
 
     def expand(self) -> np.ndarray:
-        """The held state as a dense vector on the held sites (capped by :func:`mps.expand`)."""
-        return mps.expand(self.state)
+        """The held state as a dense vector on the held sites, capped like :func:`mps.expand`."""
+        if self.d**self.n > linalg.MAX_VECTOR_DIM:
+            raise BackendTooLarge(
+                f"dense expansion of dimension {self.d}**{self.n} exceeds cap "
+                f"{linalg.MAX_VECTOR_DIM}"
+            )
+        return mps.contract_window(self.tensors)[0, :, 0].copy()
 
     def fidelity(self, vector: np.ndarray) -> float:
         """``|<v|psi>|^2`` for ``v`` on the held sites in ascending order."""

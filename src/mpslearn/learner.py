@@ -24,8 +24,10 @@ singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
 That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
 and PSD by construction.  Every other run hands the oracle the dense marginal.
 A layer's blocks are estimated right to left and compressed left to right, so
-the centre crosses the register once each way per layer; the oracle's seeds
-are keyed by (layer, block), so the order changes no estimate.
+the centre crosses the register once each way per layer, one QR step per
+tensor, not per site: the register keeps each earlier window as one tensor.
+The oracle's seeds are keyed by (layer, block), so the order changes no
+estimate.
 
 A register no longer than twice the block tail runs the same loop on a plan
 with zero layers: the closing call then covers the whole register (the
@@ -53,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, mps, tomography
-from .backend import MPSBackend, StateBackend, infer_site_count, tt_split
+from .backend import MPSBackend, StateBackend, infer_site_count
 from .disentangler import (
     build_rank_capped,
     build_rank_capped_from_factor,
@@ -628,14 +630,13 @@ def residual_projection(circuit: CircuitDescription, phi: np.ndarray, j: int) ->
 def extract_mps(circuit: CircuitDescription) -> mps.MatrixProductState:
     """Contract the learned circuit into an open-boundary tensor train.
 
-    The residual, split by :func:`~mpslearn.backend.tt_split`'s un-truncated
-    SVDs, is walked backward on a tensor-train register.  A grown window of
-    more than ``2**24`` entries raises ``TooLarge`` before it is built.
+    The residual, held as one tensor, is walked backward on a tensor-train
+    register, which cuts it only where a block's window needs a cut and then
+    into sites, each cut from the centre.  A grown window of more than
+    ``2**24`` entries raises ``TooLarge`` before it is built.
     """
-    d, sites = circuit.d, circuit.residual_sites
-    train = tt_split(circuit.residual.reshape(1, -1, 1), d, len(sites))
-    residual = mps.MatrixProductState(len(sites), d, "open", [t.transpose(1, 0, 2) for t in train])
-    return _walk_backward(circuit, MPSBackend(residual, sites), circuit.num_layers).state
+    register = MPSBackend.of_vector(circuit.residual, circuit.d, circuit.residual_sites)
+    return _walk_backward(circuit, register, circuit.num_layers).state
 
 
 def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:

@@ -238,10 +238,11 @@ def _w_mps(n: int, d: int, boundary: str) -> MatrixProductState:
 
 
 def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract consecutive ``(D_l, d, D_r)`` site tensors into one ``(D_l, d**w, D_r)``.
+    """Contract consecutive ``(D_l, d**w, D_r)`` tensors into one, of the summed width.
 
-    One matrix product per site, ``(l x, a) @ (a, i b)``, appends digit ``i``
-    as the least significant one: the first site is the most significant digit.
+    One matrix product per tensor, ``(l x, a) @ (a, i b)``, appends its sites
+    ``i`` as the least significant digits: the first site is the most
+    significant digit.
     """
     window = tensors[0]
     for t in tensors[1:]:
@@ -251,19 +252,20 @@ def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def qr_step(left: np.ndarray, right: np.ndarray, rightward: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Move the orthogonality centre across the bond of two ``(D_l, d, D_r)`` tensors.
+    """Move the orthogonality centre across the bond of two ``(D_l, d**w, D_r)`` tensors.
 
-    Rightward, ``left = Q R`` becomes its left-orthonormal ``Q`` and ``R``
-    joins ``right``; leftward, ``right`` becomes right-orthonormal the same
-    way and its ``R^T`` joins ``left``.  The pair's product is unchanged, and
-    the bond shrinks to at most the dimension on the ``Q`` side.
+    The two may hold different numbers of sites ``w``.  Rightward, ``left =
+    Q R`` becomes its left-orthonormal ``Q`` and ``R`` joins ``right``;
+    leftward, ``right`` becomes right-orthonormal the same way and its
+    ``R^T`` joins ``left``.  The pair's product is unchanged, and the bond
+    shrinks to at most the dimension on the ``Q`` side.
     """
-    (a, d, _), (_, _, b) = left.shape, right.shape
+    (a, x, _), (_, z, b) = left.shape, right.shape
     if rightward:
-        q, r = np.linalg.qr(left.reshape(a * d, -1))
-        return q.reshape(a, d, -1), (r @ right.reshape(r.shape[1], -1)).reshape(-1, d, b)
-    q, r = np.linalg.qr(right.reshape(-1, d * b).T)
-    return (left.reshape(a * d, -1) @ r.T).reshape(a, d, -1), q.T.reshape(-1, d, b)
+        q, r = np.linalg.qr(left.reshape(a * x, -1))
+        return q.reshape(a, x, -1), (r @ right.reshape(r.shape[1], -1)).reshape(-1, z, b)
+    q, r = np.linalg.qr(right.reshape(-1, z * b).T)
+    return (left.reshape(a * x, -1) @ r.T).reshape(a, x, -1), q.T.reshape(-1, z, b)
 
 
 def open_chain(state: MatrixProductState) -> MatrixProductState:

@@ -267,6 +267,8 @@ def walk_isometry(rng, d, y, dropped):
 @given(walk=register_walks())
 @example(walk=(2, 8, 2, 0, [(0, 4, 2, False), (2, 4, 2, False), (0, 4, 2, False)]))  # n = 8, p = 2
 @example(walk=(3, 6, 3, 1, [(1, 3, 2, True), (2, 3, 1, False), (0, 3, 2, True)]))
+@example(walk=(2, 8, 3, 2, [(0, 4, 1, False), (1, 4, 2, False)]))  # an edge in a kept block
+@example(walk=(2, 8, 3, 3, [(0, 4, 2, False), (2, 4, 2, False), (0, 4, 2, True)]))  # layer 2
 def test_the_tensor_train_register_matches_the_dense_register(walk):
     # compress forward, then uncompress back to the full chain; a mixed dense
     # register walks along, and each undone step leaves the projector W W^H
@@ -317,6 +319,8 @@ def test_the_tensor_train_register_matches_the_dense_register(walk):
 @given(walk=register_walks(sizes=(12, 12)), widths=st.tuples(st.integers(1, 4), st.integers(0, 4)))
 @example(walk=(2, 8, 2, 0, []), widths=(4, 3))  # k = D_l * D_r <= 4 columns for d**p = 8
 @example(walk=(3, 12, 3, 1, [(0, 3, 2, False), (4, 3, 1, False)]), widths=(3, 2))
+@example(walk=(2, 8, 3, 2, [(0, 4, 1, False), (1, 4, 2, True)]), widths=(2, 1))  # edge in a block
+@example(walk=(2, 8, 3, 3, [(0, 4, 2, False), (2, 4, 2, False)]), widths=(4, 2))  # layer 2
 def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
     # the factor path against the register's dense marginal, on every block
     d, n, D, seed, steps = walk
@@ -370,3 +374,26 @@ def test_the_tensor_train_register_refuses_gaps_and_wide_windows():
     ring = mps.random_mps(mps.StateSpec(n=4, d=2, D=2, boundary="periodic", seed=46))
     with pytest.raises(errors.DimensionMismatch):
         MPSBackend(ring)
+
+
+def test_the_tensor_train_keeps_each_window_whole_and_cuts_only_inside_one(monkeypatch):
+    # n = 8, p = 2: each layer-1 output stays one tensor, the layer-2 window
+    # is two of them and needs no SVD, and a window whose edge falls inside a
+    # tensor costs one SVD, at that edge
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    state = mps.random_mps(mps.StateSpec(n=8, d=2, D=3, seed=50))
+    train, dense = MPSBackend(state), StateBackend(mps.expand(state), 2)
+    rng = np.random.default_rng(50)
+    for labels in ([0, 1, 2, 3], [4, 5, 6, 7], [2, 3, 6, 7]):
+        w = walk_isometry(rng, 2, 4, 2)
+        for register in (train, dense):
+            register.compress(w, labels, labels[:2])
+    assert (train.sites, len(train.tensors), svds) == ([6, 7], 1, [])
+    w = walk_isometry(rng, 2, 4, 2)
+    for register in (train, dense):
+        register.uncompress(w, [2, 3, 6, 7], [2, 3])
+    assert (train.starts, svds) == ([2], [])
+    assert np.max(np.abs(train.rdm([3, 6]) - dense.rdm([3, 6]))) <= 1e-12
+    assert (train.starts, len(svds)) == ([2, 3, 7], 2)
+    assert np.max(np.abs(train.expand() - dense.state)) <= 1e-12

@@ -704,18 +704,68 @@ def test_extract_mps_matches_reconstruction(n, D, oracle, seed):
     assert np.max(np.abs(mps.expand(extracted) - reconstructed)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("D", [2, 4])
-def test_an_exact_run_extracts_at_the_bonds_of_its_input(n, D):
-    # each window is re-split from the centre, so the walk keeps only the
-    # state's own Schmidt values: no bond past the input's rank at its cut
-    for seed in range(3):
-        state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=seed))
-        circuit, _ = learner.learn(state, 2, D, 0.2, 0.01, seed=seed)
+_SAME_SEEDS = [(0, 0), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "D, n, seeds",
+    [
+        (2, 64, _SAME_SEEDS),
+        (2, 256, _SAME_SEEDS),
+        (4, 64, _SAME_SEEDS),
+        (4, 256, _SAME_SEEDS),
+        # at cut 672|673 an intermediate state's fifth Schmidt value is
+        # 1.1e-12 of the largest, just above the cutoff; the output's is 6e-17
+        (4, 1024, [(7, 3)]),
+    ],
+    ids=["2-64", "2-256", "4-64", "4-256", "4-1024"],
+)
+def test_an_exact_run_extracts_at_the_bonds_of_its_input(D, n, seeds):
+    # every cut is taken from the centre, the last ones on the output itself,
+    # so only the state's Schmidt values are kept: no bond past the input's
+    # rank at its cut
+    for state_seed, learn_seed in seeds:
+        state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=state_seed))
+        circuit, _ = learner.learn(state, 2, D, 0.2, 0.01, seed=learn_seed)
         extracted = learner.extract_mps(circuit)
         profile = mps.schmidt_profile(state)
-        assert mps.schmidt_profile(extracted) == profile, seed
-        assert all(t.shape[2] <= rank for t, rank in zip(extracted.tensors, profile)), seed
+        assert mps.schmidt_profile(extracted) == profile, state_seed
+        bonds = [t.shape[2] for t in extracted.tensors]
+        assert all(bond <= rank for bond, rank in zip(bonds, profile)), state_seed
+
+
+def test_the_register_cuts_a_window_only_where_a_later_window_needs_a_cut(monkeypatch):
+    # the trivial path's residual is one tensor, which extraction cuts into
+    # sites by SVD alone; an exact learn at n = 16, D = 4, whose layer-2
+    # window is two whole layer-1 outputs, cuts nothing, so its only SVDs
+    # are the acted blocks' factors
+    calls = {"qr_step": 0, "svd": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(mps, "qr_step")
+    counted(np.linalg, "svd")
+    state = mps.random_mps(mps.StateSpec(n=10, d=2, D=2, seed=43))
+    circuit, report = learner.learn(state, 2, 2, 0.2, 0.01, variant="closest", seed=43)
+    assert report.M == 0
+    calls.update(qr_step=0, svd=0)
+    extracted = learner.extract_mps(circuit)
+    assert calls == {"qr_step": 0, "svd": 9}
+    assert np.max(np.abs(mps.expand(extracted) - circuit.residual)) <= 1e-12
+    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=4, seed=43))
+    calls.update(qr_step=0, svd=0)
+    circuit, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=43)
+    acted = sum(b.acted for layer in circuit.plan.layers for b in layer)
+    assert (report.M, acted) == (2, 3)
+    assert calls["svd"] == acted
+    assert report.final_fidelity >= 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("D", [2, 4])

@@ -128,6 +128,27 @@ def test_contract_window_matches_an_einsum_chain(bonds, d, seed):
     assert np.max(np.abs(window - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
+@pytest.mark.parametrize("widths", [(3, 1), (1, 3)])
+@pytest.mark.parametrize("rightward", [True, False])
+def test_qr_step_moves_the_centre_between_tensors_of_different_widths(widths, rightward):
+    # a 3-site tensor next to a 1-site one: the pair's product is kept, and
+    # the side the centre leaves is orthonormal
+    d, rng = 2, np.random.default_rng(48)
+    left, right = (
+        rng.standard_normal((a, d**w, b)) + 1j * rng.standard_normal((a, d**w, b))
+        for a, w, b in ((3, widths[0], 4), (4, widths[1], 2))
+    )
+    new_left, new_right = mps.qr_step(left, right, rightward=rightward)
+    assert new_left.shape[1] == d ** widths[0] and new_right.shape[1] == d ** widths[1]
+    product = mps.contract_window([left, right])
+    assert np.max(np.abs(mps.contract_window([new_left, new_right]) - product)) <= 1e-12
+    if rightward:  # left-orthonormal: Q^H Q = I over (D_l, site) rows
+        q = new_left.reshape(-1, new_left.shape[2])
+    else:  # right-orthonormal: Q Q^H = I over (site, D_r) columns
+        q = new_right.reshape(new_right.shape[0], -1).T
+    assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-12
+
+
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_normalize_matches_the_normalized_expansion(boundary):
     rng = np.random.default_rng(41)

@@ -25,7 +25,7 @@ PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
     "top_eigenvector": "23829669fab99fdfa56c1468d47628371216ed86125f81954c9c7610ae450ff0",
     "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
-    "MPSBackend.rdm_factor": "472b6e404ddd998d0236153296481526ca93835338e584b90522ccf9a2d1ec02",
+    "MPSBackend.rdm_factor": "11e16f4695286edd5f5dc96e2d4bee2d06fe46022219bae872e68753bd4e5c8c",
 }
 
 
