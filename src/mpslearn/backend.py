@@ -7,6 +7,10 @@ Which register ``learn`` uses follows from its input alone:
   run of sites, in mixed-canonical form and never forms a ``d**n`` object,
   so these runs have no dense cap: only the chain, each block's window
   (``d**y * D_l * D_r`` entries) and the closing tail are capped.
+  ``learn`` builds it from the windows of its first operation, layer 1's
+  acted blocks: each that fits the cap is contracted from the site tensors
+  into one tensor, and one QR sweep then takes one step per tensor, not per
+  site.
   :meth:`MPSBackend.rdm_factor`, the window with the centre in it, is a thin
   ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``; the exact
   variant under the exact oracle builds its isometries from ``F``.  Each
@@ -271,11 +275,23 @@ class MPSBackend:
     are checked before the window is contracted (``BlockOutOfRange``,
     ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
     at ``linalg.MAX_WALK_WINDOW`` entries.
+
+    The register starts from one tensor per site of ``state``, except on
+    ``runs``: disjoint, ascending runs of consecutive sites, such as the
+    first layer's windows.  Each run whose window fits the cap on the raw
+    site tensors is contracted into one tensor; a wider one stays one tensor
+    per site, since the sweep may narrow its bonds.  One left-to-right QR
+    sweep then makes the train canonical, one step per tensor it holds.
     """
 
     pure = True
 
-    def __init__(self, state: mps.MatrixProductState, sites: Sequence[int] | None = None):
+    def __init__(
+        self,
+        state: mps.MatrixProductState,
+        sites: Sequence[int] | None = None,
+        runs: Sequence[Sequence[int]] = (),
+    ):
         if state.boundary != "open":
             raise DimensionMismatch("the tensor-train register needs an open chain, mps.open_chain")
         self.d = state.d
@@ -285,13 +301,27 @@ class MPSBackend:
         self.sites = _held_sites(sites, state.n)
         self.starts = list(self.sites)
         self.centre = 0
-        self._move_centre(self.n - 1, self.n)  # one QR sweep, left to right
+        labels = [s for run in runs for s in run]
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise BlockOutOfRange(f"runs {[list(run) for run in runs]} overlap or descend")
+        for run in runs:  # contracted from the site tensors, before any sweep
+            try:
+                lo, hi = self._window(list(run))
+            except BackendTooLarge:
+                continue  # left as sites: the sweep may narrow the bonds a later window sees
+            self._store(lo, hi, mps.contract_window(self.tensors[lo:hi]), run[0])
+        self._move_centre(len(self.tensors) - 1, len(self.tensors))  # one QR step per bond
 
     @classmethod
     def of_vector(cls, vector: np.ndarray, d: int, sites: Sequence[int]) -> "MPSBackend":
-        """A register holding a state vector on ``sites`` as one tensor, its centre."""
+        """A register holding a state vector on ``sites`` as one tensor, its centre.
+
+        The vector holds ``d**len(sites)`` entries on ascending labels, or
+        ``DimensionMismatch`` is raised.
+        """
         register = cls.__new__(cls)
-        register.d, register.sites, register.starts = d, list(sites), [sites[0]]
+        labels = _held_sites(sites, infer_site_count(vector.size, d))
+        register.d, register.sites, register.starts = d, labels, labels[:1]
         register.tensors, register.centre = [vector.reshape(1, -1, 1)], 0
         return register
 

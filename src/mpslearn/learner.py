@@ -23,7 +23,11 @@ rank at most ``D_l * D_r``, and its isometry is built from ``F``'s top left
 singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
 That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
 and PSD by construction.  Every other run hands the oracle the dense marginal.
-A layer's blocks are estimated right to left and compressed left to right, so
+The run plans first and builds the tensor-train register from layer 1's
+windows: each acted block is contracted from the input's site tensors into
+one tensor, unless its window on their raw bonds is past the cap, and one
+QR sweep makes the train canonical, one step per window, not per site.  A
+layer's blocks are estimated right to left and compressed left to right, so
 the centre crosses the register once each way per layer, one QR step per
 tensor, not per site: the register keeps each earlier window as one tensor.
 The oracle's seeds are keyed by (layer, block), so the order changes no
@@ -289,16 +293,23 @@ def _child_mode(mode: tomography.OracleMode, eta_budget: float, base: Sequence[i
     return dataclasses.replace(mode, **fill)
 
 
-def _register(state, d: int) -> StateBackend | MPSBackend:
-    """The register ``learn`` runs on, from the input alone, on the plan's labels ``1..n``."""
-    if isinstance(state, mps.MatrixProductState):
-        if state.d != d:
-            raise BadParameter(f"state has d={state.d}, learner called with d={d}")
-        return MPSBackend(mps.open_chain(state), range(1, state.n + 1))
+def _dense_register(state, d: int) -> StateBackend:
+    """The register of a vector or density input, on the plan's labels ``1..n``."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise BadParameter(f"state must be a vector or density matrix, got ndim {arr.ndim}")
     return StateBackend(arr, d, range(1, infer_site_count(len(arr), d) + 1))
+
+
+def _train_register(chain: mps.MatrixProductState, plan: LayerPlan) -> MPSBackend:
+    """The tensor-train register of an open chain, built from layer 1's acted blocks.
+
+    Each block whose window fits the cap is contracted from the site tensors
+    into one tensor.  The trivial path has no layer, so its register starts
+    from one tensor per site.
+    """
+    runs = [b.support for b in plan.blocks(1) if b.acted] if plan.M else []
+    return MPSBackend(chain, range(1, plan.n + 1), runs)
 
 
 def learn(
@@ -375,11 +386,13 @@ def learn(
     if not isinstance(mode, tomography.OracleMode):
         raise BadParameter(f"unknown oracle mode {mode!r}")
 
-    backend = _register(state, d)
-    n = backend.n
-    mass = backend.success_mass()
-    if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
-        raise BadParameter(f"input state must be normalized, got mass {mass}")
+    if isinstance(state, mps.MatrixProductState):
+        if state.d != d:
+            raise BadParameter(f"state has d={state.d}, learner called with d={d}")
+        chain, backend, n = mps.open_chain(state), None, state.n  # its register follows the plan
+    else:
+        backend = _dense_register(state, d)
+        n = backend.n
 
     deviations: list[str] = []
     effective_epsilon = epsilon
@@ -405,6 +418,11 @@ def learn(
                 )
     plan = _plan(n, d, p)
     M, tail = plan.M, plan.final_carried
+    if backend is None:
+        backend = _train_register(chain, plan)
+    mass = backend.success_mass()
+    if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
+        raise BadParameter(f"input state must be normalized, got mass {mass}")
     if M == 0:
         # No layer to run: the closing call estimates the whole register.
         if schedule is None:

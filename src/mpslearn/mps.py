@@ -40,10 +40,10 @@ class MatrixProductState:
     boundary : str
         Either ``"open"`` or ``"periodic"``.
     tensors : list[np.ndarray]
-        One tensor per site with shape ``(d, D_left, D_right)``.  Open
-        boundary requires ``D_left = 1`` at site 0 and ``D_right = 1`` at the
-        last site; periodic boundary requires the outer bonds to match so the
-        ring closes.
+        One tensor per site with shape ``(d, D_left, D_right)`` and finite
+        entries.  Open boundary requires ``D_left = 1`` at site 0 and
+        ``D_right = 1`` at the last site; periodic boundary requires the outer
+        bonds to match so the ring closes.
     """
 
     n: int
@@ -69,6 +69,14 @@ class MatrixProductState:
                     f"bond mismatch between sites {k - 1} and {k}: "
                     f"{self.tensors[k - 1].shape[2]} vs {t.shape[1]}"
                 )
+        finite = (  # one NumPy call on a copy of at most 16 MB, else one call per tensor
+            np.isfinite(np.concatenate([t.ravel() for t in self.tensors])).all()
+            if sum(t.size for t in self.tensors) <= 2**20
+            else all(np.isfinite(t).all() for t in self.tensors)
+        )
+        if not finite:
+            k = next(k for k, t in enumerate(self.tensors) if not np.isfinite(t).all())
+            raise InvalidSpec(f"site {k} tensor holds a non-finite entry")
         first, last = self.tensors[0], self.tensors[-1]
         if self.boundary == "open":
             if first.shape[1] != 1 or last.shape[2] != 1:

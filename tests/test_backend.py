@@ -146,6 +146,8 @@ def test_registers_refuse_labels_that_are_not_strictly_ascending(sites):
         StateBackend(random_state(3, 2, seed=41), 2, sites=sites)
     with pytest.raises(errors.DimensionMismatch, match="not ascending"):
         MPSBackend(mps.random_mps(spec), sites=sites)
+    with pytest.raises(errors.DimensionMismatch, match="not ascending"):
+        MPSBackend.of_vector(random_state(3, 2, seed=41), 2, sites)
 
 
 def test_backend_fidelity_reads_the_held_sites():
@@ -237,13 +239,26 @@ def test_uncompress_refuses_what_no_compress_could_undo():
 
 
 @st.composite
+def site_runs(draw, n, widest):
+    """Disjoint ascending runs of consecutive sites of ``0..n-1``, each at most ``widest`` long."""
+    runs, lo = [], 0
+    while lo < n and draw(st.booleans()):
+        lo += draw(st.integers(0, n - lo - 1))
+        width = draw(st.integers(1, min(widest, n - lo)))
+        runs.append(list(range(lo, lo + width)))
+        lo += width
+    return runs
+
+
+@st.composite
 def register_walks(draw, sizes=(8, 6)):
-    """(d, n, D, seed, steps): compressions of runs of consecutive held sites.
+    """(d, n, D, seed, steps, runs): compressions of runs of consecutive held sites.
 
     Each step is ``(lo, y, dropped, undo)``: compress the ``y`` held sites
     from position ``lo`` on, dropping the leading ``dropped``, and with
-    ``undo`` uncompress the block again at once.  ``sizes`` caps the chain
-    length for d = 2 and d = 3.
+    ``undo`` uncompress the block again at once.  The register is built from
+    ``runs`` (:func:`site_runs`); a walk without them starts from sites.
+    ``sizes`` caps the chain length for d = 2 and d = 3.
     """
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, sizes[0] if d == 2 else sizes[1]))
@@ -255,7 +270,8 @@ def register_walks(draw, sizes=(8, 6)):
         undo = draw(st.booleans())
         steps.append((lo, y, dropped, undo))
         held -= 0 if undo else dropped
-    return d, n, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), steps
+    runs = draw(site_runs(n, 6 if d == 2 else 4))
+    return d, n, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), steps, runs
 
 
 def walk_isometry(rng, d, y, dropped):
@@ -269,27 +285,35 @@ def walk_isometry(rng, d, y, dropped):
 @example(walk=(3, 6, 3, 1, [(1, 3, 2, True), (2, 3, 1, False), (0, 3, 2, True)]))
 @example(walk=(2, 8, 3, 2, [(0, 4, 1, False), (1, 4, 2, False)]))  # an edge in a kept block
 @example(walk=(2, 8, 3, 3, [(0, 4, 2, False), (2, 4, 2, False), (0, 4, 2, True)]))  # layer 2
+@example(  # n = 8, p = 2, on a register built from the layer-1 windows
+    walk=(
+        2, 8, 3, 4, [(0, 4, 2, False), (2, 4, 2, False), (0, 4, 2, False)],
+        [[0, 1, 2, 3], [4, 5, 6, 7]],
+    )
+)
 def test_the_tensor_train_register_matches_the_dense_register(walk):
     # compress forward, then uncompress back to the full chain; a mixed dense
-    # register walks along, and each undone step leaves the projector W W^H
-    d, n, D, seed, steps = walk
+    # register walks along, and each undone step leaves the projector W W^H.
+    # The checks read a copy, so the walked register keeps its windows whole.
+    d, n, D, seed, steps, *runs = walk
     state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     psi = mps.expand(state)
-    train, dense = MPSBackend(state), StateBackend(psi, d)
+    train, dense = MPSBackend(state, runs=runs[0] if runs else ()), StateBackend(psi, d)
     mixed = StateBackend(np.outer(psi, psi.conj()), d)
 
     def agree():
-        assert train.sites == dense.sites == mixed.sites
-        assert abs(train.success_mass() - dense.success_mass()) <= 1e-12
-        for lo in range(train.n):
-            for hi in range(lo + 1, min(lo + 3, train.n) + 1):
-                block = train.sites[lo:hi]
-                assert np.max(np.abs(train.rdm(block) - dense.rdm(block))) <= 1e-12
-        assert np.max(np.abs(train.expand() - dense.state)) <= 1e-12
+        view = train.copy()
+        assert view.sites == dense.sites == mixed.sites
+        assert abs(view.success_mass() - dense.success_mass()) <= 1e-12
+        for lo in range(view.n):
+            for hi in range(lo + 1, min(lo + 3, view.n) + 1):
+                block = view.sites[lo:hi]
+                assert np.max(np.abs(view.rdm(block) - dense.rdm(block))) <= 1e-12
+        assert np.max(np.abs(view.expand() - dense.state)) <= 1e-12
         assert np.max(np.abs(mixed.state - np.outer(dense.state, dense.state.conj()))) <= 1e-12
-        witness = random_state(train.n, d, seed % 997)
-        assert abs(train.fidelity(witness) - dense.fidelity(witness)) <= 1e-12
+        witness = random_state(view.n, d, seed % 997)
+        assert abs(view.fidelity(witness) - dense.fidelity(witness)) <= 1e-12
 
     agree()
     walked = []
@@ -321,19 +345,24 @@ def test_the_tensor_train_register_matches_the_dense_register(walk):
 @example(walk=(3, 12, 3, 1, [(0, 3, 2, False), (4, 3, 1, False)]), widths=(3, 2))
 @example(walk=(2, 8, 3, 2, [(0, 4, 1, False), (1, 4, 2, True)]), widths=(2, 1))  # edge in a block
 @example(walk=(2, 8, 3, 3, [(0, 4, 2, False), (2, 4, 2, False)]), widths=(4, 2))  # layer 2
+@example(  # a register built from runs, the first one a kept block
+    walk=(3, 12, 2, 5, [(1, 3, 2, False), (2, 3, 1, False)], [[1, 2, 3], [4, 5, 6]]), widths=(3, 2)
+)
 def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
-    # the factor path against the register's dense marginal, on every block
-    d, n, D, seed, steps = walk
+    # the factor path against the register's dense marginal, on every block,
+    # read on a copy, so the walked register keeps its windows whole
+    d, n, D, seed, steps, *runs = walk
     state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, seed=seed % 1000))
     rng = np.random.default_rng(seed)
-    train = MPSBackend(state)
+    train = MPSBackend(state, runs=runs[0] if runs else ())
 
     def agree():
-        y = min(widths[0], train.n, 4 if d == 2 else 3)
+        view = train.copy()
+        y = min(widths[0], view.n, 4 if d == 2 else 3)
         p = min(widths[1], y)
-        for lo in range(train.n - y + 1):
-            block = train.sites[lo : lo + y]
-            factor, sigma = train.rdm_factor(block), train.rdm(block)
+        for lo in range(view.n - y + 1):
+            block = view.sites[lo : lo + y]
+            factor, sigma = view.rdm_factor(block), view.rdm(block)
             assert np.max(np.abs(factor @ factor.conj().T - sigma)) <= 1e-12
             assert abs(np.linalg.norm(factor) ** 2 - np.trace(sigma).real) <= 1e-12
             w = build_rank_capped_from_factor(factor, d, 1, p).isometry
@@ -351,6 +380,60 @@ def test_the_marginal_factor_builds_the_top_eigenspace_isometry(walk, widths):
         if undo:
             train.uncompress(w, labels, labels[:dropped])
         agree()
+
+
+@st.composite
+def run_built_chains(draw):
+    """(d, n, D, boundary, seed, runs): an open chain or a ring, n <= 12, and runs of its sites."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 12 if d == 2 else 10))  # d**n <= 2**16, the cap of expand
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    D, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+    return d, n, D, boundary, seed, draw(site_runs(n, 8 if d == 2 else 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=run_built_chains())
+@example(case=(2, 12, 3, "open", 1, [[0, 1, 2, 3, 4, 5], [6, 7, 8], [9, 10, 11]]))  # no site left
+@example(case=(3, 10, 3, "periodic", 2, [[0, 1, 2, 3, 4], [5, 6], [9]]))
+def test_a_register_built_from_runs_matches_the_site_built_register(case):
+    # each run one tensor, the rest one per site; a ring's open chain has bonds D * D
+    d, n, D, boundary, seed, runs = case
+    state = mps.random_mps(mps.StateSpec(n=n, d=d, D=D, boundary=boundary, seed=seed))
+    chain = mps.open_chain(state)
+    built, sites = MPSBackend(chain, runs=runs), MPSBackend(chain)
+    assert built.starts == [s for s in range(n) if not any(s in run[1:] for run in runs)]
+    assert abs(built.success_mass() - sites.success_mass()) <= 1e-12
+    for lo in range(n):
+        for hi in range(lo + 1, min(lo + 3, n) + 1):
+            block = list(range(lo, hi))
+            assert np.max(np.abs(built.copy().rdm(block) - sites.copy().rdm(block))) <= 1e-12
+    assert np.max(np.abs(built.expand() - sites.expand())) <= 1e-12
+
+
+def test_a_run_too_wide_is_left_as_sites_and_one_out_of_order_is_refused(monkeypatch):
+    # the cap is checked on the raw tensors before anything is contracted
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run past the cap was contracted")
+
+    monkeypatch.setattr(mps, "contract_window", refuse)
+    state = mps.random_mps(mps.StateSpec(n=18, d=2, D=1, kind="product", seed=55))
+    register = MPSBackend(state, runs=[range(17)])  # 2**17 entries, over the cap of 2**16
+    assert register.starts == list(range(18))
+    with pytest.raises(errors.BackendTooLarge, match="131072 entries"):
+        register.rdm_factor(list(range(17)))
+    ring = mps.open_chain(mps.random_mps(mps.StateSpec(n=12, d=2, D=3, boundary="periodic")))
+    register = MPSBackend(ring, runs=[range(1, 11)])  # bonds of 9 on both sides of 2**10
+    assert register.starts == list(range(12))
+    # after the sweep both of its bonds are at most d = 2, so the window fits
+    monkeypatch.undo()
+    block = list(range(1, 11))
+    factor, sigma = register.rdm_factor(block), MPSBackend(ring).rdm(block)
+    assert factor.shape == (2**10, 2 * 2)
+    assert np.max(np.abs(factor @ factor.conj().T - sigma)) <= 1e-12
+    for runs in ([[0, 1], [1, 2]], [[3, 4], [0, 1]], [[0, 2]], [[]]):
+        with pytest.raises(errors.BlockOutOfRange):
+            MPSBackend(state, runs=runs)
 
 
 def test_the_tensor_train_register_refuses_gaps_and_wide_windows():

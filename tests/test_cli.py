@@ -524,7 +524,7 @@ def test_the_readme_command_line_names_only_real_flags_and_keys():
 PINNED_BUDGET = {"n_values": [8, 16, 32], "epsilon_values": [0.5, 0.2, 0.1], "d": 2, "D": 3,
                  "delta": 0.01}
 PINNED_ARTIFACTS = {
-    "verify/verify.json": "6a4e34d96809e410c73d2bebd432c20226af5896a462dad563c6b151313d67fc",
+    "verify/verify.json": "d70b5996e5f8baad59a8b68d22e2eb044766f2a06825b8351e91eba3bccbb14b",
     "budget/budget.csv": "6b774d295184bb46bc1326149f0c0e24c5031e74a33fcbb42fba6532bfa60331",
     "budget/manifest.json": "873f194fd30a0e9c82fe1fec1278e16982965bc5279568c47a165ac1e060b74b",
 }

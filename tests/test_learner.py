@@ -768,6 +768,38 @@ def test_the_register_cuts_a_window_only_where_a_later_window_needs_a_cut(monkey
     assert report.final_fidelity >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "D, oracle, learn_calls, extract_calls",
+    [(4, "exact", (3, 3), (1, 15)), (2, "bounded-noise", (11, 8), (5, 15))],
+    ids=["exact-wide", "noisy-narrow"],
+)
+def test_the_lapack_calls_of_one_learn_and_one_extraction(
+    monkeypatch, D, oracle, learn_calls, extract_calls
+):
+    # (QR steps, SVDs) at n = 16, d = 2, as the benchmark's exact-wide and
+    # noisy-narrow jobs make them: a register that sweeps or cuts more than
+    # it needs shows here, whatever the timing noise.  The register is built
+    # from layer 1's windows, so its one sweep takes a QR step per window:
+    # one at D = 4 (blocks 1..8, 9..16), three at D = 2
+    calls = {"qr_step": 0, "svd": 0}
+    for module, name in ((mps, "qr_step"), (np.linalg, "svd")):
+        original = getattr(module, name)
+
+        def count(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=D, seed=16))
+    mode = tomography.BoundedNoiseMode(eta=None, seed=16) if oracle != "exact" else None
+    circuit, report = learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=16)
+    assert (calls["qr_step"], calls["svd"]) == learn_calls
+    calls.update(qr_step=0, svd=0)
+    learner.extract_mps(circuit)
+    assert (calls["qr_step"], calls["svd"]) == extract_calls
+    assert report.final_fidelity >= 1.0 - 0.2
+
+
 @pytest.mark.parametrize("D", [2, 4])
 def test_a_ring_at_n_256_learns_and_extracts_on_its_open_chain(D):
     # the chain has bond D * D; the learned circuit extracts to a train at the
@@ -878,6 +910,49 @@ def test_audited_learn_of_an_open_mps_runs_past_the_dense_cap():
     ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=8, boundary="periodic", seed=34))
     with pytest.raises(errors.BackendTooLarge, match="131072 entries"):
         learner.learn(ring, 2, 8, 0.2, 0.01, audit=True)
+
+
+def test_a_first_layer_window_too_wide_on_its_raw_bonds_is_left_as_sites():
+    # a ring's open chain has bonds D0**2 = 81 before its sweep, so layer 1's
+    # window 5..8 needs 81 * 16 * 81 entries on the raw tensors; it stays one
+    # tensor per site and is read after the sweep has cut its bonds to 16
+    ring = mps.random_mps(mps.StateSpec(n=12, d=2, D=9, boundary="periodic", seed=3))
+    _, report = learner.learn(ring, 2, 2, 0.2, 0.01)
+    assert report.M >= 1 and 0.0 < report.final_fidelity <= 1.0
+    # at n = 14 the window 9..12 is that wide after the sweep too
+    ring = mps.random_mps(mps.StateSpec(n=14, d=2, D=9, boundary="periodic", seed=3))
+    with pytest.raises(errors.BackendTooLarge, match="sites 9..12 needs 104976 entries"):
+        learner.learn(ring, 2, 2, 0.2, 0.01)
+
+
+def test_an_mps_input_gets_the_error_of_its_first_failed_check():
+    # the chain's cap, then the plan, then the register's mass, then the
+    # first window read
+    def doubled(state):
+        return mps.MatrixProductState(
+            state.n, state.d, state.boundary, [2.0 * state.tensors[0], *state.tensors[1:]]
+        )
+
+    rng = np.random.default_rng(5)
+    tensors = [rng.standard_normal((2, 100, 100)) for _ in range(16)]
+    heavy = mps.MatrixProductState(16, 2, "periodic", tensors)  # p = 8 at D = 16: trivial path
+    with pytest.raises(errors.TooLarge, match="open chain holds 3200000000 tensor entries"):
+        learner.learn(heavy, 2, 16, 0.2, 0.01)
+    ring = mps.random_mps(mps.StateSpec(n=17, d=2, D=8, boundary="periodic", seed=34))
+    with pytest.raises(errors.BadParameter, match="normalized"):
+        learner.learn(doubled(ring), 2, 8, 0.2, 0.01)
+    with pytest.raises(errors.BadParameter, match="copy_scale_base"):
+        learner.learn(doubled(ring), 2, 8, 1e-300, 0.01, variant="closest")
+    # p = 9 at D = 17, so n = 17 takes the trivial path: its closing call
+    # reads the whole register, past the dense cap under any oracle
+    wide = mps.random_mps(mps.StateSpec(n=17, d=2, D=17, seed=34))
+    with pytest.raises(errors.BackendTooLarge, match=r"2\*\*17 exceeds cap 65536"):
+        learner.learn(wide, 2, 17, 0.2, 0.01)
+    with pytest.raises(errors.TooLarge, match="17-site tail needs a dense operator"):
+        learner.learn(wide, 2, 17, 0.2, 0.01, mode=tomography.BoundedNoiseMode())
+    for mode in (tomography.ExactMode(), tomography.BoundedNoiseMode()):
+        with pytest.raises(errors.BadParameter, match="normalized"):
+            learner.learn(doubled(wide), 2, 17, 0.2, 0.01, mode=mode)
 
 
 def _audit_input(kind, n, D, seed):
@@ -1123,6 +1198,18 @@ def test_reconstruct_state_of_a_huge_register_raises_too_large():
         learner.reconstruct_state(huge)
     with pytest.raises(errors.BadParameter, match=r"2\*\*1000000"):
         learner.forward_transform(huge, np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("size", [2, 6, 8], ids=["short", "not-a-power", "long"])
+def test_a_residual_of_the_wrong_size_raises_dimension_mismatch(size):
+    # the residual must hold d**2 entries for its 2 sites, on both walks
+    circuit, _ = learner.learn(random_mps_vector(8, seed=27), 2, 2, 0.2, 0.01)
+    assert len(circuit.residual_sites) == circuit.p == 2
+    bad = dataclasses.replace(circuit, residual=np.ones(size, dtype=complex) / np.sqrt(size))
+    with pytest.raises(errors.DimensionMismatch):
+        learner.reconstruct_state(bad)
+    with pytest.raises(errors.DimensionMismatch):
+        learner.extract_mps(bad)
 
 
 def _version_1(doc, circuit):

@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def test_normalize_rejects_the_zero_state():
     )
     with pytest.raises(errors.InvalidSpec, match="zero state"):
         ring.normalize()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, -math.inf)], ids=str)
+def test_a_non_finite_tensor_is_refused_at_construction(bad):
+    # learn would otherwise sweep it with QR steps and only its mass check,
+    # after a NumPy warning, would stop it
+    tensors = list(mps.random_mps(mps.StateSpec(n=3, d=2, D=2, seed=9)).tensors)
+    tensors[1] = tensors[1].copy()
+    tensors[1][0, 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidSpec, match="site 1 tensor holds a non-finite entry"):
+            mps.MatrixProductState(n=3, d=2, boundary="open", tensors=tensors)
 
 
 def test_expand_is_big_endian():
