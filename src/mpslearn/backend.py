@@ -6,7 +6,7 @@ Which register ``learn`` uses follows from its input alone:
   as its :func:`~mpslearn.mps.open_chain`, which keeps its tensors, each a
   run of sites, in mixed-canonical form and never forms a ``d**n`` object,
   so these runs have no dense cap: only the chain, each block's window
-  (``d**y * D_l * D_r`` entries) and the closing tail are capped.
+  (``d**y * D_l * D_r`` entries) and each marginal formed are capped.
   ``learn`` builds it from the windows of its first operation, layer 1's
   acted blocks: each that fits the cap is contracted from the site tensors
   into one tensor, and one QR sweep then takes one step per tensor, not per
@@ -22,9 +22,10 @@ Which register ``learn`` uses follows from its input alone:
   capped at a much smaller register since they square the memory cost.
 
 What stays capped: dense inputs, ``reconstruct_state`` and the audit's stage
-vectors and operators (all dense), and on every path a block window or tail
-too wide to hold, such as the closest variant's 36-site blocks at n = 64 and
-epsilon = 0.2.
+vectors and operators (all dense), and on every path a block window too wide
+to hold, such as the closest variant's 36-site blocks at n = 64 and epsilon =
+0.2, and a marginal of side past ``linalg.MAX_DENSITY_DIM``, which both
+registers' ``rdm`` refuse before forming it.
 
 No register writes a held array in place; every operation assigns new
 arrays.  So the dense register holds its input as given, with no copy.
@@ -64,6 +65,15 @@ def _held_sites(sites: Sequence[int] | None, n: int) -> list[int]:
     if len(labels) != n or any(a >= b for a, b in zip(labels, labels[1:])):
         raise DimensionMismatch(f"site labels {labels} for {n} sites, not ascending")
     return labels
+
+
+def _check_marginal(d: int, labels: list[int]) -> None:
+    """Refuse a marginal on ``labels`` of side past ``linalg.MAX_DENSITY_DIM``."""
+    if d ** len(labels) > linalg.MAX_DENSITY_DIM:
+        raise BackendTooLarge(
+            f"the {len(labels)}-site marginal of sites {labels[0]}..{labels[-1]} needs a dense "
+            f"operator of dimension {d ** len(labels)} > {linalg.MAX_DENSITY_DIM}"
+        )
 
 
 def contract_block(
@@ -159,11 +169,13 @@ class StateBackend:
                 f"vector of shape {v.shape} on a register of {self.n} sites of dimension {self.d}"
             )
         if self.pure:
-            return float(abs(np.vdot(v, self.state)) ** 2)
+            return float(abs(np.vdot(v, self.expand())) ** 2)
         return float(np.real(v.conj() @ self.state @ v))
 
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
-        return mps.block_rdm(self.state, (self.d,) * self.n, self.positions(site_labels))
+        positions = self.positions(site_labels)
+        _check_marginal(self.d, sorted(site_labels))
+        return mps.block_rdm(self.state, (self.d,) * self.n, positions)
 
     def apply_unitary(self, u: np.ndarray, site_labels: Sequence[int]) -> None:
         pos = self.positions(site_labels)
@@ -229,30 +241,6 @@ class StateBackend:
         self.sites = sites
 
 
-def tt_split(window: np.ndarray, d: int, widths: Sequence[int], centre: int) -> list[np.ndarray]:
-    """Split ``(D_l, d**w, D_r)`` into tensors of the given widths, summing to ``w``, by SVD.
-
-    One SVD per cut, left to right.  Left of tensor ``centre`` each keeps its
-    left-orthonormal ``U`` and carries ``s V^H`` on; from ``centre`` on each
-    keeps ``U s`` and carries the right-orthonormal ``V^H``, so the norm ends
-    in tensor ``centre``.  Singular values below ``SVD_CUTOFF`` relative to
-    the largest are numerical zeros and are pruned; no other truncation
-    happens.
-    """
-    left, _, right = window.shape
-    tensors: list[np.ndarray] = []
-    carry, bond = window, left
-    for k, w in enumerate(widths[:-1]):
-        u, s, vh = np.linalg.svd(carry.reshape(bond * d**w, -1), full_matrices=False)
-        keep = max(int(np.count_nonzero(s > SVD_CUTOFF * s[0])), 1)
-        u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-        u, carry = (u, s[:, None] * vh) if k < centre else (u * s, vh)
-        tensors.append(u.reshape(bond, d**w, keep))
-        bond = keep
-    tensors.append(carry.reshape(bond, -1, right))
-    return tensors
-
-
 class MPSBackend:
     """A pure register held as an open-boundary tensor train, never as a d**n vector.
 
@@ -268,13 +256,13 @@ class MPSBackend:
 
     Every operation leaves its window, the block's tensors contracted by
     :func:`mpslearn.mps.contract_window`, as one tensor.  A tensor is cut
-    only where a window's edge falls inside it, by one :func:`tt_split` SVD
+    only where a window's edge falls inside it, by one SVD in :meth:`_cut`
     with the centre in it, so each cut sees the held state's own Schmidt
     values.  A block must be a run of consecutive held sites, and every carry
     of its window must have at most ``linalg.MAX_VECTOR_DIM`` entries; both
     are checked before the window is contracted (``BlockOutOfRange``,
-    ``BackendTooLarge``).  :meth:`uncompress` grows a window instead, capped
-    at ``linalg.MAX_WALK_WINDOW`` entries.
+    ``BackendTooLarge``), and :meth:`rdm` checks the marginal next.  A grown
+    window (:meth:`uncompress`) is capped at ``linalg.MAX_WALK_WINDOW``.
 
     The register starts from one tensor per site of ``state``, except on
     ``runs``: disjoint, ascending runs of consecutive sites, such as the
@@ -356,13 +344,12 @@ class MPSBackend:
     def _position(self, label: int) -> int:
         return bisect.bisect_left(self.sites, label)
 
-    def _window(
-        self, labels: list[int], cap: int = linalg.MAX_VECTOR_DIM, grow: int = 0
-    ) -> tuple[int, int]:
+    def _window(self, labels: list[int], grow: int = 0) -> tuple[int, int]:
         """Tensors ``lo:hi`` holding exactly a run of held sites, cut where its edges fall.
 
         Every carry :func:`mpslearn.mps.contract_window` builds from them,
-        ``grow`` sites wider, must fit in ``cap`` entries.
+        ``grow`` sites wider, must fit in ``linalg.MAX_VECTOR_DIM`` entries, or
+        in ``linalg.MAX_WALK_WINDOW`` for a window that grows.
         """
         first = self._position(labels[0]) if labels else 0
         last = first + len(labels)
@@ -371,10 +358,8 @@ class MPSBackend:
         if last < self.n:
             self._cut(self.sites[last])
         lo, hi = self._cut(labels[0]), bisect.bisect_right(self.starts, labels[-1])
-        width, entries = self.tensors[lo].shape[0] * self.d**grow, 0
-        for t in self.tensors[lo:hi]:
-            width *= t.shape[1]
-            entries = max(entries, width * t.shape[2])
+        entries = self.d**grow * mps.carry_entries(self.tensors[lo:hi])
+        cap = linalg.MAX_WALK_WINDOW if grow else linalg.MAX_VECTOR_DIM
         if entries > cap:
             raise BackendTooLarge(
                 f"the window of sites {labels[0]}..{labels[-1]} needs {entries} entries "
@@ -385,16 +370,19 @@ class MPSBackend:
     def _cut(self, label: int, left: bool = False) -> int:
         """The index of the tensor that starts at held site ``label``, cutting the one holding it.
 
-        The cut takes the centre into the tensor, and leaves it right of the
-        cut, or with ``left`` left of it.
+        One SVD from the centre, pruned only below ``SVD_CUTOFF`` of the largest
+        singular value; the norm stays right of the cut, or with ``left`` left of it.
         """
         k = bisect.bisect_right(self.starts, label) - 1
         if self.starts[k] == label:
             return k
         self._move_centre(k, k + 1)
-        t, m = self.tensors[k], self._position(label) - self._position(self.starts[k])
-        widths = [m, infer_site_count(t.shape[1], self.d) - m]
-        self.tensors[k : k + 1] = tt_split(t, self.d, widths, centre=0 if left else 1)
+        (a, _, b), m = self.tensors[k].shape, self._position(label) - self._position(self.starts[k])
+        u, s, vh = np.linalg.svd(self.tensors[k].reshape(a * self.d**m, -1), full_matrices=False)
+        keep = max(int(np.count_nonzero(s > SVD_CUTOFF * s[0])), 1)
+        u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+        u, vh = (u * s, vh) if left else (u, s[:, None] * vh)
+        self.tensors[k : k + 1] = [u.reshape(a, -1, keep), vh.reshape(keep, -1, b)]
         self.starts.insert(k + 1, label)
         self.centre = k if left else k + 1
         return k + 1
@@ -417,7 +405,10 @@ class MPSBackend:
         return float(np.linalg.norm(self.tensors[self.centre]) ** 2)
 
     def rdm(self, site_labels: Sequence[int]) -> np.ndarray:
-        factor = self.rdm_factor(site_labels)
+        labels = sorted(site_labels)
+        self._window(labels)  # a window too wide to hold keeps its own error
+        _check_marginal(self.d, labels)
+        factor = self.rdm_factor(labels)
         rdm = factor @ factor.conj().T
         return (rdm + rdm.conj().T) / 2.0
 
@@ -467,7 +458,7 @@ class MPSBackend:
         y, k = len(labels), len(labels) - len(new)
         if k < 1 or labels[: len(new)] != new:
             raise DimensionMismatch(f"no isometry inserts {new} into {labels}")
-        lo, hi = self._window(labels[len(new) :], linalg.MAX_WALK_WINDOW, grow=len(new))
+        lo, hi = self._window(labels[len(new) :], grow=len(new))
         first = self._position(labels[len(new)])
         # the held run is ascending, so only the block and its left neighbour need a look
         run = self.sites[first - 1 : first] + labels
@@ -487,11 +478,4 @@ class MPSBackend:
             )
         return mps.contract_window(self.tensors)[0, :, 0].copy()
 
-    def fidelity(self, vector: np.ndarray) -> float:
-        """``|<v|psi>|^2`` for ``v`` on the held sites in ascending order."""
-        v = np.asarray(vector, dtype=complex)
-        if v.shape != (self.d**self.n,):
-            raise DimensionMismatch(
-                f"vector of shape {v.shape} on a register of {self.n} sites of dimension {self.d}"
-            )
-        return float(abs(np.vdot(v, self.expand())) ** 2)
+    fidelity = StateBackend.fidelity

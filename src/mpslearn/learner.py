@@ -37,11 +37,13 @@ A register no longer than twice the block tail runs the same loop on a plan
 with zero layers: the closing call then covers the whole register (the
 trivial path).  For a pure input under the exact oracle, on the trivial
 path or in a factored run, the closing call reads the held tail directly
-instead of estimating it.  The learned circuit is walked through the
-registers' ``compress`` forward (to disentangle or project a vector) and their
-``uncompress`` backward (to prepare the state, densely or as a tensor train,
-and the audit's stages).  The run's final fidelity needs neither walk: it is
-the closing register's overlap with the residual.
+instead of estimating it; every other closing call, like every block call,
+hands the oracle the marginal of its register's ``rdm``, which refuses one
+past the dense cap before forming it.  The learned circuit is walked through
+the registers' ``compress`` forward (to disentangle or project a vector) and
+their ``uncompress`` backward (to prepare the state, densely or as a tensor
+train, and the audit's stages).  The run's final fidelity needs neither
+walk: it is the closing register's overlap with the residual.
 
 The register follows the input alone (see :mod:`mpslearn.backend`), so
 ``audit=True`` records a run without changing it: its snapshots are copies of
@@ -527,11 +529,6 @@ def learn(
         residual = linalg.fix_phase(held / norm)
         mass = 1.0 if M == 0 else float(np.clip(norm**2, 0.0, 1.0))
     else:
-        if d ** len(tail) > linalg.MAX_DENSITY_DIM:
-            raise TooLarge(
-                f"tomography of the {len(tail)}-site tail needs a dense operator of "
-                f"dimension {d ** len(tail)} > {linalg.MAX_DENSITY_DIM}"
-            )
         outcome = tomography.estimate_block(backend.rdm(tail), d, call_mode)
         residual = linalg.top_eigenvector(outcome.estimate)
         mass = outcome.success_mass

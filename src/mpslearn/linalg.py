@@ -19,6 +19,7 @@ MAX_DENSITY_DIM = 2**10
 MAX_WALK_WINDOW = 2**24  # entries of a grown window, a frequency table or a generated state
 
 HERMITIAN_TOL = 1e-10
+PHASE_TOL = 1e-12  # a vector whose largest entry is no larger keeps its phase
 _LANCZOS_STEPS = 64
 # Tile side of the hermiticity check.  One BLAS thread on a 2-vCPU VM, median
 # check of a 1024 x 1024 input: side 64 3.9-4.5 ms, 128 3.8-4.3 ms, 256 6.4 ms.
@@ -81,9 +82,9 @@ def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
     return a
 
 
-def fix_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is positive real."""
-    return _fix_phases(np.array(vector, dtype=complex).reshape(-1, 1), tol)[:, 0]
+    return _fix_phases(np.array(vector, dtype=complex).reshape(-1, 1))[:, 0]
 
 
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +114,12 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
-def _fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column of ``v`` in place, as :func:`fix_phase` rotates a vector."""
     if v.size == 0:  # argmax has no empty reduction
         return v
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    fixed = np.abs(pivots) > tol
+    fixed = np.abs(pivots) > PHASE_TOL
     # scalar quotients abs(p) / p, multiplied into the rows of v.T out of place:
     # array quotients, in-place or row-broadcast products differ in the last bit
     phases = np.array([abs(p) / p for p in pivots[fixed]], dtype=complex)

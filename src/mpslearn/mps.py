@@ -259,6 +259,15 @@ def contract_window(tensors: Sequence[np.ndarray]) -> np.ndarray:
     return window
 
 
+def carry_entries(tensors: Sequence[np.ndarray]) -> int:
+    """Entries of the largest carry :func:`contract_window` builds from these tensors."""
+    width, entries = tensors[0].shape[0], 0
+    for t in tensors:
+        width *= t.shape[1]
+        entries = max(entries, width * t.shape[2])
+    return entries
+
+
 def qr_step(left: np.ndarray, right: np.ndarray, rightward: bool) -> tuple[np.ndarray, np.ndarray]:
     """Move the orthogonality centre across the bond of two ``(D_l, d**w, D_r)`` tensors.
 
@@ -302,12 +311,17 @@ def expand(mps: MatrixProductState) -> np.ndarray:
     """Contract the tensor train into a dense state vector of length d**n.
 
     :func:`contract_window` of the whole chain, closed by the outer bonds:
-    their ``[0, :, 0]`` entry on an open chain, their trace on a ring.
+    their ``[0, :, 0]`` entry on an open chain, their trace on a ring.  A
+    vector or a carry past its cap raises ``TooLarge`` before any contraction.
     """
-    total = mps.d**mps.n
-    if total > linalg.MAX_VECTOR_DIM:
-        raise TooLarge(f"dense expansion of dimension {total} exceeds cap {linalg.MAX_VECTOR_DIM}")
-    carry = contract_window([np.asarray(t, dtype=complex).transpose(1, 0, 2) for t in mps.tensors])
+    d, n, cap = mps.d, mps.n, linalg.MAX_VECTOR_DIM
+    if d**n > cap:
+        raise TooLarge(f"dense expansion of dimension {d}**{n} exceeds cap {cap}")
+    tensors = [np.asarray(t, dtype=complex).transpose(1, 0, 2) for t in mps.tensors]
+    entries, cap = carry_entries(tensors), linalg.MAX_WALK_WINDOW
+    if entries > cap:
+        raise TooLarge(f"dense expansion needs a carry of {entries} entries > cap {cap}")
+    carry = contract_window(tensors)
     if mps.boundary == "open":
         return carry[0, :, 0].copy()
     return np.trace(carry, axis1=0, axis2=2).copy()

@@ -948,7 +948,7 @@ def test_an_mps_input_gets_the_error_of_its_first_failed_check():
     wide = mps.random_mps(mps.StateSpec(n=17, d=2, D=17, seed=34))
     with pytest.raises(errors.BackendTooLarge, match=r"2\*\*17 exceeds cap 65536"):
         learner.learn(wide, 2, 17, 0.2, 0.01)
-    with pytest.raises(errors.TooLarge, match="17-site tail needs a dense operator"):
+    with pytest.raises(errors.TooLarge, match=r"window of sites 1\.\.17 needs 131072 entries"):
         learner.learn(wide, 2, 17, 0.2, 0.01, mode=tomography.BoundedNoiseMode())
     for mode in (tomography.ExactMode(), tomography.BoundedNoiseMode()):
         with pytest.raises(errors.BadParameter, match="normalized"):
@@ -1144,8 +1144,32 @@ def test_closest_learn_at_n_12_refuses_its_tail_before_any_estimate(monkeypatch)
 
     monkeypatch.setattr(tomography, "estimate_block", refuse)
     mode = tomography.BoundedNoiseMode()
-    with pytest.raises(errors.TooLarge, match="12-site tail .* 4096 > 1024"):
+    with pytest.raises(errors.TooLarge, match="12-site marginal .* 4096 > 1024"):
         learner.learn(state, 2, 2, 0.25, 0.01, variant="closest", mode=mode)
+
+
+@pytest.mark.parametrize("register", ["train", "dense"])
+def test_a_block_marginal_past_the_dense_cap_is_refused_before_its_estimate(
+    monkeypatch, register
+):
+    # p = 6: the tensor train's first block, 13..24, and the dense register's
+    # layer-2 block, 5..16, are 12 sites wide, so their marginals are 4096 x 4096
+    if register == "train":
+        state = mps.random_mps(mps.StateSpec(n=24, d=2, D=1, kind="product", seed=8))
+        block = "13..24"
+    else:
+        state, block = random_mps_vector(16, seed=8), "5..16"
+    estimate = tomography.estimate_block
+
+    def refuse_wide(rdm, d, mode):
+        assert rdm.shape[0] <= linalg.MAX_DENSITY_DIM, "a marginal past the cap was estimated"
+        return estimate(rdm, d, mode)
+
+    monkeypatch.setattr(tomography, "estimate_block", refuse_wide)
+    mode = tomography.BoundedNoiseMode(eta=0.01)
+    schedule = learner.LearnSchedule(p=6, eta=0.01)
+    with pytest.raises(errors.BackendTooLarge, match=f"12-site marginal of sites {block} .* 4096"):
+        learner.learn(state, 2, 2, 0.2, 0.01, mode=mode, schedule=schedule)
 
 
 def test_stepwise_state_refuses_a_register_past_the_dense_operator_cap():

@@ -180,6 +180,24 @@ def test_random_mps_past_the_dense_cap_is_normalized(n):
         mps.expand(state)
 
 
+def test_expand_names_its_size_and_refuses_a_wide_carry_before_contracting(monkeypatch):
+    long = mps.random_mps(mps.StateSpec(n=20000, d=2, D=1, kind="product", seed=1))
+    with pytest.raises(errors.TooLarge, match=r"2\*\*20000 exceeds cap 65536"):
+        mps.expand(long)
+    # 2**12 amplitudes, but the last carry is (100, 2**12, 100): 655 MB
+    rng = np.random.default_rng(42)
+    ring = mps.MatrixProductState(
+        12, 2, "periodic", [rng.standard_normal((2, 100, 100)) for _ in range(12)]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain was contracted before the size check")
+
+    monkeypatch.setattr(mps, "contract_window", refuse)
+    with pytest.raises(errors.TooLarge, match="carry of 40960000 entries > cap 16777216"):
+        mps.expand(ring)
+
+
 def test_normalize_rejects_the_zero_state():
     tensors = [np.ones((2, 1, 1), dtype=complex), np.zeros((2, 1, 1), dtype=complex)]
     with pytest.raises(errors.InvalidSpec, match="zero state"):

@@ -19,13 +19,14 @@ import sys
 import numpy as np
 from test_linalg import _top_case, random_hermitian
 
-from mpslearn import backend, disentangler, linalg, mps
+from mpslearn import backend, disentangler, learner, linalg, mps
 
 PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
     "top_eigenvector": "23829669fab99fdfa56c1468d47628371216ed86125f81954c9c7610ae450ff0",
     "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
     "MPSBackend.rdm_factor": "11e16f4695286edd5f5dc96e2d4bee2d06fe46022219bae872e68753bd4e5c8c",
+    "MPSBackend.state": "e0d432f650ceb1635cf77d0d569c3b56f32ffb35bbb21d65f520e9422bc67554",
 }
 
 
@@ -72,6 +73,24 @@ def _register_outputs():
                 yield register.rdm_factor(register.sites[k : k + 2])
 
 
+def _state_outputs():
+    # the site tensors of the held state, cut from the centre, after each
+    # compression; then those of a layered learn's extracted train
+    rng = np.random.default_rng(2204)
+    for d, D, steps in ((2, 4, ((1, 4, 2), (6, 4, 2), (2, 4, 2), (3, 3, 1))), (3, 3, ((2, 3, 1),))):
+        register = backend.MPSBackend(mps.random_mps(mps.StateSpec(n=12, d=d, D=D, seed=2204)))
+        for lo, y, dropped in steps:
+            labels = register.sites[lo : lo + y]
+            g = rng.standard_normal((d**y, d ** (y - dropped)))
+            w = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))[0]
+            register.compress(w, labels, labels[:dropped])
+            yield from register.state.tensors
+    state = mps.random_mps(mps.StateSpec(n=24, d=2, D=3, seed=2204))
+    circuit, report = learner.learn(state, 2, 3, 0.2, 0.01, seed=2204)
+    assert report.M >= 2
+    yield from learner.extract_mps(circuit).tensors
+
+
 def _digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -85,6 +104,7 @@ def _digests():
         "top_eigenvector": _digest(_top_eigenvector_outputs()),
         "build_rank_capped_from_factor": _digest(_factor_outputs()),
         "MPSBackend.rdm_factor": _digest(_register_outputs()),
+        "MPSBackend.state": _digest(_state_outputs()),
     }
 
 
