@@ -283,9 +283,8 @@ class MPSBackend:
         if state.boundary != "open":
             raise DimensionMismatch("the tensor-train register needs an open chain, mps.open_chain")
         self.d = state.d
-        self.tensors = [
-            np.ascontiguousarray(np.transpose(t, (1, 0, 2)), dtype=complex) for t in state.tensors
-        ]
+        # copies, so the register owns what it holds, even a tensor of left bond 1
+        self.tensors = [np.array(t.transpose(1, 0, 2), complex, order="C") for t in state.tensors]
         self.sites = _held_sites(sites, state.n)
         self.starts = list(self.sites)
         self.centre = 0
@@ -302,7 +301,7 @@ class MPSBackend:
 
     @classmethod
     def of_vector(cls, vector: np.ndarray, d: int, sites: Sequence[int]) -> "MPSBackend":
-        """A register holding a state vector on ``sites`` as one tensor, its centre.
+        """A register holding a copy of a state vector on ``sites`` as one tensor, its centre.
 
         The vector holds ``d**len(sites)`` entries on ascending labels, or
         ``DimensionMismatch`` is raised.
@@ -310,7 +309,7 @@ class MPSBackend:
         register = cls.__new__(cls)
         labels = _held_sites(sites, infer_site_count(vector.size, d))
         register.d, register.sites, register.starts = d, labels, labels[:1]
-        register.tensors, register.centre = [vector.reshape(1, -1, 1)], 0
+        register.tensors, register.centre = [vector.reshape(1, -1, 1).copy()], 0
         return register
 
     @property

@@ -77,9 +77,7 @@ def budget_closest_ours(n: int, d: int, D: int, epsilon: float, delta: float) ->
     if D < 1:
         raise BadParameter(f"D must be >= 1, got {shown(D)}")
     B = copy_scale_base(n, D, epsilon)
-    L = math.log(math.log(d) * B)
-    if L <= 0:
-        raise BadParameter("scale too small: log(log(d) * B) must be positive")
+    L = math.log(math.log(d) * B)  # B >= 128 / (3 - 2 sqrt(2)) > 746, so L > 6
     return (
         float(D**12)
         * n**7

@@ -35,12 +35,12 @@ estimate.
 
 A register no longer than twice the block tail runs the same loop on a plan
 with zero layers: the closing call then covers the whole register (the
-trivial path).  For a pure input under the exact oracle, on the trivial
-path or in a factored run, the closing call reads the held tail directly
-instead of estimating it; every other closing call, like every block call,
-hands the oracle the marginal of its register's ``rdm``, which refuses one
-past the dense cap before forming it.  The learned circuit is walked through
-the registers' ``compress`` forward (to disentangle or project a vector) and
+trivial path).  One rule makes the closing call: a pure register under the
+exact oracle reads its held tail, the oracle's answer, on every path and
+variant; every other closing call, like every non-factored block call, hands
+the oracle the marginal of its register's ``rdm``, which refuses one past the
+dense cap before forming it.  The learned circuit is walked through the
+registers' ``compress`` forward (to disentangle or project a vector) and
 their ``uncompress`` backward (to prepare the state, densely or as a tensor
 train, and the audit's stages).  The run's final fidelity needs neither
 walk: it is the closing register's overlap with the residual.
@@ -520,14 +520,13 @@ def learn(
             snapshots.append(backend.copy())
 
     call_mode = _child_mode(mode, tau, seed_base, (M + 1, 0))
-    if (M == 0 or factored) and backend.pure and isinstance(call_mode, tomography.ExactMode):
+    if backend.pure and isinstance(call_mode, tomography.ExactMode):
         # The exact oracle on a pure register, which then holds only the tail,
-        # returns the held state itself: the whole input (at most 2p sites) on
-        # the trivial path, whose mass is 1, or the compressed tail of a factored run.
+        # returns the held state itself, of mass its squared norm.
         held = backend.expand()
         norm = np.linalg.norm(held)
         residual = linalg.fix_phase(held / norm)
-        mass = 1.0 if M == 0 else float(np.clip(norm**2, 0.0, 1.0))
+        mass = float(np.clip(norm**2, 0.0, 1.0))
     else:
         outcome = tomography.estimate_block(backend.rdm(tail), d, call_mode)
         residual = linalg.top_eigenvector(outcome.estimate)

@@ -30,15 +30,22 @@ def _traced_targets() -> dict[str, str]:
 
 
 def test_every_traced_target_resolves():
+    # resolved as the benchmark's tracer resolves it: a class member must be
+    # the class's own attribute, since an inherited one is a bare KeyError there
     targets = _traced_targets()
     assert targets
     for path in targets.values():
         module, *attributes = path.split(".")
         target = importlib.import_module(f"mpslearn.{module}")
+        owner = (
+            f"{path!r} does not resolve; the benchmark owns this span list "
+            "(LAYER_TARGETS in bench/run.py), so change it with the benchmark"
+        )
         for attribute in attributes:
-            assert hasattr(target, attribute), path
+            names = vars(target) if isinstance(target, type) else dir(target)
+            assert attribute in names, owner
             target = getattr(target, attribute)
-        assert callable(target), path
+        assert callable(target), owner
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1008,6 +1008,19 @@ def test_learn_reads_its_input_in_place_and_hands_back_no_alias(kind, n, variant
     assert trail.stepwise_state(0).tobytes() == stage.tobytes()
 
 
+def test_a_one_site_train_owns_its_tensor_and_its_extraction_owns_the_residual():
+    # a complex tensor of left bond 1 transposes to a contiguous view, and a
+    # single tensor sees no QR step: the register copies it, and of_vector too
+    state = mps.random_mps(mps.StateSpec(n=1, d=2, D=1, seed=42))
+    circuit, report = learner.learn(state, 2, 1, 0.2, 0.01, audit=True)
+    assert circuit.num_layers == 0
+    stage = report.audit.stepwise_vector(0)
+    state.tensors[0][...] = 0.0
+    assert report.audit.stepwise_vector(0).tobytes() == stage.tobytes()
+    extracted = learner.extract_mps(circuit)
+    assert not any(np.shares_memory(t, circuit.residual) for t in extracted.tensors)
+
+
 def test_a_density_learn_reads_its_input_in_place():
     # the n = 10 closing call: no register copy of the 16 MiB input, no
     # symmetrized copy and no full-size temporary
@@ -1197,6 +1210,48 @@ def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n)
     _, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=39)
     assert report.M >= 2
     assert report.final_fidelity >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_input, variant, schedule",
+    [
+        (
+            lambda: mps.random_mps(mps.StateSpec(n=8, d=2, D=2, seed=41)),
+            "closest",
+            learner.LearnSchedule(2, planner.eta_closest(0.5, 2, 2, 8)),
+        ),
+        (lambda: random_mps_vector(8, seed=41), "exact", None),
+    ],
+    ids=["closest-mps", "exact-vector"],
+)
+def test_a_pure_register_under_the_exact_oracle_closes_on_its_held_tail(
+    monkeypatch, make_input, variant, schedule
+):
+    # the closing call's answer is the held tail itself on every path: no
+    # tail marginal, no eigensolver, whatever the register and the variant
+    state = make_input()
+    kwargs = dict(variant=variant, schedule=schedule, seed=41)
+    circuit, report = learner.learn(state, 2, 2, 0.5, 0.01, **kwargs)
+    tail = list(circuit.residual_sites)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closing call estimated the held tail")
+
+    for register in (backend.StateBackend, backend.MPSBackend):
+        rdm = register.rdm
+
+        def rdm_but_the_tail(self, site_labels, rdm=rdm):
+            if sorted(site_labels) == tail:
+                refuse()
+            return rdm(self, site_labels)
+
+        monkeypatch.setattr(register, "rdm", rdm_but_the_tail)
+    monkeypatch.setattr(linalg, "top_eigenvector", refuse)
+    again, rerun = learner.learn(state, 2, 2, 0.5, 0.01, **kwargs)
+    assert report.M >= 1
+    assert again.residual.tobytes() == circuit.residual.tobytes()
+    assert rerun.copies_used == report.copies_used
+    assert rerun.final_fidelity == report.final_fidelity >= 1.0 - 0.5
 
 
 def test_the_charged_copies_grow_with_the_formula_slope():
