@@ -659,8 +659,9 @@ def save_circuit(circuit: CircuitDescription, path: str | Path) -> None:
     The file holds ``n``, ``d``, ``p``, the metadata, every block isometry in
     plan order as one base64 string, and the residual; the geometry is
     rebuilt from ``(n, d, p)`` on load.  The entries are stored bit for bit
-    by :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly
-    and repeated saves are byte-identical.
+    by :func:`mpslearn.mps.complex_entries`, so save/load round-trips exactly,
+    and :func:`mpslearn.mps.write_json` writes canonical JSON, with the two
+    base64 strings spliced in unescaped, so repeated saves are byte-identical.
     """
     doc = {
         "format": CIRCUIT_FORMAT_NAME,

@@ -446,14 +446,34 @@ def canonical_json(doc) -> str:
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` as :func:`canonical_json` and a newline: the one writer of every JSON file."""
-    Path(path).write_text(canonical_json(doc) + "\n")
+    """Write ``doc`` as :func:`canonical_json` and a newline: the one writer of every JSON file.
+
+    A dict document with string keys is written member by member in sorted
+    key order, and a :class:`Base64Text` value goes between quotes as it
+    stands: no base64 character needs a JSON escape, so the bytes are the
+    same and the payload never passes through the encoder.  The text goes
+    to disk in one binary write.
+    """
+    if isinstance(doc, dict) and all(isinstance(key, str) for key in doc):
+        members = []  # pieces joined once, so the payload is copied by one join and one encode
+        for key in sorted(doc):
+            value = doc[key]
+            quoted = ['"', value, '"'] if isinstance(value, Base64Text) else [canonical_json(value)]
+            members += [",", canonical_json(key), ":", *quoted]
+        parts = ["{", *members[1:], "}\n"]
+    else:
+        parts = [canonical_json(doc), "\n"]
+    Path(path).write_bytes("".join(parts).encode("ascii"))
 
 
 def read_json(path: str | Path, name: str, error: type[Exception]):
-    """Parse the JSON file at ``path``; failing to read or parse it raises ``error``."""
+    """Parse the JSON file at ``path``; failing to read or parse it raises ``error``.
+
+    The file is read as bytes, so its encoding is detected from them (UTF-8,
+    or UTF-16 or UTF-32, as ``json.loads`` does), never taken from the locale.
+    """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes())
     except FileNotFoundError:
         raise error(f"{name} file not found: {path}") from None
     except OSError as exc:  # a directory, or a file without read permission
@@ -474,7 +494,7 @@ def read_document(
     if not isinstance(doc, dict) or doc.get("format") != name:
         found = doc.get("format") if isinstance(doc, dict) else None
         raise error(f"not a {name} file: format = {found!r}")
-    if doc.get("version") != version:
+    if not (is_integer(doc.get("version")) and doc["version"] == version):
         raise error(f"unsupported {name} format version {doc.get('version')!r}")
     missing = [key for key in keys if key not in doc]
     if missing:
@@ -482,15 +502,23 @@ def read_document(
     return doc
 
 
-def complex_entries(arrays: Sequence[np.ndarray]) -> str:
+class Base64Text(str):
+    """A string of base64 characters, which :func:`write_json` puts in a file as it stands."""
+
+    __slots__ = ()
+
+
+def complex_entries(arrays: Sequence[np.ndarray]) -> Base64Text:
     """The arrays' entries in C order, as one base64 string for JSON.
 
     The bytes are the entries as little-endian IEEE-754 complex128 (``"<c16"``),
     encoded with the standard base64 alphabet and padding, so every bit of
-    every entry is kept, signed zeros included.
+    every entry is kept, signed zeros included.  The string is marked as
+    :class:`Base64Text`, so a top-level value of a document skips the JSON
+    encoder in :func:`write_json`.
     """
     raw = b"".join(np.asarray(a, dtype="<c16").tobytes() for a in arrays)
-    return base64.b64encode(raw).decode("ascii")
+    return Base64Text(base64.b64encode(raw).decode("ascii"))
 
 
 def complex_arrays(
@@ -526,8 +554,9 @@ def save_mps(mps: MatrixProductState, path: str | Path) -> None:
     """Write a versioned JSON description of the state.
 
     The tensor entries are stored bit for bit by :func:`complex_entries`, so
-    save/load is an exact round trip and repeated saves of the same state are
-    byte-identical.
+    save/load is an exact round trip, and :func:`write_json` writes canonical
+    JSON, with their base64 string spliced in unescaped, so repeated saves of
+    the same state are byte-identical.
     """
     doc = {
         "format": MPS_FORMAT_NAME,

@@ -1,8 +1,12 @@
 """End-to-end learner tests: both variants, audit invariants, serialization."""
 
 import base64
+import codecs
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1323,17 +1327,81 @@ def _version_3(doc, circuit):
     )
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4.0])
 def test_load_circuit_refuses_older_versions(tmp_path, version):
+    # 4.0 is the current layout with its version written as a float
     circuit, _ = learner.learn(random_mps_vector(8, seed=27), 2, 2, 0.2, 0.01)
     path = tmp_path / "circuit.json"
     learner.save_circuit(circuit, path)
     doc = json.loads(path.read_text())
-    {1: _version_1, 2: _version_2, 3: _version_3}[version](doc, circuit)
+    if version != 4:
+        {1: _version_1, 2: _version_2, 3: _version_3}[version](doc, circuit)
     doc.update(version=version)
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     with pytest.raises(errors.MalformedCircuit, match=f"version {version}"):
         learner.load_circuit(path)
+
+
+def test_load_circuit_reads_utf8_under_an_ascii_locale(tmp_path):
+    # a JSON file is UTF-8 whatever the locale: a child whose locale encoding
+    # is ASCII gets raw UTF-8 metadata back intact
+    circuit, _ = learner.learn(random_mps_vector(8, seed=27), 2, 2, 0.2, 0.01)
+    path = tmp_path / "circuit.json"
+    learner.save_circuit(circuit, path)
+    doc = json.loads(path.read_text())
+    note = "caf\u00e9 \u2211 \U0001f642"
+    doc["metadata"]["note"] = note
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert "\u00e9".encode("utf-8") in path.read_bytes()
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = (
+        "import locale, sys; from mpslearn import learner; "
+        "print(locale.getpreferredencoding(False)); "
+        "print(ascii(learner.load_circuit(sys.argv[1]).metadata['note']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    encoding, back = out.stdout.splitlines()
+    assert codecs.lookup(encoding).name == "ascii"
+    assert back == ascii(note)
+
+
+def _strings(node):
+    """Every string in a JSON tree, keys included."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _strings(key)
+            yield from _strings(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _strings(value)
+
+
+def test_the_payload_never_reaches_the_json_encoder(tmp_path, monkeypatch):
+    # the base64 entries are spliced into the file as they stand
+    dumps = json.dumps
+
+    def guarded(obj, *args, **kwargs):
+        if any(len(text) > 4096 for text in _strings(obj)):
+            raise ValueError("a string of over 4096 characters reached json.dumps")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", guarded)
+    with pytest.raises(ValueError, match="reached json.dumps"):
+        mps.canonical_json({"entries": "A" * 4097})
+    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=4, seed=28))
+    circuit, _ = learner.learn(state, 2, 4, 0.2, 0.01, seed=28)
+    learner.save_circuit(circuit, tmp_path / "circuit.json")
+    assert (tmp_path / "circuit.json").stat().st_size > 250_000
+    state = mps.random_mps(mps.StateSpec(n=64, d=2, D=8, seed=28))
+    assert 16 * sum(t.size for t in state.tensors) >= 2**16
+    mps.save_mps(state, tmp_path / "state.json")
+    assert mps.load_mps(tmp_path / "state.json").tensors[5].tobytes() == state.tensors[5].tobytes()
 
 
 def test_extract_mps_refuses_a_huge_window_before_contracting(monkeypatch):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mpslearn import errors, linalg, mps
 
@@ -513,16 +514,56 @@ def test_load_rejects_damaged_files(tmp_path, damage):
         mps.load_mps(path)
 
 
-def test_load_refuses_version_1_files(tmp_path):
-    # version 1 stored the entries as a JSON list of interleaved floats
+@pytest.mark.parametrize("version", [1, 2.0])
+def test_load_refuses_other_versions(tmp_path, version):
+    # version 1 stored the entries as a JSON list of interleaved floats; 2.0
+    # is the current layout with its version written as a float
     path = tmp_path / "state.json"
     mps.save_mps(mps.random_mps(mps.StateSpec(n=5, d=2, D=2, seed=13)), path)
     doc = json.loads(path.read_text())
-    floats = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<f8")
-    doc.update(version=1, entries=floats.tolist())
+    if version == 1:
+        floats = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<f8")
+        doc.update(entries=floats.tolist())
+    doc.update(version=version)
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    with pytest.raises(errors.InvalidSpec, match="version 1"):
+    with pytest.raises(errors.InvalidSpec, match=f"version {version}"):
         mps.load_mps(path)
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2211 \U0001f642", '{"a":"\\"}']
+)
+_KEYS = _TEXT | st.sampled_from(["isometries", "residual", "entries", "metadata", "version"])
+_PAYLOADS = st.lists(
+    hnp.arrays(
+        complex,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.complex_numbers(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    ),
+    max_size=3,
+).map(mps.complex_entries)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT | _PAYLOADS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+_DOCUMENTS = st.builds(
+    lambda rest, payloads: {**rest, **payloads},
+    st.dictionaries(_KEYS, _TEXT | _VALUES, max_size=4),
+    st.dictionaries(_KEYS, _PAYLOADS, max_size=3),
+) | st.lists(_VALUES, max_size=4)
+
+
+@given(doc=_DOCUMENTS)
+@settings(max_examples=200, deadline=None)
+def test_write_json_writes_the_canonical_bytes(tmp_path_factory, doc):
+    # top-level payloads are spliced in unescaped: the bytes must not show it
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    mps.write_json(path, doc)
+    expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+    assert mps.read_json(path, "test", errors.InvalidSpec) == doc
 
 
 def test_complex_codec_matches_entrywise_reference():

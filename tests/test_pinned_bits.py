@@ -1,13 +1,14 @@
-"""Pinned output bits of the dense kernels and of the tensor-train register.
+"""Pinned output bits of the dense kernels, the tensor-train register and the file writer.
 
 Each digest is the sha256 of a kernel's outputs, as raw bytes in order, on a
-fixed grid of seeded inputs.  A change to one of these kernels that moves any
-bit of any output fails here, so a speed-up that claims equal results has to
-show it.  Sides of 256 and more round differently with the number of BLAS
-threads, so the digests are computed in a child process with one thread.
-They were taken with NumPy 2.4 on OpenBLAS 0.3.31 (its SkylakeX kernels); a
-different BLAS build or CPU kernel may round the eigensolver paths
-differently.
+fixed grid of seeded inputs, or of the bytes of a file written by
+``save_circuit`` or ``save_mps``.  A change to one of these kernels that
+moves any bit of any output fails here, so a speed-up that claims equal
+results has to show it.  Sides of 256 and more round differently with the
+number of BLAS threads, so the digests are computed in a child process with
+one thread.  They were taken with NumPy 2.4 on OpenBLAS 0.3.31 (its SkylakeX
+kernels); a different BLAS build or CPU kernel may round the eigensolver
+paths differently.
 """
 
 import hashlib
@@ -15,11 +16,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from test_linalg import _top_case, random_hermitian
 
-from mpslearn import backend, disentangler, learner, linalg, mps
+from mpslearn import backend, disentangler, learner, linalg, mps, tomography
 
 PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
@@ -27,6 +30,9 @@ PINNED = {
     "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
     "MPSBackend.rdm_factor": "11e16f4695286edd5f5dc96e2d4bee2d06fe46022219bae872e68753bd4e5c8c",
     "MPSBackend.state": "e0d432f650ceb1635cf77d0d569c3b56f32ffb35bbb21d65f520e9422bc67554",
+    "save_circuit.exact": "e3e87baa9b61eeb3b2ee22508891c5e5943cb2c9bc0d5a26be24b3701d737970",
+    "save_circuit.bounded_noise": "b4f6776652957019892ced2b62275351caefec5c9dde577a36a422897a4d8823",
+    "save_mps": "1e39fe51129309fc4c9594cc5e73fd062d56df5f8fec39a923a58cf36e7f5639",
 }
 
 
@@ -91,6 +97,18 @@ def _state_outputs():
     yield from learner.extract_mps(circuit).tensors
 
 
+def _file_digest(save, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        save(obj, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _learned(D, mode, seed):
+    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=D, seed=seed))
+    return learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=seed)[0]
+
+
 def _digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -105,6 +123,13 @@ def _digests():
         "build_rank_capped_from_factor": _digest(_factor_outputs()),
         "MPSBackend.rdm_factor": _digest(_register_outputs()),
         "MPSBackend.state": _digest(_state_outputs()),
+        "save_circuit.exact": _file_digest(learner.save_circuit, _learned(4, None, 2205)),
+        "save_circuit.bounded_noise": _file_digest(
+            learner.save_circuit, _learned(2, tomography.BoundedNoiseMode(seed=2206), 2206)
+        ),
+        "save_mps": _file_digest(
+            mps.save_mps, mps.random_mps(mps.StateSpec(n=24, d=3, D=5, seed=2207))
+        ),
     }
 
 
