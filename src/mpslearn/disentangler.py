@@ -16,16 +16,15 @@ projection analysis relies on; :func:`unitary_from_isometry` builds one such
 ``U`` where a full unitary is asked for.  :func:`build_rank_capped` takes
 the top ``d**p`` eigenvectors of a dense estimate from its full eigenbasis.
 :func:`build_rank_capped_from_factor` builds the same isometry from a thin
-factor ``F`` of the estimate, ``F F^H``, as ``F``'s top left singular vectors
-in O(side k^2) work for ``k`` columns.  The tensor-train register's exact
-marginals come as such factors, so the exact oracle on any MPS input never
-forms a dense estimate; their Gram matrix is Hermitian and PSD by
-construction, so there is no hermiticity check and no certificate to pass.
+factor ``F`` of the estimate ``F F^H``: ``F``'s top left singular vectors, in
+O(side k^2) work for ``k`` columns, completed from a ``k x d**p`` null space
+when ``k < d**p``.  The tensor-train register's exact marginals come as such
+factors, so the exact oracle on any MPS input never forms a dense estimate;
+their Gram matrix is Hermitian and PSD: no hermiticity check, no certificate.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -92,29 +91,23 @@ def build_rank_capped_from_factor(
 
     The top eigenvectors of ``F F^H`` are the left singular vectors of ``F``,
     so the isometry is the top ``m = d**p`` of them from a thin SVD, phases
-    fixed like :func:`linalg.hermitian_eig`'s columns.  ``sigma`` is
-    Hermitian and PSD by construction and the SVD is exact up to rounding,
-    so there is nothing to validate and nothing to certify.  When ``F`` has
-    ``k < m`` columns, its ``k`` vectors span ``sigma``'s range and a
-    reduced QR of ``[U, G]``, ``G`` a fixed seeded ``d**y x (m - k)``
-    complex Gaussian, finishes the basis.  Equal inputs give equal bits.
+    fixed like :func:`linalg.hermitian_eig`'s columns.  ``sigma`` is Hermitian
+    and PSD by construction and the SVD exact up to rounding, so nothing is
+    certified; ``F`` must be a matrix of finite entries (else ``BadParameter``).
+    When the SVD gives ``k < m`` vectors ``U``, the last ``m - k`` right
+    singular vectors ``N`` of ``U[:m]^H`` are annihilated by it, whatever its
+    rank, and ``[N; 0]`` finishes the basis.  Equal inputs give equal bits.
     """
-    dim = factor.shape[0]
-    m = _kept_dim(dim, d, D_squared, p)
+    if np.ndim(factor) != 2 or not np.isfinite(factor).all():
+        raise BadParameter(f"a factor is a matrix of finite entries, got shape {np.shape(factor)}")
+    m = _kept_dim(len(factor), d, D_squared, p)
     u = np.linalg.svd(factor, full_matrices=False)[0]
-    if u.shape[1] < m:
-        u = np.linalg.qr(np.concatenate([u, _completion(dim, m - u.shape[1])], axis=1))[0]
+    k = u.shape[1]
+    if k < m:
+        u = np.concatenate([u, np.zeros((len(u), m - k), dtype=complex)], axis=1)
+        u[:m, k:] = np.linalg.svd(u[:m, :k].conj().T)[2][k:].conj().T
     vectors = linalg._fix_phases(u[:, :m])
     return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
-
-
-@functools.lru_cache(maxsize=16)
-def _completion(dim: int, columns: int) -> np.ndarray:
-    """The seeded ``dim x columns`` complex Gaussian of a factored build's completion, read-only."""
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((dim, columns)) + 1j * rng.standard_normal((dim, columns))
-    g.flags.writeable = False
-    return g
 
 
 def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:

@@ -19,10 +19,11 @@ On the tensor-train register the exact variant under the exact oracle
 (a factored run) never forms a block marginal: each marginal is ``F F^H`` for
 the thin factor :meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns (the
 block's window, with the register's orthogonality centre moved into it), of
-rank at most ``D_l * D_r``, and its isometry is built from ``F``'s top left
-singular vectors (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`).
-That needs no hermiticity check and no certificate: ``F F^H`` is Hermitian
-and PSD by construction.  Every other run hands the oracle the dense marginal.
+rank at most ``D_l * D_r``; its isometry, ``F``'s top left singular vectors
+completed from a ``k x d**p`` null space when there are ``k < d**p`` of them
+(:func:`~mpslearn.disentangler.build_rank_capped_from_factor`), needs no
+hermiticity check and no certificate: ``F F^H`` is Hermitian and PSD by
+construction.  Every other run hands the oracle the dense marginal.
 The run plans first and builds the tensor-train register from layer 1's
 windows: each acted block is contracted from the input's site tensors into
 one tensor, unless its window on their raw bonds is past the cap, and one
@@ -704,8 +705,9 @@ def load_circuit(path: str | Path) -> CircuitDescription:
     shapes = [(d ** len(b.support), d**p) for b in blocks]
     matrices = mps.complex_arrays(doc["isometries"], shapes, MalformedCircuit)
     for matrix in matrices:
-        defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d**p))))
-        if defect > 1e-8:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or NaN defect
+            defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d**p))))
+        if not defect <= 1e-8:
             raise MalformedCircuit(f"stored block isometry is off orthonormal by {defect:.3e}")
     (residual,) = mps.complex_arrays(
         doc["residual"], [(d ** len(plan.final_carried),)], MalformedCircuit

@@ -262,9 +262,15 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+    """Sum of singular values of a square matrix; a non-finite sum raises ``BadParameter``."""
     require_square(matrix)
-    return float(np.sum(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)))
+    try:
+        norm = float(np.sum(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)))
+    except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
+        norm = math.nan
+    if not math.isfinite(norm):  # an infinite entry, or a norm past a float's range
+        raise BadParameter(f"trace norm is {norm}: the matrix has a non-finite or too large entry")
+    return norm
 
 
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

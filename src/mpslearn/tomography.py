@@ -129,8 +129,12 @@ def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) ->
     ``rdm`` returns it, and may be sub-normalized; the estimate carries the
     same normalization.  ``mode`` is one of the three modes above.  For
     ``BoundedNoiseMode`` the eta budget must be set (the learner substitutes
-    its own schedule when ``eta`` is ``None``).
+    its own schedule when ``eta`` is ``None``).  ``BadParameter`` refuses a
+    non-finite trace, and a non-finite entry where the mode computes from it.
     """
+    trace = np.trace(sigma)
+    if not (np.isfinite(trace) and (isinstance(mode, ExactMode) or np.isfinite(sigma).all())):
+        raise BadParameter(f"the marginal is not finite (its trace is {trace})")
     if isinstance(mode, ExactMode):
         estimate, error = sigma, 0.0
     elif isinstance(mode, BoundedNoiseMode):
@@ -140,7 +144,7 @@ def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) ->
     else:
         estimate = _finite_sample_estimate(sigma, d, mode)
         error = linalg.trace_norm(estimate - sigma)
-    mass = float(np.clip(np.real(np.trace(sigma)), 0.0, 1.0))
+    mass = float(np.clip(np.real(trace), 0.0, 1.0))
     return TomographyOutcome(estimate, mass, error)
 
 

@@ -253,24 +253,21 @@ def test_rank_capped_validates_its_estimate_once(monkeypatch, sigma, p):
 
 
 def test_the_factor_builder_completes_a_rank_deficient_factor(monkeypatch):
-    # k = 2 columns for a kept dimension of 8: two singular vectors, six completed
+    # k = 2 columns for a kept dimension of 8: two singular vectors, and six
+    # completed from the null space of a 2 x 8 matrix, on the first 8 rows,
+    # with no seeded draw, no QR and no hermiticity check
     rng = np.random.default_rng(16)
     factor = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-    qr = np.linalg.qr
-
-    def reduced_only(a, mode="reduced"):
-        if mode == "complete":
-            raise AssertionError("the completion needs no square QR")
-        return qr(a, mode)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a factor's Gram matrix needs no hermiticity check")
+        raise AssertionError("the factor builder draws nothing, takes no QR, checks no Gram matrix")
 
-    monkeypatch.setattr(np.linalg, "qr", reduced_only)
-    monkeypatch.setattr(linalg, "require_hermitian", refuse)
+    for module, name in ((np.random, "default_rng"), (np.linalg, "qr"), (linalg, "require_hermitian")):
+        monkeypatch.setattr(module, name, refuse)
     dz = disentangler.build_rank_capped_from_factor(factor, 2, 4, 3)
     w = dz.isometry
     assert w.shape == (16, 8) and dz.selected.shape == (16, 4)
+    assert not np.any(w[8:, 2:])
     assert np.max(np.abs(w.conj().T @ w - np.eye(8))) <= 1e-12
     range_projector = w[:, :2] @ w[:, :2].conj().T
     assert np.max(np.abs(range_projector @ factor - factor)) <= 1e-12
@@ -282,25 +279,38 @@ def test_the_factor_builder_completes_a_rank_deficient_factor(monkeypatch):
         disentangler.build_rank_capped_from_factor(factor, 2, 9, 3)
 
 
+@st.composite
+def _factors(draw):
+    """``(factor, d, p)``: ``k`` in 0..d**p columns of rank up to ``k``, on all or some rows."""
+    d = draw(st.sampled_from([2, 3]))
+    y = draw(st.integers(1, 5 if d == 2 else 3))
+    p = draw(st.integers(0, y))
+    k = draw(st.integers(0, d**p))
+    rank = draw(st.integers(0, k))
+    rows = draw(st.sampled_from(["all", "past the kept rows", "kept rows only"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((d**y, rank)) + 1j * rng.standard_normal((d**y, rank))
+    factor = a @ (rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k)))
+    if rows == "past the kept rows":
+        factor[: d**p] = 0.0
+    elif rows == "kept rows only":
+        factor[d**p :] = 0.0
+    return factor, d, p
 
-def test_the_factor_builder_draws_each_completion_shape_once(monkeypatch):
-    # the completion depends on its shape alone: the first build of a shape
-    # draws it, read-only, and a second build of that shape reuses it
-    rng = np.random.default_rng(17)
-    factor = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
-    disentangler._completion.cache_clear()
-    dz = disentangler.build_rank_capped_from_factor(factor, 2, 4, 4)
-    seeded = np.random.default_rng(0)
-    g = seeded.standard_normal((64, 12)) + 1j * seeded.standard_normal((64, 12))
-    u = np.linalg.svd(factor, full_matrices=False)[0]
-    fresh = linalg._fix_phases(np.linalg.qr(np.concatenate([u, g], axis=1))[0])
-    assert dz.isometry.tobytes() == fresh.tobytes()
-    cached = disentangler._completion(64, 12)
-    assert cached.tobytes() == g.tobytes() and not cached.flags.writeable
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a completion of a seen shape is drawn again")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    again = disentangler.build_rank_capped_from_factor(factor.copy() * 2.0, 2, 4, 4)
-    assert again.isometry.shape == (64, 16)
+@settings(max_examples=200, deadline=None)
+@given(case=_factors())
+def test_the_factor_builder_keeps_the_range_and_completes_it_orthogonally(case):
+    factor, d, p = case
+    k, m = factor.shape[1], d**p
+    dz = disentangler.build_rank_capped_from_factor(factor, d, 1, p)
+    w = dz.isometry
+    scale = max(1.0, np.max(np.abs(factor), initial=0.0))
+    assert w.shape == (factor.shape[0], m)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(m))) <= 1e-12
+    head = w[:, :k]
+    assert np.max(np.abs(head @ (head.conj().T @ factor) - factor), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(w[:, k:].conj().T @ factor), initial=0.0) <= 1e-12 * scale
+    again = disentangler.build_rank_capped_from_factor(factor.copy(), d, 1, p)
+    assert again.isometry.tobytes() == w.tobytes()
+    assert again.selected.tobytes() == dz.selected.tobytes()

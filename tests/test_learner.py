@@ -620,6 +620,13 @@ def _isometry_with_a_repeated_column(doc):
     doc["isometries"] = _encode(np.concatenate([w.ravel(), entries[64:]]))
 
 
+def _isometry_past_a_float_squared(doc):
+    # finite entries whose Gram matrix overflows: the defect is inf or NaN
+    entries, w = _decode(doc["isometries"]), _first_isometry(doc)
+    w[:, 1] = complex(1e200, -1e200)
+    doc["isometries"] = _encode(np.concatenate([w.ravel(), entries[64:]]))
+
+
 def _unitary_on_trivial_path(doc):
     # with n <= 2p there are no layers, so no isometry has a block to act on
     doc["p"] = doc["n"]
@@ -658,7 +665,8 @@ def _huge_json_integer(doc):
     [_drop_n, _truncate_residual, _truncate_isometries, _nan_in_unitary, _unitary_on_trivial_path,
      _p_zero, _p_is_a_flag, _huge_register, _huger_register, _huge_residual, _huge_json_integer,
      None,
-     _isometry_of_the_wrong_width, _isometry_with_a_repeated_column],
+     _isometry_of_the_wrong_width, _isometry_with_a_repeated_column,
+     _isometry_past_a_float_squared],
     ids=lambda tamper: "_directory" if tamper is None else tamper.__name__,
 )
 def test_load_circuit_raises_malformed_circuit(monkeypatch, tmp_path, tamper):
@@ -742,8 +750,10 @@ def test_the_register_cuts_a_window_only_where_a_later_window_needs_a_cut(monkey
     # the trivial path's residual is one tensor, which extraction cuts into
     # sites by SVD alone; an exact learn at n = 16, D = 4, whose layer-2
     # window is two whole layer-1 outputs, cuts nothing, so its only SVDs
-    # are the acted blocks' factors
-    calls = {"qr_step": 0, "svd": 0}
+    # are two per acted block: its factor's, and the k x d**p one that
+    # completes a factor of k < d**p columns, as every block here has; and
+    # its only QRs are the register's steps, none a completion of d**y rows
+    calls = {"qr_step": 0, "svd": 0, "qr": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -756,25 +766,27 @@ def test_the_register_cuts_a_window_only_where_a_later_window_needs_a_cut(monkey
 
     counted(mps, "qr_step")
     counted(np.linalg, "svd")
+    counted(np.linalg, "qr")
     state = mps.random_mps(mps.StateSpec(n=10, d=2, D=2, seed=43))
     circuit, report = learner.learn(state, 2, 2, 0.2, 0.01, variant="closest", seed=43)
     assert report.M == 0
-    calls.update(qr_step=0, svd=0)
+    calls.update(qr_step=0, svd=0, qr=0)
     extracted = learner.extract_mps(circuit)
-    assert calls == {"qr_step": 0, "svd": 9}
+    assert calls == {"qr_step": 0, "svd": 9, "qr": 0}
     assert np.max(np.abs(mps.expand(extracted) - circuit.residual)) <= 1e-12
     state = mps.random_mps(mps.StateSpec(n=16, d=2, D=4, seed=43))
-    calls.update(qr_step=0, svd=0)
+    calls.update(qr_step=0, svd=0, qr=0)
     circuit, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=43)
     acted = sum(b.acted for layer in circuit.plan.layers for b in layer)
     assert (report.M, acted) == (2, 3)
-    assert calls["svd"] == acted
+    assert calls["svd"] == 2 * acted
+    assert calls["qr"] == calls["qr_step"]
     assert report.final_fidelity >= 1.0 - 1e-9
 
 
 @pytest.mark.parametrize(
     "D, oracle, learn_calls, extract_calls",
-    [(4, "exact", (3, 3), (1, 15)), (2, "bounded-noise", (11, 8), (5, 15))],
+    [(4, "exact", (3, 6), (1, 15)), (2, "bounded-noise", (11, 8), (5, 15))],
     ids=["exact-wide", "noisy-narrow"],
 )
 def test_the_lapack_calls_of_one_learn_and_one_extraction(
@@ -784,9 +796,11 @@ def test_the_lapack_calls_of_one_learn_and_one_extraction(
     # noisy-narrow jobs make them: a register that sweeps or cuts more than
     # it needs shows here, whatever the timing noise.  The register is built
     # from layer 1's windows, so its one sweep takes a QR step per window:
-    # one at D = 4 (blocks 1..8, 9..16), three at D = 2
-    calls = {"qr_step": 0, "svd": 0}
-    for module, name in ((mps, "qr_step"), (np.linalg, "svd")):
+    # one at D = 4 (blocks 1..8, 9..16), three at D = 2.  Each of the exact
+    # learn's three blocks takes two SVDs, its factor's and its completion's,
+    # and every QR is a register step
+    calls = {"qr_step": 0, "svd": 0, "qr": 0}
+    for module, name in ((mps, "qr_step"), (np.linalg, "svd"), (np.linalg, "qr")):
         original = getattr(module, name)
 
         def count(*args, _name=name, _original=original, **kwargs):
@@ -798,7 +812,8 @@ def test_the_lapack_calls_of_one_learn_and_one_extraction(
     mode = tomography.BoundedNoiseMode(eta=None, seed=16) if oracle != "exact" else None
     circuit, report = learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=16)
     assert (calls["qr_step"], calls["svd"]) == learn_calls
-    calls.update(qr_step=0, svd=0)
+    assert calls["qr"] == calls["qr_step"]
+    calls.update(qr_step=0, svd=0, qr=0)
     learner.extract_mps(circuit)
     assert (calls["qr_step"], calls["svd"]) == extract_calls
     assert report.final_fidelity >= 1.0 - 0.2

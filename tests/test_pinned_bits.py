@@ -27,10 +27,10 @@ from mpslearn import backend, disentangler, learner, linalg, mps, tomography
 PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
     "top_eigenvector": "23829669fab99fdfa56c1468d47628371216ed86125f81954c9c7610ae450ff0",
-    "build_rank_capped_from_factor": "b565fd9c90d1eea9ae24d9d2f11fe6a6334f22885399cd38a950dd22934647be",
+    "build_rank_capped_from_factor": "0aec5b0473afecf1f306487a369632db6db63163c584feebeaf18cc8115ff306",
     "MPSBackend.rdm_factor": "11e16f4695286edd5f5dc96e2d4bee2d06fe46022219bae872e68753bd4e5c8c",
-    "MPSBackend.state": "e0d432f650ceb1635cf77d0d569c3b56f32ffb35bbb21d65f520e9422bc67554",
-    "save_circuit.exact": "e3e87baa9b61eeb3b2ee22508891c5e5943cb2c9bc0d5a26be24b3701d737970",
+    "MPSBackend.state": "f24d18d0c562d4670fca440fcc09c2d8e68541d691687682f606010617188c0a",
+    "save_circuit.exact": "44ef522afefdfe4ef5dba052511a15581fe3632909a9522eeba9e72ee4da5c54",
     "save_circuit.bounded_noise": "b4f6776652957019892ced2b62275351caefec5c9dde577a36a422897a4d8823",
     "save_mps": "1e39fe51129309fc4c9594cc5e73fd062d56df5f8fec39a923a58cf36e7f5639",
 }
@@ -53,7 +53,7 @@ def _top_eigenvector_outputs():
 
 
 def _factor_outputs():
-    # (side, d, D**2, p, columns): k < d**p columns take the seeded completion
+    # (side, d, D**2, p, columns): k < d**p columns take the null-space completion
     rng = np.random.default_rng(2202)
     for dim, d, rank, p, k in (
         (16, 2, 4, 2, 2), (16, 2, 4, 2, 6), (81, 3, 4, 2, 3), (256, 2, 16, 4, 16),

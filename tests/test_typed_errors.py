@@ -23,6 +23,7 @@ from mpslearn import (
     linalg,
     mps,
     planner,
+    tomography,
     verify,
 )
 
@@ -33,6 +34,16 @@ def _chain(*shapes, boundary="open", nan_at=None):
     if nan_at is not None:
         tensors[nan_at].flat[-1] = np.nan
     return mps.MatrixProductState(len(shapes), shapes[0][0], boundary, tensors)
+
+
+def _with(matrix, index, value):
+    """``matrix`` as a complex copy with one entry set to ``value``."""
+    out = np.array(matrix, dtype=complex)
+    out[index] = value
+    return out
+
+
+_NOISE, _SAMPLE = tomography.BoundedNoiseMode(eta=0.1), tomography.FiniteSampleMode(copies=100)
 
 
 def _zeros(shape):
@@ -124,6 +135,36 @@ ROWS = {
      errors.BadParameter, "need 0 <= p <= y = 2, got p=3"),
     "rank-capped-D-squared": (lambda: disentangler.build_rank_capped(np.eye(4) / 4, 2, 0, 1),
      errors.BadParameter, "D_squared must be >= 1, got 0"),
+    # disentangler.build_rank_capped_from_factor
+    "factor-1d": (lambda: disentangler.build_rank_capped_from_factor(np.ones(4), 2, 1, 1),
+     errors.BadParameter, r"a factor is a matrix of finite entries, got shape \(4,\)"),
+    "factor-nan": (lambda: disentangler.build_rank_capped_from_factor(
+        _with(np.ones((4, 2)), (3, 1), np.nan), 2, 1, 1),
+     errors.BadParameter, r"a factor is a matrix of finite entries, got shape \(4, 2\)"),
+    "factor-inf": (lambda: disentangler.build_rank_capped_from_factor(
+        _with(np.ones((4, 2)), (0, 0), np.inf), 2, 1, 1),
+     errors.BadParameter, r"a factor is a matrix of finite entries, got shape \(4, 2\)"),
+    # linalg.trace_norm
+    "trace-norm-nan": (lambda: linalg.trace_norm(_with(np.eye(2), (0, 1), np.nan)),
+     errors.BadParameter, "trace norm is nan"),
+    "trace-norm-inf": (lambda: linalg.trace_norm(_with(np.eye(2), (1, 0), -np.inf)),
+     errors.BadParameter, "trace norm is nan"),
+    # tomography.estimate_block
+    "exact-oracle-inf-trace": (lambda: tomography.estimate_block(
+        _with(np.eye(4) / 4, (1, 1), np.inf), 2),
+     errors.BadParameter, r"the marginal is not finite \(its trace is \((-?inf|nan)\+"),
+    "noise-oracle-nan-trace": (lambda: tomography.estimate_block(
+        _with(np.eye(4) / 4, (2, 2), np.nan), 2, _NOISE),
+     errors.BadParameter, r"the marginal is not finite \(its trace is \((-?inf|nan)\+"),
+    "sample-oracle-inf-trace": (lambda: tomography.estimate_block(
+        _with(np.eye(4) / 4, (0, 0), -np.inf), 2, _SAMPLE),
+     errors.BadParameter, r"the marginal is not finite \(its trace is \((-?inf|nan)\+"),
+    "noise-oracle-nan-entry": (lambda: tomography.estimate_block(
+        _with(np.eye(4) / 4, (0, 3), np.nan), 2, _NOISE),
+     errors.BadParameter, r"the marginal is not finite \(its trace is \(1\+0j\)\)"),
+    "sample-oracle-inf-entry": (lambda: tomography.estimate_block(
+        _with(np.eye(4) / 4, (3, 0), np.inf), 2, _SAMPLE),
+     errors.BadParameter, r"the marginal is not finite \(its trace is \(1\+0j\)\)"),
     # verify.run_suites
     "verify-unknown-suite": (lambda: verify.run_suites(["nope"]),
      errors.BadParameter, "unknown suite 'nope'"),
