@@ -279,6 +279,26 @@ def test_the_factor_builder_completes_a_rank_deficient_factor(monkeypatch):
         disentangler.build_rank_capped_from_factor(factor, 2, 9, 3)
 
 
+def test_the_factor_builder_draws_each_completion_shape_once(monkeypatch):
+    # the completion depends on the factor alone: no build of any shape draws
+    # a random matrix, and the first one is the null space of U[:16]^H itself
+    rng = np.random.default_rng(17)
+    factor = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factor builder draws a completion")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    dz = disentangler.build_rank_capped_from_factor(factor, 2, 4, 4)
+    u = np.linalg.svd(factor, full_matrices=False)[0]
+    w = np.zeros((64, 16), dtype=complex)
+    w[:, :4] = u
+    w[:16, 4:] = np.linalg.svd(u[:16].conj().T)[2][4:].conj().T
+    assert dz.isometry.tobytes() == linalg._fix_phases(w).tobytes()
+    again = disentangler.build_rank_capped_from_factor(factor.copy() * 2.0, 2, 4, 4)
+    assert again.isometry.shape == (64, 16)
+
+
 @st.composite
 def _factors(draw):
     """``(factor, d, p)``: ``k`` in 0..d**p columns of rank up to ``k``, on all or some rows."""
