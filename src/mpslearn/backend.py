@@ -12,8 +12,8 @@ Which register ``learn`` uses follows from its input alone:
   into one tensor, and one QR sweep then takes one step per tensor, not per
   site.
   :meth:`MPSBackend.rdm_factor`, the window with the centre in it, is a thin
-  ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``; the exact
-  variant under the exact oracle builds its isometries from ``F``.  Each
+  ``d**y x (D_l * D_r)`` factor ``F`` of the marginal ``F F^H``; under the
+  exact oracle either variant builds its isometries from ``F``.  Each
   window is kept as one tensor, so the centre crosses the register's
   tensors, not its sites, and a later window made of earlier ones is
   contracted with no cut;

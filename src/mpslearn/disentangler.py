@@ -3,10 +3,10 @@
 Both constructions compress a ``y``-qudit block onto its trailing qudits
 while keeping a chosen subspace intact:
 
-* :func:`build_rank_capped` keeps the top ``D**2`` eigenvectors of the
-  estimate and compresses the block onto its last ``p`` qudits.
-* :func:`build_threshold` keeps every eigenvector whose eigenvalue clears a
-  threshold ``eta`` and compresses onto the fewest qudits that can hold them.
+* :func:`build_rank_capped` keeps the top ``D**2`` eigenvectors (``d**p`` in
+  the learner's closest variant) and compresses onto the last ``p`` qudits.
+* :func:`build_threshold`, the paper's threshold construction, keeps every
+  eigenvector above ``eta`` on the fewest qudits that can hold them.
 
 Each is stored as its isometry ``W``, the top eigenvectors in descending
 eigenvalue order.  Any unitary ``U`` with ``U^dagger = [W, C]`` maps column
@@ -19,8 +19,9 @@ the top ``d**p`` eigenvectors of a dense estimate from its full eigenbasis.
 factor ``F`` of the estimate ``F F^H``: ``F``'s top left singular vectors, in
 O(side k^2) work for ``k`` columns, completed from a ``k x d**p`` null space
 when ``k < d**p``.  The tensor-train register's exact marginals come as such
-factors, so the exact oracle on any MPS input never forms a dense estimate;
-their Gram matrix is Hermitian and PSD: no hermiticity check, no certificate.
+factors, so the exact oracle on any MPS input never forms a dense estimate,
+in either variant; their Gram matrix is Hermitian and PSD: no hermiticity
+check, no certificate.
 """
 from __future__ import annotations
 
@@ -125,17 +126,14 @@ def _kept_dim(dim: int, d: int, D_squared: int, p: int) -> int:
     return m
 
 
-def build_threshold(
-    sigma_hat: np.ndarray, d: int, eta: float, p: int | None = None
-) -> Disentangler:
+def build_threshold(sigma_hat: np.ndarray, d: int, eta: float) -> Disentangler:
     """Disentangler keeping eigenvectors with eigenvalues above ``eta``.
 
     The estimate must be Hermitian with trace at most ``1 + 1e-9``; for a
     density-matrix input the number of kept vectors ``m`` is then below
     ``1/eta``.  Eigenvalues within ``1e-12`` of ``eta`` count as below it.
-    The kept width is ``t = ceil(log_d m)`` qudits (zero when ``m <= 1``).
-    The isometry holds the top ``d**p`` eigenvectors, ``d**t`` when ``p`` is
-    not given: a learner that keeps ``p`` qudits per block asks for ``p``.
+    The isometry holds the top ``d**t`` eigenvectors, for the kept width of
+    ``t = ceil(log_d m)`` qudits (zero when ``m <= 1``).
     """
     if eta <= 0:
         raise BadParameter(f"eta must be positive, got {shown(eta)}")
@@ -148,5 +146,4 @@ def build_threshold(
     t = 0
     while d**t < m:  # smallest t with d**t >= m, in integer arithmetic
         t += 1
-    width = d ** (t if p is None else p)
-    return _from_eigenbasis(vectors, selected_count=m, width=width)
+    return _from_eigenbasis(vectors, selected_count=m, width=d**t)

@@ -8,19 +8,21 @@ After the last layer a final tomography call on the surviving tail yields the
 residual state, and the output circuit (one isometry per block) is the
 inverse of everything that was applied.
 
-Two variants share the loop.  The ``exact`` variant assumes the input is a
+Two variants share the loop and its one block step; a variant sets only the
+block size ``p``, the per-call accuracy ``eta``, the kept rank, the copies
+charged and the drop bound.  The ``exact`` variant assumes the input is a
 bond-dimension-``D`` matrix product state and keeps the top ``D**2``
 eigenvectors per block; its guarantee is fidelity at least ``1 - epsilon``
 when oracle errors stay within the per-call budget.  The ``closest`` variant
-makes no input assumption, keeps eigenvectors above a threshold, and competes
+makes no input assumption, keeps the top ``d**p`` eigenvectors, and competes
 with the best fidelity achievable by any bond-dimension-``D`` state.
 
-On the tensor-train register the exact variant under the exact oracle
-(a factored run) never forms a block marginal: each marginal is ``F F^H`` for
-the thin factor :meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns (the
-block's window, with the register's orthogonality centre moved into it), of
-rank at most ``D_l * D_r``; its isometry, ``F``'s top left singular vectors
-completed from a ``k x d**p`` null space when there are ``k < d**p`` of them
+Under the exact oracle the tensor-train register (a factored run) never forms
+a block marginal: each marginal is ``F F^H`` for the thin factor
+:meth:`~mpslearn.backend.MPSBackend.rdm_factor` returns (the block's window,
+with the register's orthogonality centre moved into it), of rank at most
+``D_l * D_r``; its isometry, ``F``'s top left singular vectors completed
+from a ``k x d**p`` null space when there are ``k < d**p`` of them
 (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`), needs no
 hermiticity check and no certificate: ``F F^H`` is Hermitian and PSD by
 construction.  Every other run hands the oracle the dense marginal.
@@ -63,12 +65,7 @@ import numpy as np
 
 from . import linalg, mps, tomography
 from .backend import MPSBackend, StateBackend, infer_site_count
-from .disentangler import (
-    build_rank_capped,
-    build_rank_capped_from_factor,
-    build_threshold,
-    unitary_from_isometry,
-)
+from .disentangler import build_rank_capped, build_rank_capped_from_factor, unitary_from_isometry
 from .errors import BadParameter, MalformedCircuit, TooLarge, shown
 from .planner import (
     LayerPlan,
@@ -86,7 +83,12 @@ CIRCUIT_FORMAT_VERSION = 4
 
 @dataclasses.dataclass(frozen=True)
 class LearnSchedule:
-    """Explicit block size (an integer p >= 1) and eta (in (0, 2]) for :func:`learn`."""
+    """Explicit block size (an integer p >= 1) and eta (in (0, 2]) for :func:`learn`.
+
+    The closest variant keeps each block's top ``d**p`` eigenvectors, which hold
+    all above ``eta`` only if ``1/eta <= d**p``; the derived schedule has
+    ``d**p >= B/p = 1/eta``, a custom one need not.
+    """
 
     p: int
     eta: float
@@ -460,12 +462,10 @@ def learn(
 
     # The exact oracle returns a tensor train's marginal sigma = F F^H itself,
     # and sigma's top eigenvectors are the left singular vectors of the thin F;
-    # only the tensor-train register hands out such factors.
-    factored = (
-        variant == "exact"
-        and isinstance(mode, tomography.ExactMode)
-        and isinstance(backend, MPSBackend)
-    )
+    # only the tensor-train register hands out such factors.  The variant sets
+    # only the kept rank, never the builder.
+    factored = isinstance(mode, tomography.ExactMode) and isinstance(backend, MPSBackend)
+    kept = D * D if variant == "exact" else d**p
     for j in range(1, M + 1):
         built: list[tuple] = []
         stats: list[BlockStats] = []
@@ -475,16 +475,13 @@ def learn(
                 continue
             if factored:
                 factor = backend.rdm_factor(block.support)
-                dz = build_rank_capped_from_factor(factor, d, D * D, p)
+                dz = build_rank_capped_from_factor(factor, d, kept, p)
                 mass, error = float(np.clip(np.linalg.norm(factor) ** 2, 0.0, 1.0)), 0.0
             else:
                 call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
                 outcome = tomography.estimate_block(backend.rdm(block.support), d, call_mode)
                 mass, error = outcome.success_mass, outcome.error
-                if variant == "exact":
-                    dz = build_rank_capped(outcome.estimate, d, D * D, p)
-                else:
-                    dz = build_threshold(outcome.estimate, d, eta, p)
+                dz = build_rank_capped(outcome.estimate, d, kept, p)
             charge = _charge(variant, mass, D, d, len(block.support), eta, delta / n)
             copies_used += charge
             built.append((block, dz))

@@ -17,8 +17,9 @@ block marginal, which the caller takes from its register) into an estimate:
 Each outcome carries its estimate's trace-norm error, taken from the oracle's
 own work.  Budgets are charged analytically by the calculators below
 regardless of the oracle mode in use, and a count past a float's range raises
-``BadParameter`` through :func:`mpslearn.errors.in_float_range`; estimates
-are sub-normalized exactly like the marginals they are taken from.  Each
+``BadParameter`` through :func:`mpslearn.errors.in_float_range`.  An
+estimate's trace differs from its marginal's by at most its ``error`` (at
+most ``eta`` under bounded noise, whose ``project_psd`` can lift it).  Each
 mode's ``name`` is the oracle's name in run metadata and reports.
 """
 from __future__ import annotations
@@ -52,7 +53,8 @@ class BoundedNoiseMode:
     ``eta = None`` asks the caller (the learner) to substitute its own
     per-call error budget.  With ``project_psd`` set, the perturbed estimate
     is projected onto the PSD cone and the perturbation rescaled so the
-    trace-norm error stays within ``eta``.
+    trace-norm error stays within ``eta``; the estimate's trace is then no
+    longer the marginal's, but within ``error <= eta`` of it.
     """
 
     name: ClassVar[str] = "bounded_noise"
@@ -105,8 +107,8 @@ class TomographyOutcome:
     Attributes
     ----------
     estimate : np.ndarray
-        Hermitian estimate of the block marginal, sub-normalized like the
-        marginal.
+        Hermitian estimate of the block marginal, whose trace differs from
+        the marginal's by at most ``error``.
     success_mass : float
         Trace of the true marginal (the post-selection success probability),
         clipped to [0, 1].

@@ -210,14 +210,16 @@ def test_closest_variant_on_global_depolarized_state():
     assert report.effective_epsilon <= 0.2
 
 
-def test_closest_layered_schedule_obeys_own_bounds():
+@pytest.mark.parametrize("project_psd", [False, True], ids=["plain", "project-psd"])
+def test_closest_layered_schedule_obeys_own_bounds(project_psd):
     # force the layered path with an explicit schedule to exercise the
-    # threshold builders and the closest-variant drop bounds
+    # closest-variant drop bounds; a PSD-projected estimate, whose trace the
+    # projection lifts past 1, builds its block like any other
     psi = random_mps_vector(10, seed=17)
     plan = planner.plan_layers(10, 2, 2)
     eta = planner.eta_closest(0.5, 2, 2, 10)
     schedule = learner.LearnSchedule(p=2, eta=eta)
-    mode = tomography.BoundedNoiseMode()
+    mode = tomography.BoundedNoiseMode(project_psd=project_psd)
     circuit, report = learner.learn(
         psi, 2, 2, 0.5, 0.01, variant="closest", mode=mode, seed=17,
         audit=True, schedule=schedule,
@@ -1214,21 +1216,45 @@ def test_stepwise_state_refuses_a_register_past_the_dense_operator_cap():
     assert report.audit.stepwise_vector(1).shape == (2**12,)
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n):
+def _learn_refusing_block_marginals(monkeypatch, n, D, **kwargs):
     # each block's isometry comes from its marginal's thin factor, and the
-    # closing call reads the held tail: no d**y x d**y matrix, no eigensolver
-    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=4, seed=39))
+    # closing call reads the held tail: no d**y x d**y matrix, no eigensolver,
+    # whatever the variant
+    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=39))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an exact learn on the tensor train formed a block marginal")
+        raise AssertionError("a learn on the tensor train formed a block marginal")
 
     monkeypatch.setattr(backend.MPSBackend, "rdm", refuse)
     for name in ("require_hermitian", "top_eigenvector"):
         monkeypatch.setattr(linalg, name, refuse)
-    _, report = learner.learn(state, 2, 4, 0.2, 0.01, seed=39)
+    _, report = learner.learn(state, 2, D, 0.2, 0.01, seed=39, **kwargs)
     assert report.M >= 2
     assert report.final_fidelity >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_exact_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch, n):
+    _learn_refusing_block_marginals(monkeypatch, n, 4)
+
+
+def test_closest_learn_of_an_open_mps_never_forms_a_block_marginal(monkeypatch):
+    # the closest variant takes the same factor path under the exact oracle
+    schedule = learner.LearnSchedule(2, planner.eta_closest(0.5, 2, 2, 16))
+    _learn_refusing_block_marginals(monkeypatch, 16, 2, variant="closest", schedule=schedule)
+
+
+@pytest.mark.parametrize("as_vector", [False, True], ids=["mps", "vector"])
+def test_a_rank_cap_past_the_kept_dimension_stops_only_the_exact_variant(as_vector):
+    # p = 1 keeps d = 2 dimensions: D**2 = 4 does not fit, while the closest
+    # variant keeps d**p whatever D is
+    state = mps.random_mps(mps.StateSpec(n=8, d=2, D=2, seed=42))
+    state = mps.expand(state) if as_vector else state
+    schedule = learner.LearnSchedule(p=1, eta=0.01)
+    with pytest.raises(errors.RankCapExceedsDim):
+        learner.learn(state, 2, 2, 0.2, 0.01, schedule=schedule)
+    _, report = learner.learn(state, 2, 2, 0.2, 0.01, variant="closest", schedule=schedule)
+    assert report.M >= 1
 
 
 @pytest.mark.parametrize(

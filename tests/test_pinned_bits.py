@@ -2,13 +2,13 @@
 
 Each digest is the sha256 of a kernel's outputs, as raw bytes in order, on a
 fixed grid of seeded inputs, or of the bytes of a file written by
-``save_circuit`` or ``save_mps``.  A change to one of these kernels that
-moves any bit of any output fails here, so a speed-up that claims equal
-results has to show it.  Sides of 256 and more round differently with the
-number of BLAS threads, so the digests are computed in a child process with
-one thread.  They were taken with NumPy 2.4 on OpenBLAS 0.3.31 (its SkylakeX
-kernels); a different BLAS build or CPU kernel may round the eigensolver
-paths differently.
+``save_circuit`` (two, in order, for the closest learn) or ``save_mps``.  A
+change to one of these kernels that moves any bit of any output fails here,
+so a speed-up that claims equal results has to show it.  Sides of 256 and
+more round differently with the number of BLAS threads, so the digests are
+computed in a child process with one thread.  They were taken with NumPy 2.4
+on OpenBLAS 0.3.31 (its SkylakeX kernels); a different BLAS build or CPU
+kernel may round the eigensolver paths differently.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from test_linalg import _top_case, random_hermitian
 
-from mpslearn import backend, disentangler, learner, linalg, mps, tomography
+from mpslearn import backend, disentangler, learner, linalg, mps, planner, tomography
 
 PINNED = {
     "require_hermitian": "92b409580744bad9741cdde28261916db4a931364128bb378cef204ff0e136bb",
@@ -32,6 +32,7 @@ PINNED = {
     "MPSBackend.state": "f24d18d0c562d4670fca440fcc09c2d8e68541d691687682f606010617188c0a",
     "save_circuit.exact": "44ef522afefdfe4ef5dba052511a15581fe3632909a9522eeba9e72ee4da5c54",
     "save_circuit.bounded_noise": "b4f6776652957019892ced2b62275351caefec5c9dde577a36a422897a4d8823",
+    "save_circuit.closest": "61b45e85e406100ece34505cf5f8d985decade6650c85f1c92e58ee30ecc9e8d",
     "save_mps": "1e39fe51129309fc4c9594cc5e73fd062d56df5f8fec39a923a58cf36e7f5639",
 }
 
@@ -97,16 +98,34 @@ def _state_outputs():
     yield from learner.extract_mps(circuit).tensors
 
 
-def _file_digest(save, obj):
+def _file_bytes(save, obj):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.json"
         save(obj, path)
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
+
+
+def _file_digest(save, obj):
+    return hashlib.sha256(_file_bytes(save, obj)).hexdigest()
 
 
 def _learned(D, mode, seed):
     state = mps.random_mps(mps.StateSpec(n=16, d=2, D=D, seed=seed))
     return learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=seed)[0]
+
+
+def _closest_files():
+    # a layered closest learn under bounded noise, of an MPS and of its vector:
+    # the dense block path of both registers
+    chain = mps.random_mps(mps.StateSpec(n=12, d=2, D=2, seed=2208))
+    schedule = learner.LearnSchedule(2, planner.eta_closest(0.5, 2, 2, 12))
+    mode = tomography.BoundedNoiseMode(seed=2208)
+    for state in (chain, mps.expand(chain)):
+        circuit, report = learner.learn(
+            state, 2, 2, 0.5, 0.01, variant="closest", mode=mode, seed=2208, schedule=schedule
+        )
+        assert report.M >= 2
+        yield _file_bytes(learner.save_circuit, circuit)
 
 
 def _digest(arrays):
@@ -127,6 +146,7 @@ def _digests():
         "save_circuit.bounded_noise": _file_digest(
             learner.save_circuit, _learned(2, tomography.BoundedNoiseMode(seed=2206), 2206)
         ),
+        "save_circuit.closest": hashlib.sha256(b"".join(_closest_files())).hexdigest(),
         "save_mps": _file_digest(
             mps.save_mps, mps.random_mps(mps.StateSpec(n=24, d=3, D=5, seed=2207))
         ),
