@@ -6,189 +6,8 @@ in |0> at every layer, until only a short tail survives.  Inverting the
 recorded unitaries yields a state-preparation circuit.  Alongside the learner
 live the schedule planner, the block-size solver, tomography oracles, copy
 budget formulas, and runnable property suites for the structural guarantees.
+Each lives in its own module, and ``import mpslearn`` binds none of their
+names: import the modules (``from mpslearn import learner, mps, tomography``).
 """
 
-from .backend import MPSBackend, StateBackend, apply_unitary_vector
-from .complexity import (
-    ETA_SUBSTITUTION_CONSTANT,
-    budget_closest_ours,
-    budget_closest_previous,
-    budget_closest_raw,
-    budget_exact_ours,
-    budget_exact_previous,
-    dominance_ratio,
-    fit_loglog_slope,
-)
-from .disentangler import Disentangler, build_rank_capped, build_threshold
-from .errors import (
-    BackendTooLarge,
-    BadCut,
-    BadEpsilon,
-    BadParameter,
-    BlockOutOfRange,
-    DegenerateD,
-    DimensionMismatch,
-    InvalidSpec,
-    MalformedCircuit,
-    MpslearnError,
-    NegativeArgument,
-    NoConvergence,
-    NonHermitian,
-    NonSquare,
-    OracleFailure,
-    RankCapExceedsDim,
-    TooLarge,
-    TooSmall,
-)
-from .learner import (
-    AuditTrail,
-    BlockStats,
-    CircuitDescription,
-    CircuitUnitary,
-    LayerStats,
-    LearnReport,
-    LearnSchedule,
-    extract_mps,
-    forward_transform,
-    learn,
-    load_circuit,
-    reconstruct_state,
-    residual_projection,
-    save_circuit,
-)
-from .linalg import (
-    fix_phase,
-    hermitian_eig,
-    numerical_rank,
-    partial_trace,
-    project_psd,
-    top_eigenvector,
-    trace_norm,
-)
-from .mps import (
-    MatrixProductState,
-    StateSpec,
-    block_rdm,
-    expand,
-    load_mps,
-    random_mps,
-    save_mps,
-    schmidt_profile,
-    schmidt_rank,
-)
-from .planner import (
-    SQRT2_GAP,
-    LambertSolution,
-    LayerPlan,
-    PlannedBlock,
-    copy_scale_base,
-    eta_closest,
-    eta_exact,
-    lambert_w,
-    p_exact,
-    plan_layers,
-    select_epsilon,
-    solve_p_closest,
-    solve_p_from_scale,
-)
-from .tomography import (
-    BoundedNoiseMode,
-    ExactMode,
-    FiniteSampleMode,
-    TomographyOutcome,
-    budget_general,
-    budget_rank_constrained,
-    estimate_block,
-)
-from .verify import AVAILABLE_SUITES, CheckResult, SuiteResult, run_suites
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AVAILABLE_SUITES",
-    "AuditTrail",
-    "BackendTooLarge",
-    "BadCut",
-    "BadEpsilon",
-    "BadParameter",
-    "BlockOutOfRange",
-    "BlockStats",
-    "BoundedNoiseMode",
-    "CheckResult",
-    "CircuitDescription",
-    "CircuitUnitary",
-    "DegenerateD",
-    "DimensionMismatch",
-    "Disentangler",
-    "ETA_SUBSTITUTION_CONSTANT",
-    "ExactMode",
-    "FiniteSampleMode",
-    "InvalidSpec",
-    "LambertSolution",
-    "LayerPlan",
-    "LayerStats",
-    "LearnReport",
-    "LearnSchedule",
-    "MPSBackend",
-    "MalformedCircuit",
-    "MatrixProductState",
-    "MpslearnError",
-    "NegativeArgument",
-    "NoConvergence",
-    "NonHermitian",
-    "NonSquare",
-    "OracleFailure",
-    "PlannedBlock",
-    "RankCapExceedsDim",
-    "SQRT2_GAP",
-    "StateBackend",
-    "StateSpec",
-    "SuiteResult",
-    "TomographyOutcome",
-    "TooLarge",
-    "TooSmall",
-    "apply_unitary_vector",
-    "block_rdm",
-    "budget_closest_ours",
-    "budget_closest_previous",
-    "budget_closest_raw",
-    "budget_exact_ours",
-    "budget_exact_previous",
-    "budget_general",
-    "budget_rank_constrained",
-    "build_rank_capped",
-    "build_threshold",
-    "copy_scale_base",
-    "dominance_ratio",
-    "estimate_block",
-    "eta_closest",
-    "eta_exact",
-    "expand",
-    "extract_mps",
-    "fit_loglog_slope",
-    "fix_phase",
-    "forward_transform",
-    "hermitian_eig",
-    "lambert_w",
-    "learn",
-    "load_circuit",
-    "load_mps",
-    "numerical_rank",
-    "p_exact",
-    "partial_trace",
-    "plan_layers",
-    "project_psd",
-    "random_mps",
-    "reconstruct_state",
-    "residual_projection",
-    "run_suites",
-    "save_circuit",
-    "save_mps",
-    "schmidt_profile",
-    "schmidt_rank",
-    "select_epsilon",
-    "solve_p_closest",
-    "solve_p_from_scale",
-    "top_eigenvector",
-    "trace_norm",
-]

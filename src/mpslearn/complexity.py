@@ -132,11 +132,14 @@ def dominance_ratio(n: int, d: int, p: int, epsilon: float, eta: float) -> float
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of ``log y`` against ``log x``."""
+    """Least-squares slope of ``log y`` against ``log x``, over at least two distinct ``x``."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise BadParameter("need two sequences of equal length >= 2")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise BadParameter("log-log fits need strictly positive data")
+    data = np.stack([x, y])
+    if not (np.isfinite(data) & (data > 0)).all():  # NaN fails both
+        raise BadParameter("log-log fits need finite, strictly positive data")
+    if np.unique(x).size < 2:
+        raise BadParameter("a slope needs at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -55,8 +55,9 @@ class Disentangler:
         ``(d**y, d**k)`` for a ``y``-qudit block that keeps ``k`` trailing
         qudits: orthonormal eigenvectors in descending eigenvalue order.
     selected : np.ndarray
-        Columns are the selected vectors (top ``D**2`` eigenvectors, or the
-        above-threshold eigenvectors).  May have zero columns.
+        The selected vectors (top ``D**2`` eigenvectors, or the
+        above-threshold eigenvectors): a view of the leading columns of
+        ``isometry``.  May have zero columns.
     """
 
     isometry: np.ndarray
@@ -64,10 +65,9 @@ class Disentangler:
 
 
 def _from_eigenbasis(vectors: np.ndarray, selected_count: int, width: int) -> Disentangler:
-    """Disentangler from orthonormal columns led by the selected vectors."""
-    return Disentangler(
-        isometry=vectors[:, :width].copy(), selected=vectors[:, :selected_count].copy()
-    )
+    """Disentangler from orthonormal columns led by ``selected_count <= width`` selected ones."""
+    isometry = vectors[:, :width].copy()
+    return Disentangler(isometry=isometry, selected=isometry[:, :selected_count])
 
 
 def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> Disentangler:

@@ -48,10 +48,6 @@ class TooLarge(MpslearnError, ValueError):
     exit_code, outcome = 4, "resource limit"
 
 
-class BadCut(MpslearnError, ValueError):
-    """A bipartition cut index is out of range."""
-
-
 class BlockOutOfRange(MpslearnError, ValueError):
     """A site block refers to sites outside the register."""
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BadCut, BadParameter, DimensionMismatch, InvalidSpec, TooLarge, shown
+from .errors import BadParameter, DimensionMismatch, InvalidSpec, TooLarge, shown
 
 MPS_FORMAT_NAME = "mps-state"
 MPS_FORMAT_VERSION = 2
@@ -366,37 +366,11 @@ def block_rdm(state: np.ndarray, dims: Sequence[int], block: Sequence[int]) -> n
     return (rdm + rdm.conj().T) / 2.0
 
 
-def schmidt_rank(state, cut: int, tol: float = 1e-10, dims: Sequence[int] | None = None) -> int:
-    """Rank of the reduced state across the cut ``(first cut sites | rest)``.
-
-    ``state`` may be a :class:`MatrixProductState` or a dense vector (in which
-    case ``dims`` is required).  ``cut`` counts sites on the left, an integer
-    in ``1 .. n-1``.  The rank is the number of squared singular values of the
-    reshaped vector exceeding ``tol >= 0``, which equals the number of
-    eigenvalues of the left block's reduced density matrix above ``tol``.
-    """
-    if not isinstance(state, MatrixProductState) and dims is None:
-        raise DimensionMismatch("dims is required when passing a dense vector")
-    n = state.n if isinstance(state, MatrixProductState) else len(dims)
-    if not (is_integer(cut) and 1 <= cut <= n - 1):
-        raise BadCut(f"cut must be an integer in 1..{n - 1}, got {shown(cut)}")
-    if isinstance(state, MatrixProductState):
-        return schmidt_profile(state, tol)[cut - 1]
-    _check_tol(tol)
-    dims = tuple(int(x) for x in dims)
-    vector = np.asarray(state, dtype=complex).reshape(-1)
-    if vector.shape[0] != math.prod(dims):
-        raise DimensionMismatch(
-            f"vector length {vector.shape[0]} does not match prod(dims) = {math.prod(dims)}"
-        )
-    left = math.prod(dims[:cut])
-    s = np.linalg.svd(vector.reshape(left, -1), compute_uv=False)
-    return int(np.count_nonzero(s**2 > tol))
-
-
 def schmidt_profile(state: MatrixProductState, tol: float = 1e-10) -> list[int]:
-    """The Schmidt rank at every cut ``1 .. n-1``, counted as :func:`schmidt_rank` does.
+    """The Schmidt rank at every cut ``1 .. n-1`` (entry ``c - 1`` for the cut after ``c`` sites).
 
+    A cut's rank is the number of its squared singular values above
+    ``tol >= 0``: the eigenvalues of the left block's reduced state above it.
     The state's :func:`open_chain` is made left-canonical by a sweep of
     :func:`qr_step`; a right-to-left SVD sweep then reads each cut's singular
     values off one bond matrix, so no d**n vector is formed and any ``n``

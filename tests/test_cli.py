@@ -424,6 +424,14 @@ def test_budget_rejects_bad_grid(tmp_path, capsys):
     )
     assert cli.main(["budget", "--config", config, "--out", str(tmp_path / "x")]) == 2
 
+    # repeated grid points leave no slope to fit: refused, not a number written
+    config = write_config(
+        tmp_path / "b3.json",
+        {"n_values": [16, 16], "epsilon_values": [0.1, 0.1], "d": 2, "D": 2, "delta": 0.01},
+    )
+    assert cli.main(["budget", "--config", config, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
 
 def test_budget_reruns_are_byte_identical(tmp_path):
     config = write_config(

@@ -165,6 +165,11 @@ def test_budget_validation():
         complexity.dominance_ratio(16, 2, 512, 0.1, 0.01)
     with pytest.raises(errors.BadParameter, match="value exceeds"):
         complexity.budget_closest_ours(16, 2, 10**25, 0.2, 0.01)
+    # a slope needs finite data and two distinct x values
+    with pytest.raises(errors.BadParameter):
+        complexity.fit_loglog_slope([1, 2], [float("nan"), 3])
+    with pytest.raises(errors.BadParameter):
+        complexity.fit_loglog_slope([16, 16], [1, 2])
 
 
 HUGE = 10**5000  # 16610 bits: Python refuses to format an integer of over 4300 digits

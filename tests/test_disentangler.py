@@ -32,6 +32,7 @@ def test_rank_capped_unitarity_and_selection():
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
         assert dz.isometry.shape == (16, 4)
         assert dz.selected.shape == (16, 4)
+        assert np.shares_memory(dz.selected, dz.isometry)  # a view, never a second copy
         # selected columns span the top eigenspace of the estimate
         values, vectors = linalg.hermitian_eig(sigma)
         np.testing.assert_allclose(dz.selected, vectors[:, :4], atol=1e-12)

@@ -1,20 +1,30 @@
-"""The package's export list, and the names the benchmark traces."""
+"""The package's modules, the names the benchmark traces, and their readers."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import mpslearn
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 PACKAGE = Path(mpslearn.__file__).resolve().parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
-def test_every_export_resolves_once():
-    names = mpslearn.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert getattr(mpslearn, name) is not None, name
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_on_its_own(module):
+    # in a fresh interpreter, so no other module has been imported first and
+    # an import cycle shows whichever module it starts from
+    done = subprocess.run(
+        [sys.executable, "-c", f"import mpslearn.{module}"],
+        cwd=PACKAGE.parent, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _traced_targets() -> dict[str, str]:
@@ -64,20 +74,23 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names only to re-export them
     unused = {
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+        if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
 
 
 def _read_names() -> set[str]:
-    """Every name and attribute the package and the benchmark read (its tests aside)."""
+    """Every name and attribute the package, the benchmark and the acceptance criteria read.
+
+    The criteria are the paper's spec, so what they read as a reference is
+    read; the other tests are not readers.
+    """
     bench = [path for path in BENCH_RUN.parent.glob("*.py") if not path.name.startswith("test_")]
     names = set()
-    for path in [*PACKAGE.glob("*.py"), *bench]:
+    for path in [*PACKAGE.glob("*.py"), *bench, ACCEPTANCE]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -98,8 +111,8 @@ def _definitions(tree):
 
 
 def test_every_function_class_and_method_has_a_caller():
-    # a definition is dead unless the package or the benchmark reads it, the
-    # package exports it, or the benchmark traces it; tests do not count
+    # a definition is dead unless a reader (the package, the benchmark or the
+    # acceptance criteria) reads it, or the benchmark traces it
     read = _read_names()
     traced = {path.split(".")[-1] for path in _traced_targets().values()}
     dead = [
@@ -108,7 +121,6 @@ def test_every_function_class_and_method_has_a_caller():
         for label, name in _definitions(ast.parse(path.read_text()))
         if not name.startswith("__")
         and name not in read | traced
-        and name not in mpslearn.__all__
     ]
     assert dead == []
 
@@ -123,13 +135,13 @@ def _constants(tree):
 
 
 def test_every_module_constant_has_a_reader():
-    # a module-level constant is dead unless the package or the benchmark
-    # reads it (its own assignment is no read), or the package exports it
+    # a module-level constant is dead unless a reader reads it (its own
+    # assignment is no read)
     read = _read_names()
     dead = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _constants(ast.parse(path.read_text()))
-        if not name.startswith("__") and name not in read and name not in mpslearn.__all__
+        if not name.startswith("__") and name not in read
     ]
     assert dead == []

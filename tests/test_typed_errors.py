@@ -84,15 +84,11 @@ ROWS = {
      errors.InvalidSpec, "ghz needs n >= 2"),
     "w-state-one-site": (lambda: mps.random_mps(mps.StateSpec(n=1, d=2, D=2, kind="w-state")),
      errors.InvalidSpec, "w-state needs n >= 2"),
-    # mps.block_rdm and mps.schmidt_rank
+    # mps.block_rdm
     "block-rdm-block-outside": (lambda: mps.block_rdm(np.zeros(4), (2, 2), [2]),
      errors.DimensionMismatch, r"block \[2\] outside register of 2 sites"),
     "block-rdm-bad-shape": (lambda: mps.block_rdm(np.zeros(3), (2, 2), [0]),
      errors.DimensionMismatch, r"state has shape \(3,\), expected \(4,\)"),
-    "schmidt-rank-no-dims": (lambda: mps.schmidt_rank(np.zeros(4), 1),
-     errors.DimensionMismatch, "dims is required"),
-    "schmidt-rank-bad-length": (lambda: mps.schmidt_rank(np.zeros(3), 1, dims=(2, 2)),
-     errors.DimensionMismatch, "vector length 3 does not match prod"),
     # linalg.partial_trace
     "partial-trace-zero-dim": (lambda: linalg.partial_trace(np.eye(1), (0,), [0]),
      errors.BadParameter, "site dimensions must be >= 1, got 0"),
