@@ -289,6 +289,9 @@ def _cmd_budget(args) -> int:
         raise InvalidSpec("epsilon_values must be a non-empty list of floats in (0, 1]")
     d, D, delta = config["d"], config["D"], float(config["delta"])
     epsilons = [float(e) for e in epsilon_values]
+    for name, values in (("n_values", n_values), ("epsilon_values", epsilons)):
+        if len(set(values)) != len(values):  # a repeat is a second row and a double-weight fit
+            raise InvalidSpec(f"{name} must hold each value at most once, got {values}")
     resolved = {
         "n_values": list(n_values),
         "epsilon_values": epsilons,

@@ -21,7 +21,9 @@ O(side k^2) work for ``k`` columns, completed from a ``k x d**p`` null space
 when ``k < d**p``.  The tensor-train register's exact marginals come as such
 factors, so the exact oracle on any MPS input never forms a dense estimate,
 in either variant; their Gram matrix is Hermitian and PSD: no hermiticity
-check, no certificate.
+check, no certificate.  :func:`build_rank_capped` also takes a stack of
+estimates of one shape, checked, eigendecomposed, sorted and phase-fixed as
+one array.
 """
 from __future__ import annotations
 
@@ -65,9 +67,12 @@ class Disentangler:
 
 
 def _from_eigenbasis(vectors: np.ndarray, selected_count: int, width: int) -> Disentangler:
-    """Disentangler from orthonormal columns led by ``selected_count <= width`` selected ones."""
-    isometry = vectors[:, :width].copy()
-    return Disentangler(isometry=isometry, selected=isometry[:, :selected_count])
+    """Disentangler from orthonormal columns led by ``selected_count <= width`` selected ones.
+
+    ``vectors`` may be a stack of such bases, giving stacked fields.
+    """
+    isometry = vectors[..., :width].copy()
+    return Disentangler(isometry=isometry, selected=isometry[..., :selected_count])
 
 
 def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> Disentangler:
@@ -80,9 +85,15 @@ def build_rank_capped(sigma_hat: np.ndarray, d: int, D_squared: int, p: int) -> 
     sector: the leading columns of :func:`linalg.hermitian_eig`'s full
     eigenbasis.  Eigenvalues tied across the cut may come back in any
     orthonormal basis of their eigenspace, and equal inputs give equal bits.
+
+    ``sigma_hat`` may also be a ``(k, side, side)`` stack of estimates: one
+    eigendecomposition for the stack gives the stacked fields, each member's
+    bit for bit its own call's, and the first member whose own call fails
+    raises what that call raises.
     """
-    m = _kept_dim(linalg.require_square(sigma_hat), d, D_squared, p)
-    return _from_eigenbasis(linalg.hermitian_eig(sigma_hat)[1], selected_count=D_squared, width=m)
+    m = _kept_dim(linalg._square_stack(sigma_hat).shape[1], d, D_squared, p)
+    vectors = linalg._descending_eig(sigma_hat, width=m)[1]
+    return _from_eigenbasis(vectors, selected_count=D_squared, width=m)
 
 
 def build_rank_capped_from_factor(

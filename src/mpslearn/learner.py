@@ -25,7 +25,13 @@ with the register's orthogonality centre moved into it), of rank at most
 from a ``k x d**p`` null space when there are ``k < d**p`` of them
 (:func:`~mpslearn.disentangler.build_rank_capped_from_factor`), needs no
 hermiticity check and no certificate: ``F F^H`` is Hermitian and PSD by
-construction.  Every other run hands the oracle the dense marginal.
+construction.  Every other run hands the oracle the dense marginals.  A
+layer's blocks act on disjoint sites and all its marginals are taken before
+any block is compressed, so the layer is one step: its consecutive marginals
+of one shape are stacked, up to ``_STACK_ENTRIES`` entries a stack, and each
+stack takes one oracle call and one builder call.  Each block's estimate and
+isometry are bit for bit those of its own calls, its noise drawn from its
+own seed.
 The run plans first and builds the tensor-train register from layer 1's
 windows: each acted block is contracted from the input's site tensors into
 one tensor, unless its window on their raw bonds is past the cap, and one
@@ -79,6 +85,10 @@ from .planner import (
 
 CIRCUIT_FORMAT_NAME = "disentangling-circuit"
 CIRCUIT_FORMAT_VERSION = 4
+# Entries of one stack of a layer's marginals, 1 MiB: past it a layer's
+# marginals are estimated in several stacks, so its peak memory stays near
+# one marginal's or one stack's.
+_STACK_ENTRIES = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -467,24 +477,29 @@ def learn(
     factored = isinstance(mode, tomography.ExactMode) and isinstance(backend, MPSBackend)
     kept = D * D if variant == "exact" else d**p
     for j in range(1, M + 1):
-        built: list[tuple] = []
-        stats: list[BlockStats] = []
         # Right to left, so a tensor train's centre ends where the compressions start
-        for block in reversed(plan.blocks(j)):
-            if not block.acted:
-                continue
-            if factored:
+        acted = [block for block in reversed(plan.blocks(j)) if block.acted]
+        built: list[tuple] = []  # (block, isometry, success mass, estimate error)
+        if factored:
+            for block in acted:
                 factor = backend.rdm_factor(block.support)
                 dz = build_rank_capped_from_factor(factor, d, kept, p)
-                mass, error = float(np.clip(np.linalg.norm(factor) ** 2, 0.0, 1.0)), 0.0
-            else:
-                call_mode = _child_mode(mode, eta, seed_base, (j, block.index))
-                outcome = tomography.estimate_block(backend.rdm(block.support), d, call_mode)
-                mass, error = outcome.success_mass, outcome.error
-                dz = build_rank_capped(outcome.estimate, d, kept, p)
+                mass = float(np.clip(np.linalg.norm(factor) ** 2, 0.0, 1.0))
+                built.append((block, dz.isometry, mass, 0.0))
+        else:
+            for run in _stack_runs(acted, d):
+                modes = [_child_mode(mode, eta, seed_base, (j, b.index)) for b in run]
+                # the stack is held by the oracle call alone, not while its estimates are built
+                outcome = tomography.estimate_block(
+                    _as_stack([backend.rdm(b.support) for b in run]), d, modes
+                )
+                isometries = build_rank_capped(outcome.estimate, d, kept, p).isometry
+                masses, errors = outcome.success_mass.tolist(), outcome.error.tolist()
+                built.extend(zip(run, isometries, masses, errors))
+        stats: list[BlockStats] = []
+        for block, _, mass, error in built:
             charge = _charge(variant, mass, D, d, len(block.support), eta, delta / n)
             copies_used += charge
-            built.append((block, dz))
             stats.append(
                 BlockStats(
                     layer=j,
@@ -496,8 +511,8 @@ def learn(
                 )
             )
         built, stats = built[::-1], stats[::-1]
-        for block, dz in built:
-            backend.compress(dz.isometry, block.support, block.projected)
+        for block, isometry, _, _ in built:
+            backend.compress(isometry, block.support, block.projected)
         if variant == "exact":
             drop_bound = 2.0 * math.sqrt(2.0 * eta * 2 ** (M - j))
         else:
@@ -511,8 +526,8 @@ def learn(
             )
         )
         unitaries.extend(
-            CircuitUnitary(layer=j, index=b.index, support=b.support, matrix=dz.isometry)
-            for b, dz in built
+            CircuitUnitary(layer=j, index=b.index, support=b.support, matrix=isometry)
+            for b, isometry, _, _ in built
         )
         if audit:
             snapshots.append(backend.copy())
@@ -563,6 +578,28 @@ def learn(
     if audit:
         report.audit = AuditTrail(circuit, snapshots)
     return circuit, report
+
+
+def _stack_runs(blocks: Sequence, d: int) -> list[list]:
+    """``blocks``, in order, cut into runs of one width whose marginals stack.
+
+    A run's marginals, of ``d**(2 y)`` entries each for ``y`` sites, hold at
+    most ``_STACK_ENTRIES`` entries in all, unless the run is one block.
+    """
+    runs: list[list] = []
+    for block in blocks:
+        run = runs[-1] if runs else []
+        entries = (len(run) + 1) * d ** (2 * len(block.support))
+        if run and len(run[0].support) == len(block.support) and entries <= _STACK_ENTRIES:
+            run.append(block)
+        else:
+            runs.append([block])
+    return runs
+
+
+def _as_stack(marginals: list[np.ndarray]) -> np.ndarray:
+    """The marginals as one ``(k, side, side)`` array; one marginal is viewed, not copied."""
+    return marginals[0][None] if len(marginals) == 1 else np.stack(marginals)
 
 
 def _charge(

@@ -3,7 +3,10 @@
 All routines operate on explicit ``numpy`` arrays and are meant for registers
 whose total dimension stays at desk scale (state vectors up to ``2**16``,
 density matrices up to ``2**10``).  Site indices are 0-based throughout this
-module.
+module.  The hermiticity check, the trace norm, the projection onto the PSD
+cone and the descending eigendecomposition behind :func:`hermitian_eig` also
+take a ``(k, n, n)`` stack, in one call for all its members, each member's
+result bit for bit its own call's.
 """
 from __future__ import annotations
 
@@ -34,6 +37,18 @@ def require_square(matrix: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _square_stack(matrix: np.ndarray) -> np.ndarray:
+    """A square matrix or a ``(k, n, n)`` stack of them, ``k >= 1``, as a complex stack.
+
+    A matrix comes back as a view, a stack of one.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim == 3 and a.shape[1] == a.shape[2] and len(a):
+        return a
+    require_square(a)
+    return a[None]
+
+
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate hermiticity within ``tol`` and return the symmetrized matrix.
 
@@ -48,37 +63,43 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndar
     defect NaN or infinite, so they are looked for only when it is not
     finite (a difference of finite entries can also overflow).  A NaN or
     negative ``tol`` is a ``BadParameter``.
+
+    ``matrix`` may also be a ``(k, n, n)`` stack, checked tile by tile across
+    its members: the result is the stack of the members' results, and the
+    first member that fails raises what it raises alone.
     """
     a = _hermitian_input(matrix, tol)
-    h = np.conjugate(a.T, out=np.empty_like(a, order="C"))  # the one full-size allocation
+    h = np.conjugate(a.transpose(0, 2, 1), out=np.empty_like(a, order="C"))  # one full-size array
     h += a
     h /= 2.0
-    return h
+    return h if np.ndim(matrix) == 3 else h[0]
 
 
 def _hermitian_input(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """``matrix`` as a complex array, after :func:`require_hermitian`'s check."""
+    """``matrix`` as a complex stack, after :func:`require_hermitian`'s check."""
     if not tol >= 0.0:  # NaN fails too
         raise BadParameter(f"hermiticity tolerance must be non-negative, got {shown(tol)}")
-    dim = require_square(matrix)
-    a = np.asarray(matrix, dtype=complex)
-    scratch = np.empty(min(dim, _TILE) ** 2, dtype=complex)
-    peaks = [0.0]
+    a = _square_stack(matrix)
+    k, dim = a.shape[:2]
+    scratch = np.empty(k * min(dim, _TILE) ** 2, dtype=complex)
+    peaks: dict[int, list] = {}  # each member's exact defects in the tiles a bound did not pass
     with np.errstate(invalid="ignore"):  # inf - inf in a tile is caught below
         for i in range(0, dim, _TILE):
             for j in range(i, dim, _TILE):
-                x = a[i : i + _TILE, j : j + _TILE]
+                x = a[:, i : i + _TILE, j : j + _TILE]
                 diff = scratch[: x.size].reshape(x.shape)
-                np.conjugate(a[j : j + _TILE, i : i + _TILE].T, out=diff)
+                np.conjugate(a[:, j : j + _TILE, i : i + _TILE].transpose(0, 2, 1), out=diff)
                 diff -= x
                 bound = max(diff.view(float).max(), -diff.view(float).min())  # max |Re|, |Im|
                 if not (bound <= 0.7 * tol and math.isfinite(bound)):
-                    peaks.append(np.max(np.abs(diff)))
-    defect = float(np.max(peaks))  # NaN-propagating, unlike the builtin max
-    if not math.isfinite(defect) and not all(np.isfinite(row).all() for row in a):
-        raise NonHermitian("matrix has non-finite entries")
-    if defect > tol:
-        raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
+                    for m, member in enumerate(diff):
+                        peaks.setdefault(m, []).append(np.max(np.abs(member)))
+    for m, member_peaks in peaks.items():  # in member order
+        defect = float(np.max(member_peaks))  # NaN-propagating, unlike the builtin max
+        if not math.isfinite(defect) and not all(np.isfinite(row).all() for row in a[m]):
+            raise NonHermitian("matrix has non-finite entries")
+        if defect > tol:
+            raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol:.3e}")
     return a
 
 
@@ -106,24 +127,44 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alone), so any orthonormal basis of a tied eigenspace may come back;
         equal inputs still give equal bits.
     """
+    require_square(matrix)
+    return _descending_eig(matrix)
+
+
+def _descending_eig(matrix: np.ndarray, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eig` of a matrix, or of each member of a ``(k, n, n)`` stack, stacked.
+
+    One ``eigh`` call, sort and phase fix for the whole stack, each member's
+    bit for bit its own call's; the first member that fails the hermiticity
+    check raises what it raises alone.  With ``width``, only the leading
+    ``width`` eigenvectors are sorted out and phase-fixed, each with the
+    same bits as in the full basis.
+    """
+    a = require_hermitian(matrix)
     try:
-        w, v = np.linalg.eigh(require_hermitian(matrix))
+        w, v = np.linalg.eigh(a if a.ndim == 3 else a[None])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    return w[order], _fix_phases(v[:, order])
+    order = np.argsort(-w, axis=1, kind="stable")
+    member = np.arange(len(w))[:, None]
+    w = w[member, order]
+    v = _fix_phases(v[member[:, :, None], np.arange(v.shape[1])[:, None], order[:, None, :width]])
+    return (w, v) if a.ndim == 3 else (w[0], v[0])
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column of ``v`` in place, as :func:`fix_phase` rotates a vector."""
+    """Rotate each column of ``v`` (of each stacked member) in place, as :func:`fix_phase` does."""
     if v.size == 0:  # argmax has no empty reduction
         return v
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    stack = v if v.ndim == 3 else v[None]
+    k, _, width = stack.shape
+    pivots = stack[np.arange(k)[:, None], np.argmax(np.abs(stack), axis=1), np.arange(width)]
     fixed = np.abs(pivots) > PHASE_TOL
     # scalar quotients abs(p) / p, multiplied into the rows of v.T out of place:
     # array quotients, in-place or row-broadcast products differ in the last bit
     phases = np.array([abs(p) / p for p in pivots[fixed]], dtype=complex)
-    v.T[fixed] = v.T[fixed] * phases[:, None]
+    columns = stack.transpose(0, 2, 1)
+    columns[fixed] = columns[fixed] * phases[:, None]
     return v
 
 
@@ -223,8 +264,9 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     ``1e-10 * scale`` of the top count as near-tied: the result is a unit
     vector mostly in their span, weighted differently by the two paths.
     """
-    a = _hermitian_input(np.ascontiguousarray(matrix, dtype=complex), HERMITIAN_TOL)
-    dim = a.shape[0]
+    a = np.ascontiguousarray(matrix, dtype=complex)
+    dim = require_square(a)
+    _hermitian_input(a, HERMITIAN_TOL)
     if dim == 0:
         raise BadParameter("an empty matrix has no eigenvector")
     rng = np.random.default_rng(0)
@@ -261,16 +303,29 @@ def top_eigenvector(matrix: np.ndarray) -> np.ndarray:
     return fix_phase(x)
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values of a square matrix; a non-finite sum raises ``BadParameter``."""
-    require_square(matrix)
-    try:
-        norm = float(np.sum(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)))
-    except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
-        norm = math.nan
-    if not math.isfinite(norm):  # an infinite entry, or a norm past a float's range
+def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values of a square matrix; a non-finite sum raises ``BadParameter``.
+
+    A ``(k, n, n)`` stack gives the array of its members' sums, from one SVD
+    call, each bit for bit its own call's; the first member with a
+    non-finite sum raises what it raises alone.
+    """
+    norms = _singular_sums(_square_stack(matrix))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:  # an infinite entry, or a norm past a float's range
+        norm = float(norms[bad[0]])
         raise BadParameter(f"trace norm is {norm}: the matrix has a non-finite or too large entry")
-    return norm
+    return norms if np.ndim(matrix) == 3 else float(norms[0])
+
+
+def _singular_sums(stack: np.ndarray) -> np.ndarray:
+    """Each member's sum of singular values, NaN for a member LAPACK refuses."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry, raised for the whole stack
+        if len(stack) == 1:
+            return np.array([math.nan])
+        return np.concatenate([_singular_sums(member[None]) for member in stack])
 
 
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -323,8 +378,8 @@ def numerical_rank(matrix: np.ndarray, tol: float) -> int:
 
 
 def project_psd(matrix: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm."""
+    """Nearest positive semidefinite matrix in Frobenius norm (of each member, for a stack)."""
     a = require_hermitian(matrix, tol=np.inf)
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -21,6 +21,12 @@ regardless of the oracle mode in use, and a count past a float's range raises
 estimate's trace differs from its marginal's by at most its ``error`` (at
 most ``eta`` under bounded noise, whose ``project_psd`` can lift it).  Each
 mode's ``name`` is the oracle's name in run metadata and reports.
+
+One call also takes a stack of marginals of one shape, with one mode per
+marginal (a layer's blocks, each with its own seed).  Under bounded noise
+each member draws its perturbation from its own seed, and the stack is then
+made Hermitian, traceless and normed as one array; finite-sample draws stay
+one marginal at a time, as their cost is the sampling.
 """
 from __future__ import annotations
 
@@ -117,6 +123,10 @@ class TomographyOutcome:
         ``ExactMode``, the perturbation's trace norm for ``BoundedNoiseMode``
         (from the SVD that scaled it, or the rescaled excess under
         ``project_psd``), a trace norm of the difference for ``FiniteSampleMode``.
+
+    The outcome of a stack of ``k`` marginals holds the members' fields
+    stacked: ``estimate`` of shape ``(k, side, side)``, and arrays of ``k``
+    masses and errors.
     """
 
     estimate: np.ndarray
@@ -133,47 +143,83 @@ def estimate_block(sigma: np.ndarray, d: int, mode: OracleMode = ExactMode()) ->
     ``BoundedNoiseMode`` the eta budget must be set (the learner substitutes
     its own schedule when ``eta`` is ``None``).  ``BadParameter`` refuses a
     non-finite trace, and a non-finite entry where the mode computes from it.
+
+    ``sigma`` may also be a ``(k, side, side)`` stack of marginals, with
+    ``mode`` a sequence of ``k`` modes, one per member, that differ only in
+    their seeds.  The outcome's fields are then stacked: ``estimate`` of the
+    stack's shape, ``success_mass`` and ``error`` arrays of ``k`` floats.
+    Each member is bit for bit its own call's outcome, and the first member
+    its own call refuses raises what that call raises.  A matrix is a stack
+    of one, viewed, not copied: an exact estimate is a view of ``sigma``.
     """
-    trace = np.trace(sigma)
-    if not (np.isfinite(trace) and (isinstance(mode, ExactMode) or np.isfinite(sigma).all())):
+    sigmas = np.asarray(sigma)
+    stacked = sigmas.ndim == 3
+    sigmas, modes = (sigmas, list(mode)) if stacked else (sigmas[None], [mode])
+    kind = modes[0] if modes else None
+    if not len(modes) == len(sigmas) > 0 or any(_unseeded(m) != _unseeded(kind) for m in modes[1:]):
+        raise BadParameter(
+            "a stack takes one or more marginals and one mode each, differing in seeds only; "
+            f"got {len(sigmas)} marginals and {len(modes)} modes"
+        )
+    traces = np.trace(sigmas, axis1=1, axis2=2)
+    finite = np.isfinite(traces)
+    if not isinstance(kind, ExactMode):
+        finite &= np.isfinite(sigmas).all(axis=(1, 2))
+    if not finite.all():
+        trace = traces[np.argmin(finite)]
         raise BadParameter(f"the marginal is not finite (its trace is {trace})")
-    if isinstance(mode, ExactMode):
-        estimate, error = sigma, 0.0
-    elif isinstance(mode, BoundedNoiseMode):
-        if mode.eta is None:
+    if isinstance(kind, ExactMode):
+        estimate, error = sigmas, np.zeros(len(sigmas))
+    elif isinstance(kind, BoundedNoiseMode):
+        if kind.eta is None:
             raise BadParameter("BoundedNoiseMode.eta is unset; supply a noise budget")
-        estimate, error = _add_bounded_noise(sigma, mode.eta, mode.seed, mode.project_psd)
+        seeds = [m.seed for m in modes]
+        estimate, error = _add_bounded_noise(sigmas, kind.eta, seeds, kind.project_psd)
     else:
-        estimate = _finite_sample_estimate(sigma, d, mode)
-        error = linalg.trace_norm(estimate - sigma)
-    mass = float(np.clip(np.real(trace), 0.0, 1.0))
-    return TomographyOutcome(estimate, mass, error)
+        estimate = np.stack([_finite_sample_estimate(s, d, m) for s, m in zip(sigmas, modes)])
+        error = linalg.trace_norm(estimate - sigmas)
+    mass = np.clip(np.real(traces), 0.0, 1.0)
+    if stacked:
+        return TomographyOutcome(estimate, mass, error)
+    return TomographyOutcome(estimate[0], float(mass[0]), float(error[0]))
+
+
+def _unseeded(mode: OracleMode) -> tuple:
+    """What the modes of a stack share: ``mode``'s class and its fields but the seed."""
+    return type(mode), {**vars(mode), "seed": None}
 
 
 def _add_bounded_noise(
-    sigma: np.ndarray, eta: float, seed: int, project_psd: bool
-) -> tuple[np.ndarray, float]:
-    """The perturbed estimate and the trace norm of its perturbation."""
+    sigmas: np.ndarray, eta: float, seeds: list[int], project_psd: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The perturbed estimates of a stack, and the trace norms of their perturbations.
+
+    Each member's perturbation is drawn from its own seed; the rest is
+    computed once for the stack.
+    """
     if eta == 0.0:
-        return sigma.copy(), 0.0
-    dim = sigma.shape[0]
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    delta = (g + g.conj().T) / 2.0
-    delta -= np.trace(delta) / dim * np.eye(dim)
+        return sigmas.copy(), np.zeros(len(sigmas))
+    dim = sigmas.shape[1]
+    g = np.empty(sigmas.shape, dtype=complex)
+    for member, seed in zip(g, seeds):  # x + 1j * y, bit for bit, without its temporaries
+        rng = np.random.default_rng(seed)
+        member.real = rng.standard_normal((dim, dim))
+        member.imag = rng.standard_normal((dim, dim))
+    delta = (g + g.conj().transpose(0, 2, 1)) / 2.0
+    delta -= (np.trace(delta, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
     norm = linalg.trace_norm(delta)
-    if norm == 0.0:  # pragma: no cover - measure-zero draw
+    if not norm.all():  # pragma: no cover - measure-zero draw
         raise OracleFailure("degenerate noise draw")
-    scale = eta / norm
-    estimate, error = sigma + scale * delta, scale * norm
+    scale = (eta / norm)[:, None, None]
+    estimate, error = sigmas + scale * delta, scale[:, 0, 0] * norm
     if project_psd:
-        shifted = linalg.project_psd(estimate) - sigma
+        shifted = linalg.project_psd(estimate) - sigmas
         error = linalg.trace_norm(shifted)
-        if error > eta:
-            rescale = eta / error
-            shifted *= rescale
-            error *= rescale
-        estimate = sigma + shifted
+        over = error > eta
+        rescale = eta / error[over]
+        shifted[over] *= rescale[:, None, None]
+        error[over] *= rescale
+        estimate = sigmas + shifted
     return estimate, error
 
 

@@ -424,13 +424,17 @@ def test_budget_rejects_bad_grid(tmp_path, capsys):
     )
     assert cli.main(["budget", "--config", config, "--out", str(tmp_path / "x")]) == 2
 
-    # repeated grid points leave no slope to fit: refused, not a number written
-    config = write_config(
-        tmp_path / "b3.json",
-        {"n_values": [16, 16], "epsilon_values": [0.1, 0.1], "d": 2, "D": 2, "delta": 0.01},
-    )
-    assert cli.main(["budget", "--config", config, "--out", str(tmp_path / "x")]) == 2
-    assert not (tmp_path / "x").exists()
+    # repeated grid points leave no slope to fit, or weight one point twice
+    # in it: refused, not a row written
+    for i, (n_values, epsilon_values) in enumerate(
+        [([16, 16], [0.1, 0.1]), ([8, 16, 16], [0.1, 0.2]), ([8, 16], [0.2, 0.1, 0.2])]
+    ):
+        config = write_config(
+            tmp_path / f"b{3 + i}.json",
+            {"n_values": n_values, "epsilon_values": epsilon_values, "d": 2, "D": 2, "delta": 0.01},
+        )
+        assert cli.main(["budget", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 def test_budget_reruns_are_byte_identical(tmp_path):

@@ -428,16 +428,43 @@ def test_finite_sample_learns_blocks_of_eight_qubits():
 
 
 def test_noisy_learn_takes_one_marginal_per_oracle_call(monkeypatch):
-    # one marginal per call, and the estimate error comes from the oracle's
-    # own trace norm of its noise, so each call takes one trace norm
+    # one marginal per block, and the estimate error comes from the oracle's
+    # own trace norm of its noise, so each block takes one trace-norm value
+    # (a layer's blocks take theirs in one stacked call)
     calls, norms = [], []
     block_rdm, trace_norm = mps.block_rdm, linalg.trace_norm
     monkeypatch.setattr(mps, "block_rdm", lambda *args: calls.append(1) or block_rdm(*args))
-    monkeypatch.setattr(linalg, "trace_norm", lambda a: norms.append(1) or trace_norm(a))
+
+    def counted(a):
+        norms.extend([1] * (len(a) if np.ndim(a) == 3 else 1))
+        return trace_norm(a)
+
+    monkeypatch.setattr(linalg, "trace_norm", counted)
     mode = tomography.BoundedNoiseMode(seed=28)
     _, report = learner.learn(random_mps_vector(16, seed=28), 2, 2, 0.2, 0.01, mode=mode)
     acted = sum(len(layer.blocks) for layer in report.per_layer)
     assert (acted, len(calls), len(norms)) == (7, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "D, shapes",
+    [(2, [(4, 16, 16), (2, 16, 16), (1, 16, 16), (4, 4)]), (4, [(1, 256, 256)] * 3 + [(16, 16)])],
+)
+def test_a_layer_stacks_its_marginals_up_to_the_cap(monkeypatch, D, shapes):
+    # a noisy learn at n = 16 estimates each layer's equal marginals in one
+    # call, and never stacks more than _STACK_ENTRIES entries: each D = 4
+    # marginal, of 2**16 entries, is a stack of one; the closing call is a matrix
+    seen, estimate_block = [], tomography.estimate_block
+
+    def recorded(sigma, *args):
+        seen.append(sigma.shape)
+        return estimate_block(sigma, *args)
+
+    monkeypatch.setattr(tomography, "estimate_block", recorded)
+    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=D, seed=D))
+    learner.learn(state, 2, D, 0.2, 0.01, mode=tomography.BoundedNoiseMode(seed=D))
+    assert seen == shapes
+    assert all(np.prod(shape) <= learner._STACK_ENTRIES for shape in seen)
 
 
 @settings(max_examples=40, deadline=None)
@@ -788,7 +815,7 @@ def test_the_register_cuts_a_window_only_where_a_later_window_needs_a_cut(monkey
 
 @pytest.mark.parametrize(
     "D, oracle, learn_calls, extract_calls",
-    [(4, "exact", (3, 6), (1, 15)), (2, "bounded-noise", (11, 8), (5, 15))],
+    [(4, "exact", (3, 6), (1, 15)), (2, "bounded-noise", (11, 4), (5, 15))],
     ids=["exact-wide", "noisy-narrow"],
 )
 def test_the_lapack_calls_of_one_learn_and_one_extraction(
@@ -799,8 +826,9 @@ def test_the_lapack_calls_of_one_learn_and_one_extraction(
     # it needs shows here, whatever the timing noise.  The register is built
     # from layer 1's windows, so its one sweep takes a QR step per window:
     # one at D = 4 (blocks 1..8, 9..16), three at D = 2.  Each of the exact
-    # learn's three blocks takes two SVDs, its factor's and its completion's,
-    # and every QR is a register step
+    # learn's three blocks takes two SVDs, its factor's and its completion's;
+    # the noisy learn takes one per layer (its stacked blocks' noise norms)
+    # and one in the closing call; and every QR is a register step
     calls = {"qr_step": 0, "svd": 0, "qr": 0}
     for module, name in ((mps, "qr_step"), (np.linalg, "svd"), (np.linalg, "qr")):
         original = getattr(module, name)

@@ -32,6 +32,7 @@ PINNED = {
     "MPSBackend.state": "f24d18d0c562d4670fca440fcc09c2d8e68541d691687682f606010617188c0a",
     "save_circuit.exact": "44ef522afefdfe4ef5dba052511a15581fe3632909a9522eeba9e72ee4da5c54",
     "save_circuit.bounded_noise": "b4f6776652957019892ced2b62275351caefec5c9dde577a36a422897a4d8823",
+    "save_circuit.bounded_noise_wide": "3a988dff2cb14d9ab503a8000eb4aaa998bc8ac36c71053bd9c4d3e28b05610c",
     "save_circuit.closest": "61b45e85e406100ece34505cf5f8d985decade6650c85f1c92e58ee30ecc9e8d",
     "save_mps": "1e39fe51129309fc4c9594cc5e73fd062d56df5f8fec39a923a58cf36e7f5639",
 }
@@ -109,8 +110,8 @@ def _file_digest(save, obj):
     return hashlib.sha256(_file_bytes(save, obj)).hexdigest()
 
 
-def _learned(D, mode, seed):
-    state = mps.random_mps(mps.StateSpec(n=16, d=2, D=D, seed=seed))
+def _learned(D, mode, seed, n=16):
+    state = mps.random_mps(mps.StateSpec(n=n, d=2, D=D, seed=seed))
     return learner.learn(state, 2, D, 0.2, 0.01, mode=mode, seed=seed)[0]
 
 
@@ -145,6 +146,10 @@ def _digests():
         "save_circuit.exact": _file_digest(learner.save_circuit, _learned(4, None, 2205)),
         "save_circuit.bounded_noise": _file_digest(
             learner.save_circuit, _learned(2, tomography.BoundedNoiseMode(seed=2206), 2206)
+        ),
+        # n = 64: a first layer of 16 blocks, whose marginals the learner stacks
+        "save_circuit.bounded_noise_wide": _file_digest(
+            learner.save_circuit, _learned(2, tomography.BoundedNoiseMode(seed=2209), 2209, n=64)
         ),
         "save_circuit.closest": hashlib.sha256(b"".join(_closest_files())).hexdigest(),
         "save_mps": _file_digest(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpslearn import errors, linalg, mps, tomography
+from mpslearn import disentangler, errors, linalg, mps, tomography
 
 
 def random_pure(n, d, seed):
@@ -260,3 +260,62 @@ def test_budget_validation():
         with pytest.raises(errors.BadParameter):
             tomography.budget_rank_constrained(1.0, 2, 2, 2, eta, 1e-3)
 
+
+
+def _near_hermitian_densities(k, side, skew, rng):
+    """``k`` density matrices of one side, each entry moved off Hermitian by up to ``skew``."""
+    a = rng.standard_normal((k, side, side)) + 1j * rng.standard_normal((k, side, side))
+    rho = a @ a.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    return rho + skew * rng.uniform(-1.0, 1.0, rho.shape)
+
+
+def _same_bits(stacked, members):
+    return np.asarray(stacked).tobytes() == np.asarray(members).tobytes()
+
+
+def _same_outcomes(stacked, members):
+    fields = ("estimate", "success_mass", "error")
+    return all(
+        _same_bits(getattr(stacked, f), [getattr(m, f) for m in members]) for f in fields
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    side=st.integers(2, 130),
+    skew=st.sampled_from([0.0, 1e-12, 4e-11]),
+    eta=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+    sites=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(k=3, side=129, skew=4e-11, eta=2.0, sites=3, seed=1)
+@example(k=1, side=130, skew=1e-12, eta=0.5, sites=1, seed=2)
+def test_a_stack_gives_each_members_bits(k, side, skew, eta, sites, seed):
+    # sides past 128 cross the hermiticity check's tile; a side-d estimate is
+    # one site of dimension d = side, so the builder keeps all d**1 columns
+    rng = np.random.default_rng(seed)
+    stack = _near_hermitian_densities(k, side, skew, rng)
+    members = list(stack)
+    assert _same_bits(linalg.require_hermitian(stack), [linalg.require_hermitian(m) for m in members])
+    assert _same_bits(linalg.trace_norm(stack), [linalg.trace_norm(m) for m in members])
+    rank = int(rng.integers(1, side + 1))
+    built = disentangler.build_rank_capped(stack, side, rank, 1)
+    alone = [disentangler.build_rank_capped(m, side, rank, 1) for m in members]
+    assert _same_bits(built.isometry, [dz.isometry for dz in alone])
+    assert _same_bits(built.selected, [dz.selected for dz in alone])
+
+    noisy = [
+        [tomography.BoundedNoiseMode(eta=eta, seed=seed + i, project_psd=psd) for i in range(k)]
+        for psd in (False, True)
+    ]
+    for modes in [[tomography.ExactMode()] * k, *noisy]:
+        outcome = tomography.estimate_block(stack, side, modes)
+        each = [tomography.estimate_block(m, side, mode) for m, mode in zip(members, modes)]
+        assert _same_outcomes(outcome, each)
+    sampled = _near_hermitian_densities(k, 2**sites, 0.0, rng)
+    modes = [tomography.FiniteSampleMode(copies=10**4, seed=seed + i) for i in range(k)]
+    outcome = tomography.estimate_block(sampled, 2, modes)
+    each = [tomography.estimate_block(m, 2, mode) for m, mode in zip(sampled, modes)]
+    assert _same_outcomes(outcome, each)

@@ -161,6 +161,12 @@ ROWS = {
     "sample-oracle-inf-entry": (lambda: tomography.estimate_block(
         _with(np.eye(4) / 4, (3, 0), np.inf), 2, _SAMPLE),
      errors.BadParameter, r"the marginal is not finite \(its trace is \(1\+0j\)\)"),
+    "stack-modes-differ": (lambda: tomography.estimate_block(
+        np.stack([np.eye(4) / 4] * 2), 2, [_NOISE, tomography.BoundedNoiseMode(eta=0.2)]),
+     errors.BadParameter, "differing in seeds only; got 2 marginals and 2 modes"),
+    "stack-modes-too-few": (lambda: tomography.estimate_block(
+        np.stack([np.eye(4) / 4] * 2), 2, [_NOISE]),
+     errors.BadParameter, "differing in seeds only; got 2 marginals and 1 modes"),
     # verify.run_suites
     "verify-unknown-suite": (lambda: verify.run_suites(["nope"]),
      errors.BadParameter, "unknown suite 'nope'"),
@@ -171,6 +177,51 @@ ROWS = {
 def test_each_bad_input_raises_its_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _oracle(mode):
+    """``estimate_block`` under ``mode``, of a marginal or of a stack of them."""
+    return lambda a: tomography.estimate_block(a, 2, [mode] * len(a) if a.ndim == 3 else mode)
+
+
+_QUARTER = np.eye(4) / 4
+# (a good member, the first failing one, another failing one), the call and
+# the error of the first failing one, which the stack must raise as it does alone
+STACKS = {
+    "exact-oracle-inf-trace": (
+        [_QUARTER, _with(_QUARTER, (1, 1), np.inf), _with(_QUARTER, (2, 2), np.nan)],
+        _oracle(tomography.ExactMode()), errors.BadParameter,
+    ),
+    "noise-oracle-nan-entry": (
+        [_QUARTER, _with(_QUARTER, (0, 3), np.nan), _with(_QUARTER, (3, 0), np.inf)],
+        _oracle(_NOISE), errors.BadParameter,
+    ),
+    "sample-oracle-inf-entry": (
+        [_QUARTER, _with(_QUARTER, (3, 0), np.inf), _with(_QUARTER, (0, 0), -np.inf)],
+        _oracle(_SAMPLE), errors.BadParameter,
+    ),
+    "rank-capped-off-hermitian": (
+        [_QUARTER, _with(_QUARTER, (0, 1), 1e-3), _with(_QUARTER, (2, 3), 1e-2)],
+        lambda a: disentangler.build_rank_capped(a, 2, 1, 1), errors.NonHermitian,
+    ),
+    "rank-capped-non-finite": (
+        [_QUARTER, _with(_QUARTER, (0, 1), np.nan), _with(_QUARTER, (2, 3), 1e-2)],
+        lambda a: disentangler.build_rank_capped(a, 2, 1, 1), errors.NonHermitian,
+    ),
+    "trace-norm-nan": (
+        [_QUARTER, _with(_QUARTER, (0, 1), np.nan), _with(_QUARTER, (1, 0), -np.inf)],
+        linalg.trace_norm, errors.BadParameter,
+    ),
+}
+
+
+@pytest.mark.parametrize("members, call, error", STACKS.values(), ids=list(STACKS))
+def test_a_stack_raises_what_its_first_failing_member_raises_alone(members, call, error):
+    with pytest.raises(error) as alone:
+        call(members[1])
+    with pytest.raises(error) as stacked:
+        call(np.stack(members))
+    assert str(stacked.value) == str(alone.value)
 
 
 def _learn_config(tmp_path, doc):
